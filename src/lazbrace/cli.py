@@ -24,7 +24,7 @@ from .liering import (
     verify_group_table,
     verify_lie,
 )
-from .modarith import PShape
+from .modarith import ModArithError, PShape
 from .postlie import (
     enumerate_prelie_ops,
     enumerate_prelie_ops_aff,
@@ -321,6 +321,9 @@ def main(argv=None) -> int:
         return EXIT_REFUSED
     except FailedTheoremError as exc:
         print(f"internal consistency failure: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
+    except ModArithError as exc:  # the input breaks a structure axiom
+        print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
 
 

@@ -11,7 +11,7 @@ import numpy as np
 
 from .common import ParseError
 from .liering import FinGroup, LieRingSC
-from .modarith import PShape
+from .modarith import ModArithError, PShape
 from .postlie import PostLieRing
 from .skewbrace import SkewBrace
 
@@ -83,21 +83,29 @@ def parse_text(text: str):
             if op == "bracket":
                 if i >= j:
                     raise ParseError(f"line {ln_no}: bracket lines need i < j")
-                brackets[(i - 1, j - 1)] = coords
+                target = brackets
             elif op == "triangle":
-                triangles[(i - 1, j - 1)] = coords
+                target = triangles
             else:
                 raise ParseError(f"line {ln_no}: unknown op {op!r}")
+            if (i - 1, j - 1) in target:
+                raise ParseError(f"line {ln_no}: repeated {op} {i} {j}")
+            target[(i - 1, j - 1)] = coords
         base = LieRingSC.from_brackets(shape, brackets)
         if kind == "lie":
             if triangles:
                 raise ParseError("triangle lines in a lie file")
             return "lie", base
-        return "postlie", PostLieRing.from_products(base, triangles)
+        try:
+            return "postlie", PostLieRing.from_products(base, triangles)
+        except ModArithError as exc:
+            raise ParseError(str(exc)) from None
     if kind == "group":
         if len(toks) != 4 or toks[2] != "identity":
             raise ParseError(f"line {no}: need 'group <n> identity <idx>'")
-        n, e = int(toks[1]), int(toks[3])
+        n, e = _intline([toks[1], toks[3]], "group header", no)
+        if not 0 <= e < n:
+            raise ParseError(f"line {no}: identity {e} out of range 0..{n - 1}")
         if len(body) != n:
             raise ParseError(f"group table needs exactly {n} rows, found {len(body)}")
         table = _parse_table(body, 0, n, "group table")
@@ -105,7 +113,9 @@ def parse_text(text: str):
     if kind == "skewbrace":
         if len(toks) != 2:
             raise ParseError(f"line {no}: need 'skewbrace <n>'")
-        n = int(toks[1])
+        (n,) = _intline(toks[1:], "skewbrace header", no)
+        if n < 1:
+            raise ParseError(f"line {no}: skewbrace needs at least one element")
         if len(body) != 2 * n + 2 or body[0][1] != "dot:" or body[n + 1][1] != "circ:":
             raise ParseError("skewbrace file needs 'dot:' and 'circ:' sections")
         dot = _parse_table(body, 1, n, "dot table")
@@ -119,8 +129,14 @@ def parse_text(text: str):
 
 
 def parse_file(path):
-    with open(path, "r", encoding="ascii") as fh:
-        return parse_text(fh.read())
+    try:
+        with open(path, "r", encoding="ascii") as fh:
+            text = fh.read()
+    except OSError as exc:
+        raise ParseError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: byte {exc.start} is not ASCII") from None
+    return parse_text(text)
 
 
 def _table_lines(table) -> list[str]:

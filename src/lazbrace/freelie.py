@@ -16,6 +16,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from importlib import resources
 
 __all__ = [
     "LyndonBasis",
@@ -24,6 +25,9 @@ __all__ = [
     "GroupWord",
     "bch_series",
     "bch_basis_terms",
+    "bch_terms",
+    "eval_tree",
+    "fold_terms",
     "derive_inverse_words",
     "evaluate_group_word",
     "tree_word",
@@ -347,6 +351,41 @@ def bch_basis_terms(class_bound: int) -> tuple:
 
 
 # ---------------------------------------------------------------------------
+# One evaluator of bracket trees and of (tree, coefficient) sums, for every
+# structure the trees act in: a Lie ring, a group table, the semidirect sum
+# a (+) Der(a) and the holomorph A x| Aut(A), and the free envelope below.
+
+
+def eval_tree(tree, memo: dict, node):
+    """Value of a bracket tree with leaves memo[0], memo[1], each inner node
+    combined by node(left, right).
+
+    Pass memo = {0: x, 1: y}; every subtree value is kept in it, so terms
+    that share subtrees evaluate each of them once.
+    """
+    if tree not in memo:
+        memo[tree] = node(eval_tree(tree[0], memo, node), eval_tree(tree[1], memo, node))
+    return memo[tree]
+
+
+def fold_terms(terms, x, y, node, step, acc):
+    """Fold acc = step(acc, value, coeff) over (tree, coeff) terms, each tree
+    evaluated at leaves x, y by eval_tree with the given node."""
+    memo = {0: x, 1: y}
+    for tree, coeff in terms:
+        acc = step(acc, eval_tree(tree, memo, node), coeff)
+    return acc
+
+
+def bch_terms(k: int):
+    """(standard bracketing, coefficient) of the BCH series in degrees 1..k."""
+    for deg, _word, tree, coeff in bch_basis_terms(max(k, 1)):
+        if deg > k:
+            return
+        yield tree, coeff
+
+
+# ---------------------------------------------------------------------------
 # Group arithmetic in the truncated free associative envelope.
 
 
@@ -434,20 +473,6 @@ class GroupSeries:
         return self.inv().mul(other.inv()).mul(self).mul(other)
 
 
-def _eval_tree_series(tree, g: GroupSeries, h: GroupSeries, cache: dict) -> GroupSeries:
-    if tree == 0:
-        return g
-    if tree == 1:
-        return h
-    if tree in cache:
-        return cache[tree]
-    left = _eval_tree_series(tree[0], g, h, cache)
-    right = _eval_tree_series(tree[1], g, h, cache)
-    out = left.commutator(right)
-    cache[tree] = out
-    return out
-
-
 @dataclass(frozen=True)
 class GroupWord:
     """Ordered product of (bracket word, rational exponent) group factors."""
@@ -456,11 +481,14 @@ class GroupWord:
 
     def __post_init__(self):
         degs = [tree_degree(t) for t, _ in self.factors]
-        assert degs == sorted(degs), "factors must come in non-decreasing degree"
+        if degs != sorted(degs):
+            raise ValueError("factors must come in non-decreasing degree")
         for (t, q), d in zip(self.factors, degs):
-            assert q != 0
+            if q == 0:
+                raise ValueError("factor exponents must be nonzero")
             for prime in _prime_factors(Fraction(q).denominator):
-                assert prime <= d, "denominator prime exceeds factor degree"
+                if prime > d:
+                    raise ValueError("denominator prime exceeds factor degree")
 
     def truncated(self, degree: int) -> "GroupWord":
         return GroupWord(tuple((t, q) for t, q in self.factors if tree_degree(t) <= degree))
@@ -501,11 +529,9 @@ def evaluate_group_word(word: GroupWord, class_bound: int,
     basis = get_basis(class_bound)
     g = GroupSeries.exp(first if first is not None else basis.gen(0))
     h = GroupSeries.exp(second if second is not None else basis.gen(1))
-    cache: dict = {}
-    acc = GroupSeries(basis, {(): Fraction(1)})
-    for tree, q in word.factors:
-        base = _eval_tree_series(tree, g, h, cache)
-        acc = acc.mul(base if q == 1 else base.pow_rational(q))
+    acc = fold_terms(word.factors, g, h, GroupSeries.commutator,
+                     lambda acc, base, q: acc.mul(base if q == 1 else base.pow_rational(q)),
+                     GroupSeries(basis, {(): Fraction(1)}))
     return acc.log()
 
 
@@ -522,7 +548,7 @@ def derive_inverse_words(class_bound: int) -> tuple[GroupWord, GroupWord]:
     basis = get_basis(class_bound)
     g = GroupSeries.exp(basis.gen(0))
     h = GroupSeries.exp(basis.gen(1))
-    cache: dict = {}
+    memo: dict = {0: g, 1: h}
 
     def peel(cur: GroupSeries, target: FreeLieElem, factors: list) -> GroupWord:
         for m in range(2, class_bound + 1):
@@ -530,7 +556,7 @@ def derive_inverse_words(class_bound: int) -> tuple[GroupWord, GroupWord]:
             for w in basis.by_degree[m]:
                 q = diff.get(w)
                 if q:
-                    base = _eval_tree_series(basis.tree[w], g, h, cache)
+                    base = eval_tree(basis.tree[w], memo, GroupSeries.commutator)
                     cur = cur.mul(base.pow_rational(q))
                     factors.append((basis.tree[w], q))
         assert cur.log() == target, "self-inversion failed"
@@ -539,7 +565,7 @@ def derive_inverse_words(class_bound: int) -> tuple[GroupWord, GroupWord]:
     p_word = peel(g.mul(h), basis.gen(0) + basis.gen(1), [(0, Fraction(1)), (1, Fraction(1))])
     if class_bound >= 2:
         xy_tree = basis.tree[(0, 1)]
-        q_word = peel(_eval_tree_series(xy_tree, g, h, cache),
+        q_word = peel(eval_tree(xy_tree, memo, GroupSeries.commutator),
                       basis.gen(0).bracket(basis.gen(1)),
                       [(xy_tree, Fraction(1))])
     else:
@@ -577,19 +603,15 @@ def dump_tables(class_bound: int) -> str:
 
 @lru_cache(maxsize=None)
 def inverse_words(class_bound: int) -> tuple[GroupWord, GroupWord]:
-    """P and Q truncated at the class bound, from the packaged table when
-    available (so hot paths never re-derive), else derived on the spot."""
+    """P and Q truncated at the class bound, from the packaged table (so hot
+    paths never re-derive); a damaged table raises ValueError."""
     if not 1 <= class_bound <= MAX_WORD_CLASS:
         raise ValueError(f"class bound must be in 1..{MAX_WORD_CLASS}")
-    try:
-        from importlib import resources
-
-        text = (resources.files("lazbrace") / "tables" / "inverse_words_c6.txt").read_text()
-        _c, _bch, p_word, q_word = load_tables(text)
-        return p_word.truncated(class_bound), q_word.truncated(class_bound)
-    except (FileNotFoundError, ModuleNotFoundError, ValueError):
-        p_word, q_word = derive_inverse_words(class_bound)
-        return p_word, q_word
+    text = (resources.files("lazbrace") / "tables" / "inverse_words_c6.txt").read_text()
+    c, _bch, p_word, q_word = load_tables(text)
+    if c < class_bound:
+        raise ValueError(f"packaged table stops at class {c} < {class_bound}")
+    return p_word.truncated(class_bound), q_word.truncated(class_bound)
 
 
 def load_tables(text: str) -> tuple[int, FreeLieElem, GroupWord, GroupWord]:
@@ -618,11 +640,13 @@ def load_tables(text: str) -> tuple[int, FreeLieElem, GroupWord, GroupWord]:
         if section == "BCH":
             tree = parse_tree(word_s, ("x", "y"))
             w = tree_word(tree)
-            assert len(w) == int(deg_s)
+            if len(w) != int(deg_s):
+                raise ValueError(f"degree {deg_s} does not match the word in {ln!r}")
             bch_coeffs[w] = q
         elif section in ("P", "Q"):
             tree = parse_tree(word_s, ("g", "h"))
-            assert tree_degree(tree) == int(deg_s)
+            if tree_degree(tree) != int(deg_s):
+                raise ValueError(f"degree {deg_s} does not match the word in {ln!r}")
             words[section].append((tree, q))
         else:
             raise ValueError(f"line outside any table: {ln!r}")

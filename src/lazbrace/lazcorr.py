@@ -120,26 +120,10 @@ def _v_batch(P: PostLieRing, k: int, A: np.ndarray, mat: np.ndarray) -> np.ndarr
     """V(a, f) for rows of A against one fixed matrix."""
     s = P.shape
     zero_vec = np.zeros_like(A)
-    x = (A, mat)
-    y = (zero_vec, s.reduce(-mat))
-    memo: dict = {}
-
-    def ev(tree):
-        if tree == 0:
-            return x
-        if tree == 1:
-            return y
-        if tree in memo:
-            return memo[tree]
-        out = _sd_bracket(P, ev(tree[0]), ev(tree[1]))
-        memo[tree] = out
-        return out
-
-    acc = (zero_vec, np.zeros_like(mat))
-    for deg, _w, tree, coeff in freelie.bch_basis_terms(max(k, 1)):
-        if deg > k:
-            break
-        acc = _sd_add(s, acc, _sd_scale(s, ev(tree), coeff))
+    acc = freelie.fold_terms(freelie.bch_terms(k), (A, mat), (zero_vec, s.reduce(-mat)),
+                             lambda u, v: _sd_bracket(P, u, v),
+                             lambda acc, v, c: _sd_add(s, acc, _sd_scale(s, v, c)),
+                             (zero_vec, np.zeros_like(mat)))
     return acc[0]
 
 
@@ -291,24 +275,10 @@ def u_eval(B: SkewBrace, a: int, alpha: np.ndarray, F: Filtration | None = None)
     hol = _Hol(B.dot, B.p)
     p_word, _ = freelie.inverse_words(max(k, 1))
     word = p_word.truncated(k)
-    x = (int(a), np.asarray(alpha, dtype=np.int64))
-    y = (B.dot.identity, _perm_inv(x[1]))
-    memo: dict = {}
-
-    def ev(tree):
-        if tree == 0:
-            return x
-        if tree == 1:
-            return y
-        if tree in memo:
-            return memo[tree]
-        out = hol.comm(ev(tree[0]), ev(tree[1]))
-        memo[tree] = out
-        return out
-
-    acc = hol.id_pair
-    for tree, q in word.factors:
-        acc = hol.mul(acc, hol.rational_power(ev(tree), Fraction(q)))
+    alpha = np.asarray(alpha, dtype=np.int64)
+    acc = freelie.fold_terms(word.factors, (int(a), alpha), (B.dot.identity, _perm_inv(alpha)),
+                             hol.comm, lambda acc, v, q: hol.mul(acc, hol.rational_power(v, Fraction(q))),
+                             hol.id_pair)
     return acc[0]
 
 

@@ -25,6 +25,7 @@ __all__ = [
     "FinGroup",
     "Filtration",
     "SeriesResult",
+    "descending_series",
     "CheckReport",
     "verify_lie",
     "lower_central_series",
@@ -80,6 +81,17 @@ class SeriesResult:
     @property
     def is_nilpotent(self) -> bool:
         return self.nilpotency_class is not None
+
+
+def descending_series(full: frozenset, next_term) -> SeriesResult:
+    """X_1 = full, X_(i+1) = next_term(X_i), until a trivial or a repeated term."""
+    terms = [full]
+    while len(terms[-1]) > 1:
+        new = next_term(terms[-1])
+        if new == terms[-1]:
+            return SeriesResult(tuple(terms), None)
+        terms.append(new)
+    return SeriesResult(tuple(terms), len(terms) - 1)
 
 
 @dataclass(frozen=True)
@@ -220,7 +232,10 @@ def add_closure(shape: PShape, gen_indices) -> frozenset:
 
 
 def _subgroup_gens(shape: PShape, members: frozenset) -> list[int]:
-    """Small generating set of an additive subgroup (greedy, deterministic)."""
+    """Small generating set of an additive subgroup (greedy, deterministic);
+    the unit vectors for the whole carrier."""
+    if len(members) == shape.order:
+        return [u.index for u in shape.units()]
     gens: list[int] = []
     have = frozenset({0})
     for x in sorted(members):
@@ -252,37 +267,34 @@ def all_add_subgroups(shape: PShape) -> list[frozenset]:
     return sorted(out, key=lambda s: (len(s), sorted(s)))
 
 
-def _bracket_set(L: LieRingSC, A: frozenset, B: frozenset) -> set[int]:
-    """{index([a,b]) : a in A, b in B}, chunked."""
+def _index_set(op, A, B) -> set[int]:
+    """{op(a, b) : a in A, b in B} for an elementwise op on index arrays, chunked."""
     ai = np.asarray(sorted(A), dtype=np.int64)
     bi = np.asarray(sorted(B), dtype=np.int64)
-    ac = L.shape.coords_batch(ai)
-    bc = L.shape.coords_batch(bi)
     out: set[int] = set()
     step = max(1, _CHUNK // max(1, len(bi)))
     for start in range(0, len(ai), step):
-        blk = L.bracket_batch(ac[start:start + step, None, :], bc[None, :, :])
-        out.update(int(v) for v in np.unique(L.shape.index_batch(blk)))
+        out.update(int(v) for v in np.unique(op(ai[start:start + step, None], bi[None, :])))
     return out
+
+
+def _on_indices(shape: PShape, op):
+    """A biadditive op on coordinate arrays, as an op on element indices."""
+    return lambda x, y: shape.index_batch(op(shape.coords_batch(x), shape.coords_batch(y)))
+
+
+def _bracket_set(L: LieRingSC, A: frozenset, B: frozenset) -> set[int]:
+    """{index([a,b]) : a in A, b in B}."""
+    return _index_set(_on_indices(L.shape, L.bracket_batch), A, B)
 
 
 def lower_central_series(L: LieRingSC) -> SeriesResult:
     """gamma^1 = a, gamma^(i+1) = [a, gamma^i], until stabilization."""
-    shape = L.shape
-    full = frozenset(range(shape.order))
-    terms = [full]
-    cur = full
-    unit_idx = frozenset(shape.unit(i).index for i in range(shape.rank))
-    cur_gens = unit_idx
-    while len(cur) > 1:
-        new_gens = sorted(_bracket_set(L, unit_idx, frozenset(cur_gens)))
-        new = add_closure(shape, new_gens)
-        if new == cur:
-            return SeriesResult(tuple(terms), None)
-        terms.append(new)
-        cur = new
-        cur_gens = frozenset(_subgroup_gens(shape, new)) or frozenset({0})
-    return SeriesResult(tuple(terms), len(terms) - 1)
+    s = L.shape
+    full = frozenset(range(s.order))
+    units = [u.index for u in s.units()]
+    return descending_series(
+        full, lambda cur: add_closure(s, _bracket_set(L, units, _subgroup_gens(s, cur))))
 
 
 def canonical_filtration(L: LieRingSC) -> Filtration:
@@ -334,26 +346,10 @@ def is_lazard(L: LieRingSC, F: Filtration | None = None) -> bool:
 
 def _bch_batch(L: LieRingSC, degree: int, A, B) -> np.ndarray:
     """BCH(a, b) truncated at `degree` on coordinate arrays (m, r)."""
-    shape = L.shape
-    memo: dict = {}
-
-    def ev(tree):
-        if tree == 0:
-            return A
-        if tree == 1:
-            return B
-        if tree in memo:
-            return memo[tree]
-        out = L.bracket_batch(ev(tree[0]), ev(tree[1]))
-        memo[tree] = out
-        return out
-
-    acc = np.zeros_like(np.asarray(A, dtype=np.int64))
-    for deg, _word, tree, coeff in freelie.bch_basis_terms(max(degree, 1)):
-        if deg > degree:
-            break
-        acc = shape.reduce(acc + shape.scale_batch(ev(tree), coeff))
-    return acc
+    s = L.shape
+    return freelie.fold_terms(freelie.bch_terms(degree), A, B, L.bracket_batch,
+                              lambda acc, v, c: s.reduce(acc + s.scale_batch(v, c)),
+                              np.zeros_like(np.asarray(A, dtype=np.int64)))
 
 
 def bch_eval(L: LieRingSC, F: Filtration, a: PVec, b: PVec) -> PVec:
@@ -470,8 +466,15 @@ def verify_group_table(table, assoc_limit: int = 300) -> CheckReport:
         failures.append("no two-sided identity")
         return CheckReport(False, tuple(failures))
     rows = range(n) if n <= assoc_limit else range(0, n, max(1, n // assoc_limit))
+    # n x n buffers reused on every row: fresh ones per row can make malloc
+    # trim them back to the system and fault them in again, row after row
+    # (clip takes no temporary; every index is in range by the check above)
+    lhs, rhs = np.empty_like(table), np.empty_like(table)
+    same = np.empty(table.shape, dtype=bool)
     for a in rows:
-        if not np.array_equal(table[table[a], :], table[a, table]):
+        np.take(table, table[a], axis=0, out=lhs, mode="clip")  # (a b) c
+        np.take(table[a], table, out=rhs, mode="clip")  # a (b c)
+        if not np.equal(lhs, rhs, out=same).all():
             failures.append(f"associativity fails at row {a}")
             break
     return CheckReport(not failures, tuple(failures))
@@ -481,8 +484,10 @@ def laz(L: LieRingSC, F: Filtration | None = None, force: bool = False) -> FinGr
     """The Lazard group (a, BCH) of a Lazard Lie ring, as a Cayley table."""
     _check_order_cap(L.order, force)
     if F is None:
-        F = canonical_filtration(L)
-    if not is_lazard(L, F):
+        F = canonical_filtration(L)  # a lower central series is a filtration by construction
+    else:
+        _validate_lie_filtration(L, F)
+    if F.length >= L.shape.p:
         raise NotLazardError(
             f"class {F.length} >= p = {L.shape.p}: BCH denominators would divide p"
         )
@@ -528,28 +533,13 @@ def group_closure(G: FinGroup, gen_indices) -> frozenset:
 
 
 def _comm_set(G: FinGroup, A: frozenset, B: frozenset) -> set[int]:
-    ai = np.asarray(sorted(A), dtype=np.int64)
-    bi = np.asarray(sorted(B), dtype=np.int64)
-    out: set[int] = set()
-    step = max(1, _CHUNK // max(1, len(bi)))
-    for start in range(0, len(ai), step):
-        blk = G.comm_batch(ai[start:start + step, None], bi[None, :])
-        out.update(int(v) for v in np.unique(blk))
-    return out
+    return _index_set(G.comm_batch, A, B)
 
 
 def canonical_group_filtration(G: FinGroup) -> SeriesResult:
     """Lower central series G_1 = G, G_(i+1) = [G, G_i]."""
     full = frozenset(range(G.order))
-    terms = [full]
-    cur = full
-    while len(cur) > 1:
-        new = group_closure(G, _comm_set(G, full, cur))
-        if new == cur:
-            return SeriesResult(tuple(terms), None)
-        terms.append(new)
-        cur = new
-    return SeriesResult(tuple(terms), len(terms) - 1)
+    return descending_series(full, lambda cur: group_closure(G, _comm_set(G, full, cur)))
 
 
 def validate_group_filtration(G: FinGroup, F: Filtration) -> None:
@@ -577,30 +567,20 @@ def _p_of_group(G: FinGroup) -> int:
     return p
 
 
+def _rational_power_batch(G: FinGroup, X, q) -> np.ndarray:
+    """x^q elementwise in a p-group, q a rational with denominator prime to p."""
+    q = Fraction(q)
+    e = G.exponent
+    m = (q.numerator * pow(q.denominator, -1, e)) % e if e > 1 else 0
+    return G.power_batch(X, m)
+
+
 def _eval_word_batch(G: FinGroup, word: freelie.GroupWord, A, B) -> np.ndarray:
     """Evaluate an inverse-BCH word on index arrays; commutator u^-1 v^-1 u v."""
     A = np.asarray(A, dtype=np.int64)
-    B = np.asarray(B, dtype=np.int64)
-    e = G.exponent
-    memo: dict = {}
-
-    def ev(tree):
-        if tree == 0:
-            return A
-        if tree == 1:
-            return B
-        if tree in memo:
-            return memo[tree]
-        out = G.comm_batch(ev(tree[0]), ev(tree[1]))
-        memo[tree] = out
-        return out
-
-    acc = np.full(A.shape, G.identity, dtype=np.int64)
-    for tree, q in word.factors:
-        q = Fraction(q)
-        m = (q.numerator * pow(q.denominator, -1, e)) % e if e > 1 else 0
-        acc = G.table[acc, G.power_batch(ev(tree), m)]
-    return acc
+    return freelie.fold_terms(word.factors, A, np.asarray(B, dtype=np.int64), G.comm_batch,
+                              lambda acc, v, q: G.table[acc, _rational_power_batch(G, v, q)],
+                              np.full(A.shape, G.identity, dtype=np.int64))
 
 
 @dataclass(frozen=True)
@@ -721,30 +701,13 @@ def laz_of_table(T: LieRingTable, force: bool = False) -> FinGroup:
     p = _p_of_group(G)
     # lower central series of the table ring, for the truncation degree
     full = frozenset(range(n))
-    terms = [full]
-    cur = full
-    while len(cur) > 1:
-        ai = np.asarray(sorted(full), dtype=np.int64)
-        bi = np.asarray(sorted(cur), dtype=np.int64)
-        gens: set[int] = set()
-        step = max(1, _CHUNK // max(1, len(bi)))
-        for start in range(0, len(ai), step):
-            blk = T.bracket[ai[start:start + step, None], bi[None, :]]
-            gens.update(int(v) for v in np.unique(blk))
-        new = group_closure(G, gens)
-        if new == cur:
-            raise NotLazardError("table Lie ring is not nilpotent")
-        terms.append(new)
-        cur = new
-    k = len(terms) - 1
+    series = descending_series(
+        full, lambda cur: group_closure(G, _index_set(lambda x, y: T.bracket[x, y], full, cur)))
+    if not series.is_nilpotent:
+        raise NotLazardError("table Lie ring is not nilpotent")
+    k = series.nilpotency_class
     if k >= p:
         raise NotLazardError(f"not Lazard: class {k} >= p = {p}")
-    e = G.exponent
-
-    def scale(X, q: Fraction):
-        m = (q.numerator * pow(q.denominator, -1, e)) % e if e > 1 else 0
-        return G.power_batch(X, m)
-
     table = np.empty((n, n), dtype=np.int64)
     idx = np.arange(n, dtype=np.int64)
     step = max(1, _CHUNK // n)
@@ -752,24 +715,9 @@ def laz_of_table(T: LieRingTable, force: bool = False) -> FinGroup:
         stop = min(n, start + step)
         A = np.repeat(idx[start:stop], n)
         B = np.tile(idx, stop - start)
-        memo: dict = {}
-
-        def ev(tree):
-            if tree == 0:
-                return A
-            if tree == 1:
-                return B
-            if tree in memo:
-                return memo[tree]
-            out = T.bracket[ev(tree[0]), ev(tree[1])]
-            memo[tree] = out
-            return out
-
-        acc = np.full(A.shape, T.zero, dtype=np.int64)
-        for deg, _w, tree, coeff in freelie.bch_basis_terms(max(k, 1)):
-            if deg > k:
-                break
-            acc = T.add[acc, scale(ev(tree), coeff)]
+        acc = freelie.fold_terms(freelie.bch_terms(k), A, B, lambda u, v: T.bracket[u, v],
+                                 lambda acc, v, c: T.add[acc, _rational_power_batch(G, v, c)],
+                                 np.full(A.shape, T.zero, dtype=np.int64))
         table[start:stop] = acc.reshape(stop - start, n)
     return FinGroup(table, T.zero)
 

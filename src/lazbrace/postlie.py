@@ -22,7 +22,10 @@ from .liering import (
     SeriesResult,
     add_closure,
     _bracket_set,
+    _index_set,
+    _on_indices,
     _subgroup_gens,
+    descending_series,
     lower_central_series,
     verify_lie,
 )
@@ -142,55 +145,36 @@ def circ_ring(P: PostLieRing) -> LieRingSC:
 
 def _tri_set(P: PostLieRing, A: frozenset, B: frozenset) -> set[int]:
     """{index(a > b) : a in A, b in B}."""
-    s = P.shape
-    ac = s.coords_batch(np.asarray(sorted(A), dtype=np.int64))
-    bc = s.coords_batch(np.asarray(sorted(B), dtype=np.int64))
-    out: set[int] = set()
-    step = max(1, (1 << 18) // max(1, len(bc)))
-    for start in range(0, len(ac), step):
-        blk = P.tri_batch(ac[start:start + step, None, :], bc[None, :, :])
-        out.update(int(v) for v in np.unique(s.index_batch(blk)))
-    return out
-
-
-def _descending_series(shape: PShape, step_gens) -> SeriesResult:
-    """Generic descending series: step_gens(full_gens, cur_gens) -> new generators."""
-    full = frozenset(range(shape.order))
-    unit_idx = frozenset(shape.unit(i).index for i in range(shape.rank))
-    terms = [full]
-    cur, cur_gens = full, unit_idx
-    while len(cur) > 1:
-        new_gens = step_gens(unit_idx, frozenset(cur_gens))
-        new = add_closure(shape, new_gens)
-        if new == cur:
-            return SeriesResult(tuple(terms), None)
-        terms.append(new)
-        cur = new
-        cur_gens = frozenset(_subgroup_gens(shape, new)) or frozenset({0})
-    return SeriesResult(tuple(terms), len(terms) - 1)
+    return _index_set(_on_indices(P.shape, P.tri_batch), A, B)
 
 
 def l_series(P: PostLieRing) -> SeriesResult:
     """L^1 = a, L^(i+1) = <x > y and [x, y] : x in a, y in L^i>."""
-    def step(full_gens, cur_gens):
-        return sorted(_tri_set(P, full_gens, cur_gens) | _bracket_set(P.base, full_gens, cur_gens))
+    s = P.shape
+    full = frozenset(range(s.order))
+    units = [u.index for u in s.units()]
 
-    return _descending_series(P.shape, step)
+    def next_term(cur):
+        gens = _subgroup_gens(s, cur)
+        return add_closure(s, _tri_set(P, units, gens) | _bracket_set(P.base, units, gens))
+
+    return descending_series(full, next_term)
 
 
 def left_series(P: PostLieRing) -> SeriesResult:
     """a^1 = a, a^(i+1) = <x > y : x in a, y in a^i> (left nilpotency series)."""
-    def step(full_gens, cur_gens):
-        return sorted(_tri_set(P, full_gens, cur_gens))
-
-    return _descending_series(P.shape, step)
+    s = P.shape
+    full = frozenset(range(s.order))
+    units = [u.index for u in s.units()]
+    return descending_series(full, lambda cur: add_closure(s, _tri_set(P, units, _subgroup_gens(s, cur))))
 
 
 def right_series(P: PostLieRing) -> SeriesResult:
-    def step(full_gens, cur_gens):
-        return sorted(_tri_set(P, cur_gens, full_gens))
-
-    return _descending_series(P.shape, step)
+    """a_1 = a, a_(i+1) = <x > y : x in a_i, y in a> (right nilpotency series)."""
+    s = P.shape
+    full = frozenset(range(s.order))
+    units = [u.index for u in s.units()]
+    return descending_series(full, lambda cur: add_closure(s, _tri_set(P, _subgroup_gens(s, cur), units)))
 
 
 def l_nilpotency_decomposition(P: PostLieRing) -> tuple[bool, bool, bool]:

@@ -22,10 +22,12 @@ from .liering import (
     FinGroup,
     SeriesResult,
     canonical_group_filtration,
+    descending_series,
     group_closure,
     validate_group_filtration,
     verify_group_table,
     _comm_set,
+    _index_set,
 )
 from .modarith import ModArithError, prime_power
 
@@ -151,44 +153,27 @@ def lambda_and_star(B: SkewBrace) -> tuple[np.ndarray, np.ndarray]:
     return lam, star
 
 
-def _dot_subgroup_series(B: SkewBrace, step_gens) -> SeriesResult:
-    full = frozenset(range(B.order))
-    terms = [full]
-    cur = full
-    while len(cur) > 1:
-        new = group_closure(B.dot, step_gens(cur))
-        if new == cur:
-            return SeriesResult(tuple(terms), None)
-        terms.append(new)
-        cur = new
-    return SeriesResult(tuple(terms), len(terms) - 1)
-
-
 def _star_set(B: SkewBrace, A: frozenset, C: frozenset) -> set[int]:
-    ai = np.asarray(sorted(A), dtype=np.int64)
-    ci = np.asarray(sorted(C), dtype=np.int64)
-    return set(int(v) for v in np.unique(B.star[ai[:, None], ci[None, :]]))
+    return _index_set(lambda x, y: B.star[x, y], A, C)
 
 
 def l_series_brace(B: SkewBrace) -> SeriesResult:
     """L^1 = A, L^(i+1) = <a*b and dot-commutators [a,b] : a in A, b in L^i>."""
     full = frozenset(range(B.order))
-
-    def step(cur):
-        return _star_set(B, full, cur) | _comm_set(B.dot, full, cur)
-
-    return _dot_subgroup_series(B, step)
+    return descending_series(full, lambda cur: group_closure(
+        B.dot, _star_set(B, full, cur) | _comm_set(B.dot, full, cur)))
 
 
 def left_series_brace(B: SkewBrace) -> SeriesResult:
     """A^1 = A, A^(i+1) = <a*b : a in A, b in A^i>."""
     full = frozenset(range(B.order))
-    return _dot_subgroup_series(B, lambda cur: _star_set(B, full, cur))
+    return descending_series(full, lambda cur: group_closure(B.dot, _star_set(B, full, cur)))
 
 
 def right_series_brace(B: SkewBrace) -> SeriesResult:
+    """A_1 = A, A_(i+1) = <a*b : a in A_i, b in A>."""
     full = frozenset(range(B.order))
-    return _dot_subgroup_series(B, lambda cur: _star_set(B, cur, full))
+    return descending_series(full, lambda cur: group_closure(B.dot, _star_set(B, cur, full)))
 
 
 def nilpotency_decomposition_brace(B: SkewBrace) -> tuple[bool, bool, bool]:
@@ -424,6 +409,18 @@ def aut_plus(A: FinGroup, F: Filtration) -> list[np.ndarray]:
     return out
 
 
+def _composition_table(auts: list[np.ndarray]) -> tuple[np.ndarray, int]:
+    """comp[i, j] = index of auts[i] o auts[j] in the list, and the index of
+    the identity; the list must be closed under composition."""
+    key_of = {f.tobytes(): i for i, f in enumerate(auts)}
+    m = len(auts)
+    comp = np.empty((m, m), dtype=np.int64)
+    for i in range(m):
+        for j in range(m):
+            comp[i, j] = key_of[auts[i][auts[j]].tobytes()]
+    return comp, key_of[np.arange(auts[0].size, dtype=np.int64).tobytes()]
+
+
 def holomorph_plus_order(A: FinGroup, F: Filtration) -> int:
     """|Hol(A)^+| = |A| * |Aut(A)_1| for the given filtration."""
     return A.order * len(aut_plus(A, F))
@@ -440,11 +437,7 @@ def holomorph_plus(A: FinGroup, F: Filtration, force: bool = False) -> tuple[Fin
     n = A.order
     if n * m > 20_000 and not force:
         raise CapExceededError(f"|Hol^+| = {n * m} too large to materialize")
-    key_of = {auts[i].tobytes(): i for i in range(m)}
-    comp = np.empty((m, m), dtype=np.int64)
-    for i in range(m):
-        for j in range(m):
-            comp[i, j] = key_of[auts[i][auts[j]].tobytes()]
+    comp, id_idx = _composition_table(auts)
     table = np.empty((n * m, n * m), dtype=np.int64)
     for a in range(n):
         for i in range(m):
@@ -452,7 +445,6 @@ def holomorph_plus(A: FinGroup, F: Filtration, force: bool = False) -> tuple[Fin
             carriers = A.table[a, auts[i]]  # indexed by b
             block = carriers[:, None] * m + comp[i][None, :]
             table[a * m + i] = block.reshape(-1)
-    id_idx = key_of[np.arange(n, dtype=np.int64).tobytes()]
     hol = FinGroup(table, A.identity * m + id_idx)
     pairs = [(a, i) for a in range(n) for i in range(m)]
     return hol, pairs
@@ -504,12 +496,7 @@ def _lambda_backtrack(A: FinGroup, auts: list[np.ndarray]) -> list[np.ndarray]:
     where a o b = a . lambda_a(b).  Returns completed lambda row tables."""
     n = A.order
     m = len(auts)
-    key_of = {auts[i].tobytes(): i for i in range(m)}
-    comp = np.empty((m, m), dtype=np.int64)
-    for i in range(m):
-        for j in range(m):
-            comp[i, j] = key_of[auts[i][auts[j]].tobytes()]
-    id_idx = key_of[np.arange(n, dtype=np.int64).tobytes()]
+    comp, id_idx = _composition_table(auts)
     results: list[np.ndarray] = []
 
     def propagate(assign: dict[int, int]) -> dict[int, int] | None:
@@ -572,13 +559,8 @@ def regular_subgroups(A: FinGroup, F: Filtration, force: bool = False) -> list[S
     if A.order > _SOFT_CAP and not force:
         raise CapExceededError(f"|A| = {A.order} exceeds the soft cap {_SOFT_CAP}")
     auts = aut_plus(A, F)
-    key_of = {auts[i].tobytes(): i for i in range(len(auts))}
     m = len(auts)
-    comp = np.empty((m, m), dtype=np.int64)
-    for i in range(m):
-        for j in range(m):
-            comp[i, j] = key_of[auts[i][auts[j]].tobytes()]
-    id_idx = key_of[np.arange(A.order, dtype=np.int64).tobytes()]
+    comp, id_idx = _composition_table(auts)
     n = A.order
     results: dict[bytes, SkewBrace] = {}
 

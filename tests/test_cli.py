@@ -130,3 +130,35 @@ def test_group_file_round_trip(tmp_path):
     text = formats.write_text(G)
     kind, G2 = formats.parse_text(text)
     assert kind == "group" and G2 == G
+
+
+_MALFORMED = {
+    "letter.grp": b"format 1\ngroup x identity 0\n0\n",
+    "identity.grp": b"format 1\ngroup 2 identity 5\n0 1\n1 0\n",
+    "empty.skb": b"format 1\nskewbrace 0\ndot:\ncirc:\n",
+    "accent.lie": "format 1\nlie 5 1 1\n# caf\u00e9\n".encode("utf-8"),
+    "missing.lie": None,
+    "twice.lie": b"format 1\nlie 5 1 1 1\nbracket 1 2 : 0 0 1\nbracket 1 2 : 0 0 2\n",
+    "twice.plie": b"format 1\npostlie 5 1 1\ntriangle 1 1 : 0 1\ntriangle 1 1 : 0 2\n",
+    "illdefined.plie": b"format 1\npostlie 5 2 1\ntriangle 1 2 : 1 0\n",
+}
+
+
+@pytest.mark.parametrize("name", list(_MALFORMED))
+def test_malformed_input_exits_2(capsys, tmp_path, name):
+    path = tmp_path / name
+    if _MALFORMED[name] is not None:
+        path.write_bytes(_MALFORMED[name])
+    code, out, err = run(capsys, "check", str(path))
+    assert code == 2 and out == ""
+    assert err.startswith("parse error: ") and err.count("\n") == 1
+
+
+def test_non_post_lie_input_exits_1(capsys, tmp_path):
+    # L-nilpotent, but the associator axiom fails
+    path = tmp_path / "bad.plie"
+    path.write_text("format 1\npostlie 5 1 1\ntriangle 1 1 : 0 1\ntriangle 2 1 : 0 1\n")
+    for argv in (("convert", str(path), "--to", "brace"), ("roundtrip", str(path))):
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert "not a post-Lie ring" in err and err.count("\n") == 1

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from importlib import resources
 
 import pytest
 
@@ -257,3 +258,29 @@ def test_class_bounds_enforced():
         get_basis(9)
     with pytest.raises(ValueError):
         derive_inverse_words(7)
+
+
+_P_LINE = "2\t[g,h]\t-1/2\n"
+
+
+@pytest.mark.parametrize("bad", [
+    "3\t[g,h]\t-1/2\n",   # degree field disagrees with the word
+    "2\t[g,h]\t-1/3\n",   # denominator prime above the factor degree
+    "2\t[g,h]\t0/1\n",    # zero exponent
+    "2\t[g,h]\n",          # missing field
+    "2\t[g,h,]\t-1/2\n",  # unparsable word
+], ids=["degree", "denominator", "zero", "field", "word"])
+def test_corrupt_table_raises(bad, monkeypatch):
+    text = (resources.files("lazbrace") / "tables" / "inverse_words_c6.txt").read_text()
+    assert _P_LINE in text
+    corrupt = text.replace(_P_LINE, bad, 1)
+    with pytest.raises(ValueError):
+        load_tables(corrupt)
+    # inverse_words must report the damage, not re-derive the words
+    monkeypatch.setattr(freelie, "load_tables", lambda _text: load_tables(corrupt))
+    inverse_words.cache_clear()
+    try:
+        with pytest.raises(ValueError):
+            inverse_words(2)
+    finally:
+        inverse_words.cache_clear()

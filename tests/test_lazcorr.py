@@ -1,3 +1,4 @@
+import gc
 import random
 from fractions import Fraction
 
@@ -5,9 +6,9 @@ import numpy as np
 import pytest
 
 import catalogs
-from lazbrace import freelie
+from lazbrace import formats, freelie
 from lazbrace.common import NotLazardError
-from lazbrace.liering import Filtration, add_closure, canonical_filtration, laz
+from lazbrace.liering import Filtration, add_closure, canonical_filtration, laz, laz_inv, laz_of_table
 from lazbrace.modarith import Endo, PShape, PVec, endo_exp
 from lazbrace.postlie import PostLieRing, circ_ring, l_mul, l_series, verify_post_lie
 from lazbrace.skewbrace import SkewBrace, l_series_brace, trivial_brace, verify_skew_brace
@@ -401,3 +402,29 @@ def test_exp_log_bridge_into_raising_automorphisms(radical_flow, radical5_2):
             arr = s.coords_batch(np.asarray(sorted(term)))
             shifted = s.index_batch(s.reduce(E.apply_batch(arr) - arr))
             assert set(int(v) for v in shifted) <= deeper
+
+
+def test_no_reference_cycles(data_dir):
+    """A warm call leaves no cyclic garbage: its arrays are freed by
+    reference counting, without waiting for the collector."""
+    _, L = formats.parse_file(data_dir / "heisenberg_p5.lie")
+    _, G = formats.parse_file(data_dir / "extraspecial_27.grp")
+    _, P = formats.parse_file(data_dir / "prelie25_selfsquare.plie")
+    _, B = formats.parse_file(data_dir / "radical_25.skb")
+    T = laz_inv(G)
+    ops = {
+        "laz": lambda: laz(L),
+        "laz_inv": lambda: laz_inv(G),
+        "laz_of_table": lambda: laz_of_table(T),
+        "post_lie_to_brace": lambda: post_lie_to_brace(P),
+        "brace_to_post_lie": lambda: brace_to_post_lie(B),
+    }
+    for name, op in ops.items():
+        op()  # warm the word and BCH caches
+        gc.collect()
+        gc.disable()
+        try:
+            op()
+            assert gc.collect() == 0, name
+        finally:
+            gc.enable()
