@@ -1,8 +1,9 @@
 """Command-line interface: check, convert, bch-words, enumerate, root-diff,
 roundtrip.
 
-Exit codes: 0 ok, 1 verification failure, 2 parse error, 3 capability
-refused (non-Lazard input or a size cap).
+Exit codes: 0 ok, 1 verification failure, 2 parse error or unusable
+argument (such as an unwritable output path), 3 capability refused
+(non-Lazard input or a size cap).
 """
 
 from __future__ import annotations
@@ -51,6 +52,21 @@ EXIT_REFUSED = 3
 
 def _fmt_set(s) -> str:
     return "{" + ",".join(str(x) for x in sorted(s)) + "}"
+
+
+def _write_output(text: str, path: str | None) -> int:
+    """Write text to `path`, or to stdout when there is none; an unwritable
+    path is an unusable argument (exit 2)."""
+    if not path:
+        sys.stdout.write(text)
+        return EXIT_OK
+    try:
+        with open(path, "w", encoding="ascii") as fh:
+            fh.write(text)
+    except OSError as exc:
+        print(f"cannot write {path}: {exc.strerror}", file=sys.stderr)
+        return EXIT_PARSE
+    return EXIT_OK
 
 
 def _check_lie(L, out):
@@ -153,12 +169,7 @@ def cmd_convert(args) -> int:
             raise ParseError(f"convert --to postlie needs a skewbrace file, got {kind}")
         log = brace_to_post_lie(value)
         text = formats.write_text(log.post_lie)
-    if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _write_output(text, args.output)
 
 
 def cmd_roundtrip(args) -> int:
@@ -196,12 +207,7 @@ def cmd_bch_words(args) -> int:
         print(f"# self-inversion at class {c}: {'pass' if ok else 'FAIL'}", file=sys.stderr)
         if not ok:
             return EXIT_VERIFY
-    if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _write_output(text, args.output)
 
 
 def _parse_shape(spec: str) -> PShape:
@@ -259,12 +265,7 @@ def cmd_root_diff(args) -> int:
     lambda_derivative(value, log)
     print("root-of-unity triangle matches the logged triangle: exact")
     text = formats.write_text(log.post_lie)
-    if args.output:
-        with open(args.output, "w", encoding="ascii") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
-    return EXIT_OK
+    return _write_output(text, args.output)
 
 
 def build_parser() -> argparse.ArgumentParser:

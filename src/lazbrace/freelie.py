@@ -18,6 +18,8 @@ from fractions import Fraction
 from functools import lru_cache
 from importlib import resources
 
+from .common import FailedTheoremError
+
 __all__ = [
     "LyndonBasis",
     "get_basis",
@@ -64,31 +66,26 @@ def render_tree(tree, letters=("x", "y")) -> str:
     return f"[{render_tree(left, letters)},{render_tree(right, letters)}]"
 
 
+def _expect(text: str, pos: int, ch: str) -> int:
+    if not text.startswith(ch, pos):
+        raise ValueError(f"expected {ch!r} at position {pos} of {text!r}")
+    return pos + 1
+
+
+def _parse_at(text: str, pos: int, letters) -> tuple:
+    """The bracket word starting at text[pos], and the position after it."""
+    if text.startswith("[", pos):
+        left, pos = _parse_at(text, pos + 1, letters)
+        right, pos = _parse_at(text, _expect(text, pos, ","), letters)
+        return (left, right), _expect(text, pos, "]")
+    for i, ch in enumerate(letters):
+        if text.startswith(ch, pos):
+            return i, pos + len(ch)
+    raise ValueError(f"cannot parse bracket word at {text[pos:]!r}")
+
+
 def parse_tree(text: str, letters=("x", "y")):
-    pos = 0
-
-    def expect(ch):
-        nonlocal pos
-        if pos >= len(text) or text[pos] != ch:
-            raise ValueError(f"expected {ch!r} at position {pos} of {text!r}")
-        pos += 1
-
-    def parse():
-        nonlocal pos
-        if pos < len(text) and text[pos] == "[":
-            pos += 1
-            left = parse()
-            expect(",")
-            right = parse()
-            expect("]")
-            return (left, right)
-        for i, ch in enumerate(letters):
-            if text.startswith(ch, pos):
-                pos += len(ch)
-                return i
-        raise ValueError(f"cannot parse bracket word at {text[pos:]!r}")
-
-    out = parse()
+    out, pos = _parse_at(text, 0, letters)
     if pos != len(text):
         raise ValueError(f"trailing input in bracket word: {text[pos:]!r}")
     return out
@@ -416,7 +413,8 @@ class GroupSeries:
     def __init__(self, basis: LyndonBasis, terms: dict):
         self.basis = basis
         self.terms = {w: Fraction(c) for w, c in terms.items() if c}
-        assert self.terms.get((), Fraction(0)) == 1, "group series must start at 1"
+        if self.terms.get((), Fraction(0)) != 1:
+            raise ValueError("group series must start at 1")
 
     @classmethod
     def exp(cls, elem: FreeLieElem) -> "GroupSeries":
@@ -559,7 +557,8 @@ def derive_inverse_words(class_bound: int) -> tuple[GroupWord, GroupWord]:
                     base = eval_tree(basis.tree[w], memo, GroupSeries.commutator)
                     cur = cur.mul(base.pow_rational(q))
                     factors.append((basis.tree[w], q))
-        assert cur.log() == target, "self-inversion failed"
+        if cur.log() != target:
+            raise FailedTheoremError("self-inversion failed")
         return GroupWord(tuple(factors))
 
     p_word = peel(g.mul(h), basis.gen(0) + basis.gen(1), [(0, Fraction(1)), (1, Fraction(1))])

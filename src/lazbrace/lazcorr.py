@@ -86,16 +86,6 @@ def _sd_add(s: PShape, x, y):
     return s.reduce(x[0] + y[0]), s.reduce(x[1] + y[1])
 
 
-def _check_raising(P: PostLieRing, f: Endo, F: Filtration) -> bool:
-    s = P.shape
-    for i in range(1, len(F.terms) + 1):
-        src = np.asarray(sorted(F.term(i)), dtype=np.int64)
-        img = s.index_batch(f.apply_batch(s.coords_batch(src)))
-        if not set(int(v) for v in img) <= F.term(i + 1):
-            return False
-    return True
-
-
 def v_eval(P: PostLieRing, a: PVec, f: Endo, F: Filtration | None = None) -> PVec:
     """V(a, f): carrier component of BCH((a, f), (0, -f)) in the semidirect sum.
 
@@ -111,7 +101,7 @@ def v_eval(P: PostLieRing, a: PVec, f: Endo, F: Filtration | None = None) -> PVe
     k = F.length
     if k >= s.p:
         raise NotLazardError(f"not Lazard: L-class {k} >= p = {s.p}")
-    if not _check_raising(P, f, F):
+    if not F.raises(s.index_batch(f.apply_batch(s.all_coords())), 1):
         raise ModArithError("endomorphism does not raise the filtration")
     return s.vec(_v_batch(P, k, a.np()[None, :], f.matrix())[0])
 
@@ -292,19 +282,11 @@ def _canonical_brace_filtration(B: SkewBrace) -> Filtration:
     return F
 
 
-def _verify_lambda_raising(B: SkewBrace, F: Filtration) -> None:
-    """lambda_a(g) g^-1 = a * g must land one level deeper, for every a."""
-    for j in range(1, len(F.terms) + 1):
-        src = np.asarray(sorted(F.term(j)), dtype=np.int64)
-        vals = set(int(v) for v in np.unique(B.star[:, src]))
-        if not vals <= F.term(j + 1):
-            raise ModArithError("lambda maps do not raise the filtration")
-
-
 def omega_map(B: SkewBrace, F: Filtration | None = None) -> np.ndarray:
     """Omega(a) = U(a, lambda_a) over the carrier, verified bijective."""
     F = F or _canonical_brace_filtration(B)
-    _verify_lambda_raising(B, F)
+    if not F.raises(B.star, 1).all():  # star[a, g] = lambda_a(g) g^-1
+        raise ModArithError("lambda maps do not raise the filtration")
     n = B.order
     out = np.empty(n, dtype=np.int64)
     for a in range(n):

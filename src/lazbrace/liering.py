@@ -37,6 +37,7 @@ __all__ = [
     "laz_inv",
     "laz_of_table",
     "canonical_group_filtration",
+    "validate_filtration",
     "validate_group_filtration",
     "add_closure",
     "group_closure",
@@ -106,7 +107,8 @@ class Filtration:
     terms: tuple[frozenset, ...]
 
     def __post_init__(self):
-        assert self.terms, "filtration needs at least the trivial term"
+        if not self.terms:
+            raise ModArithError("filtration needs at least the trivial term")
 
     @property
     def length(self) -> int:
@@ -119,6 +121,21 @@ class Filtration:
         if i > len(self.terms):
             return self.terms[-1]
         return self.terms[i - 1]
+
+    @cached_property
+    def level(self) -> np.ndarray:
+        """level[x] = largest i with x in X_i, over the carrier X_1 = 0..n-1."""
+        level = np.zeros(len(self.terms[0]), dtype=np.int64)
+        for i, term in enumerate(self.terms, start=1):
+            level[list(term)] = i
+        return level
+
+    def raises(self, images, shift: int):
+        """Whether images[..., x] lies in X_(level[x] + shift) for every x of
+        the last axis: with images[x] = f(x), whether f(X_i) lies in
+        X_(i + shift) for all i."""
+        target = np.minimum(self.level + shift, len(self.terms))
+        return (self.level[np.asarray(images)] >= target).all(axis=-1)
 
 
 # ---------------------------------------------------------------------------
@@ -231,20 +248,30 @@ def add_closure(shape: PShape, gen_indices) -> frozenset:
     return frozenset(members)
 
 
+def _greedy_gens(closure, members: frozenset, order=None) -> list[int]:
+    """Generators of `members`: walk `order` (default: sorted members) once,
+    keeping each element outside the closure of those kept so far.
+
+    closure(gens) of the result equals `members` exactly when `members`
+    is closed, so the same walk also tests closedness.
+    """
+    gens: list[int] = []
+    have = closure(gens)
+    for x in sorted(members) if order is None else order:
+        if have == members:
+            break
+        if x not in have:
+            gens.append(int(x))
+            have = closure(gens)
+    return gens
+
+
 def _subgroup_gens(shape: PShape, members: frozenset) -> list[int]:
     """Small generating set of an additive subgroup (greedy, deterministic);
     the unit vectors for the whole carrier."""
     if len(members) == shape.order:
         return [u.index for u in shape.units()]
-    gens: list[int] = []
-    have = frozenset({0})
-    for x in sorted(members):
-        if x not in have:
-            gens.append(x)
-            have = add_closure(shape, gens)
-            if have == members:
-                break
-    return gens
+    return _greedy_gens(lambda gens: add_closure(shape, gens), members)
 
 
 def all_add_subgroups(shape: PShape) -> list[frozenset]:
@@ -304,28 +331,44 @@ def canonical_filtration(L: LieRingSC) -> Filtration:
     return Filtration(series.terms)
 
 
-def _validate_lie_filtration(L: LieRingSC, F: Filtration) -> None:
-    shape = L.shape
-    full = frozenset(range(shape.order))
+def validate_filtration(F: Filtration, full: frozenset, trivial: frozenset,
+                        closure, gens, op) -> None:
+    """Check that F runs from `full` down to `trivial` through closed terms
+    with op(X_i, X_j) inside X_(i+j), testing op on generators only.
+
+    closure(g) is the substructure generated by g, gens(term) a greedy
+    generating set of a term, op(A, B) the set of products over A x B
+    (the bracket, or the group commutator).  Raises ModArithError.
+    """
     if F.terms[0] != full:
-        raise ModArithError("filtration must start at the whole ring")
-    if F.terms[-1] != frozenset({0}):
-        raise ModArithError("filtration must terminate at 0")
+        raise ModArithError("filtration must start at the whole structure")
+    if F.terms[-1] != trivial:
+        raise ModArithError("filtration must terminate at the trivial term")
     for a, b in zip(F.terms, F.terms[1:]):
         if not b <= a:
             raise ModArithError("filtration is not descending")
-    for i, term in enumerate(F.terms, start=1):
-        if add_closure(shape, term) != term:
-            raise ModArithError(f"filtration term {i} is not an additive subgroup")
-        if not _bracket_set(L, full, term) <= set(term):
-            raise ModArithError(f"filtration term {i} is not an ideal")
-    for i, ti in enumerate(F.terms, start=1):
-        for j, tj in enumerate(F.terms, start=1):
-            if j < i:
-                continue
-            target = F.term(i + j)
-            if not _bracket_set(L, ti, tj) <= set(target):
-                raise ModArithError(f"[term {i}, term {j}] escapes term {i+j}")
+    term_gens = [gens(term) for term in F.terms]
+    for i, (term, g) in enumerate(zip(F.terms, term_gens), start=1):
+        if closure(g) != term:
+            raise ModArithError(f"filtration term {i} is not closed")
+    # A bracket is biadditive, so generators suffice.  A commutator check on
+    # generators is exact only when the target X_(i+j) is normal: row i = 1,
+    # taken from the bottom term up, proves [G, X_j] in X_(j+1) with X_(j+1)
+    # already normal, which makes X_j normal; the other pairs follow.
+    depth = len(F.terms)
+    pairs = [(1, j) for j in range(depth, 0, -1)]
+    pairs += [(i, j) for i in range(2, depth + 1) for j in range(i, depth + 1)]
+    for i, j in pairs:
+        if not op(term_gens[i - 1], term_gens[j - 1]) <= F.term(i + j):
+            raise ModArithError(f"[term {i}, term {j}] escapes term {i + j}")
+
+
+def _validate_lie_filtration(L: LieRingSC, F: Filtration) -> None:
+    shape = L.shape
+    validate_filtration(F, frozenset(range(shape.order)), frozenset({0}),
+                        lambda gens: add_closure(shape, gens),
+                        lambda term: _subgroup_gens(shape, term),
+                        lambda A, B: _bracket_set(L, A, B))
 
 
 def is_lazard(L: LieRingSC, F: Filtration | None = None) -> bool:
@@ -444,11 +487,12 @@ class FinGroup:
         return hash((self.identity, self.table.tobytes()))
 
 
-def verify_group_table(table, assoc_limit: int = 300) -> CheckReport:
-    """Latin-square, identity, inverse and associativity checks.
+def verify_group_table(table) -> CheckReport:
+    """Latin-square, identity, inverse and associativity checks, all exact.
 
-    Associativity is checked on all triples up to `assoc_limit` elements,
-    else on a deterministic sample of rows (n^2 per sampled row).
+    Associativity is Light's test on a generating set: the a with
+    (x a) y = x (a y) for all x, y form a submagma holding the identity, so
+    it is enough that they include generators of the table as a magma.
     """
     table = np.asarray(table, dtype=np.int64)
     n = table.shape[0]
@@ -457,25 +501,22 @@ def verify_group_table(table, assoc_limit: int = 300) -> CheckReport:
         return CheckReport(False, ("table is not square",))
     if table.min() < 0 or table.max() >= n:
         return CheckReport(False, ("entries out of range",))
-    for axis, name in ((1, "row"), (0, "column")):
-        uniq = np.apply_along_axis(lambda r: np.unique(r).size, axis, table)
-        if (uniq != n).any():
-            failures.append(f"some {name} is not a permutation")
-    ident = np.nonzero((table == np.arange(n)).all(axis=1))[0]
-    if ident.size != 1 or not (table[:, int(ident[0])] == np.arange(n)).all():
+    idx = np.arange(n)
+    if (np.sort(table, axis=1) != idx).any():
+        failures.append("some row is not a permutation")
+    if (np.sort(table, axis=0) != idx[:, None]).any():
+        failures.append("some column is not a permutation")
+    ident = np.nonzero((table == idx).all(axis=1))[0]
+    if ident.size != 1 or not (table[:, int(ident[0])] == idx).all():
         failures.append("no two-sided identity")
         return CheckReport(False, tuple(failures))
-    rows = range(n) if n <= assoc_limit else range(0, n, max(1, n // assoc_limit))
-    # n x n buffers reused on every row: fresh ones per row can make malloc
-    # trim them back to the system and fault them in again, row after row
-    # (clip takes no temporary; every index is in range by the check above)
-    lhs, rhs = np.empty_like(table), np.empty_like(table)
-    same = np.empty(table.shape, dtype=bool)
-    for a in rows:
-        np.take(table, table[a], axis=0, out=lhs, mode="clip")  # (a b) c
-        np.take(table[a], table, out=rhs, mode="clip")  # a (b c)
-        if not np.equal(lhs, rhs, out=same).all():
-            failures.append(f"associativity fails at row {a}")
+    # group_closure only multiplies reached elements by generators, so it
+    # presumes no associativity: its generators generate the magma
+    for a in _group_gens(FinGroup(table, int(ident[0]))):
+        bad = table[table[:, a]] != table[:, table[a]]  # (x a) y vs x (a y)
+        if bad.any():
+            x, y = np.argwhere(bad)[0]
+            failures.append(f"associativity fails at (x,a,y)=({int(x)},{a},{int(y)})")
             break
     return CheckReport(not failures, tuple(failures))
 
@@ -542,22 +583,17 @@ def canonical_group_filtration(G: FinGroup) -> SeriesResult:
     return descending_series(full, lambda cur: group_closure(G, _comm_set(G, full, cur)))
 
 
+def _group_gens(G: FinGroup, members: frozenset | None = None, order=None) -> list[int]:
+    """Greedy generators of a subgroup (default: G), walking `order` (default: sorted)."""
+    members = frozenset(range(G.order)) if members is None else members
+    return _greedy_gens(lambda gens: group_closure(G, gens), members, order)
+
+
 def validate_group_filtration(G: FinGroup, F: Filtration) -> None:
-    full = frozenset(range(G.order))
-    if F.terms[0] != full:
-        raise ModArithError("group filtration must start at the whole group")
-    if F.terms[-1] != frozenset({G.identity}):
-        raise ModArithError("group filtration must terminate at the identity")
-    for a, b in zip(F.terms, F.terms[1:]):
-        if not b <= a:
-            raise ModArithError("group filtration is not descending")
-    for i, term in enumerate(F.terms, start=1):
-        if group_closure(G, term) != term:
-            raise ModArithError(f"filtration term {i} is not a subgroup")
-    for i, ti in enumerate(F.terms, start=1):
-        for j, tj in enumerate(F.terms[i - 1:], start=i):
-            if not _comm_set(G, ti, tj) <= set(F.term(i + j)):
-                raise ModArithError(f"[term {i}, term {j}] escapes term {i+j}")
+    validate_filtration(F, frozenset(range(G.order)), frozenset({G.identity}),
+                        lambda gens: group_closure(G, gens),
+                        lambda term: _group_gens(G, term),
+                        lambda A, B: _comm_set(G, A, B))
 
 
 def _p_of_group(G: FinGroup) -> int:

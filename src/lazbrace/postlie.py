@@ -25,6 +25,7 @@ from .liering import (
     _index_set,
     _on_indices,
     _subgroup_gens,
+    _validate_lie_filtration,
     descending_series,
     lower_central_series,
     verify_lie,
@@ -245,24 +246,12 @@ class AdjointFiltration:
 
 
 def _strong_left_ideal_chain(P: PostLieRing, F: Filtration) -> None:
-    s = P.shape
-    full = frozenset(range(s.order))
-    if F.terms[0] != full or F.terms[-1] != frozenset({0}):
-        raise ModArithError("filtration must run from the whole ring to 0")
-    for a, b in zip(F.terms, F.terms[1:]):
-        if not b <= a:
-            raise ModArithError("filtration is not descending")
+    _validate_lie_filtration(P.base, F)
+    # the triangle is biadditive and each term an additive subgroup
+    units = [u.index for u in P.shape.units()]
     for i, term in enumerate(F.terms, start=1):
-        if add_closure(s, term) != term:
-            raise ModArithError(f"term {i} is not a subgroup")
-        if not _tri_set(P, full, term) <= term:
+        if not _tri_set(P, units, _subgroup_gens(P.shape, term)) <= term:
             raise ModArithError(f"term {i} is not a left ideal")
-        if not _bracket_set(P.base, full, term) <= term:
-            raise ModArithError(f"term {i} is not a Lie ideal")
-    for i, ti in enumerate(F.terms, start=1):
-        for j, tj in enumerate(F.terms[i - 1:], start=i):
-            if not _bracket_set(P.base, ti, tj) <= set(F.term(i + j)):
-                raise ModArithError(f"[term {i}, term {j}] escapes term {i+j}")
 
 
 def adjoint_filtration(P: PostLieRing, F: Filtration | None = None) -> AdjointFiltration:
@@ -279,39 +268,20 @@ def adjoint_filtration(P: PostLieRing, F: Filtration | None = None) -> AdjointFi
     else:
         _strong_left_ideal_chain(P, F)
     s = P.shape
-    circ = circ_ring(P)
-    term_arrays = [np.asarray(sorted(t), dtype=np.int64) for t in F.terms]
+    coords = s.all_coords()
+    tri_table = s.index_batch(P.tri_batch(coords[:, None, :], coords[None, :, :]))
     out_terms: list[frozenset] = []
     for i in range(1, len(F.terms) + 1):
-        keep = []
-        for a_idx in sorted(F.term(i)):
-            La = l_mul(P, s.vec_of_index(a_idx))
-            ok = True
-            for j in range(0, len(F.terms) + 1):
-                src = term_arrays[min(max(j, 1), len(term_arrays)) - 1]
-                target = F.term(i + j)
-                img = s.index_batch(La.apply_batch(s.coords_batch(src)))
-                if not set(int(v) for v in img) <= target:
-                    ok = False
-                    break
-            if ok:
-                keep.append(a_idx)
-        out_terms.append(frozenset(keep))
+        members = np.asarray(sorted(F.term(i)), dtype=np.int64)
+        out_terms.append(frozenset(int(a) for a in members[F.raises(tri_table[members], i)]))
         if out_terms[-1] == frozenset({0}):
             break
     if out_terms[-1] != frozenset({0}):
         out_terms.append(frozenset({0}))
-    # must be a Lie filtration of the circ ring
-    for i, ti in enumerate(out_terms, start=1):
-        if add_closure(s, ti) != ti:
-            raise FailedTheoremError("adjoint term is not a subgroup")
-        if not _bracket_set(circ, frozenset(range(s.order)), ti) <= ti:
-            raise FailedTheoremError("adjoint term is not an ideal of the circ ring")
-    for i, ti in enumerate(out_terms, start=1):
-        for j, tj in enumerate(out_terms[i - 1:], start=i):
-            tgt = out_terms[i + j - 1] if i + j <= len(out_terms) else frozenset({0})
-            if not _bracket_set(circ, ti, tj) <= tgt:
-                raise FailedTheoremError("adjoint chain violates the filtration law")
+    try:
+        _validate_lie_filtration(circ_ring(P), Filtration(tuple(out_terms)))
+    except ModArithError as exc:
+        raise FailedTheoremError(f"adjoint chain is not a filtration of the circ ring: {exc}") from exc
     p = s.p
     lazard = F.length < p and (len(out_terms) - 1) < p and out_terms[-1] == frozenset({0})
     return AdjointFiltration(tuple(out_terms), lazard)

@@ -27,6 +27,7 @@ from .liering import (
     validate_group_filtration,
     verify_group_table,
     _comm_set,
+    _group_gens,
     _index_set,
 )
 from .modarith import ModArithError, prime_power
@@ -111,45 +112,62 @@ def trivial_brace(G: FinGroup) -> SkewBrace:
     return SkewBrace(G, G)
 
 
-def verify_skew_brace(B: SkewBrace, assoc_limit: int = 300) -> CheckReport:
-    """Group checks plus a o (b . c) = (a o b) . a^-1 . (a o c) on all triples."""
+def _hom_failure(table, maps, gens) -> tuple[int, int, int] | None:
+    """First (k, b, g) with f(b . g) != f(b) . f(g) for f = maps[k], g in
+    gens; None when there is none.
+
+    For an associative table and maps with f(1) = 1, the c with
+    f(b . c) = f(b) . f(c) for all b form a submonoid, so checking c on
+    generators proves that each map is a homomorphism.
+    """
+    maps = np.atleast_2d(maps)
+    for g in gens:
+        bad = maps[:, table[:, g]] != table[maps, maps[:, g, None]]
+        if bad.any():
+            k, b = np.argwhere(bad)[0]
+            return int(k), int(b), int(g)
+    return None
+
+
+def verify_skew_brace(B: SkewBrace) -> CheckReport:
+    """Group checks plus a o (b . c) = (a o b) . a^-1 . (a o c), all exact.
+
+    Compatibility says that each lambda_a is an endomorphism of dot, which
+    is checked on dot generators (lambda_a(1) = 1 once the identities agree).
+    """
     failures = []
     for name, G in (("dot", B.dot), ("circ", B.circ)):
-        rep = verify_group_table(G.table, assoc_limit)
+        rep = verify_group_table(G.table)
         if not rep.ok:
             failures.extend(f"{name}: {f}" for f in rep.failures)
     if B.dot.identity != B.circ.identity:
         failures.append("identities differ")
     if failures:
         return CheckReport(False, tuple(failures))
-    dot, circ = B.dot.table, B.circ.table
-    inv = B.dot.inv
-    n = B.order
-    for a in range(n):
-        lhs = circ[a, dot]
-        u = dot[circ[a], inv[a]]
-        rhs = dot[u[:, None], circ[a][None, :]]
-        if not np.array_equal(lhs, rhs):
-            b, c = np.argwhere(lhs != rhs)[0]
-            failures.append(f"compatibility fails at (a,b,c)=({a},{int(b)},{int(c)})")
-            break
+    bad = _hom_failure(B.dot.table, B.lam, _group_gens(B.dot))
+    if bad is not None:
+        failures.append("compatibility fails at (a,b,c)=({},{},{})".format(*bad))
     return CheckReport(not failures, tuple(failures))
 
 
 def lambda_and_star(B: SkewBrace) -> tuple[np.ndarray, np.ndarray]:
     """The lambda table and star table, with the automorphism and
-    homomorphism properties verified."""
+    homomorphism properties verified on generators, which is exact once
+    both group tables are (verify_skew_brace)."""
     lam, star = B.lam, B.star
-    dot = B.dot.table
-    n = B.order
-    for a in range(n):
-        row = lam[a]
-        if np.unique(row).size != n:
-            raise FailedTheoremError(f"lambda_{a} is not a bijection")
-        if not np.array_equal(row[dot], dot[row[:, None], row[None, :]]):
-            raise FailedTheoremError(f"lambda_{a} is not an automorphism of dot")
-        if not np.array_equal(lam[B.circ.table[a]], lam[a][lam]):
-            raise FailedTheoremError(f"lambda_(a o b) != lambda_a lambda_b at a={a}")
+    bijective = (np.sort(lam, axis=1) == np.arange(B.order)).all(axis=1)
+    if not bijective.all():
+        raise FailedTheoremError(f"lambda_{int(np.argmin(bijective))} is not a bijection")
+    bad = _hom_failure(B.dot.table, lam, _group_gens(B.dot))
+    if bad is not None:
+        raise FailedTheoremError(f"lambda_{bad[0]} is not an automorphism of dot")
+    # the b with lambda_(a o b) = lambda_a lambda_b for all a form a
+    # submonoid of (A, o), so circ generators suffice
+    for g in _group_gens(B.circ):
+        bad_a = (lam[B.circ.table[:, g]] != lam[:, lam[g]]).any(axis=1)
+        if bad_a.any():
+            raise FailedTheoremError(
+                f"lambda_(a o b) != lambda_a lambda_b at a={int(np.argmax(bad_a))}")
     return lam, star
 
 
@@ -302,15 +320,11 @@ def strong_series_brace(B: SkewBrace, cap: int | None = None) -> SeriesResult:
 
 
 def minimal_generators(G: FinGroup) -> list[int]:
-    gens: list[int] = []
-    have = frozenset({G.identity})
+    """Greedy generators, each the highest-order (then lowest-index)
+    element not generated by those before it."""
     orders = G.element_orders
-    while have != frozenset(range(G.order)):
-        rest = [x for x in range(G.order) if x not in have]
-        x = max(rest, key=lambda t: (orders[t], -t))
-        gens.append(int(x))
-        have = group_closure(G, gens)
-    return gens
+    walk = sorted(range(G.order), key=lambda t: (-orders[t], t))
+    return _group_gens(G, order=walk)
 
 
 def _factorization(G: FinGroup, gens: list[int]) -> list[tuple[int, int] | None]:
@@ -351,9 +365,7 @@ def _extend_images(G: FinGroup, gens, fact, images) -> np.ndarray | None:
         if len(rest) == len(pending):
             raise ModArithError("factorization order broken")
         pending = rest
-    if np.unique(phi).size != n:
-        return None
-    if not np.array_equal(phi[G.table], G.table[phi[:, None], phi[None, :]]):
+    if np.unique(phi).size != n or _hom_failure(G.table, phi, gens) is not None:
         return None
     return phi
 
@@ -383,28 +395,13 @@ def automorphisms(G: FinGroup) -> list[np.ndarray]:
 def aut_plus(A: FinGroup, F: Filtration) -> list[np.ndarray]:
     """Automorphisms with f(g) g^-1 in F_(j+1) for g in F_j (all j >= 0)."""
     validate_group_filtration(A, F)
-    n = A.order
-    level = np.ones(n, dtype=np.int64)
-    for i, term in enumerate(F.terms, start=1):
-        arr = np.asarray(sorted(term), dtype=np.int64)
-        level[arr] = np.maximum(level[arr], i)
     gens = minimal_generators(A)
     fact = _factorization(A, gens)
-    cands = []
-    for g in gens:
-        nxt = sorted(F.term(int(level[g]) + 1))
-        cands.append([A.mul(g, t) for t in nxt])
+    cands = [[A.mul(g, t) for t in sorted(F.term(int(F.level[g]) + 1))] for g in gens]
     out = []
     for combo in product(*cands):
         phi = _extend_images(A, gens, fact, list(combo))
-        if phi is None:
-            continue
-        shifted = A.table[phi, A.inv]  # f(x) x^-1
-        ok = all(
-            int(shifted[x]) == A.identity or int(level[shifted[x]]) > int(level[x])
-            for x in range(n)
-        )
-        if ok:
+        if phi is not None and F.raises(A.table[phi, A.inv], 1):  # f(x) x^-1
             out.append(phi)
     return out
 
@@ -460,24 +457,13 @@ def adjoint_group_filtration(B: SkewBrace, F: Filtration | None = None) -> Filtr
         if not ser.is_nilpotent:
             raise ModArithError("no canonical filtration: brace is not L-nilpotent")
         F = Filtration(ser.terms)
-    n = B.order
-    level = np.ones(n, dtype=np.int64)
-    for i, term in enumerate(F.terms, start=1):
-        arr = np.asarray(sorted(term), dtype=np.int64)
-        level[arr] = np.maximum(level[arr], i)
-    depth = len(F.terms)
+    else:
+        validate_group_filtration(B.dot, F)
     terms: list[frozenset] = []
-    for i in range(1, depth + 1):
-        target = level + i  # lambda_a(g) g^-1 must land in F.term(level[g] + i)
-        keep = []
-        for a in sorted(F.term(i)):
-            shifted = B.star[a]  # lambda_a(g) g^-1 over all g
-            ok = np.where(
-                target <= depth, level[shifted] >= target, shifted == B.dot.identity
-            ).all()
-            if ok:
-                keep.append(a)
-        terms.append(frozenset(keep))
+    for i in range(1, len(F.terms) + 1):
+        members = np.asarray(sorted(F.term(i)), dtype=np.int64)
+        # star[a, g] = lambda_a(g) g^-1 must land in X_(level[g] + i)
+        terms.append(frozenset(int(a) for a in members[F.raises(B.star[members], i)]))
     if terms[-1] != frozenset({B.dot.identity}):
         terms.append(frozenset({B.dot.identity}))
     out = Filtration(tuple(terms))
@@ -517,22 +503,18 @@ def _lambda_backtrack(A: FinGroup, auts: list[np.ndarray]) -> list[np.ndarray]:
                         changed = True
         return work
 
-    def dfs(assign: dict[int, int]):
+    # depth first with an explicit stack, children pushed in reverse so the
+    # first choice is explored first
+    stack = [propagate({A.identity: id_idx})]
+    while stack:
+        assign = stack.pop()
+        if assign is None:
+            continue
         if len(assign) == n:
-            rows = np.stack([auts[assign[a]] for a in range(n)])
-            results.append(rows)
-            return
+            results.append(np.stack([auts[assign[a]] for a in range(n)]))
+            continue
         a0 = min(x for x in range(n) if x not in assign)
-        for i in range(m):
-            assign2 = dict(assign)
-            assign2[a0] = i
-            full = propagate(assign2)
-            if full is not None:
-                dfs(full)
-
-    base = propagate({A.identity: id_idx})
-    if base is not None:
-        dfs(base)
+        stack.extend(propagate({**assign, a0: i}) for i in reversed(range(m)))
     return results
 
 
@@ -585,24 +567,19 @@ def regular_subgroups(A: FinGroup, F: Filtration, force: bool = False) -> list[S
             frontier = new
         return work
 
-    def dfs(members: dict[int, int]):
+    stack = [close({A.identity: id_idx})]  # depth first, first choice on top
+    while stack:
+        members = stack.pop()
+        if members is None or len(members) > n:
+            continue
         if len(members) == n:
             rows = np.stack([auts[members[a]] for a in range(n)])
             key = rows.tobytes()
             if key not in results:
                 results[key] = _brace_from_lambda(A, rows)
-            return
+            continue
         a0 = min(x for x in range(n) if x not in members)
-        for i in range(m):
-            members2 = dict(members)
-            members2[a0] = i
-            closed = close(members2)
-            if closed is not None and len(closed) <= n:
-                dfs(closed)
-
-    start = close({A.identity: id_idx})
-    if start is not None:
-        dfs(start)
+        stack.extend(close({**members, a0: i}) for i in reversed(range(m)))
     out = list(results.values())
     for B in out:
         rep = verify_skew_brace(B)
@@ -636,24 +613,19 @@ def all_group_chains(A: FinGroup, max_len: int) -> list[Filtration]:
     full = frozenset(range(A.order))
     trivial = frozenset({A.identity})
     chains: list[Filtration] = []
-
-    def extend(chain: list[frozenset]):
+    stack = [[full]]  # depth first, first subgroup on top
+    while stack:
+        chain = stack.pop()
         if chain[-1] == trivial:
             if len(chain) - 1 <= max_len:
                 F = Filtration(tuple(chain))
                 try:
                     validate_group_filtration(A, F)
                 except ModArithError:
-                    return
+                    continue
                 chains.append(F)
-            return
-        if len(chain) - 1 >= max_len:
-            return
-        for H in subs:
-            if H < chain[-1]:
-                extend(chain + [H])
-
-    extend([full])
+        elif len(chain) - 1 < max_len:
+            stack.extend(chain + [H] for H in reversed(subs) if H < chain[-1])
     return chains
 
 

@@ -162,3 +162,15 @@ def test_non_post_lie_input_exits_1(capsys, tmp_path):
         code, out, err = run(capsys, *argv)
         assert code == 1 and out == ""
         assert "not a post-Lie ring" in err and err.count("\n") == 1
+
+
+def test_unwritable_output_exits_2(capsys, tmp_path, data_dir):
+    target = str(tmp_path / "missing" / "x.out")
+    for argv in (
+        ("convert", str(data_dir / "prelie25_selfsquare.plie"), "--to", "brace"),
+        ("bch-words", "2"),
+        ("root-diff", str(data_dir / "radical_25.skb")),
+    ):
+        code, _, err = run(capsys, *argv, "-o", target)
+        assert code == 2, argv
+        assert err.startswith(f"cannot write {target}: ") and err.count("\n") == 1

@@ -1,0 +1,170 @@
+"""The generator-based verifiers against exhaustive oracles.
+
+verify_group_table, verify_skew_brace and the filtration validators check
+each law on generators only.  The oracles below sweep every triple or
+pair, as the library once did, and must give the same verdict on every
+table and chain of the corpus, valid or not.
+"""
+
+import numpy as np
+import pytest
+
+import catalogs
+from lazbrace import formats
+from lazbrace.liering import (
+    Filtration,
+    FinGroup,
+    _bracket_set,
+    _comm_set,
+    add_closure,
+    all_add_subgroups,
+    group_closure,
+    is_lazard,
+    laz,
+    validate_group_filtration,
+    verify_group_table,
+)
+from lazbrace.modarith import ModArithError
+from lazbrace.skewbrace import SkewBrace, _all_subgroups_group, verify_skew_brace
+
+
+def oracle_group_table(table) -> bool:
+    """Latin square, a two-sided identity, and (a b) c = a (b c) on every row a."""
+    n = table.shape[0]
+    idx = np.arange(n)
+    if any(np.unique(r).size != n for r in table) or any(np.unique(c).size != n for c in table.T):
+        return False
+    if sum((table[e] == idx).all() and (table[:, e] == idx).all() for e in range(n)) != 1:
+        return False
+    return all(np.array_equal(table[table[a]], table[a][table]) for a in range(n))
+
+
+def oracle_brace(B: SkewBrace) -> bool:
+    """Both group tables, one identity, and the compatibility for every a."""
+    if not (oracle_group_table(B.dot.table) and oracle_group_table(B.circ.table)):
+        return False
+    if B.dot.identity != B.circ.identity:
+        return False
+    dot, circ, inv = B.dot.table, B.circ.table, B.dot.inv
+    for a in range(B.order):
+        lhs = circ[a, dot]  # a o (b . c)
+        rhs = dot[dot[circ[a], inv[a]][:, None], circ[a][None, :]]  # (a o b) . a^-1 . (a o c)
+        if not np.array_equal(lhs, rhs):
+            return False
+    return True
+
+
+def oracle_filtration(F: Filtration, full, trivial, closure, op) -> bool:
+    """Ends, descent, closed terms, and op(X_i, X_j) in X_(i+j) on all pairs."""
+    terms = F.terms
+    if terms[0] != full or terms[-1] != trivial:
+        return False
+    if any(not b <= a for a, b in zip(terms, terms[1:])):
+        return False
+    if any(closure(t) != t for t in terms):
+        return False
+    return all(op(ti, tj) <= F.term(i + j)
+               for i, ti in enumerate(terms, start=1) for j, tj in enumerate(terms, start=1))
+
+
+def _raises_modarith(fn) -> bool:
+    try:
+        fn()
+    except ModArithError:
+        return True
+    return False
+
+
+def _xor_table(k):
+    a = np.arange(1 << k)
+    return a[:, None] ^ a[None, :]
+
+
+def _intercalate_switch(table, r, c, d):
+    """Swap the 2x2 Latin subsquare on rows r, r^d and columns c, c^d of an
+    elementary abelian 2-group: still a loop, in general not associative."""
+    t = table.copy()
+    for x in (r, r ^ d):
+        t[x, c], t[x, c ^ d] = t[x, c ^ d], t[x, c]
+    return t
+
+
+def _product(t1, t2):
+    """Direct product table on (a1, a2) -> a1 + n1 a2: generators of the first
+    factor come first, so a fault of the second shows only at a later one."""
+    n1 = t1.shape[0]
+    n = n1 * t2.shape[0]
+    return (t1[None, :, None, :] + n1 * t2[:, None, :, None]).reshape(n, n)
+
+
+def _perturbed(table, rng):
+    t = table.copy()
+    n = t.shape[0]
+    x, y = (int(v) for v in rng.integers(1, n, size=2))
+    t[x, y] = (t[x, y] + 1) % n
+    return t
+
+
+def _relabelled(B: SkewBrace, rng) -> SkewBrace:
+    """Same dot group; the circ group moved by a permutation fixing 0."""
+    n = B.order
+    perm = np.concatenate([[0], 1 + rng.permutation(n - 1)])
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(n)
+    return SkewBrace(B.dot, FinGroup(perm[B.circ.table[inv[:, None], inv[None, :]]], 0))
+
+
+@pytest.fixture(scope="module")
+def rng():
+    return np.random.default_rng(2024)
+
+
+def test_group_tables_match_the_row_oracle(rng):
+    tables = [laz(L).table for L in (catalogs.heisenberg(3), catalogs.heisenberg(5),
+                                     catalogs.class2_r4(3), catalogs.abelian(5, (2, 1)))]
+    for k, switches in ((3, [(1, 2, 3), (2, 4, 7)]), (9, [(1, 2, 3), (5, 300, 77)])):
+        X = _xor_table(k)  # k = 9: order 512
+        tables += [X] + [_intercalate_switch(X, *sw) for sw in switches]
+    tables += [_perturbed(t, rng) for t in tables]
+    tables += [_product(tables[0], t) for t in tables[5:7]]
+    verdicts = [bool(verify_group_table(t).ok) for t in tables]
+    assert verdicts == [oracle_group_table(t) for t in tables]
+    assert True in verdicts and False in verdicts
+
+
+def test_braces_match_the_compatibility_oracle(rng):
+    braces = [B for _, B in catalogs.order9_braces()] + [catalogs.radical_brace(5, 2)]
+    braces += [_relabelled(B, rng) for B in braces for _ in range(2)]
+    braces += [SkewBrace(B.dot, FinGroup(_perturbed(B.circ.table, rng), 0)) for B in braces[:6]]
+    first = braces[0]
+    braces += [SkewBrace(FinGroup(_product(first.dot.table, B.dot.table), 0),
+                         FinGroup(_product(first.circ.table, B.circ.table), 0)) for B in braces[:20]]
+    verdicts = [bool(verify_skew_brace(B).ok) for B in braces]
+    assert verdicts == [oracle_brace(B) for B in braces]
+    assert True in verdicts and False in verdicts
+
+
+def test_group_chains_match_the_pairwise_oracle(data_dir):
+    # every chain (G, H, K, 1) of the extraspecial group, normal terms or not
+    _, G = formats.parse_file(data_dir / "extraspecial_27.grp")
+    subs = _all_subgroups_group(G)
+    full, trivial = frozenset(range(G.order)), frozenset({G.identity})
+    chains = [Filtration((full, H, K, trivial)) for H in subs for K in subs if K <= H]
+    verdicts = [not _raises_modarith(lambda: validate_group_filtration(G, F)) for F in chains]
+    oracle = [oracle_filtration(F, full, trivial, lambda t: group_closure(G, t),
+                                lambda A, B: _comm_set(G, A, B)) for F in chains]
+    assert verdicts == oracle
+    assert True in verdicts and False in verdicts
+
+
+def test_lie_chains_match_the_pairwise_oracle():
+    L = catalogs.heisenberg(3)
+    s = L.shape
+    subs = all_add_subgroups(s)
+    full, trivial = frozenset(range(s.order)), frozenset({0})
+    chains = [Filtration((full, H, K, trivial)) for H in subs for K in subs if K <= H]
+    verdicts = [not _raises_modarith(lambda: is_lazard(L, F)) for F in chains]
+    oracle = [oracle_filtration(F, full, trivial, lambda t: add_closure(s, t),
+                                lambda A, B: _bracket_set(L, A, B)) for F in chains]
+    assert verdicts == oracle
+    assert True in verdicts and False in verdicts

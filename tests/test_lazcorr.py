@@ -11,7 +11,15 @@ from lazbrace.common import NotLazardError
 from lazbrace.liering import Filtration, add_closure, canonical_filtration, laz, laz_inv, laz_of_table
 from lazbrace.modarith import Endo, PShape, PVec, endo_exp
 from lazbrace.postlie import PostLieRing, circ_ring, l_mul, l_series, verify_post_lie
-from lazbrace.skewbrace import SkewBrace, l_series_brace, trivial_brace, verify_skew_brace
+from lazbrace.skewbrace import (
+    SkewBrace,
+    all_group_chains,
+    enumerate_braces,
+    l_series_brace,
+    regular_subgroups,
+    trivial_brace,
+    verify_skew_brace,
+)
 from lazbrace.lazcorr import (
     _sd_bracket,
     brace_to_post_lie,
@@ -412,12 +420,18 @@ def test_no_reference_cycles(data_dir):
     _, P = formats.parse_file(data_dir / "prelie25_selfsquare.plie")
     _, B = formats.parse_file(data_dir / "radical_25.skb")
     T = laz_inv(G)
+    Z9 = catalogs.shape_group(PShape(3, (2,)))
+    F9 = Filtration((frozenset(range(9)), frozenset({0, 3, 6}), frozenset({0})))
     ops = {
         "laz": lambda: laz(L),
         "laz_inv": lambda: laz_inv(G),
         "laz_of_table": lambda: laz_of_table(T),
         "post_lie_to_brace": lambda: post_lie_to_brace(P),
         "brace_to_post_lie": lambda: brace_to_post_lie(B),
+        "parse_tree": lambda: freelie.parse_tree("[[x,y],[x,[x,y]]]"),
+        "enumerate_braces": lambda: enumerate_braces(Z9),
+        "regular_subgroups": lambda: regular_subgroups(Z9, F9),
+        "all_group_chains": lambda: all_group_chains(G, 2),
     }
     for name, op in ops.items():
         op()  # warm the word and BCH caches

@@ -97,6 +97,12 @@ def test_filtration_validation_rejects_non_ideal(heis5):
         is_lazard(heis5, bad)
 
 
+def test_empty_filtration_rejected():
+    # a check that python -O keeps, unlike an assert
+    with pytest.raises(ModArithError):
+        Filtration(())
+
+
 def test_bch_eval_abelian_is_addition():
     L = catalogs.abelian(5, (2, 1))
     F = canonical_filtration(L)
