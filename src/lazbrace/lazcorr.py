@@ -31,7 +31,6 @@ from .postlie import (
     PostLieRing,
     circ_ring,
     classify_subset,
-    l_mul,
     l_series,
     right_series,
     substructures,
@@ -68,22 +67,25 @@ __all__ = [
 
 
 def _sd_bracket(P: PostLieRing, x, y):
-    """[(a, f), (b, g)] = ([a,b] + f(b) - g(a), fg - gf) on (vector, matrix) pairs."""
+    """[(a, f), (b, g)] = ([a,b] + f(b) - g(a), fg - gf) on (vector, matrix) pairs;
+    the vectors are rows, each against one matrix or its own from a stack."""
     s = P.shape
     va, ma = x
     vb, mb = y
-    vec = s.reduce(P.base.bracket_batch(va, vb) + vb @ ma - va @ mb)
+    vec = s.reduce(P.base.bracket_batch(va, vb) + _rows_times(vb, ma) - _rows_times(va, mb))
     mat = s.reduce(mb @ ma - ma @ mb)  # composition f o g has matrix Mg @ Mf
     return vec, mat
 
 
-def _sd_scale(s: PShape, x, q: Fraction):
+def _rows_times(V: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """Row v of V times its matrix: mats is one (r, r) matrix or a matching stack."""
+    return np.matmul(V[..., None, :], mats)[..., 0, :]
+
+
+def _sd_add_scaled(s: PShape, acc, x, q: Fraction):
+    """acc + q x on (vector, matrix) pairs."""
     m = s.scale_multiplier(q)
-    return s.reduce(x[0] * m), s.reduce(x[1] * m)
-
-
-def _sd_add(s: PShape, x, y):
-    return s.reduce(x[0] + y[0]), s.reduce(x[1] + y[1])
+    return s.reduce(acc[0] + m * x[0]), s.reduce(acc[1] + m * x[1])
 
 
 def v_eval(P: PostLieRing, a: PVec, f: Endo, F: Filtration | None = None) -> PVec:
@@ -92,11 +94,7 @@ def v_eval(P: PostLieRing, a: PVec, f: Endo, F: Filtration | None = None) -> PVe
     Truncation at the filtration length k is exact; requires a Lazard input
     and a filtration-raising f.
     """
-    if F is None:
-        ser = l_series(P)
-        if not ser.is_nilpotent:
-            raise NotLazardError("post-Lie ring is not L-nilpotent")
-        F = Filtration(ser.terms)
+    F = F or _canonical_post_filtration(P)
     s = P.shape
     k = F.length
     if k >= s.p:
@@ -107,12 +105,12 @@ def v_eval(P: PostLieRing, a: PVec, f: Endo, F: Filtration | None = None) -> PVe
 
 
 def _v_batch(P: PostLieRing, k: int, A: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """V(a, f) for rows of A against one fixed matrix."""
+    """V(a, f) for rows a of A, against one matrix of f or a stack with one per row."""
     s = P.shape
     zero_vec = np.zeros_like(A)
     acc = freelie.fold_terms(freelie.bch_terms(k), (A, mat), (zero_vec, s.reduce(-mat)),
                              lambda u, v: _sd_bracket(P, u, v),
-                             lambda acc, v, c: _sd_add(s, acc, _sd_scale(s, v, c)),
+                             lambda acc, v, c: _sd_add_scaled(s, acc, v, c),
                              (zero_vec, np.zeros_like(mat)))
     return acc[0]
 
@@ -131,16 +129,9 @@ def w_map(P: PostLieRing, F: Filtration | None = None) -> np.ndarray:
     """W(a) = V(a, L_a) over the whole carrier, verified bijective."""
     F = F or _canonical_post_filtration(P)
     s = P.shape
-    k = F.length
-    n = s.order
     coords = s.all_coords()
-    out = np.empty(n, dtype=np.int64)
-    for idx in range(n):
-        a = coords[idx]
-        mat = s.reduce(np.stack([P.tri_batch(a, np.eye(s.rank, dtype=np.int64)[j])
-                                 for j in range(s.rank)]))
-        out[idx] = s.index_batch(_v_batch(P, k, a[None, :], mat))[0]
-    if np.unique(out).size != n:
+    out = s.index_batch(_v_batch(P, F.length, coords, P.l_mats(coords)))
+    if np.unique(out).size != s.order:
         raise FailedTheoremError("flow map W is not bijective")
     return out
 
@@ -170,13 +161,10 @@ def post_lie_to_brace(P: PostLieRing, check: bool = True) -> FlowResult:
     Omega = np.empty(n, dtype=np.int64)
     Omega[W] = np.arange(n)
     coords = s.all_coords()
-    units = np.eye(s.rank, dtype=np.int64)
+    exp_mats = endo_exp(Endo(s, P.l_mats(coords[Omega])), max(k, 1)).mat
     circ = np.empty((n, n), dtype=np.int64)
     for a in range(n):
-        oa = coords[Omega[a]]
-        mat = s.reduce(np.stack([P.tri_batch(oa, units[j]) for j in range(s.rank)]))
-        exp_mat = endo_exp(Endo.from_matrix(s, mat), max(k, 1)).matrix()
-        circ[a] = dot.table[a, s.index_batch(s.reduce(coords @ exp_mat))]
+        circ[a] = dot.table[a, s.index_batch(coords @ exp_mats[a])]
     brace = SkewBrace(dot, FinGroup(circ, 0))
     if check:
         rep = verify_skew_brace(brace)
@@ -329,25 +317,19 @@ def brace_to_post_lie(B: SkewBrace, check: bool = True) -> LogResult:
     W = np.empty(n, dtype=np.int64)
     W[Omega] = np.arange(n)
     coords_of_elem = s.all_coords()[basis.index_of_elem]
-    tri_table = np.empty((n, n), dtype=np.int64)
-    log_mats = {}
+    gen_elems = basis.elem_of[s.index_batch(np.eye(s.rank, dtype=np.int64))]
+    # the matrices of lambda_{W(x)}, each checked well defined by Endo
+    lam_mats = Endo(s, coords_of_elem[B.lam[W[:, None], gen_elems]])
     for x in range(n):
-        alpha = B.lam[W[x]]
-        rows = coords_of_elem[alpha[basis.elem_of[s.index_batch(np.eye(s.rank, dtype=np.int64))]]]
-        E = Endo.from_matrix(s, rows)
         # lambda_{W(x)} must be additive over the logged structure
-        img = basis.elem_of[s.index_batch(E.apply_batch(coords_of_elem))]
-        if not np.array_equal(img, alpha):
+        img = basis.elem_of[s.index_batch(coords_of_elem @ lam_mats.mat[x])]
+        if not np.array_equal(img, B.lam[W[x]]):
             raise FailedTheoremError("lambda is not additive over Laz^-1 of the dot group")
-        Lmat = endo_log(E, max(k, 1)).matrix()
-        log_mats[x] = Lmat
-        tri_table[x] = basis.elem_of[s.index_batch(s.reduce(coords_of_elem @ Lmat))]
-    tri = np.zeros((s.rank, s.rank, s.rank), dtype=np.int64)
-    unit_elems = [basis.elem_of_vec(s.unit(i)) for i in range(s.rank)]
-    for i in range(s.rank):
-        for j in range(s.rank):
-            tri[i, j] = basis.vec_of(int(tri_table[unit_elems[i], unit_elems[j]])).np()
-    P = PostLieRing(L_sc, tri)
+    log_mats = endo_log(lam_mats, max(k, 1)).mat
+    tri_table = np.empty((n, n), dtype=np.int64)
+    for x in range(n):
+        tri_table[x] = basis.elem_of[s.index_batch(coords_of_elem @ log_mats[x])]
+    P = PostLieRing(L_sc, coords_of_elem[tri_table[np.ix_(gen_elems, gen_elems)]])
     if check:
         rep = verify_post_lie(P)
         if not rep.ok:

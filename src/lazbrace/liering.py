@@ -46,6 +46,8 @@ __all__ = [
     "verify_lie_table",
     "table_to_sc",
     "ad_endo",
+    "left_mats",
+    "bilinear_batch",
 ]
 
 _CHUNK = 1 << 18  # pairs handled per vectorized block
@@ -139,7 +141,30 @@ class Filtration:
 
 
 # ---------------------------------------------------------------------------
-# Structure-constant Lie rings.
+# Bilinear products by structure constants, and structure-constant Lie rings.
+
+
+def left_mats(shape: PShape, consts: np.ndarray, U) -> np.ndarray:
+    """(..., r, r) matrices of v -> u.v for the rows u of U (..., r), where
+    consts[i, j] holds the coordinates of g_i.g_j; row j is the image of g_j."""
+    U = np.asarray(U, dtype=np.int64)
+    r = shape.rank
+    return shape.reduce((U @ consts.reshape(r, r * r)).reshape(U.shape[:-1] + (r, r)))
+
+
+def bilinear_batch(shape: PShape, consts: np.ndarray, U, V) -> np.ndarray:
+    """u.v for broadcast rows of U and V: V @ left_mats(U), row by row.  The
+    matrices are reduced before the product to cap magnitudes."""
+    V = np.asarray(V, dtype=np.int64)
+    return shape.reduce(np.matmul(V[..., None, :], left_mats(shape, consts, U))[..., 0, :])
+
+
+def _ill_defined_pairs(shape: PShape, consts: np.ndarray) -> list[tuple[int, int]]:
+    """The (i, j) with p^min(e_i, e_j) * consts[i, j] != 0, in row-major order:
+    no biadditive product can take those values on the generators."""
+    mods = shape.np_moduli()
+    killers = np.minimum.outer(mods, mods)[:, :, None]
+    return [(int(i), int(j)) for i, j in np.argwhere(shape.reduce(killers * consts).any(axis=-1))]
 
 
 @dataclass(frozen=True)
@@ -179,14 +204,7 @@ class LieRingSC:
         return self.shape.order
 
     def bracket_batch(self, U, V) -> np.ndarray:
-        U = np.asarray(U, dtype=np.int64)
-        V = np.asarray(V, dtype=np.int64)
-        r = self.shape.rank
-        # [u,v]_k = sum_ij u_i v_j sc[i,j,k]; reduce u @ sc first to cap magnitudes
-        flat = (U @ self.sc.reshape(r, r * r)).reshape(U.shape[:-1] + (r, r))
-        flat = self.shape.reduce(flat)
-        out = np.matmul(V[..., None, :], flat)[..., 0, :]
-        return self.shape.reduce(out)
+        return bilinear_batch(self.shape, self.sc, U, V)
 
     def bracket(self, u: PVec, v: PVec) -> PVec:
         return self.shape.vec(self.bracket_batch(u.np(), v.np()))
@@ -203,13 +221,12 @@ def verify_lie(L: LieRingSC) -> CheckReport:
     """
     s = L.shape
     failures = []
+    ill_defined = _ill_defined_pairs(s, L.sc)
     for i in range(s.rank):
         if L.sc[i, i].any():
             failures.append(f"[g{i},g{i}] != 0")
-        for j in range(s.rank):
-            killer = s.p ** min(s.exps[i], s.exps[j])
-            if s.reduce(killer * L.sc[i, j]).any():
-                failures.append(f"bracket [g{i},g{j}] not killed by p^min(e{i},e{j})")
+        failures += [f"bracket [g{i},g{j}] not killed by p^min(e{i},e{j})"
+                     for row, j in ill_defined if row == i]
     for i in range(s.rank):
         for j in range(i + 1, s.rank):
             if s.reduce(L.sc[i, j] + L.sc[j, i]).any():
@@ -686,13 +703,9 @@ def table_to_sc(T: LieRingTable) -> tuple[LieRingSC, AbelianBasis]:
     basis = abelian_decompose(T.add)
     shape = basis.shape
     r = shape.rank
-    sc = np.zeros((r, r, r), dtype=np.int64)
-    gen_elems = [basis.elem_of_vec(shape.unit(i)) for i in range(r)]
-    for i in range(r):
-        for j in range(r):
-            sc[i, j] = basis.vec_of(int(T.bracket[gen_elems[i], gen_elems[j]])).np()
-    L = LieRingSC(shape, sc)
     coords = shape.all_coords()[basis.index_of_elem]
+    gen_elems = basis.elem_of[shape.index_batch(np.eye(r, dtype=np.int64))]
+    L = LieRingSC(shape, coords[T.bracket[np.ix_(gen_elems, gen_elems)]])
     n = T.order
     step = max(1, _CHUNK // n)
     for start in range(0, n, step):
@@ -760,5 +773,4 @@ def laz_of_table(T: LieRingTable, force: bool = False) -> FinGroup:
 
 def ad_endo(L: LieRingSC, a: PVec) -> Endo:
     """The adjoint map b -> [a, b] as an additive endomorphism."""
-    rows = [L.bracket(a, L.shape.unit(j)).coords for j in range(L.shape.rank)]
-    return Endo(L.shape, tuple(rows))
+    return Endo(L.shape, left_mats(L.shape, L.sc, a.np()))

@@ -14,7 +14,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
+from math import factorial
 
 import numpy as np
 
@@ -35,6 +36,11 @@ __all__ = [
 
 class ModArithError(ValueError):
     """Raised when a modarith precondition fails."""
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
 
 
 def is_prime(n: int) -> bool:
@@ -96,7 +102,7 @@ class PShape:
     def rank(self) -> int:
         return len(self.exps)
 
-    @property
+    @cached_property
     def moduli(self) -> tuple[int, ...]:
         return tuple(self.p ** e for e in self.exps)
 
@@ -111,22 +117,26 @@ class PShape:
     def max_modulus(self) -> int:
         return self.p ** self.exps[0]
 
+    @cached_property
+    def _np_moduli(self) -> np.ndarray:
+        return _read_only(np.array(self.moduli, dtype=np.int64))
+
+    @cached_property
+    def _strides(self) -> np.ndarray:
+        return _read_only(np.cumprod((1,) + self.moduli[:-1], dtype=np.int64))
+
     def np_moduli(self) -> np.ndarray:
-        return np.array(self.moduli, dtype=np.int64)
+        return self._np_moduli
 
     def reduce(self, arr) -> np.ndarray:
         """Reduce an integer array of coordinates (..., r) mod the moduli."""
-        return np.mod(np.asarray(arr, dtype=np.int64), self.np_moduli())
+        return np.mod(np.asarray(arr, dtype=np.int64), self._np_moduli)
 
     def strides(self) -> np.ndarray:
-        s = np.ones(self.rank, dtype=np.int64)
-        mods = self.np_moduli()
-        for i in range(1, self.rank):
-            s[i] = s[i - 1] * mods[i - 1]
-        return s
+        return self._strides
 
     def index_batch(self, coords) -> np.ndarray:
-        return (self.reduce(coords) * self.strides()).sum(axis=-1)
+        return (self.reduce(coords) * self._strides).sum(axis=-1)
 
     def coords_batch(self, indices) -> np.ndarray:
         idx = np.asarray(indices, dtype=np.int64)
@@ -229,54 +239,48 @@ class PVec:
         return "(" + ",".join(str(c) for c in self.coords) + ")"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Endo:
-    """Additive endomorphism, stored by generator images.
+    """Additive endomorphism, or a stack of them, as an integer matrix.
 
-    rows[j] is the image of the j-th generator; well-definedness demands
-    p^e_j * rows[j] = 0, i.e. rows[j][i] = 0 mod p^(e_i - e_j) when e_i > e_j.
-    Evaluation: f(v) = sum_j v_j * rows[j].
+    mat has shape (..., r, r); mat[..., j, :] is the image of the j-th
+    generator, and well-definedness demands p^e_j * mat[..., j, :] = 0, i.e.
+    mat[..., j, i] = 0 mod p^(e_i - e_j) when e_i > e_j.  Evaluation:
+    f(v) = v @ mat, so f o g has matrix mat_g @ mat_f.  Every operation works
+    on a whole stack, broadcasting as numpy does.
     """
 
     shape: PShape
-    rows: tuple[tuple[int, ...], ...]
+    mat: np.ndarray
 
     def __post_init__(self):
         s = self.shape
-        if len(self.rows) != s.rank:
-            raise ModArithError("endomorphism needs one image per generator")
-        red = []
-        for j, row in enumerate(self.rows):
-            if len(row) != s.rank:
-                raise ModArithError("image coordinate count mismatch")
-            row = tuple(int(c) % m for c, m in zip(row, s.moduli))
-            for i, c in enumerate(row):
-                gap = s.exps[i] - s.exps[j]
-                if gap > 0 and c % (s.p ** gap) != 0:
-                    raise ModArithError(
-                        f"not an additive map: p^{s.exps[j]} * image of g{j} is nonzero"
-                    )
-            red.append(row)
-        object.__setattr__(self, "rows", tuple(red))
+        mat = s.reduce(self.mat)
+        if mat.shape[-2:] != (s.rank, s.rank):
+            raise ModArithError("endomorphism needs one image (r coordinates) per generator")
+        bad = np.argwhere(s.reduce(s.np_moduli()[:, None] * mat).any(axis=-1))
+        if bad.size:
+            j = int(bad[0, -1])
+            raise ModArithError(f"not an additive map: p^{s.exps[j]} * image of g{j} is nonzero")
+        object.__setattr__(self, "mat", _read_only(mat))
 
     @classmethod
     def from_matrix(cls, shape: PShape, mat) -> "Endo":
-        mat = shape.reduce(np.asarray(mat, dtype=np.int64))
-        return cls(shape, tuple(tuple(int(x) for x in row) for row in mat))
+        return cls(shape, mat)
 
     @classmethod
     def identity(cls, shape: PShape) -> "Endo":
-        return cls.from_matrix(shape, np.eye(shape.rank, dtype=np.int64))
+        return cls(shape, np.eye(shape.rank, dtype=np.int64))
 
     @classmethod
     def zero(cls, shape: PShape) -> "Endo":
-        return cls.from_matrix(shape, np.zeros((shape.rank, shape.rank), dtype=np.int64))
+        return cls(shape, np.zeros((shape.rank, shape.rank), dtype=np.int64))
 
     def matrix(self) -> np.ndarray:
-        return np.array(self.rows, dtype=np.int64)
+        return self.mat
 
     def apply_batch(self, coords) -> np.ndarray:
-        return self.shape.reduce(np.asarray(coords, dtype=np.int64) @ self.matrix())
+        return self.shape.reduce(np.asarray(coords, dtype=np.int64) @ self.mat)
 
     def apply(self, v: PVec) -> PVec:
         if v.shape != self.shape:
@@ -289,19 +293,19 @@ class Endo:
 
     def __add__(self, other: "Endo") -> "Endo":
         self._check(other)
-        return Endo.from_matrix(self.shape, self.matrix() + other.matrix())
+        return Endo(self.shape, self.mat + other.mat)
 
     def __sub__(self, other: "Endo") -> "Endo":
         self._check(other)
-        return Endo.from_matrix(self.shape, self.matrix() - other.matrix())
+        return Endo(self.shape, self.mat - other.mat)
 
     def __neg__(self) -> "Endo":
-        return Endo.from_matrix(self.shape, -self.matrix())
+        return Endo(self.shape, -self.mat)
 
     def after(self, other: "Endo") -> "Endo":
         """Composition self o other, (self.after(other))(x) = self(other(x))."""
         self._check(other)
-        return Endo.from_matrix(self.shape, other.matrix() @ self.matrix())
+        return Endo(self.shape, other.mat @ self.mat)
 
     def __pow__(self, n: int) -> "Endo":
         if n < 0:
@@ -312,48 +316,49 @@ class Endo:
         return acc
 
     def scale(self, q: Fraction | int) -> "Endo":
-        m = self.shape.scale_multiplier(q)
-        return Endo.from_matrix(self.shape, self.matrix() * m)
+        return Endo(self.shape, self.mat * self.shape.scale_multiplier(q))
 
     @property
     def is_zero(self) -> bool:
-        return all(c == 0 for row in self.rows for c in row)
+        return not self.mat.any()
 
     def commutator(self, other: "Endo") -> "Endo":
         return self.after(other) - other.after(self)
 
+    def __eq__(self, other):
+        return isinstance(other, Endo) and self.shape == other.shape and np.array_equal(self.mat, other.mat)
+
+
+def _nil_series(d: Endo, nil_bound: int, coeff) -> Endo:
+    """sum_{k<nil_bound} coeff(k) d^k over a stack of maps d with d^nil_bound = 0.
+
+    Each power is computed once; the last one, d^nil_bound, is the
+    nilpotency check.  coeff(k) is a rational with denominator prime to p.
+    """
+    s = d.shape
+    if nil_bound < 1 or nil_bound >= s.p:
+        raise ModArithError("denominator divisible by p: need nil bound <= p-1")
+    power = np.broadcast_to(np.eye(s.rank, dtype=np.int64), d.mat.shape)
+    acc = np.zeros(d.mat.shape, dtype=np.int64)
+    for k in range(nil_bound):
+        acc = s.reduce(acc + s.scale_multiplier(coeff(k)) * power)
+        power = s.reduce(power @ d.mat)
+    if power.any():
+        raise ModArithError("endomorphism is not nilpotent within the stated bound")
+    return Endo(s, acc)
+
 
 def endo_exp(d: Endo, nil_bound: int) -> Endo:
-    """exp(d) = sum_{k<nil_bound} d^k / k! for d nilpotent of index <= nil_bound < p."""
-    p = d.shape.p
-    if nil_bound < 1 or nil_bound >= p:
-        raise ModArithError("denominator divisible by p: need nil bound <= p-1")
-    if not (d ** nil_bound).is_zero:
-        raise ModArithError("endomorphism is not nilpotent within the stated bound")
-    acc = Endo.identity(d.shape)
-    power = Endo.identity(d.shape)
-    fact = 1
-    for k in range(1, nil_bound):
-        power = power.after(d)
-        fact *= k
-        acc = acc + power.scale(Fraction(1, fact))
-    return acc
+    """exp(d) = sum_{k<nil_bound} d^k / k! for d nilpotent of index <= nil_bound < p;
+    d may be a stack of maps."""
+    return _nil_series(d, nil_bound, lambda k: Fraction(1, factorial(k)))
 
 
 def endo_log(f: Endo, nil_bound: int) -> Endo:
-    """log(f) = sum_{1<=k<nil_bound} (-1)^(k+1) (f-id)^k / k, inverse of endo_exp."""
-    p = f.shape.p
-    if nil_bound < 1 or nil_bound >= p:
-        raise ModArithError("denominator divisible by p: need nil bound <= p-1")
-    z = f - Endo.identity(f.shape)
-    if not (z ** nil_bound).is_zero:
-        raise ModArithError("endomorphism is not unipotent within the stated bound")
-    acc = Endo.zero(f.shape)
-    power = Endo.identity(f.shape)
-    for k in range(1, nil_bound):
-        power = power.after(z)
-        acc = acc + power.scale(Fraction((-1) ** (k + 1), k))
-    return acc
+    """log(f) = sum_{1<=k<nil_bound} (-1)^(k+1) (f-id)^k / k, inverse of endo_exp;
+    f may be a stack of maps, and f - id must be nilpotent of index <= nil_bound."""
+    return _nil_series(f - Endo.identity(f.shape), nil_bound,
+                       lambda k: Fraction((-1) ** (k + 1), k) if k else 0)
 
 
 # ---------------------------------------------------------------------------

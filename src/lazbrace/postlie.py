@@ -21,12 +21,15 @@ from .liering import (
     LieRingSC,
     SeriesResult,
     add_closure,
+    bilinear_batch,
     _bracket_set,
+    _ill_defined_pairs,
     _index_set,
     _on_indices,
     _subgroup_gens,
     _validate_lie_filtration,
     descending_series,
+    left_mats,
     lower_central_series,
     verify_lie,
 )
@@ -63,13 +66,10 @@ class PostLieRing:
         arr = s.reduce(np.asarray(self.tri, dtype=np.int64))
         if arr.shape != (s.rank, s.rank, s.rank):
             raise ModArithError("triangle constants must be (r, r, r)")
-        for i in range(s.rank):
-            for j in range(s.rank):
-                killer = s.p ** min(s.exps[i], s.exps[j])
-                if s.reduce(killer * arr[i, j]).any():
-                    raise ModArithError(
-                        f"g{i} > g{j} not killed by p^min(e{i},e{j}); triangle ill-defined"
-                    )
+        bad = _ill_defined_pairs(s, arr)
+        if bad:
+            i, j = bad[0]
+            raise ModArithError(f"g{i} > g{j} not killed by p^min(e{i},e{j}); triangle ill-defined")
         arr.setflags(write=False)
         object.__setattr__(self, "tri", arr)
 
@@ -87,13 +87,11 @@ class PostLieRing:
         return cls(base, tri)
 
     def tri_batch(self, U, V) -> np.ndarray:
-        U = np.asarray(U, dtype=np.int64)
-        V = np.asarray(V, dtype=np.int64)
-        r = self.shape.rank
-        flat = (U @ self.tri.reshape(r, r * r)).reshape(U.shape[:-1] + (r, r))
-        flat = self.shape.reduce(flat)
-        out = np.matmul(V[..., None, :], flat)[..., 0, :]
-        return self.shape.reduce(out)
+        return bilinear_batch(self.shape, self.tri, U, V)
+
+    def l_mats(self, A) -> np.ndarray:
+        """(..., r, r) matrices of L_a : b -> a > b for the rows a of A."""
+        return left_mats(self.shape, self.tri, A)
 
     def triangle(self, u: PVec, v: PVec) -> PVec:
         return self.shape.vec(self.tri_batch(u.np(), v.np()))
@@ -101,8 +99,7 @@ class PostLieRing:
 
 def l_mul(P: PostLieRing, a: PVec) -> Endo:
     """Left multiplication L_a : b -> a > b as an additive endomorphism."""
-    rows = [P.triangle(a, P.shape.unit(j)).coords for j in range(P.shape.rank)]
-    return Endo(P.shape, tuple(rows))
+    return Endo(P.shape, P.l_mats(a.np()))
 
 
 def verify_post_lie(P: PostLieRing) -> CheckReport:
@@ -198,12 +195,11 @@ def substructures(P: PostLieRing) -> tuple[frozenset, frozenset, frozenset]:
     s = P.shape
     coords = s.all_coords()
     units = np.eye(s.rank, dtype=np.int64)
-    fix_mask = np.ones(s.order, dtype=bool)
-    soc_mask = np.ones(s.order, dtype=bool)
-    for i in range(s.rank):
-        fix_mask &= ~P.tri_batch(units[i][None, :], coords).any(axis=-1)
-        soc_mask &= ~P.tri_batch(coords, units[i][None, :].repeat(s.order, 0)).any(axis=-1)
-        soc_mask &= ~P.base.bracket_batch(coords, units[i][None, :].repeat(s.order, 0)).any(axis=-1)
+    # b is fixed when every g_i > b vanishes; a is in the socle when its
+    # matrices of b -> a > b and b -> [a, b] are zero
+    fix_mask = ~P.tri_batch(units[:, None, :], coords).any(axis=(0, -1))
+    soc_mask = ~(P.l_mats(coords).any(axis=(-2, -1))
+                 | left_mats(s, P.base.sc, coords).any(axis=(-2, -1)))
     fix = frozenset(int(i) for i in np.nonzero(fix_mask)[0])
     soc = frozenset(int(i) for i in np.nonzero(soc_mask)[0])
     ann = soc & fix
@@ -245,31 +241,27 @@ class AdjointFiltration:
     is_lazard_post: bool
 
 
-def _strong_left_ideal_chain(P: PostLieRing, F: Filtration) -> None:
-    _validate_lie_filtration(P.base, F)
-    # the triangle is biadditive and each term an additive subgroup
-    units = [u.index for u in P.shape.units()]
-    for i, term in enumerate(F.terms, start=1):
-        if not _tri_set(P, units, _subgroup_gens(P.shape, term)) <= term:
-            raise ModArithError(f"term {i} is not a left ideal")
-
-
 def adjoint_filtration(P: PostLieRing, F: Filtration | None = None) -> AdjointFiltration:
     """Filtration of the circ ring: a-circ_i = {a in a_i : L_a raises F by i}.
 
-    F defaults to the canonical L-filtration and must be a chain of strong
-    left ideals forming a Lie filtration.
+    F defaults to the canonical L-filtration.  A caller's F must be a chain
+    of strong left ideals forming a Lie filtration, with every L_a mapping
+    X_j into X_(j+1); otherwise ModArithError names a witness a.
     """
+    s = P.shape
+    coords = s.all_coords()
+    tri_table = s.index_batch(P.tri_batch(coords[:, None, :], coords[None, :, :]))
     if F is None:
         ser = l_series(P)
         if not ser.is_nilpotent:
             raise ModArithError("no canonical filtration: not L-nilpotent")
         F = Filtration(ser.terms)
     else:
-        _strong_left_ideal_chain(P, F)
-    s = P.shape
-    coords = s.all_coords()
-    tri_table = s.index_batch(P.tri_batch(coords[:, None, :], coords[None, :, :]))
+        _validate_lie_filtration(P.base, F)
+        # a > X_j inside X_(j+1) for all a also makes each term a left ideal
+        raised = F.raises(tri_table, 1)
+        if not raised.all():
+            raise ModArithError(f"L_a does not map X_j into X_(j+1) for a = {int(np.argmin(raised))}")
     out_terms: list[frozenset] = []
     for i in range(1, len(F.terms) + 1):
         members = np.asarray(sorted(F.term(i)), dtype=np.int64)
@@ -299,7 +291,10 @@ def is_square_free(P: PostLieRing) -> bool:
 
 
 def _left_mul_candidates(shape: PShape, i: int) -> list[np.ndarray]:
-    """All matrices of possible L_{g_i}: endomorphisms killed by p^e_i."""
+    """All matrices of possible L_{g_i}: endomorphisms killed by p^e_i.
+
+    Row j is g_i > g_j, so one matrix per generator, stacked, is the triangle.
+    """
     s = shape
     entry_choices = []
     for j in range(s.rank):
@@ -322,11 +317,6 @@ def _candidate_tuples(shape: PShape):
     yield from product(*per_gen)
 
 
-def _tri_from_left_muls(mats) -> np.ndarray:
-    # tri[i, j] = L_{g_i}(g_j) = row j of the i-th matrix
-    return np.stack([m for m in mats])
-
-
 def enumerate_prelie_ops(shape: PShape, left_nilpotent_only: bool = True) -> list[PostLieRing]:
     """All pre-Lie products on the abelian Lie ring of `shape`.
 
@@ -336,7 +326,7 @@ def enumerate_prelie_ops(shape: PShape, left_nilpotent_only: bool = True) -> lis
     base = LieRingSC.from_brackets(shape, {})
     out = []
     for mats in _candidate_tuples(shape):
-        P = PostLieRing(base, _tri_from_left_muls(mats))
+        P = PostLieRing(base, np.stack(mats))
         if not verify_post_lie(P).ok:
             continue
         if left_nilpotent_only and not left_series(P).is_nilpotent:
@@ -368,7 +358,7 @@ def enumerate_prelie_ops_aff(shape: PShape, left_nilpotent_only: bool = True) ->
                 break
         if not ok:
             continue
-        P = PostLieRing(base, _tri_from_left_muls(mats))
+        P = PostLieRing(base, np.stack(mats))
         if left_nilpotent_only and not left_series(P).is_nilpotent:
             continue
         out.append(P)

@@ -4,12 +4,14 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import catalogs
 from lazbrace import formats, freelie
 from lazbrace.common import NotLazardError
 from lazbrace.liering import Filtration, add_closure, canonical_filtration, laz, laz_inv, laz_of_table
-from lazbrace.modarith import Endo, PShape, PVec, endo_exp
+from lazbrace.modarith import Endo, PShape, PVec, endo_exp, endo_log
 from lazbrace.postlie import PostLieRing, circ_ring, l_mul, l_series, verify_post_lie
 from lazbrace.skewbrace import (
     SkewBrace,
@@ -22,6 +24,7 @@ from lazbrace.skewbrace import (
 )
 from lazbrace.lazcorr import (
     _sd_bracket,
+    _v_batch,
     brace_to_post_lie,
     homogeneous_component,
     lambda_derivative,
@@ -442,3 +445,93 @@ def test_no_reference_cycles(data_dir):
             assert gc.collect() == 0, name
         finally:
             gc.enable()
+
+
+# ---------------------------------------------------------------------------
+# Per-element references for the stacked maps: one Endo and one series per
+# carrier element, as the correspondence was first written.
+
+
+def _gen_images(P, a):
+    units = np.eye(P.shape.rank, dtype=np.int64)
+    return P.shape.reduce(np.stack([P.tri_batch(a, units[j]) for j in range(P.shape.rank)]))
+
+
+def _w_per_element(P, k):
+    s = P.shape
+    out = np.empty(s.order, dtype=np.int64)
+    for idx, a in enumerate(s.all_coords()):
+        out[idx] = s.index_batch(_v_batch(P, k, a[None, :], _gen_images(P, a)))[0]
+    return out
+
+
+def _circ_per_element(P, flow):
+    s = P.shape
+    coords = s.all_coords()
+    circ = np.empty((s.order, s.order), dtype=np.int64)
+    for a in range(s.order):
+        mat = _gen_images(P, coords[flow.omega[a]])
+        exp_mat = endo_exp(Endo.from_matrix(s, mat), max(flow.l_class, 1)).matrix()
+        circ[a] = flow.brace.dot.table[a, s.index_batch(s.reduce(coords @ exp_mat))]
+    return circ
+
+
+def _tri_table_per_element(B, log):
+    s = log.post_lie.shape
+    basis = log.basis
+    coords_of_elem = s.all_coords()[basis.index_of_elem]
+    gens = basis.elem_of[s.index_batch(np.eye(s.rank, dtype=np.int64))]
+    tri_table = np.empty((B.order, B.order), dtype=np.int64)
+    for x in range(B.order):
+        alpha = B.lam[log.w[x]]
+        E = Endo.from_matrix(s, coords_of_elem[alpha[gens]])
+        assert np.array_equal(basis.elem_of[s.index_batch(E.apply_batch(coords_of_elem))], alpha)
+        log_mat = endo_log(E, max(log.l_class, 1)).matrix()
+        tri_table[x] = basis.elem_of[s.index_batch(s.reduce(coords_of_elem @ log_mat))]
+    return tri_table
+
+
+def test_stacked_maps_match_per_element_loops(postlie_cat):
+    cases = [(name, P, post_lie_to_brace(P, check=False)) for name, P in postlie_cat]
+    for name, P, flow in cases:
+        assert np.array_equal(flow.w, _w_per_element(P, flow.l_class)), name
+        assert np.array_equal(flow.brace.circ.table, _circ_per_element(P, flow)), name
+    braces = [(name, flow.brace) for name, _P, flow in cases]
+    for name, B in braces + [("radical_brace_5_2", catalogs.radical_brace(5, 2))]:
+        log = brace_to_post_lie(B, check=False)
+        assert np.array_equal(log.tri_table, _tri_table_per_element(B, log)), name
+
+
+# Lie rings of order <= 125 whose [g_i, g_j] lie in the span of later
+# generators; the class stays below p (class_cap 2 at p = 3).  Rank 3 or
+# more is needed for a bracket, and at p = 7 only rank 2 fits, so the p = 7
+# shape gives abelian rings.
+_GRADED_SHAPES = [(3, (1, 1, 1)), (3, (2, 1, 1)), (3, (1, 1, 1, 1)), (5, (1, 1, 1)), (7, (1, 1))]
+
+
+def _graded_ring(shape, seed):
+    p, exps = shape
+    return catalogs.random_graded(p, exps, seed, class_cap=min(p - 1, 3))
+
+
+_graded_rings = st.builds(_graded_ring, st.sampled_from(_GRADED_SHAPES), st.integers(0, 2 ** 16))
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(_graded_rings)
+def test_laz_round_trip_property(L):
+    G = laz(L)
+    assert laz_of_table(laz_inv(G)) == G
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(_graded_rings)
+def test_brace_round_trip_property(L):
+    # log the brace of the zero-triangle ring, flow back, and compare the
+    # tables through the logged basis, as the roundtrip command does
+    B = post_lie_to_brace(catalogs.zero_triangle(L)).brace
+    log = brace_to_post_lie(B)
+    back = post_lie_to_brace(log.post_lie).brace
+    eo, ie = log.basis.elem_of, log.basis.index_of_elem
+    assert np.array_equal(eo[back.dot.table[ie[:, None], ie[None, :]]], B.dot.table)
+    assert np.array_equal(eo[back.circ.table[ie[:, None], ie[None, :]]], B.circ.table)

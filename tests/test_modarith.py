@@ -3,6 +3,8 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lazbrace.modarith import (
     Endo,
@@ -119,6 +121,42 @@ def test_exp_log_mutually_inverse_random():
         f = endo_exp(d, 3)
         assert endo_log(f, 3) == d
         assert endo_exp(endo_log(f, 3), 3) == f
+
+
+def test_stack_checks_every_map():
+    # only the second map of each stack is at fault
+    nil = [[0, 1, 0], [0, 0, 1], [0, 0, 0]]  # nonzero square
+    with pytest.raises(ModArithError):
+        endo_exp(Endo(PShape(3, (1, 1, 1)), [np.zeros((3, 3), dtype=np.int64), nil]), 2)
+    with pytest.raises(ModArithError, match="image of g1"):
+        Endo(PShape(5, (2, 1)), [[[1, 0], [5, 0]], [[1, 0], [1, 0]]])
+
+
+_MIXED = PShape(5, (2, 1, 1))
+
+
+@st.composite
+def _raising_stacks(draw):
+    # maps raising A > <5g0, g1, g2> > <5g0, g2> > <5g0> > 0, so nilpotent of
+    # index <= 4 < p; rows are g0 -> (5a, b, c), g1 -> (5d, 0, e), g2 -> (5f, 0, 0)
+    n = draw(st.integers(1, 6))
+    a, b, c, d, e, f = np.array(draw(st.lists(st.integers(0, 4), min_size=6 * n, max_size=6 * n))).reshape(6, n)
+    mat = np.zeros((n, 3, 3), dtype=np.int64)
+    mat[:, 0] = np.stack([5 * a, b, c], axis=-1)
+    mat[:, 1, 0], mat[:, 1, 2] = 5 * d, e
+    mat[:, 2, 0] = 5 * f
+    return mat
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(_raising_stacks())
+def test_exp_log_on_stacks_match_per_map(mats):
+    D = Endo(_MIXED, mats)
+    E = endo_exp(D, 4)
+    assert endo_log(E, 4) == D
+    for i, mat in enumerate(mats):
+        assert np.array_equal(E.mat[i], endo_exp(Endo(_MIXED, mat), 4).mat)
+        assert np.array_equal(endo_log(E, 4).mat[i], endo_log(Endo(_MIXED, E.mat[i]), 4).mat)
 
 
 def test_endo_exp_bound_checks():

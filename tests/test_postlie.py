@@ -6,8 +6,8 @@ import pytest
 
 import catalogs
 from lazbrace.common import IdealLevel
-from lazbrace.liering import LieRingSC, add_closure, lower_central_series
-from lazbrace.modarith import PShape, PVec
+from lazbrace.liering import Filtration, LieRingSC, add_closure, lower_central_series
+from lazbrace.modarith import ModArithError, PShape, PVec
 from lazbrace.postlie import (
     PostLieRing,
     adjoint_filtration,
@@ -199,6 +199,14 @@ def test_adjoint_filtration(selfsq5):
     adj2 = adjoint_filtration(selfsq5)
     assert len(adj2.terms) - 1 <= l_series(selfsq5).nilpotency_class + 1
     assert adj2.terms[-1] == frozenset({0})
+
+
+def test_adjoint_filtration_rejects_non_raising_chain(selfsq5):
+    # (a, 0) is a chain of strong left ideals, but L_{g1} maps g1 to g2 != 0:
+    # the caller's chain is at fault, which is a ModArithError naming a = g1
+    F = Filtration((frozenset(range(25)), frozenset({0})))
+    with pytest.raises(ModArithError, match=r"for a = 1$"):
+        adjoint_filtration(selfsq5, F)
 
 
 def test_circ_lcs_lands_in_annihilator(selfsq5):
