@@ -29,7 +29,6 @@ from .liering import (
 from .modarith import AbelianBasis, Endo, ModArithError, PShape, PVec, endo_exp, endo_log, root_of_unity
 from .postlie import (
     PostLieRing,
-    circ_ring,
     classify_subset,
     l_series,
     right_series,
@@ -174,7 +173,7 @@ def post_lie_to_brace(P: PostLieRing, check: bool = True) -> FlowResult:
         if bser.nilpotency_class != k:
             raise FailedTheoremError("L-class changed across the flow construction")
         # W is a group isomorphism Laz(circ ring) -> (A, o)
-        lazc = laz(circ_ring(P), F=None)
+        lazc = laz(P.circ, F=None)
         if not np.array_equal(W[lazc.table], circ[W[:, None], W[None, :]]):
             raise FailedTheoremError("W is not an isomorphism onto the circle group")
     return FlowResult(P, brace, W, Omega, k)
@@ -345,7 +344,7 @@ def brace_to_post_lie(B: SkewBrace, check: bool = True) -> LogResult:
         if pser.nilpotency_class != k:
             raise FailedTheoremError("L-class changed across the logarithm construction")
         # Omega: (A, o) -> circ ring is a group isomorphism onto Laz of it
-        lazc = laz(circ_ring(P), F=None)
+        lazc = laz(P.circ, F=None)
         om_s = basis.index_of_elem[Omega]
         lhs = om_s[B.circ.table]
         rhs = lazc.table[om_s[:, None], om_s[None, :]]
@@ -387,8 +386,10 @@ def transfer_report(
     """Classify every additive subgroup on both sides of the correspondence
     and compare; also compares fix/socle/annihilator and right nilpotency.
 
-    The exhaustive subgroup sweep is desk-scale work; disable it for larger
-    carriers and keep the set comparisons."""
+    The sweep builds each subgroup once (all_add_subgroups) and classifies
+    it on generators on the post-Lie side; the brace side checks whole
+    tables, so its cost grows with the number of subgroups times |A|.
+    include_subgroups=False keeps only the set comparisons."""
     flow = flow or post_lie_to_brace(P)
     B = flow.brace
     s = P.shape

@@ -249,20 +249,50 @@ def verify_lie(L: LieRingSC) -> CheckReport:
 # Additive subgroups of a shape module.
 
 
+def _extend(shape: PShape, members: np.ndarray, gens, q: int) -> np.ndarray:
+    """{h + t g : h in members, 0 <= t < q} by one broadcast add, as a row
+    for each g of `gens` (one g or an array).  A row has no repeats when q
+    is the order of g modulo the subgroup `members`: the cosets members + t g
+    are then disjoint."""
+    steps = np.arange(q, dtype=np.int64)[:, None, None] * shape.coords_batch(gens)[..., None, None, :]
+    sums = shape.index_batch(steps + shape.coords_batch(members))
+    return sums.reshape(sums.shape[:-2] + (-1,))
+
+
+def _span_fold(shape: PShape, order, target: frozenset | None = None) -> tuple[np.ndarray, list[int]]:
+    """Fold H <- H + <g> from H = 0 over the elements g of `order` not yet in
+    H; returns the members of H and the g kept.  With a target, stops as soon
+    as H equals it."""
+    p = shape.p
+    order = np.asarray(order, dtype=np.int64)
+    inside = np.zeros(shape.order, dtype=bool)
+    inside[0] = True
+    members = np.zeros(1, dtype=np.int64)
+    if target is not None:
+        goal = np.zeros(shape.order, dtype=bool)
+        goal[list(target)] = True
+    kept: list[int] = []
+    while order.size:
+        if target is not None and members.size == len(target) and goal[members].all():
+            break
+        fresh = np.flatnonzero(~inside[order])
+        if fresh.size == 0:
+            break
+        g = int(order[fresh[0]])
+        order = order[fresh[0] + 1:]
+        # the order of g modulo H: the least p^j with p^j g in H
+        multiples = shape.index_batch(np.multiply.outer(
+            p ** np.arange(shape.exps[0] + 1), shape.coords_batch(g)))
+        members = _extend(shape, members, g, p ** int(np.argmax(inside[multiples])))
+        inside[members] = True
+        kept.append(g)
+    return members, kept
+
+
 def add_closure(shape: PShape, gen_indices) -> frozenset:
     """Subgroup of (shape, +) generated by the given element indices."""
-    gens = np.unique(np.asarray(sorted(set(int(g) for g in gen_indices)), dtype=np.int64))
-    members = {0}
-    frontier = [0]
-    if gens.size == 0:
-        return frozenset(members)
-    gen_coords = shape.coords_batch(gens)
-    while frontier:
-        fc = shape.coords_batch(np.asarray(frontier, dtype=np.int64))
-        sums = shape.index_batch(fc[:, None, :] + gen_coords[None, :, :]).ravel()
-        frontier = [int(s) for s in np.unique(sums) if int(s) not in members]
-        members.update(frontier)
-    return frozenset(members)
+    members, _ = _span_fold(shape, sorted(set(int(g) for g in gen_indices)))
+    return frozenset(members.tolist())
 
 
 def _greedy_gens(closure, members: frozenset, order=None) -> list[int]:
@@ -284,31 +314,41 @@ def _greedy_gens(closure, members: frozenset, order=None) -> list[int]:
 
 
 def _subgroup_gens(shape: PShape, members: frozenset) -> list[int]:
-    """Small generating set of an additive subgroup (greedy, deterministic);
-    the unit vectors for the whole carrier."""
+    """Small generating set of an additive subgroup (the greedy walk over
+    sorted members, deterministic); the unit vectors for the whole carrier."""
     if len(members) == shape.order:
         return [u.index for u in shape.units()]
-    return _greedy_gens(lambda gens: add_closure(shape, gens), members)
+    return _span_fold(shape, sorted(members), members)[1]
 
 
 def all_add_subgroups(shape: PShape) -> list[frozenset]:
-    """Every additive subgroup, BFS over one-element extensions (desk scale)."""
-    trivial = frozenset({0})
-    seen = {trivial}
-    queue = [trivial]
-    out = [trivial]
-    while queue:
-        H = queue.pop()
-        gens = _subgroup_gens(shape, H)
-        for x in range(1, shape.order):
-            if x in H:
-                continue
-            H2 = add_closure(shape, gens + [x])
-            if H2 not in seen:
-                seen.add(H2)
-                out.append(H2)
-                queue.append(H2)
-    return sorted(out, key=lambda s: (len(s), sorted(s)))
+    """Every additive subgroup, each built once, sorted by (size, members).
+
+    Built one cyclic factor at a time: a subgroup H of A' (+) Z/p^e is
+    K + <(y, p^c)> for exactly one triple of K = H meet A', 0 <= c <= e and
+    y the least element of its coset y + K with p^(e-c) y in K (Goursat's
+    lemma for a cyclic factor).  Factor i enters with stride |A'|, so A'
+    is the index range below that stride, and no closure is taken.
+    """
+    p = shape.p
+    subs = [np.zeros(1, dtype=np.int64)]
+    for e, stride in zip(shape.exps, shape.strides()):
+        prefix = np.arange(stride, dtype=np.int64)
+        pc = shape.coords_batch(prefix)
+        out = []
+        for K in subs:
+            in_k = np.zeros(stride, dtype=bool)
+            in_k[K] = True
+            least = shape.index_batch(pc[:, None, :] + shape.coords_batch(K)).min(axis=1) == prefix
+            out.append(K)  # c = e
+            for c in range(e):
+                q = p ** (e - c)
+                ys = prefix[least & in_k[shape.index_batch(q * pc)]]
+                out.extend(_extend(shape, K, ys + stride * p ** c, q))
+        subs = out
+    subs = [np.sort(H) for H in subs]
+    subs.sort(key=lambda H: (H.size, H.tolist()))
+    return [frozenset(H.tolist()) for H in subs]
 
 
 def _index_set(op, A, B) -> set[int]:

@@ -10,6 +10,7 @@ on generator triples, to which tri-additivity reduces them.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import product
 
 import numpy as np
@@ -26,6 +27,7 @@ from .liering import (
     _ill_defined_pairs,
     _index_set,
     _on_indices,
+    _span_fold,
     _subgroup_gens,
     _validate_lie_filtration,
     descending_series,
@@ -95,6 +97,11 @@ class PostLieRing:
 
     def triangle(self, u: PVec, v: PVec) -> PVec:
         return self.shape.vec(self.tri_batch(u.np(), v.np()))
+
+    @cached_property
+    def circ(self) -> LieRingSC:
+        """circ_ring(self), built and verified once per ring."""
+        return circ_ring(self)
 
 
 def l_mul(P: PostLieRing, a: PVec) -> Endo:
@@ -212,20 +219,32 @@ def substructures(P: PostLieRing) -> tuple[frozenset, frozenset, frozenset]:
 
 
 def classify_subset(P: PostLieRing, members: frozenset) -> IdealLevel:
-    """Strongest substructure level of an explicit subset (no closure taken)."""
+    """Strongest substructure level of an explicit subset (no closure taken).
+
+    Each level is tested on generators g of the subset and the unit
+    vectors u of the ring, which is exact by biadditivity: [g, g] and
+    g > g for closure, then u > g, [u, g] and the circ bracket {u, g}.
+    """
     s = P.shape
-    if add_closure(s, members) != members:
+    H = sorted(members)
+    span, gens = _span_fold(s, H, members)
+    if span.size != len(H):  # the fold stops at H exactly when H is closed
         return IdealLevel.NOT_CLOSED
-    full = frozenset(range(s.order))
-    if not _bracket_set(P.base, members, members) <= members:
+    inside = np.zeros(s.order, dtype=bool)
+    inside[H] = True
+    G = s.coords_batch(np.asarray(gens, dtype=np.int64))
+    units = np.eye(s.rank, dtype=np.int64)
+
+    def within(op, X):
+        return inside[s.index_batch(op(X[:, None, :], G[None, :, :]))].all()
+
+    if not (within(P.base.bracket_batch, G) and within(P.tri_batch, G)):
         return IdealLevel.NOT_CLOSED
-    if not _tri_set(P, members, members) <= members:
-        return IdealLevel.NOT_CLOSED
-    if not _tri_set(P, full, members) <= members:
+    if not within(P.tri_batch, units):
         return IdealLevel.SUB
-    if not _bracket_set(P.base, full, members) <= members:
+    if not within(P.base.bracket_batch, units):
         return IdealLevel.LEFT_IDEAL
-    if not _bracket_set(circ_ring(P), full, members) <= members:
+    if not within(P.circ.bracket_batch, units):
         return IdealLevel.STRONG_LEFT_IDEAL
     return IdealLevel.IDEAL
 
@@ -271,7 +290,7 @@ def adjoint_filtration(P: PostLieRing, F: Filtration | None = None) -> AdjointFi
     if out_terms[-1] != frozenset({0}):
         out_terms.append(frozenset({0}))
     try:
-        _validate_lie_filtration(circ_ring(P), Filtration(tuple(out_terms)))
+        _validate_lie_filtration(P.circ, Filtration(tuple(out_terms)))
     except ModArithError as exc:
         raise FailedTheoremError(f"adjoint chain is not a filtration of the circ ring: {exc}") from exc
     p = s.p

@@ -1,9 +1,11 @@
 """The generator-based verifiers against exhaustive oracles.
 
-verify_group_table, verify_skew_brace and the filtration validators check
-each law on generators only.  The oracles below sweep every triple or
-pair, as the library once did, and must give the same verdict on every
-table and chain of the corpus, valid or not.
+verify_group_table, verify_skew_brace, the filtration validators and
+classify_subset check each law on generators only, and all_add_subgroups
+builds each subgroup once without a closure.  The oracles below sweep
+every triple or pair, or search by closure, as the library once did, and
+must give the same verdict or list on every table, chain and subset of
+the corpus, valid or not.
 """
 
 import numpy as np
@@ -11,11 +13,13 @@ import pytest
 
 import catalogs
 from lazbrace import formats
+from lazbrace.common import IdealLevel
 from lazbrace.liering import (
     Filtration,
     FinGroup,
     _bracket_set,
     _comm_set,
+    _greedy_gens,
     add_closure,
     all_add_subgroups,
     group_closure,
@@ -24,7 +28,8 @@ from lazbrace.liering import (
     validate_group_filtration,
     verify_group_table,
 )
-from lazbrace.modarith import ModArithError
+from lazbrace.modarith import ModArithError, PShape
+from lazbrace.postlie import PostLieRing, _tri_set, circ_ring, classify_subset, verify_post_lie
 from lazbrace.skewbrace import SkewBrace, _all_subgroups_group, verify_skew_brace
 
 
@@ -65,6 +70,65 @@ def oracle_filtration(F: Filtration, full, trivial, closure, op) -> bool:
         return False
     return all(op(ti, tj) <= F.term(i + j)
                for i, ti in enumerate(terms, start=1) for j, tj in enumerate(terms, start=1))
+
+
+def oracle_add_closure(shape: PShape, gen_indices) -> frozenset:
+    """Frontier search: add every generator to the newest members until no
+    new element appears."""
+    gens = np.unique(np.asarray(sorted(set(int(g) for g in gen_indices)), dtype=np.int64))
+    members = {0}
+    frontier = [0]
+    if gens.size == 0:
+        return frozenset(members)
+    gen_coords = shape.coords_batch(gens)
+    while frontier:
+        fc = shape.coords_batch(np.asarray(frontier, dtype=np.int64))
+        sums = shape.index_batch(fc[:, None, :] + gen_coords[None, :, :]).ravel()
+        frontier = [int(s) for s in np.unique(sums) if int(s) not in members]
+        members.update(frontier)
+    return frozenset(members)
+
+
+def oracle_add_subgroups(shape: PShape) -> list[frozenset]:
+    """Breadth-first search over one-element extensions, deduplicated
+    through a set of the subgroups seen."""
+    closure = lambda gens: oracle_add_closure(shape, gens)
+    trivial = frozenset({0})
+    seen = {trivial}
+    queue = [trivial]
+    out = [trivial]
+    while queue:
+        H = queue.pop()
+        gens = _greedy_gens(closure, H)
+        for x in range(1, shape.order):
+            if x in H:
+                continue
+            H2 = closure(gens + [x])
+            if H2 not in seen:
+                seen.add(H2)
+                out.append(H2)
+                queue.append(H2)
+    return sorted(out, key=lambda s: (len(s), sorted(s)))
+
+
+def oracle_classify_subset(P, members: frozenset) -> IdealLevel:
+    """Each level by the product sets over all pairs of the carrier and
+    the subset."""
+    s = P.shape
+    if oracle_add_closure(s, members) != members:
+        return IdealLevel.NOT_CLOSED
+    full = frozenset(range(s.order))
+    if not _bracket_set(P.base, members, members) <= members:
+        return IdealLevel.NOT_CLOSED
+    if not _tri_set(P, members, members) <= members:
+        return IdealLevel.NOT_CLOSED
+    if not _tri_set(P, full, members) <= members:
+        return IdealLevel.SUB
+    if not _bracket_set(P.base, full, members) <= members:
+        return IdealLevel.LEFT_IDEAL
+    if not _bracket_set(circ_ring(P), full, members) <= members:
+        return IdealLevel.STRONG_LEFT_IDEAL
+    return IdealLevel.IDEAL
 
 
 def _raises_modarith(fn) -> bool:
@@ -168,3 +232,62 @@ def test_lie_chains_match_the_pairwise_oracle():
                                 lambda A, B: _bracket_set(L, A, B)) for F in chains]
     assert verdicts == oracle
     assert True in verdicts and False in verdicts
+
+
+# Subgroup counts of each shape (Birkhoff-Delsarte): p = 2, rank 1 and
+# mixed exponents included.
+_SUBGROUP_COUNTS = [
+    (3, (1, 1, 1, 1), 212), (5, (1, 1, 1), 64), (3, (1, 1, 1), 28), (3, (2, 1), 10),
+    (3, (2, 1, 1), 50), (3, (2, 2), 23), (5, (2, 1), 14), (3, (3,), 4), (2, (2, 1, 1), 27),
+]
+
+
+@pytest.mark.parametrize("p, exps, total", _SUBGROUP_COUNTS)
+def test_subgroups_match_the_closure_search(p, exps, total):
+    shape = PShape(p, exps)
+    subs = all_add_subgroups(shape)
+    assert len(subs) == total
+    assert len(set(subs)) == total
+    assert subs == oracle_add_subgroups(shape)
+
+
+def test_add_closure_matches_the_frontier_oracle(rng):
+    for p, exps, _ in _SUBGROUP_COUNTS:
+        shape = PShape(p, exps)
+        for k in (0, 1, 1, 2, 2, 3, 5):
+            gens = rng.integers(0, shape.order, size=k).tolist()
+            assert add_closure(shape, gens) == oracle_add_closure(shape, gens), (p, exps, gens)
+
+
+def _non_subgroups(subs, n, rng):
+    """A subgroup with one outside element added or one nonzero member
+    dropped, and a random subset holding 0: none is an additive subgroup
+    (the last one is dropped in the rare case that it is)."""
+    H = subs[int(rng.integers(1, len(subs) - 1))]
+    outside = sorted(set(range(n)) - H)
+    out = [H | {int(rng.choice(outside))}, H - {int(rng.choice(sorted(H - {0})))}]
+    picked = frozenset({0} | set(rng.choice(n, size=int(rng.integers(2, n)), replace=False).tolist()))
+    return out + [picked] * (picked not in subs)
+
+
+def _left_not_right(p):
+    """g2 > g1 = g3 on the abelian (p;[1,1,1]): <g2> is a strong left
+    ideal and not an ideal, a level no catalog ring reaches."""
+    P = PostLieRing.from_products(catalogs.abelian(p, (1, 1, 1)), {(1, 0): (0, 0, 1)})
+    assert verify_post_lie(P).ok
+    return P
+
+
+def test_classifications_match_the_pairwise_oracle(postlie_cat, rng):
+    rings = [(name, P) for name, P in postlie_cat if P.shape.order <= 125]
+    levels = set()
+    for name, P in rings + [("left_not_right_p3", _left_not_right(3))]:
+        subs = all_add_subgroups(P.shape)
+        for S in subs:
+            level = classify_subset(P, S)
+            assert level == oracle_classify_subset(P, S), (name, sorted(S))
+            levels.add(level)
+        if len(subs) > 2:
+            for S in _non_subgroups(subs, P.shape.order, rng):
+                assert classify_subset(P, S) == oracle_classify_subset(P, S) == IdealLevel.NOT_CLOSED
+    assert levels == set(IdealLevel)

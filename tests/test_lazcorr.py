@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 import catalogs
 from lazbrace import formats, freelie
 from lazbrace.common import NotLazardError
-from lazbrace.liering import Filtration, add_closure, canonical_filtration, laz, laz_inv, laz_of_table
+from lazbrace.liering import Filtration, FinGroup, add_closure, canonical_filtration, laz, laz_inv, laz_of_table
 from lazbrace.modarith import Endo, PShape, PVec, endo_exp, endo_log
 from lazbrace.postlie import PostLieRing, circ_ring, l_mul, l_series, verify_post_lie
 from lazbrace.skewbrace import (
@@ -535,3 +535,32 @@ def test_brace_round_trip_property(L):
     eo, ie = log.basis.elem_of, log.basis.index_of_elem
     assert np.array_equal(eo[back.dot.table[ie[:, None], ie[None, :]]], B.dot.table)
     assert np.array_equal(eo[back.circ.table[ie[:, None], ie[None, :]]], B.circ.table)
+
+
+def _relabelled_radical_brace(pe, seed):
+    """A radical brace with its carrier moved by a permutation fixing 0."""
+    B = catalogs.radical_brace(*pe)
+    n = B.order
+    perm = np.concatenate([[0], 1 + np.random.default_rng(seed).permutation(n - 1)])
+    inv = np.empty_like(perm)
+    inv[perm] = np.arange(n)
+    relabel = lambda G: FinGroup(perm[G.table[inv[:, None], inv[None, :]]], 0)
+    return SkewBrace(relabel(B.dot), relabel(B.circ))
+
+
+_written_values = st.one_of(
+    # a > b = -[a, b] makes any Lie ring post-Lie, with triangle lines
+    _graded_rings.map(lambda L: PostLieRing(L, L.shape.reduce(-L.sc))),
+    _graded_rings.map(catalogs.zero_triangle),
+    st.builds(_relabelled_radical_brace,
+              st.sampled_from([(3, 1), (3, 2), (3, 3), (5, 1), (5, 2), (7, 1), (7, 2)]),
+              st.integers(0, 2 ** 16)),
+)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40)
+@given(_written_values)
+def test_parse_write_identity_property(value):
+    text = formats.write_text(value)
+    _, parsed = formats.parse_text(text)
+    assert formats.write_text(parsed) == text
