@@ -374,12 +374,10 @@ def fold_terms(terms, x, y, node, step, acc):
     return acc
 
 
-def bch_terms(k: int):
+@lru_cache(maxsize=None)
+def bch_terms(k: int) -> tuple:
     """(standard bracketing, coefficient) of the BCH series in degrees 1..k."""
-    for deg, _word, tree, coeff in bch_basis_terms(max(k, 1)):
-        if deg > k:
-            return
-        yield tree, coeff
+    return tuple((tree, coeff) for deg, _word, tree, coeff in bch_basis_terms(max(k, 1)) if deg <= k)
 
 
 # ---------------------------------------------------------------------------

@@ -9,15 +9,18 @@ arrays; bulk operations are vectorized over element-index arrays.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
 from . import freelie
 from .common import CapExceededError, FailedTheoremError, NotLazardError
-from .modarith import AbelianBasis, ModArithError, PShape, PVec, Endo, abelian_decompose, prime_power
+from .modarith import (AbelianBasis, ModArithError, PShape, PVec, Endo, abelian_decompose, prime_power,
+                       _table_orders, _table_times)
 
 __all__ = [
     "LieRingSC",
@@ -492,14 +495,7 @@ class FinGroup:
         if m < 0:
             X = self.inv[X]
             m = -m
-        acc = np.full_like(X, self.identity)
-        base = X
-        while m > 0:
-            if m & 1:
-                acc = self.table[acc, base]
-            base = self.table[base, base]
-            m >>= 1
-        return acc
+        return _table_times(self.table, X, m, self.identity)
 
     def power(self, g: int, m: int) -> int:
         return int(self.power_batch(np.asarray([g]), m)[0])
@@ -513,21 +509,8 @@ class FinGroup:
     @cached_property
     def element_orders(self) -> np.ndarray:
         """Orders of all elements; requires a p-group."""
-        n = self.order
-        p, _ = prime_power(n) if n > 1 else (2, 0)
-        orders = np.zeros(n, dtype=np.int64)
-        cur = np.arange(n)
-        t = 0
-        while (orders == 0).any():
-            fresh = (cur == self.identity) & (orders == 0)
-            orders[fresh] = p ** t
-            if (orders != 0).all():
-                break
-            cur = self.power_batch(cur, p)
-            t += 1
-            if n > 1 and p ** t > n:
-                raise ModArithError("element order is not a p-power")
-        return orders
+        p = prime_power(self.order)[0] if self.order > 1 else 2
+        return _table_orders(self.table, self.identity, p)
 
     @cached_property
     def exponent(self) -> int:
@@ -578,8 +561,78 @@ def verify_group_table(table) -> CheckReport:
     return CheckReport(not failures, tuple(failures))
 
 
+class _Tree(NamedTuple):
+    """A breadth-first Schreier tree of z -> g z from `root`: rows[i] is
+    x -> gens[i] x, and each level (ys, zs, i) has ys = gens[i] zs."""
+
+    root: int
+    gens: list[int]
+    rows: np.ndarray
+    levels: list
+
+
+def _schreier(n: int, identity: int, row_of, gens, grow: bool = False) -> _Tree:
+    """Grow the tree over 0..n-1 one vectorised level at a time; row_of(g)
+    is the array x -> g x.  Where the tree stops short, its least unreached
+    element joins the generators (grow) or is named in a FailedTheoremError.
+    Every 2 isqrt(n) levels the least element of the newest level joins
+    them too, so that a cyclic tree is about 2.5 sqrt(n) deep, not n."""
+    gens = [int(g) for g in gens]
+    rows = [row_of(g) for g in gens]
+    reached = np.zeros(n, dtype=bool)
+    reached[identity] = True
+    levels = []
+    frontier = np.array([identity])
+    deep = 2 * math.isqrt(n)
+    while not reached.all():
+        blocks = [(frontier, i) for i in range(len(gens))] if frontier.size else []
+        if not blocks or len(levels) % deep == deep - 1:
+            new = int(frontier[0]) if blocks else int(np.argmin(reached))
+            if not (blocks or grow):
+                raise FailedTheoremError(
+                    f"generator rows do not generate: the Schreier tree misses element {new}")
+            gens.append(new)
+            rows.append(row_of(new))
+            blocks.append((np.flatnonzero(reached), len(gens) - 1))
+        cand = np.concatenate([rows[i][zs] for zs, i in blocks])
+        fresh = np.flatnonzero(~reached[cand])
+        ys, first = np.unique(cand[fresh], return_index=True)
+        pos = fresh[first]
+        levels.append((ys, np.concatenate([zs for zs, _ in blocks])[pos],
+                       np.concatenate([np.full(zs.size, i) for zs, i in blocks])[pos]))
+        reached[ys] = True
+        frontier = ys
+    return _Tree(identity, gens, np.asarray(rows, dtype=np.int64).reshape(-1, n), levels)
+
+
+def _fill(tree: _Tree, first, step) -> np.ndarray:
+    """The table with row `first` at the root and row y = step(i, row z) on
+    each tree edge y = gens[i] z, one gather per level (chunked)."""
+    n = len(first)
+    table = np.empty((n, n), dtype=np.int64)
+    table[tree.root] = first
+    chunk = max(1, _CHUNK // n)
+    for ys, zs, gi in tree.levels:
+        for start in range(0, ys.size, chunk):
+            part = slice(start, start + chunk)
+            table[ys[part]] = step(gi[part], table[zs[part]])
+    return table
+
+
+def _fill_group(tree: _Tree) -> np.ndarray:
+    """The Cayley table of an associative product fixed by the tree's
+    generator rows: row y = g z is row_g[row z]."""
+    return _fill(tree, np.arange(tree.rows.shape[1]), lambda i, Z: tree.rows[i[:, None], Z])
+
+
 def laz(L: LieRingSC, F: Filtration | None = None, force: bool = False) -> FinGroup:
-    """The Lazard group (a, BCH) of a Lazard Lie ring, as a Cayley table."""
+    """The Lazard group (a, BCH) of a Lazard Lie ring, as a Cayley table.
+
+    BCH is evaluated on the rows BCH(g_i, .) of the unit vectors only, and
+    the table is filled from them along a Schreier tree: in a Lazard ring a
+    set generates the group it generates as a Lie ring (Khukhro), and BCH
+    is associative there.
+    """
     _check_order_cap(L.order, force)
     if F is None:
         F = canonical_filtration(L)  # a lower central series is a filtration by construction
@@ -590,17 +643,11 @@ def laz(L: LieRingSC, F: Filtration | None = None, force: bool = False) -> FinGr
             f"class {F.length} >= p = {L.shape.p}: BCH denominators would divide p"
         )
     shape = L.shape
-    n = shape.order
     coords = shape.all_coords()
-    table = np.empty((n, n), dtype=np.int64)
-    step = max(1, _CHUNK // n)
     degree = max(F.length, 1)
-    for start in range(0, n, step):
-        stop = min(n, start + step)
-        A = np.repeat(coords[start:stop], n, axis=0)
-        B = np.tile(coords, (stop - start, 1))
-        table[start:stop] = shape.index_batch(_bch_batch(L, degree, A, B)).reshape(stop - start, n)
-    return FinGroup(table, 0)
+    tree = _schreier(shape.order, 0, lambda g: shape.index_batch(_bch_batch(
+        L, degree, np.broadcast_to(coords[g], coords.shape), coords)), [u.index for u in shape.units()])
+    return FinGroup(_fill_group(tree), 0)
 
 
 def group_root(G: FinGroup, g: int, n: int) -> int:
@@ -635,9 +682,21 @@ def _comm_set(G: FinGroup, A: frozenset, B: frozenset) -> set[int]:
 
 
 def canonical_group_filtration(G: FinGroup) -> SeriesResult:
-    """Lower central series G_1 = G, G_(i+1) = [G, G_i]."""
-    full = frozenset(range(G.order))
-    return descending_series(full, lambda cur: group_closure(G, _comm_set(G, full, cur)))
+    """Lower central series G_1 = G, G_(i+1) = [G, G_i]: the normal closure
+    of the [g, h] for generators g of G and h of G_i (Robinson, 5.1.7)."""
+    gens = np.asarray(_group_gens(G), dtype=np.int64)
+
+    def next_term(cur: frozenset) -> frozenset:
+        S = set(G.comm_batch(gens[:, None], np.asarray(_group_gens(G, cur))).ravel().tolist())
+        while True:
+            N = group_closure(G, S)
+            s = np.asarray(sorted(S), dtype=np.int64)
+            conj = set(G.table[G.table[G.inv[gens][:, None], s], gens[:, None]].ravel().tolist()) - N
+            if not conj:
+                return N
+            S |= conj
+
+    return descending_series(frozenset(range(G.order)), next_term)
 
 
 def _group_gens(G: FinGroup, members: frozenset | None = None, order=None) -> list[int]:
@@ -701,7 +760,13 @@ class LieRingTable:
 
 
 def laz_inv(G: FinGroup, F: Filtration | None = None, force: bool = False) -> LieRingTable:
-    """Laz^-1(G): a + b = P(a, b), [a, b] = Q(a, b), on the same carrier."""
+    """Laz^-1(G): a + b = P(a, b), [a, b] = Q(a, b), on the same carrier.
+
+    P and Q are evaluated only on the rows of a few generators, each the
+    least element the rows P(g, .) so far do not reach.  The addition is
+    filled along their Schreier tree, and the bracket on the same edges,
+    since P and Q give a Lie ring for class < p (Lazard).
+    """
     _check_order_cap(G.order, force)
     if F is None:
         series = canonical_group_filtration(G)
@@ -721,16 +786,13 @@ def laz_inv(G: FinGroup, F: Filtration | None = None, force: bool = False) -> Li
     p_word = p_word.truncated(k)
     q_word = q_word.truncated(k)
     n = G.order
-    add = np.empty((n, n), dtype=np.int64)
-    br = np.empty((n, n), dtype=np.int64)
     idx = np.arange(n, dtype=np.int64)
-    step = max(1, _CHUNK // n)
-    for start in range(0, n, step):
-        stop = min(n, start + step)
-        A = np.repeat(idx[start:stop], n)
-        B = np.tile(idx, stop - start)
-        add[start:stop] = _eval_word_batch(G, p_word, A, B).reshape(stop - start, n)
-        br[start:stop] = _eval_word_batch(G, q_word, A, B).reshape(stop - start, n)
+    tree = _schreier(n, G.identity, lambda g: _eval_word_batch(G, p_word, np.full(n, g), idx),
+                     [], grow=True)
+    add = _fill_group(tree)
+    q_rows = np.asarray([_eval_word_batch(G, q_word, np.full(n, g), idx) for g in tree.gens])
+    # biadditivity: [g + z, x] = [z, x] + [g, x] on each tree edge
+    br = _fill(tree, np.full(n, G.identity), lambda i, Z: add[Z, q_rows[i]])
     return LieRingTable(add, br, G.identity)
 
 
@@ -751,8 +813,11 @@ def table_to_sc(T: LieRingTable) -> tuple[LieRingSC, AbelianBasis]:
     for start in range(0, n, step):
         stop = min(n, start + step)
         blk = L.bracket_batch(coords[start:stop, None, :], coords[None, :, :])
-        if not np.array_equal(basis.elem_of[shape.index_batch(blk)], T.bracket[start:stop]):
-            raise FailedTheoremError("bracket table is not biadditive over the decomposition")
+        bad = basis.elem_of[shape.index_batch(blk)] != T.bracket[start:stop]
+        if bad.any():
+            a, b = np.argwhere(bad)[0]
+            raise FailedTheoremError("bracket table is not biadditive over the decomposition"
+                                     f" at (a,b)=({start + int(a)},{int(b)})")
     return L, basis
 
 
@@ -780,35 +845,40 @@ def verify_lie_table(T: LieRingTable) -> CheckReport:
     return CheckReport(not failures, tuple(failures))
 
 
+def _table_series(T: LieRingTable) -> SeriesResult:
+    """Lower central series of a table Lie ring: [T, X] is the additive
+    closure of the brackets of additive generators of T and X, as the
+    bracket is biadditive."""
+    G = T.add_group()
+    gens = _group_gens(G)
+    return descending_series(frozenset(range(T.order)), lambda cur: group_closure(
+        G, T.bracket[np.ix_(gens, _group_gens(G, cur))].ravel()))
+
+
 def laz_of_table(T: LieRingTable, force: bool = False) -> FinGroup:
-    """Laz of a table Lie ring, computed purely on the tables (same carrier)."""
+    """Laz of a table Lie ring, computed purely on the tables (same carrier).
+
+    BCH is evaluated by table gathers only on the rows of a few
+    generators, grown as in `laz_inv`, and the table is filled from them.
+    """
     n = T.order
     _check_order_cap(n, force)
     if n == 1:
         return FinGroup(np.zeros((1, 1), dtype=np.int64), 0)
     G = T.add_group()
     p = _p_of_group(G)
-    # lower central series of the table ring, for the truncation degree
-    full = frozenset(range(n))
-    series = descending_series(
-        full, lambda cur: group_closure(G, _index_set(lambda x, y: T.bracket[x, y], full, cur)))
+    series = _table_series(T)
     if not series.is_nilpotent:
         raise NotLazardError("table Lie ring is not nilpotent")
     k = series.nilpotency_class
     if k >= p:
         raise NotLazardError(f"not Lazard: class {k} >= p = {p}")
-    table = np.empty((n, n), dtype=np.int64)
     idx = np.arange(n, dtype=np.int64)
-    step = max(1, _CHUNK // n)
-    for start in range(0, n, step):
-        stop = min(n, start + step)
-        A = np.repeat(idx[start:stop], n)
-        B = np.tile(idx, stop - start)
-        acc = freelie.fold_terms(freelie.bch_terms(k), A, B, lambda u, v: T.bracket[u, v],
-                                 lambda acc, v, c: T.add[acc, _rational_power_batch(G, v, c)],
-                                 np.full(A.shape, T.zero, dtype=np.int64))
-        table[start:stop] = acc.reshape(stop - start, n)
-    return FinGroup(table, T.zero)
+    zero = np.full(n, T.zero, dtype=np.int64)
+    tree = _schreier(n, T.zero, lambda g: freelie.fold_terms(
+        freelie.bch_terms(k), np.full(n, g), idx, lambda u, v: T.bracket[u, v],
+        lambda acc, v, c: T.add[acc, _rational_power_batch(G, v, c)], zero), [], grow=True)
+    return FinGroup(_fill_group(tree), T.zero)
 
 
 def ad_endo(L: LieRingSC, a: PVec) -> Endo:

@@ -408,24 +408,29 @@ def _find_identity(table: np.ndarray) -> int:
     return e
 
 
+def _table_orders(table: np.ndarray, identity: int, p: int) -> np.ndarray:
+    """Orders of all elements of a group table through successive p-th
+    powers; each must be a power of p."""
+    n = table.shape[0]
+    orders = np.zeros(n, dtype=np.int64)
+    cur = np.arange(n)
+    t = 0
+    while True:
+        orders[(cur == identity) & (orders == 0)] = p ** t
+        if (orders != 0).all():
+            return orders
+        cur = _table_times(table, cur, p, identity)
+        t += 1
+        if p ** t > n:
+            raise ModArithError("element order is not a p-power")
+
+
 def _greedy_decompose(table: np.ndarray, identity: int, p: int) -> list[tuple[int, int]]:
     """Return [(generator element, exponent e_i), ...], e_i non-increasing."""
     n = table.shape[0]
     if n == 1:
         return []
-    # element orders through successive p-th powers; all must be p-power.
-    orders = np.zeros(n, dtype=np.int64)
-    cur = np.arange(n)
-    t = 0
-    while (orders == 0).any():
-        done = (cur == identity) & (orders == 0)
-        orders[done] = p ** t
-        if (orders != 0).all():
-            break
-        cur = _table_times(table, cur, p, identity)
-        t += 1
-        if p ** t > n:
-            raise ModArithError("element order is not a p-power")
+    orders = _table_orders(table, identity, p)
     maxo = int(orders.max())
     e1 = 0
     while p ** e1 < maxo:
@@ -444,12 +449,10 @@ def _greedy_decompose(table: np.ndarray, identity: int, p: int) -> list[tuple[in
     qn = reps.size
     if qn * maxo != n:
         raise ModArithError("table is not a group (coset sizes are uneven)")
-    qindex = {int(r): i for i, r in enumerate(reps)}
-    qtable = np.empty((qn, qn), dtype=np.int64)
-    for i, r in enumerate(reps):
-        qtable[i] = [qindex[int(reps_of[int(table[int(r), int(s)])])] for s in reps]
-    qid = qindex[int(reps_of[identity])]
-    sub = _greedy_decompose(qtable, qid, p)
+    qindex = np.empty(n, dtype=np.int64)
+    qindex[reps] = np.arange(qn)
+    qtable = qindex[reps_of[table[np.ix_(reps, reps)]]]
+    sub = _greedy_decompose(qtable, int(qindex[reps_of[identity]]), p)
     out = [(g, e1)]
     for qgen, f in sub:
         x = int(reps[qgen])
@@ -481,9 +484,8 @@ def abelian_decompose(table) -> AbelianBasis:
         raise ModArithError("table entries out of range")
     if not np.array_equal(table, table.T):
         raise ModArithError("table is not abelian")
-    for row in table:
-        if np.unique(row).size != n:
-            raise ModArithError("table rows are not permutations")
+    if (np.sort(table, axis=1) != np.arange(n)).any():
+        raise ModArithError("table rows are not permutations")
     p, _ = prime_power(n)
     identity = _find_identity(table)
     gens_exps = _greedy_decompose(table, identity, p)

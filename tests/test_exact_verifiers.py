@@ -2,33 +2,57 @@
 
 verify_group_table, verify_skew_brace, the filtration validators and
 classify_subset check each law on generators only, and all_add_subgroups
-builds each subgroup once without a closure.  The oracles below sweep
-every triple or pair, or search by closure, as the library once did, and
-must give the same verdict or list on every table, chain and subset of
-the corpus, valid or not.
+builds each subgroup once without a closure.  laz, laz_inv and
+laz_of_table evaluate only the rows of generators and fill the rest along
+a Schreier tree, and the lower central series of groups and table rings
+work on generators.  The oracles below sweep every triple or pair, or
+search by closure, as the library once did, and must give the same
+verdict, list or table on every table, chain, subset and ring of the
+corpus, valid or not.
 """
 
 import numpy as np
 import pytest
 
 import catalogs
-from lazbrace import formats
+from lazbrace import formats, freelie
 from lazbrace.common import IdealLevel
 from lazbrace.liering import (
+    _CHUNK,
     Filtration,
     FinGroup,
+    LieRingTable,
+    _bch_batch,
     _bracket_set,
     _comm_set,
+    _eval_word_batch,
     _greedy_gens,
+    _index_set,
+    _rational_power_batch,
+    _table_series,
     add_closure,
     all_add_subgroups,
+    canonical_filtration,
+    canonical_group_filtration,
+    descending_series,
     group_closure,
     is_lazard,
     laz,
+    laz_inv,
+    laz_of_table,
     validate_group_filtration,
     verify_group_table,
 )
-from lazbrace.modarith import ModArithError, PShape
+from lazbrace.modarith import (
+    AbelianBasis,
+    ModArithError,
+    PShape,
+    _find_identity,
+    _table_orders,
+    _table_times,
+    abelian_decompose,
+    prime_power,
+)
 from lazbrace.postlie import PostLieRing, _tri_set, circ_ring, classify_subset, verify_post_lie
 from lazbrace.skewbrace import SkewBrace, _all_subgroups_group, verify_skew_brace
 
@@ -129,6 +153,107 @@ def oracle_classify_subset(P, members: frozenset) -> IdealLevel:
     if not _bracket_set(circ_ring(P), full, members) <= members:
         return IdealLevel.STRONG_LEFT_IDEAL
     return IdealLevel.IDEAL
+
+
+def _pair_table(n: int, rows) -> np.ndarray:
+    """The (n, n) table with entry (a, b) = rows(A, B)[i] on the flat index
+    pairs (A[i], B[i]), evaluated a block of rows at a time."""
+    table = np.empty((n, n), dtype=np.int64)
+    idx = np.arange(n, dtype=np.int64)
+    step = max(1, _CHUNK // n)
+    for start in range(0, n, step):
+        stop = min(n, start + step)
+        table[start:stop] = rows(np.repeat(idx[start:stop], n), np.tile(idx, stop - start)).reshape(-1, n)
+    return table
+
+
+def oracle_laz(L) -> np.ndarray:
+    """BCH on every pair of coordinate vectors."""
+    s, co = L.shape, L.shape.all_coords()
+    degree = max(canonical_filtration(L).length, 1)
+    return _pair_table(s.order, lambda A, B: s.index_batch(_bch_batch(L, degree, co[A], co[B])))
+
+
+def oracle_group_series(G: FinGroup):
+    """G_(i+1) closed from the commutators of all of G with all of G_i."""
+    full = frozenset(range(G.order))
+    return descending_series(full, lambda cur: group_closure(G, _comm_set(G, full, cur)))
+
+
+def oracle_table_series(T: LieRingTable):
+    """[T, X] closed from the brackets of all of T with all of X."""
+    full = frozenset(range(T.order))
+    return descending_series(full, lambda cur: group_closure(
+        T.add_group(), _index_set(lambda x, y: T.bracket[x, y], full, cur)))
+
+
+def oracle_laz_inv(G: FinGroup, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """P and Q, truncated at the class k of G, on every pair of group elements."""
+    p_word, q_word = (w.truncated(k) for w in freelie.inverse_words(max(k, 1)))
+    return (_pair_table(G.order, lambda A, B: _eval_word_batch(G, p_word, A, B)),
+            _pair_table(G.order, lambda A, B: _eval_word_batch(G, q_word, A, B)))
+
+
+def oracle_laz_of_table(T: LieRingTable, k: int) -> np.ndarray:
+    """BCH, truncated at the class k of T, by table gathers on every pair of
+    carrier elements."""
+    G = T.add_group()
+    terms = freelie.bch_terms(k)
+    return _pair_table(T.order, lambda A, B: freelie.fold_terms(
+        terms, A, B, lambda u, v: T.bracket[u, v],
+        lambda acc, v, c: T.add[acc, _rational_power_batch(G, v, c)], np.full(A.shape, T.zero)))
+
+
+def _oracle_decompose(table, identity: int, p: int) -> list[tuple[int, int]]:
+    """[(generator, exponent)] by the greedy quotient recursion, the
+    quotient table built entry by entry through a dict."""
+    n = table.shape[0]
+    if n == 1:
+        return []
+    orders = _table_orders(table, identity, p)
+    maxo = int(orders.max())
+    e1 = 0
+    while p ** e1 < maxo:
+        e1 += 1
+    g = int(np.nonzero(orders == maxo)[0][0])
+    chain = [identity]
+    for _ in range(maxo - 1):
+        chain.append(int(table[chain[-1], g]))
+    dlog = {x: i for i, x in enumerate(chain)}
+    reps_of = table[:, np.array(chain, dtype=np.int64)].min(axis=1)
+    reps = np.unique(reps_of)
+    qindex = {int(r): i for i, r in enumerate(reps)}
+    qtable = np.empty((reps.size, reps.size), dtype=np.int64)
+    for i, r in enumerate(reps):
+        qtable[i] = [qindex[int(reps_of[int(table[int(r), int(c)])])] for c in reps]
+    out = [(g, e1)]
+    for qgen, f in _oracle_decompose(qtable, qindex[int(reps_of[identity])], p):
+        x = int(reps[qgen])
+        pf = p ** f
+        c = dlog[int(_table_times(table, np.array([x]), pf, identity)[0])]
+        out.append((int(table[x, chain[(maxo - (c // pf) % maxo) % maxo]]), f))
+    return out
+
+
+def oracle_abelian_decompose(table) -> AbelianBasis:
+    """The invariant-factor basis, with one np.unique per row."""
+    n = table.shape[0]
+    for row in table:
+        if np.unique(row).size != n:
+            raise ModArithError("table rows are not permutations")
+    p, _ = prime_power(n)
+    identity = _find_identity(table)
+    gens_exps = _oracle_decompose(table, identity, p)
+    elem_of = np.array([identity], dtype=np.int64)
+    for g, e in gens_exps:
+        chain = [identity]
+        for _ in range(p ** e - 1):
+            chain.append(int(table[chain[-1], g]))
+        elem_of = table[elem_of[None, :], np.array(chain, dtype=np.int64)[:, None]].ravel()
+    index_of_elem = np.empty(n, dtype=np.int64)
+    index_of_elem[elem_of] = np.arange(n)
+    return AbelianBasis(PShape(p, tuple(e for _, e in gens_exps)), tuple(g for g, _ in gens_exps),
+                        elem_of, index_of_elem)
 
 
 def _raises_modarith(fn) -> bool:
@@ -291,3 +416,57 @@ def test_classifications_match_the_pairwise_oracle(postlie_cat, rng):
             for S in _non_subgroups(subs, P.shape.order, rng):
                 assert classify_subset(P, S) == oracle_classify_subset(P, S) == IdealLevel.NOT_CLOSED
     assert levels == set(IdealLevel)
+
+
+# ---------------------------------------------------------------------------
+# Lazard tables from generator rows against the all-pairs evaluators.
+
+
+@pytest.fixture(scope="module")
+def lazard_tables(lie_cat, postlie_cat):
+    """(name, L, laz(L), laz_inv of it) over the Lie catalog and the base
+    and circ ring of every post-Lie catalog ring."""
+    rings = list(lie_cat) + [(f"{name}.{part}", getattr(P, part))
+                             for name, P in postlie_cat for part in ("base", "circ")]
+    out = []
+    for name, L in rings:
+        G = laz(L)
+        out.append((name, L, G, laz_inv(G)))
+    return out
+
+
+def test_lazard_tables_match_the_all_pairs_oracles(lazard_tables):
+    assert len(lazard_tables) == 153  # 51 Lie rings, 51 base and 51 circ rings
+    for name, L, G, T in lazard_tables:
+        assert np.array_equal(G.table, oracle_laz(L)), name
+        series = oracle_group_series(G)
+        assert canonical_group_filtration(G) == series, name
+        add, br = oracle_laz_inv(G, series.nilpotency_class)
+        assert np.array_equal(T.add, add) and np.array_equal(T.bracket, br), name
+        series = oracle_table_series(T)
+        assert _table_series(T) == series, name
+        assert np.array_equal(laz_of_table(T).table, oracle_laz_of_table(T, series.nilpotency_class)), name
+
+
+def test_group_series_match_the_all_pairs_oracle(data_dir):
+    _, G = formats.parse_file(data_dir / "extraspecial_27.grp")
+    assert canonical_group_filtration(G) == oracle_group_series(G)
+    # not nilpotent: S_3, stabilising at A_3
+    S3 = FinGroup(np.array([[0, 1, 2, 3, 4, 5], [1, 2, 0, 5, 3, 4], [2, 0, 1, 4, 5, 3],
+                            [3, 4, 5, 0, 1, 2], [4, 5, 3, 2, 0, 1], [5, 3, 4, 1, 2, 0]]), 0)
+    assert verify_group_table(S3.table).ok
+    assert canonical_group_filtration(S3) == oracle_group_series(S3)
+    assert not canonical_group_filtration(S3).is_nilpotent
+
+
+def test_abelian_bases_match_the_row_oracle(lazard_tables, lie_cat):
+    for name, _L, _G, T in lazard_tables[:len(lie_cat)]:
+        basis, oracle = abelian_decompose(T.add), oracle_abelian_decompose(T.add)
+        assert basis.shape == oracle.shape and basis.gens == oracle.gens, name
+        assert np.array_equal(basis.elem_of, oracle.elem_of), name
+        assert np.array_equal(basis.index_of_elem, oracle.index_of_elem), name
+    bad = np.add.outer(np.arange(9), np.arange(9)) % 9
+    bad[2, 5] = bad[5, 2] = 0  # symmetric, with rows that are not permutations
+    for decompose in (abelian_decompose, oracle_abelian_decompose):
+        with pytest.raises(ModArithError, match="not permutations"):
+            decompose(bad)

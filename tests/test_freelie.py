@@ -128,6 +128,18 @@ def test_bch_truncation_consistency():
         assert {w: v for w, v in b6.coeffs.items() if len(w) <= c} == bch_series(c).coeffs
 
 
+def test_bch_terms_can_be_iterated_twice():
+    for k in (0, 1, 3):
+        terms = freelie.bch_terms(k)
+        assert list(terms) == list(terms)
+        assert len(terms) == sum(1 for deg, *_ in freelie.bch_basis_terms(max(k, 1)) if deg <= k)
+    # a reused value is the BCH series, not the identity after its first use
+    terms = freelie.bch_terms(2)
+    add = lambda acc, v, c: acc + c * v
+    node = lambda u, v: u * 0
+    assert [freelie.fold_terms(terms, 2, 3, node, add, 0) for _ in range(2)] == [5, 5]
+
+
 def _lyndon_exponents(word: GroupWord) -> dict:
     return {freelie.tree_word(t): q for t, q in word.factors}
 

@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 import catalogs
-from lazbrace.common import NotLazardError
+from lazbrace.common import FailedTheoremError, NotLazardError
 from lazbrace.liering import (
+    LieRingTable,
+    _fill_group,
+    _schreier,
     FinGroup,
     Filtration,
     LieRingSC,
@@ -280,3 +283,31 @@ def test_group_closure_utility(heis5):
     G = laz(heis5)
     g3 = group_closure(G, [heis5.shape.unit(2).index])
     assert len(g3) == 5
+
+
+def test_schreier_tree_names_the_first_unreached_element():
+    n = 9  # Z/9 under addition: 3 generates only {0, 3, 6}
+    row_of = lambda g: (g + np.arange(n)) % n
+    with pytest.raises(FailedTheoremError, match="misses element 1$"):
+        _schreier(n, 0, row_of, [3])
+    tree = _schreier(n, 0, row_of, [3], grow=True)
+    assert tree.gens == [3, 1]
+    assert np.array_equal(_fill_group(tree), np.add.outer(np.arange(n), np.arange(n)) % n)
+
+
+def test_schreier_tree_of_a_cyclic_group_stays_shallow():
+    n = 625
+    tree = _schreier(n, 0, lambda g: (g + np.arange(n)) % n, [1])
+    assert len(tree.levels) == 61 and tree.gens == [1, 49]  # 624 levels with the one generator
+    assert np.array_equal(_fill_group(tree), np.add.outer(np.arange(n), np.arange(n)) % n)
+
+
+def test_table_to_sc_names_the_first_non_biadditive_pair(heis5):
+    T = laz_inv(laz(heis5))
+    _, basis = table_to_sc(T)
+    a, b = 7, 11  # neither is a generator element of the decomposition
+    assert a not in basis.gens and b not in basis.gens
+    bracket = T.bracket.copy()
+    bracket[a, b] = T.add[bracket[a, b], a]
+    with pytest.raises(FailedTheoremError, match=r"at \(a,b\)=\(7,11\)$"):
+        table_to_sc(LieRingTable(T.add, bracket, T.zero))
