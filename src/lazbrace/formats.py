@@ -7,6 +7,8 @@ decimal, parsing is locale-free, and writing is deterministic, so write
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 
 from .common import ParseError
@@ -28,14 +30,21 @@ def _intline(tokens, what, line_no):
 
 
 def _parse_table(lines, start, n, what):
-    rows = []
-    for k in range(n):
-        ln_no, ln = lines[start + k]
-        vals = _intline(ln.split(), what, ln_no)
-        if len(vals) != n:
-            raise ParseError(f"line {ln_no}: expected {n} entries in {what} row")
-        rows.append(vals)
-    table = np.asarray(rows, dtype=np.int64)
+    """The n x n table on lines[start:start + n]: converted in one pass when
+    every row is n plain decimal tokens, else row by row, naming the bad line."""
+    rows = lines[start:start + n]
+    token = "[0-9]{1,18}"  # at most 18 digits, so below 2**63
+    plain = re.compile(rf"{token}(?:[ \t]+{token}){{{n - 1}}}")
+    if all(plain.fullmatch(ln) for _, ln in rows):
+        table = np.fromstring(" ".join(ln for _, ln in rows), dtype=np.int64, sep=" ").reshape(n, n)
+    else:
+        vals = []
+        for ln_no, ln in rows:
+            row = _intline(ln.split(), what, ln_no)
+            if len(row) != n:
+                raise ParseError(f"line {ln_no}: expected {n} entries in {what} row")
+            vals.append([v if 0 <= v < n else -1 for v in row])  # -1 fails the range check below
+        table = np.asarray(vals, dtype=np.int64)
     if table.min() < 0 or table.max() >= n:
         raise ParseError(f"{what} entries out of range 0..{n - 1}")
     return table

@@ -350,7 +350,7 @@ def bch_basis_terms(class_bound: int) -> tuple:
 # ---------------------------------------------------------------------------
 # One evaluator of bracket trees and of (tree, coefficient) sums, for every
 # structure the trees act in: a Lie ring, a group table, the semidirect sum
-# a (+) Der(a) and the holomorph A x| Aut(A), and the free envelope below.
+# L (+) End(L), and the free envelope below.
 
 
 def eval_tree(tree, memo: dict, node):

@@ -3,9 +3,11 @@
 One direction builds the group of flows: the bijection W(a) = V(a, L_a)
 with V the carrier component of BCH in the semidirect sum with the
 derivation part, and the brace product a o b = a . exp(L_{W^-1(a)})(b).
-The other direction logs the lambda maps over Laz^-1 of the dot group.
-Also: substructure transfer checks and the root-of-unity differentiation
-that recovers the triangle product from lambda alone.
+The other direction logs the lambda maps over T = Laz^-1 of the dot group,
+one stack D for the whole carrier, and Omega(a) is the carrier part of
+BCH((a, 0), (0, D_a)) in T (+) End(T): the fold of W with the leaves
+swapped.  Also: substructure transfer checks and the root-of-unity
+differentiation that recovers the triangle product from lambda alone.
 """
 
 from __future__ import annotations
@@ -20,6 +22,9 @@ from .common import FailedTheoremError, NotLazardError
 from .liering import (
     Filtration,
     FinGroup,
+    LieRingSC,
+    _require_none,
+    _row_blocks,
     all_add_subgroups,
     canonical_group_filtration,
     laz,
@@ -62,16 +67,17 @@ __all__ = [
 
 
 # ---------------------------------------------------------------------------
-# The semidirect sum a (+) Der(a)^+ and the map V.
+# The semidirect sum L (+) End(L): the maps V and U.
 
 
-def _sd_bracket(P: PostLieRing, x, y):
-    """[(a, f), (b, g)] = ([a,b] + f(b) - g(a), fg - gf) on (vector, matrix) pairs;
-    the vectors are rows, each against one matrix or its own from a stack."""
-    s = P.shape
+def _sd_bracket(L, x, y):
+    """[(a, f), (b, g)] = ([a,b] + f(b) - g(a), fg - gf) on (vector, matrix) pairs
+    over the Lie ring L (a post-Lie ring brackets by its base); the vectors
+    are rows, each against one matrix or its own from a stack."""
+    s = L.shape
     va, ma = x
     vb, mb = y
-    vec = s.reduce(P.base.bracket_batch(va, vb) + _rows_times(vb, ma) - _rows_times(va, mb))
+    vec = s.reduce(L.bracket_batch(va, vb) + _rows_times(vb, ma) - _rows_times(va, mb))
     mat = s.reduce(mb @ ma - ma @ mb)  # composition f o g has matrix Mg @ Mf
     return vec, mat
 
@@ -85,6 +91,16 @@ def _sd_add_scaled(s: PShape, acc, x, q: Fraction):
     """acc + q x on (vector, matrix) pairs."""
     m = s.scale_multiplier(q)
     return s.reduce(acc[0] + m * x[0]), s.reduce(acc[1] + m * x[1])
+
+
+def _sd_bch(L, k: int, x, y) -> np.ndarray:
+    """Carrier part of BCH(x, y) in degrees 1..k, for stacked (vector, matrix)
+    pairs x, y in the semidirect sum L (+) End(L)."""
+    s = L.shape
+    zero = (np.zeros_like(x[0]), np.zeros_like(x[1]))
+    acc = freelie.fold_terms(freelie.bch_terms(k), x, y, lambda u, v: _sd_bracket(L, u, v),
+                             lambda acc, v, c: _sd_add_scaled(s, acc, v, c), zero)
+    return acc[0]
 
 
 def v_eval(P: PostLieRing, a: PVec, f: Endo, F: Filtration | None = None) -> PVec:
@@ -105,13 +121,25 @@ def v_eval(P: PostLieRing, a: PVec, f: Endo, F: Filtration | None = None) -> PVe
 
 def _v_batch(P: PostLieRing, k: int, A: np.ndarray, mat: np.ndarray) -> np.ndarray:
     """V(a, f) for rows a of A, against one matrix of f or a stack with one per row."""
-    s = P.shape
-    zero_vec = np.zeros_like(A)
-    acc = freelie.fold_terms(freelie.bch_terms(k), (A, mat), (zero_vec, s.reduce(-mat)),
-                             lambda u, v: _sd_bracket(P, u, v),
-                             lambda acc, v, c: _sd_add_scaled(s, acc, v, c),
-                             (zero_vec, np.zeros_like(mat)))
-    return acc[0]
+    return _sd_bch(P, k, (A, mat), (np.zeros_like(A), P.shape.reduce(-mat)))
+
+
+def _apply_all(s: PShape, coords: np.ndarray, mats: np.ndarray) -> np.ndarray:
+    """out[x, b] = index of coords[b] @ mats[x], a block of rows at a time."""
+    n = len(coords)
+    out = np.empty((len(mats), n), dtype=np.int64)
+    for rows in _row_blocks(len(mats), n):
+        out[rows] = s.index_batch(np.matmul(coords, mats[rows]))
+    return out
+
+
+def _require_bijective(images: np.ndarray, what: str, name: str) -> None:
+    """Raise FailedTheoremError naming two elements with one image."""
+    order = np.argsort(images, kind="stable")
+    same = np.flatnonzero(images[order[1:]] == images[order[:-1]])
+    if same.size:
+        a, b = order[same[0]], order[same[0] + 1]
+        raise FailedTheoremError(f"{what} is not bijective: {name}({a}) = {name}({b})")
 
 
 def _canonical_post_filtration(P: PostLieRing) -> Filtration:
@@ -130,8 +158,7 @@ def w_map(P: PostLieRing, F: Filtration | None = None) -> np.ndarray:
     s = P.shape
     coords = s.all_coords()
     out = s.index_batch(_v_batch(P, F.length, coords, P.l_mats(coords)))
-    if np.unique(out).size != s.order:
-        raise FailedTheoremError("flow map W is not bijective")
+    _require_bijective(out, "flow map W", "W")
     return out
 
 
@@ -161,9 +188,7 @@ def post_lie_to_brace(P: PostLieRing, check: bool = True) -> FlowResult:
     Omega[W] = np.arange(n)
     coords = s.all_coords()
     exp_mats = endo_exp(Endo(s, P.l_mats(coords[Omega])), max(k, 1)).mat
-    circ = np.empty((n, n), dtype=np.int64)
-    for a in range(n):
-        circ[a] = dot.table[a, s.index_batch(coords @ exp_mats[a])]
+    circ = dot.table[np.arange(n)[:, None], _apply_all(s, coords, exp_mats)]
     brace = SkewBrace(dot, FinGroup(circ, 0))
     if check:
         rep = verify_skew_brace(brace)
@@ -174,89 +199,9 @@ def post_lie_to_brace(P: PostLieRing, check: bool = True) -> FlowResult:
             raise FailedTheoremError("L-class changed across the flow construction")
         # W is a group isomorphism Laz(circ ring) -> (A, o)
         lazc = laz(P.circ, F=None)
-        if not np.array_equal(W[lazc.table], circ[W[:, None], W[None, :]]):
-            raise FailedTheoremError("W is not an isomorphism onto the circle group")
+        _require_none(W[lazc.table] != circ[W[:, None], W[None, :]],
+                      "W is not an isomorphism onto the circle group")
     return FlowResult(P, brace, W, Omega, k)
-
-
-# ---------------------------------------------------------------------------
-# Holomorph evaluation and the map U.
-
-
-def _perm_inv(perm: np.ndarray) -> np.ndarray:
-    out = np.empty_like(perm)
-    out[perm] = np.arange(perm.size)
-    return out
-
-
-class _Hol:
-    """Pairs (carrier element, automorphism permutation) under the
-    semidirect product, enough for evaluating inverse-BCH words."""
-
-    def __init__(self, dot: FinGroup, p: int):
-        self.dot = dot
-        self.p = p
-        self.id_pair = (dot.identity, np.arange(dot.order, dtype=np.int64))
-
-    def mul(self, x, y):
-        a, al = x
-        b, be = y
-        return int(self.dot.table[a, al[b]]), al[be]
-
-    def inv(self, x):
-        a, al = x
-        ali = _perm_inv(al)
-        return int(ali[self.dot.inv[a]]), ali
-
-    def comm(self, x, y):
-        return self.mul(self.mul(self.inv(x), self.inv(y)), self.mul(x, y))
-
-    def eq_id(self, x) -> bool:
-        return x[0] == self.dot.identity and np.array_equal(x[1], self.id_pair[1])
-
-    def power(self, x, m: int):
-        if m < 0:
-            x = self.inv(x)
-            m = -m
-        acc = self.id_pair
-        base = x
-        while m > 0:
-            if m & 1:
-                acc = self.mul(acc, base)
-            base = self.mul(base, base)
-            m >>= 1
-        return acc
-
-    def order(self, x) -> int:
-        t = 0
-        cur = x
-        while not self.eq_id(cur):
-            cur = self.power(cur, self.p)
-            t += 1
-            if self.p ** t > self.dot.order ** 2 * len(self.id_pair[1]):
-                raise ModArithError("holomorph element order is not a p-power")
-        return self.p ** t
-
-    def rational_power(self, x, q: Fraction):
-        o = self.order(x)
-        if o == 1:
-            return self.id_pair
-        m = (q.numerator * pow(q.denominator % o, -1, o)) % o
-        return self.power(x, m)
-
-
-def u_eval(B: SkewBrace, a: int, alpha: np.ndarray, F: Filtration | None = None) -> int:
-    """U(a, alpha): carrier part of P((a, alpha), (1, alpha^-1)) inside Hol^+."""
-    F = F or _canonical_brace_filtration(B)
-    k = F.length
-    hol = _Hol(B.dot, B.p)
-    p_word, _ = freelie.inverse_words(max(k, 1))
-    word = p_word.truncated(k)
-    alpha = np.asarray(alpha, dtype=np.int64)
-    acc = freelie.fold_terms(word.factors, (int(a), alpha), (B.dot.identity, _perm_inv(alpha)),
-                             hol.comm, lambda acc, v, q: hol.mul(acc, hol.rational_power(v, Fraction(q))),
-                             hol.id_pair)
-    return acc[0]
 
 
 def _canonical_brace_filtration(B: SkewBrace) -> Filtration:
@@ -269,17 +214,61 @@ def _canonical_brace_filtration(B: SkewBrace) -> Filtration:
     return F
 
 
-def omega_map(B: SkewBrace, F: Filtration | None = None) -> np.ndarray:
-    """Omega(a) = U(a, lambda_a) over the carrier, verified bijective."""
+def _dot_log(dot: FinGroup) -> tuple[LieRingSC, AbelianBasis]:
+    """Laz^-1 of the dot group in structure-constant form, with its carrier
+    bijection (table_to_sc of laz_inv under the lower central series)."""
+    ser = canonical_group_filtration(dot)
+    if not ser.is_nilpotent:
+        raise NotLazardError("dot group is not nilpotent")
+    return table_to_sc(laz_inv(dot, Filtration(ser.terms)))
+
+
+def _additive_log(basis: AbelianBasis, alpha: np.ndarray, k: int, name: str, exc) -> np.ndarray:
+    """The (m, r, r) stack of log alpha[a] over basis.shape, for maps alpha[a]
+    given by their rows of carrier images.  The matrices are read off the
+    generators (Endo checks them well defined); exc names the first (a, b)
+    where alpha[a, b] is not the matrix image."""
+    s = basis.shape
+    coords = s.all_coords()[basis.index_of_elem]
+    mats = Endo(s, coords[alpha[:, basis.elem_of[s.index_batch(np.eye(s.rank, dtype=np.int64))]]])
+    _require_none(basis.elem_of[_apply_all(s, coords, mats.mat)] != alpha,
+                  f"{name} is not additive over Laz^-1 of the dot group", exc)
+    return endo_log(mats, max(k, 1)).mat
+
+
+def u_eval(B: SkewBrace, a, alpha: np.ndarray, F: Filtration | None = None, *,
+           dot_log: tuple[LieRingSC, AbelianBasis] | None = None, log: np.ndarray | None = None):
+    """U(a, alpha): carrier part of P((a, alpha), (1, alpha^-1)) in A x| Aut(A).
+
+    With T = Laz^-1(A, .), that is the carrier part of BCH((a, 0), (0, log
+    alpha)) in T (+) End(T), exact at degree k = F.length since log alpha
+    raises the filtration.  a may be an index array and alpha an (m, n)
+    stack, one map per entry, all in one fold; each alpha must be additive
+    over T (ModArithError otherwise).  A caller may pass dot_log =
+    _dot_log(B.dot) and log = the log alpha stack over it; alpha is then
+    not read.
+    """
+    F = F or _canonical_brace_filtration(B)
+    k = F.length
+    L, basis = dot_log or _dot_log(B.dot)
+    s = L.shape
+    if log is None:
+        log = _additive_log(basis, np.atleast_2d(np.asarray(alpha, dtype=np.int64)), k, "alpha", ModArithError)
+    A = s.coords_batch(basis.index_of_elem[np.atleast_1d(a)])
+    out = basis.elem_of[s.index_batch(_sd_bch(L, k, (A, np.zeros_like(log)), (np.zeros_like(A), log)))]
+    return int(out[0]) if np.ndim(a) == 0 else out
+
+
+def omega_map(B: SkewBrace, F: Filtration | None = None, *,
+              dot_log: tuple[LieRingSC, AbelianBasis] | None = None,
+              log: np.ndarray | None = None) -> np.ndarray:
+    """Omega(a) = U(a, lambda_a) over the carrier, verified bijective: one
+    u_eval on the whole carrier.  dot_log and log are passed on to it."""
     F = F or _canonical_brace_filtration(B)
     if not F.raises(B.star, 1).all():  # star[a, g] = lambda_a(g) g^-1
         raise ModArithError("lambda maps do not raise the filtration")
-    n = B.order
-    out = np.empty(n, dtype=np.int64)
-    for a in range(n):
-        out[a] = u_eval(B, a, B.lam[a], F)
-    if np.unique(out).size != n:
-        raise FailedTheoremError("omega map is not bijective")
+    out = u_eval(B, np.arange(B.order), B.lam, F, dot_log=dot_log, log=log)
+    _require_bijective(out, "omega map", "Omega")
     return out
 
 
@@ -302,54 +291,38 @@ class LogResult:
 
 
 def brace_to_post_lie(B: SkewBrace, check: bool = True) -> LogResult:
-    """Construction L: base = Laz^-1(dot), a > b = log(lambda_{W(a)})(b)."""
+    """Construction L: base = Laz^-1(dot), a > b = log(lambda_{W(a)})(b); one
+    stack of logged lambda maps gives both Omega (through u_eval) and >."""
     F = _canonical_brace_filtration(B)
     k = F.length
     n = B.order
-    dot_ser = canonical_group_filtration(B.dot)
-    if not dot_ser.is_nilpotent:
-        raise NotLazardError("dot group is not nilpotent")
-    T = laz_inv(B.dot, Filtration(dot_ser.terms))
-    L_sc, basis = table_to_sc(T)
+    L_sc, basis = _dot_log(B.dot)
     s = L_sc.shape
-    Omega = omega_map(B, F)
+    D = _additive_log(basis, B.lam, k, "lambda", FailedTheoremError)
+    Omega = omega_map(B, F, dot_log=(L_sc, basis), log=D)
     W = np.empty(n, dtype=np.int64)
     W[Omega] = np.arange(n)
     coords_of_elem = s.all_coords()[basis.index_of_elem]
+    tri_table = basis.elem_of[_apply_all(s, coords_of_elem, D[W])]
     gen_elems = basis.elem_of[s.index_batch(np.eye(s.rank, dtype=np.int64))]
-    # the matrices of lambda_{W(x)}, each checked well defined by Endo
-    lam_mats = Endo(s, coords_of_elem[B.lam[W[:, None], gen_elems]])
-    for x in range(n):
-        # lambda_{W(x)} must be additive over the logged structure
-        img = basis.elem_of[s.index_batch(coords_of_elem @ lam_mats.mat[x])]
-        if not np.array_equal(img, B.lam[W[x]]):
-            raise FailedTheoremError("lambda is not additive over Laz^-1 of the dot group")
-    log_mats = endo_log(lam_mats, max(k, 1)).mat
-    tri_table = np.empty((n, n), dtype=np.int64)
-    for x in range(n):
-        tri_table[x] = basis.elem_of[s.index_batch(coords_of_elem @ log_mats[x])]
     P = PostLieRing(L_sc, coords_of_elem[tri_table[np.ix_(gen_elems, gen_elems)]])
     if check:
         rep = verify_post_lie(P)
         if not rep.ok:
             raise FailedTheoremError(f"logged structure is not post-Lie: {rep.failures}")
         # the bilinear extension must reproduce the pointwise table
-        step = max(1, (1 << 18) // n)
-        for start in range(0, n, step):
-            blk = P.tri_batch(coords_of_elem[start:start + step, None, :],
-                              coords_of_elem[None, :, :])
-            if not np.array_equal(basis.elem_of[s.index_batch(blk)], tri_table[start:start + step]):
-                raise FailedTheoremError("triangle product is not biadditive")
+        for rows in _row_blocks(n, n):
+            blk = P.tri_batch(coords_of_elem[rows, None, :], coords_of_elem[None, :, :])
+            _require_none(basis.elem_of[s.index_batch(blk)] != tri_table[rows],
+                          "triangle product is not biadditive", row0=rows.start)
         pser = l_series(P)
         if pser.nilpotency_class != k:
             raise FailedTheoremError("L-class changed across the logarithm construction")
         # Omega: (A, o) -> circ ring is a group isomorphism onto Laz of it
         lazc = laz(P.circ, F=None)
         om_s = basis.index_of_elem[Omega]
-        lhs = om_s[B.circ.table]
-        rhs = lazc.table[om_s[:, None], om_s[None, :]]
-        if not np.array_equal(lhs, rhs):
-            raise FailedTheoremError("omega is not an isomorphism onto Laz of the circ ring")
+        _require_none(om_s[B.circ.table] != lazc.table[om_s[:, None], om_s[None, :]],
+                      "omega is not an isomorphism onto Laz of the circ ring")
     return LogResult(B, P, basis, tri_table, W, Omega, k)
 
 
@@ -435,22 +408,18 @@ def lambda_derivative(B: SkewBrace, log: LogResult | None = None) -> np.ndarray:
     if not (ss.nilpotency_class is not None and ss.nilpotency_class < p):
         raise NotLazardError("strong series too long: A^{p} != 1")
     log = log or brace_to_post_lie(B)
-    s = log.post_lie.shape
     basis = log.basis
-    n = B.order
+    s = basis.shape
+    m = s.max_modulus
     xi = root_of_unity(p, s.exps[0])
-    xi_inv = pow(xi, -1, s.max_modulus)
     coords_of_elem = s.all_coords()[basis.index_of_elem]
-    inv_pm1 = s.scale_multiplier(Fraction(1, p - 1))
-    out = np.empty((n, n), dtype=np.int64)
-    for a in range(n):
-        acc = np.zeros((n, s.rank), dtype=np.int64)
+    out = np.empty((B.order, B.order), dtype=np.int64)
+    for rows in _row_blocks(B.order, B.order):
+        acc = 0
         for i in range(p - 1):
-            scal = pow(xi_inv, i, s.max_modulus)
-            a_i = int(basis.elem_of[s.index_batch(s.reduce(coords_of_elem[a] * scal))])
-            vals = coords_of_elem[B.lam[a_i]]
-            acc = s.reduce(acc + pow(xi, i, s.max_modulus) * vals)
-        out[a] = basis.elem_of[s.index_batch(s.reduce(acc * inv_pm1))]
+            a_i = basis.elem_of[s.index_batch(coords_of_elem[rows] * pow(xi, -i, m))]  # xi^(-i) a
+            acc = s.reduce(acc + pow(xi, i, m) * coords_of_elem[B.lam[a_i]])
+        out[rows] = basis.elem_of[s.index_batch(acc * s.scale_multiplier(Fraction(1, p - 1)))]
     if not np.array_equal(out, log.tri_table):
         raise FailedTheoremError("root-of-unity triangle differs from the logged triangle")
     return out

@@ -57,6 +57,20 @@ _CHUNK = 1 << 18  # pairs handled per vectorized block
 _SOFT_ORDER_CAP = 5 ** 6  # table constructions refuse beyond this unless forced
 
 
+def _row_blocks(m: int, n: int):
+    """Slices covering range(m), each a block of rows of an (m, n) table
+    small enough for one vectorised pass."""
+    step = max(1, _CHUNK // max(1, n))
+    return (slice(start, min(m, start + step)) for start in range(0, m, step))
+
+
+def _require_none(bad: np.ndarray, what: str, exc=FailedTheoremError, row0: int = 0) -> None:
+    """Raise exc(what) naming the first (a, b) where bad holds, rows counted from row0."""
+    if bad.any():
+        x, y = np.argwhere(bad)[0]
+        raise exc(f"{what} at (a,b)=({row0 + int(x)},{int(y)})")
+
+
 def _check_order_cap(n: int, force: bool) -> None:
     if n > _SOFT_ORDER_CAP and not force:
         raise CapExceededError(
@@ -359,9 +373,8 @@ def _index_set(op, A, B) -> set[int]:
     ai = np.asarray(sorted(A), dtype=np.int64)
     bi = np.asarray(sorted(B), dtype=np.int64)
     out: set[int] = set()
-    step = max(1, _CHUNK // max(1, len(bi)))
-    for start in range(0, len(ai), step):
-        out.update(int(v) for v in np.unique(op(ai[start:start + step, None], bi[None, :])))
+    for rows in _row_blocks(len(ai), len(bi)):
+        out.update(int(v) for v in np.unique(op(ai[rows, None], bi[None, :])))
     return out
 
 
@@ -611,10 +624,8 @@ def _fill(tree: _Tree, first, step) -> np.ndarray:
     n = len(first)
     table = np.empty((n, n), dtype=np.int64)
     table[tree.root] = first
-    chunk = max(1, _CHUNK // n)
     for ys, zs, gi in tree.levels:
-        for start in range(0, ys.size, chunk):
-            part = slice(start, start + chunk)
+        for part in _row_blocks(ys.size, n):
             table[ys[part]] = step(gi[part], table[zs[part]])
     return table
 
@@ -808,16 +819,10 @@ def table_to_sc(T: LieRingTable) -> tuple[LieRingSC, AbelianBasis]:
     coords = shape.all_coords()[basis.index_of_elem]
     gen_elems = basis.elem_of[shape.index_batch(np.eye(r, dtype=np.int64))]
     L = LieRingSC(shape, coords[T.bracket[np.ix_(gen_elems, gen_elems)]])
-    n = T.order
-    step = max(1, _CHUNK // n)
-    for start in range(0, n, step):
-        stop = min(n, start + step)
-        blk = L.bracket_batch(coords[start:stop, None, :], coords[None, :, :])
-        bad = basis.elem_of[shape.index_batch(blk)] != T.bracket[start:stop]
-        if bad.any():
-            a, b = np.argwhere(bad)[0]
-            raise FailedTheoremError("bracket table is not biadditive over the decomposition"
-                                     f" at (a,b)=({start + int(a)},{int(b)})")
+    for rows in _row_blocks(T.order, T.order):
+        blk = L.bracket_batch(coords[rows, None, :], coords[None, :, :])
+        _require_none(basis.elem_of[shape.index_batch(blk)] != T.bracket[rows],
+                      "bracket table is not biadditive over the decomposition", row0=rows.start)
     return L, basis
 
 

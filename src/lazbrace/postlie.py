@@ -88,6 +88,9 @@ class PostLieRing:
             tri[i, j] = base.shape.reduce(np.asarray(coords, dtype=np.int64))
         return cls(base, tri)
 
+    def bracket_batch(self, U, V) -> np.ndarray:
+        return self.base.bracket_batch(U, V)
+
     def tri_batch(self, U, V) -> np.ndarray:
         return bilinear_batch(self.shape, self.tri, U, V)
 

@@ -93,6 +93,13 @@ class SkewBrace:
         """star[a, b] = lam[a, b] . b^-1."""
         return self.dot.table[self.lam, self.dot.inv[None, :]]
 
+    @cached_property
+    def l_series(self) -> SeriesResult:
+        """l_series_brace(self), computed once per brace and cached."""
+        full = frozenset(range(self.order))
+        return descending_series(full, lambda cur: group_closure(
+            self.dot, _star_set(self, full, cur) | _comm_set(self.dot, full, cur)))
+
     @property
     def is_brace(self) -> bool:
         return bool(np.array_equal(self.dot.table, self.dot.table.T))
@@ -177,9 +184,7 @@ def _star_set(B: SkewBrace, A: frozenset, C: frozenset) -> set[int]:
 
 def l_series_brace(B: SkewBrace) -> SeriesResult:
     """L^1 = A, L^(i+1) = <a*b and dot-commutators [a,b] : a in A, b in L^i>."""
-    full = frozenset(range(B.order))
-    return descending_series(full, lambda cur: group_closure(
-        B.dot, _star_set(B, full, cur) | _comm_set(B.dot, full, cur)))
+    return B.l_series
 
 
 def left_series_brace(B: SkewBrace) -> SeriesResult:

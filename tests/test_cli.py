@@ -125,6 +125,27 @@ def test_formats_reject_garbage():
         formats.parse_text("format 1\ngroup 2 identity 0\n0 1\n1 2\n")
 
 
+def test_table_rows_off_the_plain_path():
+    # rows that are not plain decimal tokens keep the per-token messages
+    head = "format 1\nskewbrace 2\ndot:\n0 1\n1 0\ncirc:\n0 1\n"
+    cases = {
+        "1 0 1": "line 8: expected 2 entries in circ table row",
+        "1 O": "line 8: bad integer in circ table",
+        "1 " + "9" * 20: "circ table entries out of range 0..1",
+        "1 " + "9" * 19: "circ table entries out of range 0..1",
+    }
+    for row, message in cases.items():
+        with pytest.raises(ParseError) as info:
+            formats.parse_text(head + row + "\n")
+        assert str(info.value) == message, row
+    # and still accept what int() accepts
+    text = formats.write_text(catalogs.shape_group(PShape(5, (1,))))
+    assert text.endswith("\n4 0 1 2 3\n")
+    for row in ("4 0 1 2 +3", "4 0 1 2 0_3", "4\t0 1  2 3"):
+        _, G = formats.parse_text(text.replace("\n4 0 1 2 3\n", f"\n{row}\n"))
+        assert formats.write_text(G) == text, row
+
+
 def test_group_file_round_trip(tmp_path):
     G = catalogs.shape_group(PShape(3, (1, 1)))
     text = formats.write_text(G)
@@ -141,6 +162,9 @@ _MALFORMED = {
     "twice.lie": b"format 1\nlie 5 1 1 1\nbracket 1 2 : 0 0 1\nbracket 1 2 : 0 0 2\n",
     "twice.plie": b"format 1\npostlie 5 1 1\ntriangle 1 1 : 0 1\ntriangle 1 1 : 0 2\n",
     "illdefined.plie": b"format 1\npostlie 5 2 1\ntriangle 1 2 : 1 0\n",
+    "extratoken.grp": b"format 1\ngroup 2 identity 0\n0 1\n1 0 1\n",
+    "badlastrow.skb": b"format 1\nskewbrace 2\ndot:\n0 1\n1 0\ncirc:\n0 1\n1 O\n",
+    "twentydigits.grp": b"format 1\ngroup 2 identity 0\n0 1\n1 " + b"9" * 20 + b"\n",
 }
 
 

@@ -5,11 +5,15 @@ classify_subset check each law on generators only, and all_add_subgroups
 builds each subgroup once without a closure.  laz, laz_inv and
 laz_of_table evaluate only the rows of generators and fill the rest along
 a Schreier tree, and the lower central series of groups and table rings
-work on generators.  The oracles below sweep every triple or pair, or
-search by closure, as the library once did, and must give the same
-verdict, list or table on every table, chain, subset and ring of the
-corpus, valid or not.
+work on generators.  Omega and U come from one stacked BCH in the
+semidirect sum T (+) End(T), and the root-of-unity triangle from stacked
+gathers.  The oracles below sweep every triple or pair, search by
+closure, or evaluate one element at a time in the holomorph, as the
+library once did, and must give the same verdict, list, table or map on
+every table, chain, subset, ring and brace of the corpus, valid or not.
 """
+
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -43,6 +47,7 @@ from lazbrace.liering import (
     validate_group_filtration,
     verify_group_table,
 )
+from lazbrace.lazcorr import brace_to_post_lie, lambda_derivative, omega_map, post_lie_to_brace, u_eval
 from lazbrace.modarith import (
     AbelianBasis,
     ModArithError,
@@ -52,9 +57,16 @@ from lazbrace.modarith import (
     _table_times,
     abelian_decompose,
     prime_power,
+    root_of_unity,
 )
 from lazbrace.postlie import PostLieRing, _tri_set, circ_ring, classify_subset, verify_post_lie
-from lazbrace.skewbrace import SkewBrace, _all_subgroups_group, verify_skew_brace
+from lazbrace.skewbrace import (
+    SkewBrace,
+    _all_subgroups_group,
+    l_series_brace,
+    strong_series_brace,
+    verify_skew_brace,
+)
 
 
 def oracle_group_table(table) -> bool:
@@ -470,3 +482,152 @@ def test_abelian_bases_match_the_row_oracle(lazard_tables, lie_cat):
     for decompose in (abelian_decompose, oracle_abelian_decompose):
         with pytest.raises(ModArithError, match="not permutations"):
             decompose(bad)
+
+
+# ---------------------------------------------------------------------------
+# Omega, U and the root-of-unity triangle against the holomorph evaluator
+# and the per-element loops they replace.
+
+
+def _perm_inv(perm: np.ndarray) -> np.ndarray:
+    out = np.empty_like(perm)
+    out[perm] = np.arange(perm.size)
+    return out
+
+
+class _Hol:
+    """Pairs (carrier element, automorphism permutation) under the
+    semidirect product, enough for evaluating inverse-BCH words."""
+
+    def __init__(self, dot: FinGroup, p: int):
+        self.dot = dot
+        self.p = p
+        self.id_pair = (dot.identity, np.arange(dot.order, dtype=np.int64))
+
+    def mul(self, x, y):
+        a, al = x
+        b, be = y
+        return int(self.dot.table[a, al[b]]), al[be]
+
+    def inv(self, x):
+        a, al = x
+        ali = _perm_inv(al)
+        return int(ali[self.dot.inv[a]]), ali
+
+    def comm(self, x, y):
+        return self.mul(self.mul(self.inv(x), self.inv(y)), self.mul(x, y))
+
+    def eq_id(self, x) -> bool:
+        return x[0] == self.dot.identity and np.array_equal(x[1], self.id_pair[1])
+
+    def power(self, x, m: int):
+        if m < 0:
+            x = self.inv(x)
+            m = -m
+        acc = self.id_pair
+        base = x
+        while m > 0:
+            if m & 1:
+                acc = self.mul(acc, base)
+            base = self.mul(base, base)
+            m >>= 1
+        return acc
+
+    def order(self, x) -> int:
+        t = 0
+        cur = x
+        while not self.eq_id(cur):
+            cur = self.power(cur, self.p)
+            t += 1
+            if self.p ** t > self.dot.order ** 2 * len(self.id_pair[1]):
+                raise ModArithError("holomorph element order is not a p-power")
+        return self.p ** t
+
+    def rational_power(self, x, q: Fraction):
+        o = self.order(x)
+        if o == 1:
+            return self.id_pair
+        m = (q.numerator * pow(q.denominator % o, -1, o)) % o
+        return self.power(x, m)
+
+
+def oracle_u_eval(B: SkewBrace, a: int, alpha: np.ndarray, k: int) -> int:
+    """U(a, alpha): carrier part of P((a, alpha), (1, alpha^-1)) inside Hol^+,
+    the inverse word truncated at k, one holomorph product at a time."""
+    hol = _Hol(B.dot, B.p)
+    p_word, _ = freelie.inverse_words(max(k, 1))
+    word = p_word.truncated(k)
+    alpha = np.asarray(alpha, dtype=np.int64)
+    acc = freelie.fold_terms(word.factors, (int(a), alpha), (B.dot.identity, _perm_inv(alpha)),
+                             hol.comm, lambda acc, v, q: hol.mul(acc, hol.rational_power(v, Fraction(q))),
+                             hol.id_pair)
+    return acc[0]
+
+
+def oracle_lambda_derivative(B: SkewBrace, log) -> np.ndarray:
+    """The root-of-unity triangle, one carrier element a at a time."""
+    p = B.p
+    s = log.post_lie.shape
+    basis = log.basis
+    xi = root_of_unity(p, s.exps[0])
+    xi_inv = pow(xi, -1, s.max_modulus)
+    coords_of_elem = s.all_coords()[basis.index_of_elem]
+    inv_pm1 = s.scale_multiplier(Fraction(1, p - 1))
+    out = np.empty((B.order, B.order), dtype=np.int64)
+    for a in range(B.order):
+        acc = np.zeros((B.order, s.rank), dtype=np.int64)
+        for i in range(p - 1):
+            scal = pow(xi_inv, i, s.max_modulus)
+            a_i = int(basis.elem_of[s.index_batch(s.reduce(coords_of_elem[a] * scal))])
+            acc = s.reduce(acc + pow(xi, i, s.max_modulus) * coords_of_elem[B.lam[a_i]])
+        out[a] = basis.elem_of[s.index_batch(s.reduce(acc * inv_pm1))]
+    return out
+
+
+def _relabelled_brace(B: SkewBrace, rng) -> SkewBrace:
+    """Both tables moved by one permutation fixing 0: an isomorphic brace."""
+    n = B.order
+    perm = np.concatenate([[0], 1 + rng.permutation(n - 1)])
+    inv = _perm_inv(perm)
+    relabel = lambda G: FinGroup(perm[G.table[inv[:, None], inv[None, :]]], 0)
+    return SkewBrace(relabel(B.dot), relabel(B.circ))
+
+
+@pytest.fixture(scope="module")
+def brace_corpus(postlie_cat, order9_braces):
+    """The flow images of the post-Lie catalog, the braces of order 9, six
+    radical braces, and four radical braces on relabelled carriers."""
+    rng = np.random.default_rng(7)
+    out = [(name, post_lie_to_brace(P, check=False).brace) for name, P in postlie_cat]
+    out += list(order9_braces)
+    out += [(f"radical_{p}_{e}", catalogs.radical_brace(p, e))
+            for p, e in ((3, 2), (5, 2), (5, 3), (5, 4), (7, 2), (7, 3))]
+    out += [(f"relabelled_{p}_{e}_{i}", _relabelled_brace(catalogs.radical_brace(p, e), rng))
+            for i, (p, e) in enumerate(((5, 3), (5, 3), (5, 3), (5, 4)))]
+    return out
+
+
+def test_omega_and_u_match_the_holomorph_oracle(brace_corpus):
+    assert len(brace_corpus) == 73
+    rng = np.random.default_rng(11)
+    for name, B in brace_corpus:
+        k = l_series_brace(B).nilpotency_class
+        Om = omega_map(B)
+        assert np.array_equal(Om, [oracle_u_eval(B, a, B.lam[a], k) for a in range(B.order)]), name
+        # off the diagonal: U(a, lambda_b) for sampled pairs, as one stacked call
+        a, b = rng.integers(0, B.order, size=(2, 6))
+        expected = [oracle_u_eval(B, x, B.lam[y], k) for x, y in zip(a, b)]
+        assert np.array_equal(u_eval(B, a, B.lam[b]), expected), name
+        assert u_eval(B, int(a[0]), B.lam[b[0]]) == expected[0], name
+
+
+def test_lambda_derivative_matches_the_per_element_loop(brace_corpus):
+    checked = 0
+    for name, B in brace_corpus:
+        ss = strong_series_brace(B, cap=B.p + 1)
+        if ss.nilpotency_class is None or ss.nilpotency_class >= B.p:
+            continue
+        log = brace_to_post_lie(B, check=False)
+        assert np.array_equal(lambda_derivative(B, log), oracle_lambda_derivative(B, log)), name
+        checked += 1
+    assert checked == len(brace_corpus)

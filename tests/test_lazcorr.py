@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import catalogs
-from lazbrace import formats, freelie
-from lazbrace.common import NotLazardError
+from lazbrace import formats, freelie, lazcorr
+from lazbrace.common import FailedTheoremError, NotLazardError
 from lazbrace.liering import Filtration, FinGroup, add_closure, canonical_filtration, laz, laz_inv, laz_of_table
-from lazbrace.modarith import Endo, PShape, PVec, endo_exp, endo_log
+from lazbrace.modarith import Endo, ModArithError, PShape, PVec, endo_exp, endo_log
 from lazbrace.postlie import PostLieRing, circ_ring, l_mul, l_series, verify_post_lie
 from lazbrace.skewbrace import (
     SkewBrace,
@@ -23,6 +23,8 @@ from lazbrace.skewbrace import (
     verify_skew_brace,
 )
 from lazbrace.lazcorr import (
+    _require_bijective,
+    _require_none,
     _sd_bracket,
     _v_batch,
     brace_to_post_lie,
@@ -564,3 +566,61 @@ def test_parse_write_identity_property(value):
     text = formats.write_text(value)
     _, parsed = formats.parse_text(text)
     assert formats.write_text(parsed) == text
+
+
+@settings(derandomize=True, deadline=None, max_examples=30)
+@given(st.one_of(_graded_rings.map(catalogs.zero_triangle),
+                 _graded_rings.map(lambda L: PostLieRing(L, L.shape.reduce(-L.sc)))))
+def test_omega_inverts_the_flow_property(P):
+    flow = post_lie_to_brace(P)
+    assert np.array_equal(omega_map(flow.brace), flow.omega)
+
+
+# ---------------------------------------------------------------------------
+# Failure messages name their witnesses.
+
+
+def _twisted_sum(p):
+    """(Z/p)^2 with a o b = a + b + (0, g(a_x + b_x) - g(a_x) - g(b_x)) for
+    g(x) = x^3: a group and L-nilpotent of class 2, but lambda_a(b) =
+    b + (0, 3 a_x b_x (a_x + b_x)) is not additive in b, so not a brace."""
+    u = np.arange(p * p)
+    x, y = u % p, u // p
+    f = ((x[:, None] + x[None, :]) ** 3 - x[:, None] ** 3 - x[None, :] ** 3) % p
+    xs = (x[:, None] + x[None, :]) % p
+    dot = xs + p * ((y[:, None] + y[None, :]) % p)
+    circ = xs + p * ((y[:, None] + y[None, :] + f) % p)
+    return SkewBrace(FinGroup(dot, 0), FinGroup(circ, 0))
+
+
+def test_non_additive_lambda_is_named():
+    B = _twisted_sum(5)
+    assert not verify_skew_brace(B).ok
+    assert l_series_brace(B).nilpotency_class == 2
+    # lambda_1(2) = 2 + (0, 3 * 2 * 3) = (2, 3), its matrix image is (2, 2)
+    with pytest.raises(FailedTheoremError,
+                       match=r"lambda is not additive over Laz\^-1 of the dot group at \(a,b\)=\(1,2\)$"):
+        brace_to_post_lie(B)
+    with pytest.raises(ModArithError, match=r"alpha is not additive over Laz\^-1 of the dot group at \(a,b\)=\(1,2\)$"):
+        u_eval(B, np.array([0, 1]), B.lam[:2])
+
+
+def test_omega_map_names_two_elements_with_one_image(radical_flow, monkeypatch):
+    monkeypatch.setattr(lazcorr, "u_eval", lambda B, a, *args, **kwargs: np.minimum(a, 3))
+    with pytest.raises(FailedTheoremError, match=r"omega map is not bijective: Omega\(3\) = Omega\(4\)$"):
+        omega_map(radical_flow.brace)
+
+
+def test_witness_helpers():
+    # the flow map W, the triangle and the isomorphism checks hold on every
+    # input by theorem, so their witnesses are checked on the helpers
+    _require_bijective(np.array([2, 0, 1]), "flow map W", "W")
+    with pytest.raises(FailedTheoremError, match=r"^flow map W is not bijective: W\(1\) = W\(3\)$"):
+        _require_bijective(np.array([2, 0, 1, 0]), "flow map W", "W")
+    bad = np.zeros((3, 4), dtype=bool)
+    _require_none(bad, "triangle product is not biadditive")
+    bad[2, 0] = bad[1, 3] = True
+    with pytest.raises(FailedTheoremError, match=r"^triangle product is not biadditive at \(a,b\)=\(1,3\)$"):
+        _require_none(bad, "triangle product is not biadditive")
+    with pytest.raises(ModArithError, match=r"^W is not an isomorphism onto the circle group at \(a,b\)=\(11,3\)$"):
+        _require_none(bad, "W is not an isomorphism onto the circle group", ModArithError, row0=10)
