@@ -9,6 +9,7 @@ argument (such as an unwritable output path), 3 capability refused
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 
 import numpy as np
@@ -268,7 +269,10 @@ def cmd_root_diff(args) -> int:
     return _write_output(text, args.output)
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process: parse_args keeps no
+    state between calls, so main reuses it."""
     ap = argparse.ArgumentParser(
         prog="lazbrace",
         description="Exact Lazard correspondence between post-Lie rings and skew braces",

@@ -24,14 +24,14 @@ from .liering import (
     FinGroup,
     LieRingSC,
     _require_none,
-    _row_blocks,
     all_add_subgroups,
     canonical_group_filtration,
     laz,
     laz_inv,
     table_to_sc,
 )
-from .modarith import AbelianBasis, Endo, ModArithError, PShape, PVec, endo_exp, endo_log, root_of_unity
+from .modarith import (AbelianBasis, Endo, ModArithError, PShape, PVec, _row_blocks, endo_exp, endo_log,
+                       root_of_unity)
 from .postlie import (
     PostLieRing,
     classify_subset,
@@ -207,7 +207,8 @@ def post_lie_to_brace(P: PostLieRing, check: bool = True) -> FlowResult:
 def _canonical_brace_filtration(B: SkewBrace) -> Filtration:
     ser = l_series_brace(B)
     if not ser.is_nilpotent:
-        raise NotLazardError("skew brace is not L-nilpotent")
+        raise NotLazardError(
+            f"skew brace is not L-nilpotent: the L-series stops at a term of order {len(ser.terms[-1])}")
     F = Filtration(ser.terms)
     if F.length >= B.p:
         raise NotLazardError(f"not Lazard: L-class {F.length} >= p = {B.p}")
@@ -219,7 +220,8 @@ def _dot_log(dot: FinGroup) -> tuple[LieRingSC, AbelianBasis]:
     bijection (table_to_sc of laz_inv under the lower central series)."""
     ser = canonical_group_filtration(dot)
     if not ser.is_nilpotent:
-        raise NotLazardError("dot group is not nilpotent")
+        raise NotLazardError("dot group is not nilpotent: the lower central series stops"
+                             f" at a term of order {len(ser.terms[-1])}")
     return table_to_sc(laz_inv(dot, Filtration(ser.terms)))
 
 

@@ -20,7 +20,7 @@ import numpy as np
 from . import freelie
 from .common import CapExceededError, FailedTheoremError, NotLazardError
 from .modarith import (AbelianBasis, ModArithError, PShape, PVec, Endo, abelian_decompose, prime_power,
-                       _table_orders, _table_times)
+                       _row_blocks, _table_orders, _table_times)
 
 __all__ = [
     "LieRingSC",
@@ -53,15 +53,7 @@ __all__ = [
     "bilinear_batch",
 ]
 
-_CHUNK = 1 << 18  # pairs handled per vectorized block
 _SOFT_ORDER_CAP = 5 ** 6  # table constructions refuse beyond this unless forced
-
-
-def _row_blocks(m: int, n: int):
-    """Slices covering range(m), each a block of rows of an (m, n) table
-    small enough for one vectorised pass."""
-    step = max(1, _CHUNK // max(1, n))
-    return (slice(start, min(m, start + step)) for start in range(0, m, step))
 
 
 def _require_none(bad: np.ndarray, what: str, exc=FailedTheoremError, row0: int = 0) -> None:
@@ -312,24 +304,6 @@ def add_closure(shape: PShape, gen_indices) -> frozenset:
     return frozenset(members.tolist())
 
 
-def _greedy_gens(closure, members: frozenset, order=None) -> list[int]:
-    """Generators of `members`: walk `order` (default: sorted members) once,
-    keeping each element outside the closure of those kept so far.
-
-    closure(gens) of the result equals `members` exactly when `members`
-    is closed, so the same walk also tests closedness.
-    """
-    gens: list[int] = []
-    have = closure(gens)
-    for x in sorted(members) if order is None else order:
-        if have == members:
-            break
-        if x not in have:
-            gens.append(int(x))
-            have = closure(gens)
-    return gens
-
-
 def _subgroup_gens(shape: PShape, members: frozenset) -> list[int]:
     """Small generating set of an additive subgroup (the greedy walk over
     sorted members, deterministic); the unit vectors for the whole carrier."""
@@ -369,13 +343,16 @@ def all_add_subgroups(shape: PShape) -> list[frozenset]:
 
 
 def _index_set(op, A, B) -> set[int]:
-    """{op(a, b) : a in A, b in B} for an elementwise op on index arrays, chunked."""
-    ai = np.asarray(sorted(A), dtype=np.int64)
-    bi = np.asarray(sorted(B), dtype=np.int64)
-    out: set[int] = set()
+    """{op(a, b) : a in A, b in B} for an elementwise op on index arrays:
+    one scatter (bincount) per block of rows, one set at the end."""
+    ai = np.fromiter(A, dtype=np.int64)
+    bi = np.fromiter(B, dtype=np.int64)
+    hits = np.zeros(0, dtype=np.int64)
     for rows in _row_blocks(len(ai), len(bi)):
-        out.update(int(v) for v in np.unique(op(ai[rows, None], bi[None, :])))
-    return out
+        block = np.bincount(op(ai[rows, None], bi[None, :]).ravel(), minlength=hits.size)
+        block[:hits.size] += hits
+        hits = block
+    return set(np.flatnonzero(hits).tolist())
 
 
 def _on_indices(shape: PShape, op):
@@ -520,6 +497,11 @@ class FinGroup:
         return self.table[self.table[self.table[self.inv[X], self.inv[Y]], X], Y]
 
     @cached_property
+    def gens(self) -> tuple[int, ...]:
+        """Greedy generators of the whole group (`_group_gens`), walked once."""
+        return tuple(_group_gens(self, order=np.arange(self.order)))
+
+    @cached_property
     def element_orders(self) -> np.ndarray:
         """Orders of all elements; requires a p-group."""
         p = prime_power(self.order)[0] if self.order > 1 else 2
@@ -546,8 +528,11 @@ def verify_group_table(table) -> CheckReport:
     Associativity is Light's test on a generating set: the a with
     (x a) y = x (a y) for all x, y form a submagma holding the identity, so
     it is enough that they include generators of the table as a magma.
+    A FinGroup may stand for its table; its cached generators are used
+    when its identity is the one found.
     """
-    table = np.asarray(table, dtype=np.int64)
+    group = table if isinstance(table, FinGroup) else None
+    table = np.asarray(table if group is None else group.table, dtype=np.int64)
     n = table.shape[0]
     failures = []
     if table.ndim != 2 or table.shape[1] != n:
@@ -563,9 +548,12 @@ def verify_group_table(table) -> CheckReport:
     if ident.size != 1 or not (table[:, int(ident[0])] == idx).all():
         failures.append("no two-sided identity")
         return CheckReport(False, tuple(failures))
-    # group_closure only multiplies reached elements by generators, so it
-    # presumes no associativity: its generators generate the magma
-    for a in _group_gens(FinGroup(table, int(ident[0]))):
+    if group is None or group.identity != int(ident[0]):
+        group = FinGroup(table, int(ident[0]))
+    # every product the generator walk takes stays inside the submagma its
+    # generators generate, so it presumes no associativity: the generators
+    # it returns generate the table as a magma
+    for a in group.gens:
         bad = table[table[:, a]] != table[:, table[a]]  # (x a) y vs x (a y)
         if bad.any():
             x, y = np.argwhere(bad)[0]
@@ -675,45 +663,118 @@ def group_root(G: FinGroup, g: int, n: int) -> int:
 # Group filtrations and Laz^-1.
 
 
+def _mask(n: int, members) -> np.ndarray:
+    """Boolean mask of length n of a set of element indices."""
+    inside = np.zeros(n, dtype=bool)
+    inside[np.fromiter(members, dtype=np.int64)] = True
+    return inside
+
+
+def _fresh(inside: np.ndarray, vals: np.ndarray) -> np.ndarray:
+    """The distinct values of vals outside the mask, sorted."""
+    new = np.zeros(inside.size, dtype=bool)
+    new[vals] = True
+    new &= ~inside
+    return np.flatnonzero(new)
+
+
+def _close(G: FinGroup, inside: np.ndarray, frontier: np.ndarray, gens) -> None:
+    """Close the mask `inside` in place under right multiplication by
+    `gens`, all of which it holds, where the elements of `frontier` are
+    the members not yet multiplied by them.
+
+    A frontier of at most two elements is multiplied by every member
+    reached so far instead, so that a cyclic group closes in about
+    log2 n levels, not n.  Every product stays inside the submagma the
+    members generate.
+    """
+    gens = np.asarray(gens, dtype=np.int64)
+    while frontier.size:
+        right = np.flatnonzero(inside) if frontier.size <= 2 else gens
+        frontier = _fresh(inside, G.table[frontier[:, None], right[None, :]].ravel())
+        inside[frontier] = True
+
+
 def group_closure(G: FinGroup, gen_indices) -> frozenset:
-    gens = sorted(set(int(g) for g in gen_indices) | {G.identity})
-    members = {G.identity}
-    frontier = list(gens)
-    members.update(frontier)
-    garr = np.asarray(gens, dtype=np.int64)
-    while frontier:
-        prods = G.table[np.asarray(frontier, dtype=np.int64)[:, None], garr[None, :]].ravel()
-        frontier = [int(x) for x in np.unique(prods) if int(x) not in members]
-        members.update(frontier)
-    return frozenset(members)
+    """Subgroup generated by the given element indices, closed on a mask."""
+    if isinstance(gen_indices, (set, frozenset)):
+        gens = np.fromiter(gen_indices, dtype=np.int64)
+    else:
+        gens = np.asarray(gen_indices, dtype=np.int64).ravel()
+    inside = np.zeros(G.order, dtype=bool)
+    inside[G.identity] = True
+    inside[gens] = True
+    _close(G, inside, np.flatnonzero(inside), gens)
+    return frozenset(np.flatnonzero(inside).tolist())
 
 
 def _comm_set(G: FinGroup, A: frozenset, B: frozenset) -> set[int]:
     return _index_set(G.comm_batch, A, B)
 
 
+def _invariant_closure(G: FinGroup, seeds, maps: np.ndarray) -> frozenset:
+    """The smallest subgroup N of G holding the seeds with f(N) inside N
+    for every row f of `maps` (x -> f[x]), each an automorphism of G.
+
+    N is the closure of a growing generator set: the seeds, then the images
+    of the newest generators that fall outside the closure so far.  Since
+    f(<S>) = <f(S)> for a homomorphism f, a closure that holds the images
+    of its own generators is invariant, and each generator added lies in
+    every invariant subgroup holding the seeds; so only images of
+    generators are ever taken.
+    """
+    inside = np.zeros(G.order, dtype=bool)
+    inside[G.identity] = True
+    new = _fresh(inside, np.asarray(seeds, dtype=np.int64).ravel())
+    gens = new
+    while new.size:
+        inside[new] = True
+        _close(G, inside, np.flatnonzero(inside), gens)
+        new = _fresh(inside, maps[:, new].ravel())
+        gens = np.concatenate([gens, new])
+    return frozenset(np.flatnonzero(inside).tolist())
+
+
+def _conjugations(G: FinGroup, gens) -> np.ndarray:
+    """Rows x -> g^-1 x g for the given g."""
+    gens = np.asarray(gens, dtype=np.int64)
+    return G.table[G.table[G.inv[gens][:, None], np.arange(G.order)], gens[:, None]]
+
+
 def canonical_group_filtration(G: FinGroup) -> SeriesResult:
     """Lower central series G_1 = G, G_(i+1) = [G, G_i]: the normal closure
     of the [g, h] for generators g of G and h of G_i (Robinson, 5.1.7)."""
-    gens = np.asarray(_group_gens(G), dtype=np.int64)
-
-    def next_term(cur: frozenset) -> frozenset:
-        S = set(G.comm_batch(gens[:, None], np.asarray(_group_gens(G, cur))).ravel().tolist())
-        while True:
-            N = group_closure(G, S)
-            s = np.asarray(sorted(S), dtype=np.int64)
-            conj = set(G.table[G.table[G.inv[gens][:, None], s], gens[:, None]].ravel().tolist()) - N
-            if not conj:
-                return N
-            S |= conj
-
-    return descending_series(frozenset(range(G.order)), next_term)
+    gens = np.asarray(G.gens, dtype=np.int64)
+    conj = _conjugations(G, gens)
+    return descending_series(frozenset(range(G.order)), lambda cur: _invariant_closure(
+        G, G.comm_batch(gens[:, None], np.asarray(_group_gens(G, cur))), conj))
 
 
 def _group_gens(G: FinGroup, members: frozenset | None = None, order=None) -> list[int]:
-    """Greedy generators of a subgroup (default: G), walking `order` (default: sorted)."""
-    members = frozenset(range(G.order)) if members is None else members
-    return _greedy_gens(lambda gens: group_closure(G, gens), members, order)
+    """Greedy generators of `members` (default: G): walk `order` (default:
+    sorted members) once, keeping each element outside the closure of those
+    kept so far, whose mask grows with each one kept.
+
+    The closure of the result equals `members` exactly when `members` is
+    closed, so the same walk also tests closedness.  The walk over the
+    whole group is cached as G.gens.
+    """
+    if order is None and (members is None or len(members) == G.order):
+        return list(G.gens)
+    goal = np.ones(G.order, dtype=bool) if members is None else _mask(G.order, members)
+    walk = np.flatnonzero(goal) if order is None else np.asarray(order, dtype=np.int64)
+    inside = np.zeros(G.order, dtype=bool)
+    inside[G.identity] = True
+    gens: list[int] = []
+    while not np.array_equal(inside, goal):
+        rest = np.flatnonzero(~inside[walk])
+        if not rest.size:
+            break
+        gens.append(int(walk[rest[0]]))
+        walk = walk[rest[0] + 1:]
+        inside[gens[-1]] = True
+        _close(G, inside, np.flatnonzero(inside), gens)
+    return gens
 
 
 def validate_group_filtration(G: FinGroup, F: Filtration) -> None:
@@ -855,7 +916,7 @@ def _table_series(T: LieRingTable) -> SeriesResult:
     closure of the brackets of additive generators of T and X, as the
     bracket is biadditive."""
     G = T.add_group()
-    gens = _group_gens(G)
+    gens = G.gens
     return descending_series(frozenset(range(T.order)), lambda cur: group_closure(
         G, T.bracket[np.ix_(gens, _group_gens(G, cur))].ravel()))
 

@@ -34,8 +34,18 @@ __all__ = [
 ]
 
 
+_CHUNK = 1 << 18  # pairs handled per vectorized block
+
+
 class ModArithError(ValueError):
     """Raised when a modarith precondition fails."""
+
+
+def _row_blocks(m: int, n: int):
+    """Slices covering range(m), each a block of rows of an (m, n) table
+    small enough for one vectorised pass."""
+    step = max(1, _CHUNK // max(1, n))
+    return (slice(start, min(m, start + step)) for start in range(0, m, step))
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -510,10 +520,9 @@ def abelian_decompose(table) -> AbelianBasis:
     basis = AbelianBasis(shape, gens, elem_of, index_of_elem)
     # round trip: vecOps through the bijection must reproduce the table
     coords = shape.all_coords()[index_of_elem]
-    for start in range(0, n, max(1, 2 ** 22 // n)):
-        stop = min(n, start + max(1, 2 ** 22 // n))
-        block = shape.index_batch(coords[start:stop, None, :] + coords[None, :, :])
-        if not np.array_equal(elem_of[block], table[start:stop]):
+    for rows in _row_blocks(n, n):
+        block = shape.index_batch(coords[rows, None, :] + coords[None, :, :])
+        if not np.array_equal(elem_of[block], table[rows]):
             raise ModArithError("table does not match abelian reconstruction")
     return basis
 

@@ -27,8 +27,10 @@ from .liering import (
     validate_group_filtration,
     verify_group_table,
     _comm_set,
+    _conjugations,
     _group_gens,
     _index_set,
+    _invariant_closure,
 )
 from .modarith import ModArithError, prime_power
 
@@ -95,10 +97,34 @@ class SkewBrace:
 
     @cached_property
     def l_series(self) -> SeriesResult:
-        """l_series_brace(self), computed once per brace and cached."""
-        full = frozenset(range(self.order))
-        return descending_series(full, lambda cur: group_closure(
-            self.dot, _star_set(self, full, cur) | _comm_set(self.dot, full, cur)))
+        """l_series_brace(self), computed once per brace and cached.
+
+        L^(i+1) is the smallest normal, lambda-invariant subgroup of (A, .)
+        holding g*h for circ generators g and [g', h] for dot generators g',
+        with h over generators of L^i: an invariant closure under
+        conjugation by dot generators and lambda_g for circ generators.
+
+        This is exact.  By induction L^(i+1) lies in L^i, so it is normal
+        (x^a = x [x, a] with [a, x] in [A, L^i]) and lambda-invariant
+        (lambda_a(x) = (a*x) x).  Conversely let N be normal and
+        lambda-invariant and hold the seeds.  For a circ generator g the h
+        with g*h in N form a subgroup, since g*(h1 h2) = (g*h1) h1 (g*h2)
+        h1^-1; the a with a*L^i in N form a submonoid of (A, o), since
+        (a o b)*h = lambda_a(b*h) (a*h); and the commutators follow as for
+        groups (Robinson, 5.1.7).  So N holds every generator of L^(i+1).
+        """
+        dot = self.dot
+        dg = np.asarray(dot.gens, dtype=np.int64)
+        cg = np.asarray(self.circ.gens, dtype=np.int64)
+        maps = np.concatenate([_conjugations(dot, dg), self.lam[cg]])
+
+        def next_term(cur: frozenset) -> frozenset:
+            h = np.asarray(_group_gens(dot, cur), dtype=np.int64)
+            stars = dot.table[self.lam[cg[:, None], h], dot.inv[h]]  # g*h = lambda_g(h) h^-1
+            return _invariant_closure(dot, np.concatenate(
+                [stars.ravel(), dot.comm_batch(dg[:, None], h).ravel()]), maps)
+
+        return descending_series(frozenset(range(self.order)), next_term)
 
     @property
     def is_brace(self) -> bool:
@@ -144,14 +170,14 @@ def verify_skew_brace(B: SkewBrace) -> CheckReport:
     """
     failures = []
     for name, G in (("dot", B.dot), ("circ", B.circ)):
-        rep = verify_group_table(G.table)
+        rep = verify_group_table(G)
         if not rep.ok:
             failures.extend(f"{name}: {f}" for f in rep.failures)
     if B.dot.identity != B.circ.identity:
         failures.append("identities differ")
     if failures:
         return CheckReport(False, tuple(failures))
-    bad = _hom_failure(B.dot.table, B.lam, _group_gens(B.dot))
+    bad = _hom_failure(B.dot.table, B.lam, B.dot.gens)
     if bad is not None:
         failures.append("compatibility fails at (a,b,c)=({},{},{})".format(*bad))
     return CheckReport(not failures, tuple(failures))
@@ -165,12 +191,12 @@ def lambda_and_star(B: SkewBrace) -> tuple[np.ndarray, np.ndarray]:
     bijective = (np.sort(lam, axis=1) == np.arange(B.order)).all(axis=1)
     if not bijective.all():
         raise FailedTheoremError(f"lambda_{int(np.argmin(bijective))} is not a bijection")
-    bad = _hom_failure(B.dot.table, lam, _group_gens(B.dot))
+    bad = _hom_failure(B.dot.table, lam, B.dot.gens)
     if bad is not None:
         raise FailedTheoremError(f"lambda_{bad[0]} is not an automorphism of dot")
     # the b with lambda_(a o b) = lambda_a lambda_b for all a form a
     # submonoid of (A, o), so circ generators suffice
-    for g in _group_gens(B.circ):
+    for g in B.circ.gens:
         bad_a = (lam[B.circ.table[:, g]] != lam[:, lam[g]]).any(axis=1)
         if bad_a.any():
             raise FailedTheoremError(
@@ -183,7 +209,8 @@ def _star_set(B: SkewBrace, A: frozenset, C: frozenset) -> set[int]:
 
 
 def l_series_brace(B: SkewBrace) -> SeriesResult:
-    """L^1 = A, L^(i+1) = <a*b and dot-commutators [a,b] : a in A, b in L^i>."""
+    """L^1 = A, L^(i+1) = <a*b and dot-commutators [a,b] : a in A, b in L^i>,
+    built as an invariant closure of generator seeds (SkewBrace.l_series)."""
     return B.l_series
 
 

@@ -198,3 +198,23 @@ def test_unwritable_output_exits_2(capsys, tmp_path, data_dir):
         code, _, err = run(capsys, *argv, "-o", target)
         assert code == 2, argv
         assert err.startswith(f"cannot write {target}: ") and err.count("\n") == 1
+
+
+def test_successive_calls_behave_as_fresh_invocations(capsys, tmp_path, data_dir):
+    # main reuses one parser per process: nothing may carry over between calls
+    src = str(data_dir / "prelie25_selfsquare.plie")
+    image = tmp_path / "image.skb"
+    assert run(capsys, "convert", src, "--to", "brace", "-o", str(image)) == (0, "", "")
+    assert run(capsys, "roundtrip", str(image)) == (0, "roundtrip: exact\n", "")
+    code, out, err = run(capsys, "convert", src, "--to", "brace")  # no -o: stdout
+    assert (code, out, err) == (0, image.read_text(), "")
+    with pytest.raises(SystemExit) as info:  # an argument error: --to is missing
+        main(["convert", src])
+    assert info.value.code == 2 and "--to" in capsys.readouterr().err
+    bad = tmp_path / "bad.lie"
+    bad.write_text("format 1\nlie 4 1 1\n")
+    code, out, err = run(capsys, "check", str(bad))
+    assert code == 2 and out == "" and err.startswith("parse error: ")
+    assert run(capsys, "roundtrip", str(image)) == (0, "roundtrip: exact\n", "")
+    code, out, _ = run(capsys, "check", str(data_dir / "radical_25.skb"))
+    assert code == 0 and out.startswith("skew brace (brace), L-class 2")

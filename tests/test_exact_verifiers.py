@@ -22,7 +22,6 @@ import catalogs
 from lazbrace import formats, freelie
 from lazbrace.common import IdealLevel
 from lazbrace.liering import (
-    _CHUNK,
     Filtration,
     FinGroup,
     LieRingTable,
@@ -30,7 +29,7 @@ from lazbrace.liering import (
     _bracket_set,
     _comm_set,
     _eval_word_batch,
-    _greedy_gens,
+    _group_gens,
     _index_set,
     _rational_power_batch,
     _table_series,
@@ -49,6 +48,7 @@ from lazbrace.liering import (
 )
 from lazbrace.lazcorr import brace_to_post_lie, lambda_derivative, omega_map, post_lie_to_brace, u_eval
 from lazbrace.modarith import (
+    _CHUNK,
     AbelianBasis,
     ModArithError,
     PShape,
@@ -63,8 +63,12 @@ from lazbrace.postlie import PostLieRing, _tri_set, circ_ring, classify_subset, 
 from lazbrace.skewbrace import (
     SkewBrace,
     _all_subgroups_group,
+    _star_set,
+    enumerate_braces,
     l_series_brace,
+    minimal_generators,
     strong_series_brace,
+    trivial_brace,
     verify_skew_brace,
 )
 
@@ -125,6 +129,21 @@ def oracle_add_closure(shape: PShape, gen_indices) -> frozenset:
     return frozenset(members)
 
 
+def oracle_greedy_gens(closure, members: frozenset, order=None) -> list[int]:
+    """Walk `order` (default: sorted members) once, keeping each element
+    outside the closure of those kept so far, the closure recomputed from
+    scratch after each one; stops when the closure equals `members`."""
+    gens: list[int] = []
+    have = closure(gens)
+    for x in sorted(members) if order is None else order:
+        if have == members:
+            break
+        if x not in have:
+            gens.append(int(x))
+            have = closure(gens)
+    return gens
+
+
 def oracle_add_subgroups(shape: PShape) -> list[frozenset]:
     """Breadth-first search over one-element extensions, deduplicated
     through a set of the subgroups seen."""
@@ -135,7 +154,7 @@ def oracle_add_subgroups(shape: PShape) -> list[frozenset]:
     out = [trivial]
     while queue:
         H = queue.pop()
-        gens = _greedy_gens(closure, H)
+        gens = oracle_greedy_gens(closure, H)
         for x in range(1, shape.order):
             if x in H:
                 continue
@@ -631,3 +650,167 @@ def test_lambda_derivative_matches_the_per_element_loop(brace_corpus):
         assert np.array_equal(lambda_derivative(B, log), oracle_lambda_derivative(B, log)), name
         checked += 1
     assert checked == len(brace_corpus)
+
+
+# ---------------------------------------------------------------------------
+# Mask closures and the invariant closure of generator seeds against the
+# Python-set frontier, the per-generator closures and the whole-carrier
+# product sets they replace.
+
+
+_S3 = FinGroup(np.array([[0, 1, 2, 3, 4, 5], [1, 2, 0, 5, 3, 4], [2, 0, 1, 4, 5, 3],
+                         [3, 4, 5, 0, 1, 2], [4, 5, 3, 2, 0, 1], [5, 3, 4, 1, 2, 0]]), 0)
+
+
+def oracle_group_closure(G: FinGroup, gen_indices) -> frozenset:
+    """Frontier search on a Python set: multiply the newest members by every
+    generator until no new element appears."""
+    gens = sorted(set(int(g) for g in gen_indices) | {G.identity})
+    members = {G.identity}
+    frontier = list(gens)
+    members.update(frontier)
+    garr = np.asarray(gens, dtype=np.int64)
+    while frontier:
+        prods = G.table[np.asarray(frontier, dtype=np.int64)[:, None], garr[None, :]].ravel()
+        frontier = [int(x) for x in np.unique(prods) if int(x) not in members]
+        members.update(frontier)
+    return frozenset(members)
+
+
+def oracle_group_gens(G: FinGroup, members: frozenset | None = None, order=None) -> list[int]:
+    members = frozenset(range(G.order)) if members is None else members
+    return oracle_greedy_gens(lambda gens: oracle_group_closure(G, gens), members, order)
+
+
+def oracle_group_filtration(G: FinGroup):
+    """G_(i+1) as the closure of the [g, h] over generators g of G and h of
+    G_i, re-closed with the conjugates of the seeds by the generators of G
+    until none falls outside."""
+    gens = np.asarray(oracle_group_gens(G), dtype=np.int64)
+
+    def next_term(cur: frozenset) -> frozenset:
+        S = set(G.comm_batch(gens[:, None], np.asarray(oracle_group_gens(G, cur))).ravel().tolist())
+        while True:
+            N = oracle_group_closure(G, S)
+            s = np.asarray(sorted(S), dtype=np.int64)
+            conj = set(G.table[G.table[G.inv[gens][:, None], s], gens[:, None]].ravel().tolist()) - N
+            if not conj:
+                return N
+            S |= conj
+
+    return descending_series(frozenset(range(G.order)), next_term)
+
+
+def oracle_l_series(B: SkewBrace):
+    """L^(i+1) closed from a*b and [a, b] over all of A and all of L^i."""
+    full = frozenset(range(B.order))
+    return descending_series(full, lambda cur: oracle_group_closure(
+        B.dot, _star_set(B, full, cur) | _comm_set(B.dot, full, cur)))
+
+
+@pytest.fixture(scope="module")
+def series_braces(brace_corpus):
+    """The flow images of the post-Lie catalog, the braces of order 9 and
+    six radical braces (the brace corpus without its relabelled copies),
+    the trivial brace on S_3, whose L-series stalls at A_3, and the 28
+    skew braces on Z/4 x Z/2, some of which need star seeds over circ
+    generators rather than dot generators."""
+    out = [(name, B) for name, B in brace_corpus if not name.startswith("relabelled")]
+    assert len(out) == 69
+    out.append(("trivial_S3", trivial_brace(_S3)))
+    z4z2 = enumerate_braces(catalogs.shape_group(PShape(2, (2, 1))))
+    assert len(z4z2) == 28
+    return out + [(f"z4z2_{i}", B) for i, B in enumerate(z4z2)]
+
+
+def test_l_series_match_the_whole_carrier_oracle(series_braces):
+    for name, B in series_braces:
+        fresh = SkewBrace(FinGroup(B.dot.table, B.dot.identity), FinGroup(B.circ.table, B.circ.identity))
+        assert l_series_brace(fresh) == oracle_l_series(B), name
+    S3_series = l_series_brace(trivial_brace(_S3))
+    assert not S3_series.is_nilpotent and S3_series.terms[-1] == frozenset({0, 1, 2})
+
+
+def _corpus_groups(series_braces, data_dir):
+    _, E = formats.parse_file(data_dir / "extraspecial_27.grp")
+    groups = [("extraspecial_27", E), ("S3", _S3)]
+    return groups + [(f"{name}.{part}", getattr(B, part))
+                     for name, B in series_braces for part in ("dot", "circ")]
+
+
+def test_group_series_and_generators_match_the_set_oracles(series_braces, data_dir):
+    for name, G in _corpus_groups(series_braces, data_dir):
+        G = FinGroup(G.table, G.identity)  # nothing cached
+        series = canonical_group_filtration(G)
+        assert series == oracle_group_filtration(G), name
+        assert list(G.gens) == _group_gens(G) == oracle_group_gens(G), name
+        for term in series.terms:
+            assert _group_gens(G, term) == oracle_group_gens(G, term), name
+        if G.order == 6:  # S_3: element orders need a p-group
+            continue
+        orders = G.element_orders
+        walk = sorted(range(G.order), key=lambda t: (-orders[t], t))
+        assert minimal_generators(G) == oracle_group_gens(G, order=walk), name
+
+
+def test_generator_walk_matches_on_subsets_that_are_not_closed(series_braces, data_dir):
+    # the walk's closure escapes a non-closed subset, or stops short of it
+    rng = np.random.default_rng(5)
+    seen_open = 0
+    for name, G in _corpus_groups(series_braces, data_dir)[:40]:
+        for _ in range(3):
+            S = frozenset({G.identity} | set(rng.choice(G.order, size=int(rng.integers(1, G.order)),
+                                                        replace=True).tolist()))
+            gens = _group_gens(G, S)
+            assert gens == oracle_group_gens(G, S), (name, sorted(S))
+            seen_open += group_closure(G, gens) != S
+    assert seen_open > 0
+
+
+def _cyclic(n: int) -> FinGroup:
+    return FinGroup(np.add.outer(np.arange(n), np.arange(n)) % n, 0)
+
+
+def test_group_closure_matches_the_frontier_oracle(series_braces, data_dir):
+    rng = np.random.default_rng(3)
+    groups = _corpus_groups(series_braces, data_dir) + [("Z625", _cyclic(625)), ("Z2401", _cyclic(2401))]
+    for name, G in groups:
+        for k in (0, 1, 1, 2, 3):
+            gens = rng.integers(0, G.order, size=k).tolist()
+            assert group_closure(G, gens) == oracle_group_closure(G, gens), (name, gens)
+        assert group_closure(G, set(gens)) == oracle_group_closure(G, gens), name
+    Z = _cyclic(2401)
+    assert group_closure(Z, [7 * 49]) == frozenset(range(0, 2401, 343))
+    assert group_closure(Z, np.array([5])) == frozenset(range(2401))
+
+
+def oracle_verify_group_table(table):
+    """verify_group_table with Light's test on the generators of the
+    frontier walk."""
+    table = np.asarray(table, dtype=np.int64)
+    ident = int(np.nonzero((table == np.arange(table.shape[0])).all(axis=1))[0][0])
+    for a in oracle_group_gens(FinGroup(table, ident)):
+        bad = table[table[:, a]] != table[:, table[a]]
+        if bad.any():
+            x, y = np.argwhere(bad)[0]
+            return f"associativity fails at (x,a,y)=({int(x)},{a},{int(y)})"
+    return None
+
+
+def test_group_table_verdicts_unchanged_on_loops_and_perturbed_tables(rng):
+    tables = [laz(catalogs.heisenberg(3)).table]
+    for k, switches in ((3, [(1, 2, 3), (2, 4, 7)]), (6, [(1, 2, 3), (5, 30, 17)])):
+        X = _xor_table(k)
+        tables += [X] + [_intercalate_switch(X, *sw) for sw in switches]
+    tables += [_product(tables[1], t) for t in tables[2:4]]
+    tables += [_perturbed(t, rng) for t in tables]
+    loops = 0
+    for t in tables:
+        rep = verify_group_table(t)
+        latin = not any("permutation" in f or "identity" in f for f in rep.failures)
+        if latin:
+            loops += 1
+            expected = oracle_verify_group_table(t)
+            assert rep.failures == (() if expected is None else (expected,))
+        assert rep.ok == oracle_group_table(t)
+    assert loops >= 7

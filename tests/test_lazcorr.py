@@ -166,6 +166,22 @@ def test_flow_rejects_non_lazard():
         post_lie_to_brace(P)
 
 
+def test_refusals_name_the_term_where_the_series_stops():
+    # the trivial brace on S_3: both series stall at A_3
+    S3 = FinGroup(np.array([[0, 1, 2, 3, 4, 5], [1, 2, 0, 5, 3, 4], [2, 0, 1, 4, 5, 3],
+                            [3, 4, 5, 0, 1, 2], [4, 5, 3, 2, 0, 1], [5, 3, 4, 1, 2, 0]]), 0)
+    B = trivial_brace(S3)
+    with pytest.raises(NotLazardError) as info:
+        brace_to_post_lie(B)
+    assert str(info.value) == "skew brace is not L-nilpotent: the L-series stops at a term of order 3"
+    # a filtration passed in skips the L-series; the dot group's log refuses
+    F = Filtration((frozenset(range(6)), frozenset({0, 1, 2}), frozenset({0})))
+    with pytest.raises(NotLazardError) as info:
+        u_eval(B, 0, B.lam[0], F)
+    assert str(info.value) == ("dot group is not nilpotent: the lower central series stops"
+                               " at a term of order 3")
+
+
 def test_u_eval_identity_automorphism(radical_flow):
     B = radical_flow.brace
     for a in (0, 7, 24):
