@@ -18,12 +18,13 @@ from fractions import Fraction
 import numpy as np
 
 from . import freelie
-from .common import FailedTheoremError, NotLazardError
+from .common import FailedTheoremError, IdealLevel, NotLazardError
 from .liering import (
     Filtration,
     FinGroup,
     LieRingSC,
     _require_none,
+    _subset_rows,
     all_add_subgroups,
     canonical_group_filtration,
     laz,
@@ -34,7 +35,7 @@ from .modarith import (AbelianBasis, Endo, ModArithError, PShape, PVec, _row_blo
                        root_of_unity)
 from .postlie import (
     PostLieRing,
-    classify_subset,
+    _classify_batch,
     l_series,
     right_series,
     substructures,
@@ -42,7 +43,7 @@ from .postlie import (
 )
 from .skewbrace import (
     SkewBrace,
-    classify_subset_brace,
+    _classify_batch_brace,
     l_series_brace,
     right_series_brace,
     strong_series_brace,
@@ -362,21 +363,20 @@ def transfer_report(
     and compare; also compares fix/socle/annihilator and right nilpotency.
 
     The sweep builds each subgroup once (all_add_subgroups) and classifies
-    it on generators on the post-Lie side; the brace side checks whole
-    tables, so its cost grows with the number of subgroups times |A|.
-    include_subgroups=False keeps only the set comparisons."""
+    the subgroups of each order in one batch per side (_sweep): on additive
+    generators on the post-Lie side, and on pairs of members and generators
+    of A on the brace side.  include_subgroups=False keeps only the set
+    comparisons."""
     flow = flow or post_lie_to_brace(P)
     B = flow.brace
-    s = P.shape
     mismatches = []
     count = 0
     if include_subgroups:
-        for S in all_add_subgroups(s):
-            count += 1
-            lv_p = classify_subset(P, S)
-            lv_b = classify_subset_brace(B, S)
-            if lv_p != lv_b:
-                mismatches.append((sorted(S), lv_p.name, lv_b.name))
+        subgroups = all_add_subgroups(P.shape)
+        count = len(subgroups)
+        for members, lv_p, lv_b in _sweep(P, B, subgroups):
+            mismatches += [(members[i].tolist(), IdealLevel(lv_p[i]).name, IdealLevel(lv_b[i]).name)
+                           for i in np.flatnonzero(lv_p != lv_b)]
     fix_p, soc_p, ann_p = substructures(P)
     fix_b, soc_b, ann_b = substructures_brace(B)
     rn_p = right_series(P).is_nilpotent
@@ -390,6 +390,13 @@ def transfer_report(
         right_nilpotency_match=rn_p == rn_b,
         mismatches=tuple(mismatches),
     )
+
+
+def _sweep(P: PostLieRing, B: SkewBrace, subsets):
+    """(members, post-Lie levels, brace levels) for each run of equal-size
+    subsets (liering._subset_rows), each side classified in one batch."""
+    for members, inside in _subset_rows(P.shape.order, subsets):
+        yield members, _classify_batch(P, members, inside), _classify_batch_brace(B, members, inside)
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,7 @@ arrays; bulk operations are vectorized over element-index arrays.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -19,7 +20,7 @@ import numpy as np
 
 from . import freelie
 from .common import CapExceededError, FailedTheoremError, NotLazardError
-from .modarith import (AbelianBasis, ModArithError, PShape, PVec, Endo, abelian_decompose, prime_power,
+from .modarith import (AbelianBasis, ModArithError, PShape, PVec, abelian_decompose, prime_power,
                        _row_blocks, _table_orders, _table_times)
 
 __all__ = [
@@ -46,9 +47,7 @@ __all__ = [
     "group_closure",
     "all_add_subgroups",
     "verify_group_table",
-    "verify_lie_table",
     "table_to_sc",
-    "ad_endo",
     "left_mats",
     "bilinear_batch",
 ]
@@ -312,6 +311,56 @@ def _subgroup_gens(shape: PShape, members: frozenset) -> list[int]:
     return _span_fold(shape, sorted(members), members)[1]
 
 
+def _span_rows(shape: PShape, walk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Fold H <- H + <g> from H = 0 over the elements g of a row of `walk`
+    not yet in H, for all k rows at once; returns the (k, n) masks of the H
+    and the (k, c) g kept, padded with 0 where a row kept fewer.
+
+    The fold of a row stops once the row lies in H, so it stops at the row
+    exactly when the row is an additive subgroup.  H + <g> is the union of
+    the cosets H + t g for t below the order q of g modulo H, the least p^j
+    with p^j g in H; each member of H is moved by the t g of its row.
+    """
+    rows = np.arange(len(walk))[:, None]
+    coords = shape.all_coords()
+    powers = shape.p ** np.arange(shape.exps[0] + 1)
+    span = np.zeros((len(walk), shape.order), dtype=bool)
+    span[:, 0] = True
+    kept = []
+    while True:
+        out = ~span[rows, walk]
+        active = out.any(axis=1)
+        if not active.any():
+            break
+        kept.append(np.where(active, walk[rows[:, 0], out.argmax(axis=1)], 0))
+        g = coords[kept[-1]]
+        q = powers[span[rows, shape.index_batch(powers[:, None] * g[:, None, :])].argmax(axis=1).max()]
+        row, x = np.nonzero(span)
+        span[row, shape.index_batch(np.arange(1, q)[:, None, None] * g[row] + coords[x])] = True
+    return span, np.stack(kept, axis=1) if kept else np.zeros((len(walk), 0), dtype=np.int64)
+
+
+def _subset_rows(n: int, subsets) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Subsets of 0..n-1 as runs of equal size, in the order given: each run
+    a (k, m) array of sorted members and its (k, n) boolean mask."""
+    out = []
+    for m, run in itertools.groupby(subsets, len):
+        run = list(run)
+        members = np.sort(np.fromiter(itertools.chain.from_iterable(run), dtype=np.int64,
+                                      count=len(run) * m).reshape(len(run), m), axis=1)
+        inside = np.zeros((len(run), n), dtype=bool)
+        inside[np.arange(len(run))[:, None], members] = True
+        out.append((members, inside))
+    return out
+
+
+def _levels(tests) -> np.ndarray:
+    """IdealLevel values from four boolean tests per row, in the order of
+    the levels (closure, then the three ideal tests): the number of leading
+    tests a row passes."""
+    return np.logical_and.accumulate(np.stack(tests), axis=0).sum(axis=0)
+
+
 def all_add_subgroups(shape: PShape) -> list[frozenset]:
     """Every additive subgroup, each built once, sorted by (size, members).
 
@@ -540,9 +589,15 @@ def verify_group_table(table) -> CheckReport:
     if table.min() < 0 or table.max() >= n:
         return CheckReport(False, ("entries out of range",))
     idx = np.arange(n)
-    if (np.sort(table, axis=1) != idx).any():
+    # a row (column) of n entries in range is a permutation when it hits
+    # every value: one boolean scatter of (row, value) ((value, column))
+    hit = np.zeros((n, n), dtype=bool)
+    hit[idx[:, None], table] = True
+    if not hit.all():
         failures.append("some row is not a permutation")
-    if (np.sort(table, axis=0) != idx[:, None]).any():
+    hit[:] = False
+    hit[table, idx] = True
+    if not hit.all():
         failures.append("some column is not a permutation")
     ident = np.nonzero((table == idx).all(axis=1))[0]
     if ident.size != 1 or not (table[:, int(ident[0])] == idx).all():
@@ -887,30 +942,6 @@ def table_to_sc(T: LieRingTable) -> tuple[LieRingSC, AbelianBasis]:
     return L, basis
 
 
-def verify_lie_table(T: LieRingTable) -> CheckReport:
-    """Abelian p-group addition, antisymmetric biadditive bracket, Jacobi."""
-    failures = []
-    add_rep = verify_group_table(T.add)
-    if not add_rep.ok:
-        return CheckReport(False, tuple("addition: " + f for f in add_rep.failures))
-    if not np.array_equal(T.add, T.add.T):
-        failures.append("addition is not abelian")
-    G = T.add_group()
-    neg = G.inv
-    if not np.array_equal(T.bracket.T, neg[T.bracket]):
-        failures.append("bracket is not antisymmetric")
-    if failures:
-        return CheckReport(False, tuple(failures))
-    try:
-        L, basis = table_to_sc(T)
-    except (ModArithError, FailedTheoremError) as exc:
-        return CheckReport(False, (str(exc),))
-    rep = verify_lie(L)
-    if not rep.ok:
-        failures.extend(rep.failures)
-    return CheckReport(not failures, tuple(failures))
-
-
 def _table_series(T: LieRingTable) -> SeriesResult:
     """Lower central series of a table Lie ring: [T, X] is the additive
     closure of the brackets of additive generators of T and X, as the
@@ -945,8 +976,3 @@ def laz_of_table(T: LieRingTable, force: bool = False) -> FinGroup:
         freelie.bch_terms(k), np.full(n, g), idx, lambda u, v: T.bracket[u, v],
         lambda acc, v, c: T.add[acc, _rational_power_batch(G, v, c)], zero), [], grow=True)
     return FinGroup(_fill_group(tree), T.zero)
-
-
-def ad_endo(L: LieRingSC, a: PVec) -> Endo:
-    """The adjoint map b -> [a, b] as an additive endomorphism."""
-    return Endo(L.shape, left_mats(L.shape, L.sc, a.np()))

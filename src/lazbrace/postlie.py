@@ -26,16 +26,18 @@ from .liering import (
     _bracket_set,
     _ill_defined_pairs,
     _index_set,
+    _levels,
     _on_indices,
-    _span_fold,
+    _span_rows,
     _subgroup_gens,
+    _subset_rows,
     _validate_lie_filtration,
     descending_series,
     left_mats,
     lower_central_series,
     verify_lie,
 )
-from .modarith import Endo, ModArithError, PShape, PVec
+from .modarith import Endo, ModArithError, PShape, PVec, _row_blocks
 
 __all__ = [
     "PostLieRing",
@@ -222,34 +224,42 @@ def substructures(P: PostLieRing) -> tuple[frozenset, frozenset, frozenset]:
 
 
 def classify_subset(P: PostLieRing, members: frozenset) -> IdealLevel:
-    """Strongest substructure level of an explicit subset (no closure taken).
+    """Strongest substructure level of an explicit subset (no closure taken):
+    the one-row case of _classify_batch."""
+    ((row, inside),) = _subset_rows(P.shape.order, [members])
+    return IdealLevel(int(_classify_batch(P, row, inside)[0]))
 
-    Each level is tested on generators g of the subset and the unit
-    vectors u of the ring, which is exact by biadditivity: [g, g] and
-    g > g for closure, then u > g, [u, g] and the circ bracket {u, g}.
+
+def _classify_batch(P: PostLieRing, members: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """IdealLevel values of k subsets of one size m, given as a (k, m) array
+    of sorted members and their (k, n) masks.
+
+    A row is an additive subgroup when the fold of its members stops at
+    exactly its mask (_span_rows).  Each level is then tested on the
+    generators g the fold kept, padded with 0, and the unit vectors u, which
+    is exact by biadditivity: [g, g'] and g > g' for closure, then u > g,
+    [u, g] and the circ bracket {u, g}.
     """
     s = P.shape
-    H = sorted(members)
-    span, gens = _span_fold(s, H, members)
-    if span.size != len(H):  # the fold stops at H exactly when H is closed
-        return IdealLevel.NOT_CLOSED
-    inside = np.zeros(s.order, dtype=bool)
-    inside[H] = True
-    G = s.coords_batch(np.asarray(gens, dtype=np.int64))
-    units = np.eye(s.rank, dtype=np.int64)
+    levels = np.empty(len(members), dtype=np.int64)
+    # a fold step moves up to n members of a row by up to max_modulus steps
+    for blk in _row_blocks(len(members), s.order * s.rank * s.max_modulus):
+        span, gens = _span_rows(s, members[blk])
+        mask = inside[blk]
+        G = s.coords_batch(gens)
+        rows = np.arange(len(G))[:, None]
 
-    def within(op, X):
-        return inside[s.index_batch(op(X[:, None, :], G[None, :, :]))].all()
+        def within(images):  # coordinates (kb, ..., r), each inside its row
+            return mask[rows, s.index_batch(images).reshape(len(G), -1)].all(axis=1)
 
-    if not (within(P.base.bracket_batch, G) and within(P.tri_batch, G)):
-        return IdealLevel.NOT_CLOSED
-    if not within(P.tri_batch, units):
-        return IdealLevel.SUB
-    if not within(P.base.bracket_batch, units):
-        return IdealLevel.LEFT_IDEAL
-    if not within(P.circ.bracket_batch, units):
-        return IdealLevel.STRONG_LEFT_IDEAL
-    return IdealLevel.IDEAL
+        # u.v = sum over j of v_j (sum over i of u_i consts[i, j]), reduced in
+        # between as in bilinear_batch; a unit u_i picks out consts[i]
+        left = s.reduce(np.einsum("kai,oijl->okajl", G, np.stack([P.base.sc, P.tri])))
+        pairs = np.einsum("kbj,okajl->okabl", G, left)
+        units = np.einsum("kbj,oijl->okibl", G, np.stack([P.tri, P.base.sc, P.circ.sc]))
+        levels[blk] = _levels([(span == mask).all(axis=1) & within(pairs[0]) & within(pairs[1]),
+                               within(units[0]), within(units[1]), within(units[2])])
+    return levels
 
 
 def ideal_type(P: PostLieRing, gens) -> IdealLevel:

@@ -31,8 +31,10 @@ from .liering import (
     _group_gens,
     _index_set,
     _invariant_closure,
+    _levels,
+    _subset_rows,
 )
-from .modarith import ModArithError, prime_power
+from .modarith import ModArithError, _row_blocks, prime_power
 
 __all__ = [
     "SkewBrace",
@@ -51,16 +53,13 @@ __all__ = [
     "minimal_generators",
     "automorphisms",
     "aut_plus",
-    "holomorph_plus_order",
     "holomorph_plus",
     "adjoint_group_filtration",
     "regular_subgroups",
-    "regular_lambda_search",
     "all_group_chains",
     "enumerate_braces",
     "enumerate_braces_via_chains",
     "isomorphism_classes",
-    "trivial_brace",
 ]
 
 _SOFT_CAP = 125  # |A| cap for enumeration, per the desk-scale contract
@@ -99,24 +98,26 @@ class SkewBrace:
     def l_series(self) -> SeriesResult:
         """l_series_brace(self), computed once per brace and cached.
 
-        L^(i+1) is the smallest normal, lambda-invariant subgroup of (A, .)
-        holding g*h for circ generators g and [g', h] for dot generators g',
-        with h over generators of L^i: an invariant closure under
-        conjugation by dot generators and lambda_g for circ generators.
+        L^(i+1) is the smallest normal subgroup of (A, .) holding g*h for
+        circ generators g and [g', h] for dot generators g', with h over
+        generators of L^i: an invariant closure under conjugation by dot
+        generators.
 
         This is exact.  By induction L^(i+1) lies in L^i, so it is normal
-        (x^a = x [x, a] with [a, x] in [A, L^i]) and lambda-invariant
-        (lambda_a(x) = (a*x) x).  Conversely let N be normal and
-        lambda-invariant and hold the seeds.  For a circ generator g the h
-        with g*h in N form a subgroup, since g*(h1 h2) = (g*h1) h1 (g*h2)
-        h1^-1; the a with a*L^i in N form a submonoid of (A, o), since
-        (a o b)*h = lambda_a(b*h) (a*h); and the commutators follow as for
-        groups (Robinson, 5.1.7).  So N holds every generator of L^(i+1).
+        (x^a = x [x, a] with [a, x] in [A, L^i]).  Conversely let N be the
+        normal closure of the seeds.  For a circ generator g the x with
+        g*x in N form a subgroup, since g*(xy) = (g*x) x (g*y) x^-1, and it
+        holds the generators h, so it holds L^i.  The a with a*L^i in N
+        form a submonoid of (A, o), since (a o b)*h = (a*(b*h)) (b*h) (a*h)
+        with b*h in L^(i+1), which lies in L^i; it holds the circ
+        generators, so it is all of A.  The commutators follow as for
+        groups (Robinson, 5.1.7).  So N holds every generator of L^(i+1),
+        with no closure under the lambda maps.
         """
         dot = self.dot
         dg = np.asarray(dot.gens, dtype=np.int64)
         cg = np.asarray(self.circ.gens, dtype=np.int64)
-        maps = np.concatenate([_conjugations(dot, dg), self.lam[cg]])
+        maps = _conjugations(dot, dg)
 
         def next_term(cur: frozenset) -> frozenset:
             h = np.asarray(_group_gens(dot, cur), dtype=np.int64)
@@ -139,10 +140,6 @@ class SkewBrace:
 
     def __hash__(self):
         return hash((self.dot, self.circ))
-
-
-def trivial_brace(G: FinGroup) -> SkewBrace:
-    return SkewBrace(G, G)
 
 
 def _hom_failure(table, maps, gens) -> tuple[int, int, int] | None:
@@ -270,29 +267,39 @@ def substructures_brace(B: SkewBrace) -> tuple[frozenset, frozenset, frozenset]:
     return fix, soc, ann
 
 
-def _is_dot_subgroup(B: SkewBrace, members: frozenset) -> bool:
-    return B.dot.identity in members and group_closure(B.dot, members) == members
-
-
 def classify_subset_brace(B: SkewBrace, members: frozenset) -> IdealLevel:
-    """Strongest substructure level of an explicit subset (no closure taken)."""
-    if not _is_dot_subgroup(B, members):
-        return IdealLevel.NOT_CLOSED
-    arr = np.asarray(sorted(members), dtype=np.int64)
-    inside = lambda vals: set(int(v) for v in np.unique(vals)) <= members
-    if not inside(B.circ.table[arr[:, None], arr[None, :]]):
-        return IdealLevel.NOT_CLOSED
-    if not inside(B.lam[:, arr]):
-        return IdealLevel.SUB
-    n = B.order
-    allidx = np.arange(n, dtype=np.int64)
-    conj_dot = B.dot.table[B.dot.table[allidx[:, None], arr[None, :]], B.dot.inv[allidx][:, None]]
-    if not inside(conj_dot):
-        return IdealLevel.LEFT_IDEAL
-    conj_circ = B.circ.table[B.circ.table[allidx[:, None], arr[None, :]], B.circ.inv[allidx][:, None]]
-    if not inside(conj_circ):
-        return IdealLevel.STRONG_LEFT_IDEAL
-    return IdealLevel.IDEAL
+    """Strongest substructure level of an explicit subset (no closure taken):
+    the one-row case of _classify_batch_brace."""
+    ((row, inside),) = _subset_rows(B.order, [members])
+    return IdealLevel(int(_classify_batch_brace(B, row, inside)[0]))
+
+
+def _classify_batch_brace(B: SkewBrace, members: np.ndarray, inside: np.ndarray) -> np.ndarray:
+    """IdealLevel values of k subsets of one size m, given as a (k, m) array
+    of sorted members and their (k, n) masks.
+
+    Closure under dot and circ is checked on all pairs of members.  The
+    other levels are checked on all members h against generators of A, which
+    is exact because each test asks that a subgroup of A fix H: lambda is a
+    homomorphism (A, o) -> Aut(A, .), so the a with lambda_a(H) = H form a
+    subgroup of (A, o), and circ generators suffice; the normaliser of H in
+    (A, .) or in (A, o) is a subgroup, so dot or circ generators suffice.
+    """
+    dot, circ = B.dot, B.circ
+    maps = [B.lam[list(circ.gens)], _conjugations(dot, dot.gens), _conjugations(circ, circ.gens)]
+    k, m = members.shape
+    levels = np.empty(k, dtype=np.int64)
+    for blk in _row_blocks(k, m * max(m, *(len(f) for f in maps))):
+        M, mask = members[blk], inside[blk]
+        rows = np.arange(len(M))[:, None]
+
+        def within(images):  # element indices (kb, ...), each inside its row
+            return mask[rows, images.reshape(len(M), -1)].all(axis=1)
+
+        pairs = M[:, :, None], M[:, None, :]
+        levels[blk] = _levels([mask[:, dot.identity] & within(dot.table[pairs]) & within(circ.table[pairs])]
+                              + [within(f[:, M].swapaxes(0, 1)) for f in maps])
+    return levels
 
 
 def ideal_type_brace(B: SkewBrace, gens) -> IdealLevel:
@@ -450,11 +457,6 @@ def _composition_table(auts: list[np.ndarray]) -> tuple[np.ndarray, int]:
     return comp, key_of[np.arange(auts[0].size, dtype=np.int64).tobytes()]
 
 
-def holomorph_plus_order(A: FinGroup, F: Filtration) -> int:
-    """|Hol(A)^+| = |A| * |Aut(A)_1| for the given filtration."""
-    return A.order * len(aut_plus(A, F))
-
-
 def holomorph_plus(A: FinGroup, F: Filtration, force: bool = False) -> tuple[FinGroup, list]:
     """Materialize Hol(A)^+ = A x| Aut(A)_1 as a Cayley table.
 
@@ -548,19 +550,6 @@ def _lambda_backtrack(A: FinGroup, auts: list[np.ndarray]) -> list[np.ndarray]:
         a0 = min(x for x in range(n) if x not in assign)
         stack.extend(propagate({**assign, a0: i}) for i in reversed(range(m)))
     return results
-
-
-def regular_lambda_search(A: FinGroup, F: Filtration) -> list[SkewBrace]:
-    """Braces filtered by F, by direct search over lambda: A -> Aut(A)_1."""
-    auts = aut_plus(A, F)
-    out = []
-    seen = set()
-    for rows in _lambda_backtrack(A, auts):
-        key = rows.tobytes()
-        if key not in seen:
-            seen.add(key)
-            out.append(_brace_from_lambda(A, rows))
-    return out
 
 
 def regular_subgroups(A: FinGroup, F: Filtration, force: bool = False) -> list[SkewBrace]:

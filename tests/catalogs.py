@@ -12,10 +12,12 @@ import random
 
 import numpy as np
 
-from lazbrace.liering import FinGroup, LieRingSC, verify_lie
-from lazbrace.modarith import PShape
+from lazbrace.common import FailedTheoremError
+from lazbrace.liering import (CheckReport, Filtration, FinGroup, LieRingSC, LieRingTable, left_mats, table_to_sc,
+                              verify_group_table, verify_lie)
+from lazbrace.modarith import Endo, ModArithError, PShape, PVec
 from lazbrace.postlie import PostLieRing, verify_post_lie
-from lazbrace.skewbrace import SkewBrace, enumerate_braces
+from lazbrace.skewbrace import SkewBrace, _brace_from_lambda, _lambda_backtrack, aut_plus, enumerate_braces
 
 
 def shape_group(shape: PShape) -> FinGroup:
@@ -191,3 +193,59 @@ def radical_brace(p, e) -> SkewBrace:
     dot = FinGroup(np.add.outer(u, u) % n, 0)
     circ = FinGroup((u[:, None] + u[None, :] + p * u[:, None] * u[None, :]) % n, 0)
     return SkewBrace(dot, circ)
+
+
+# ---------------------------------------------------------------------------
+# Helpers that only the tests use: a table-form Lie ring check, the adjoint
+# map, the trivial brace, |Hol(A)^+|, and the lambda-search enumeration.
+
+
+def verify_lie_table(T: LieRingTable) -> CheckReport:
+    """Abelian p-group addition, antisymmetric biadditive bracket, Jacobi."""
+    failures = []
+    add_rep = verify_group_table(T.add)
+    if not add_rep.ok:
+        return CheckReport(False, tuple("addition: " + f for f in add_rep.failures))
+    if not np.array_equal(T.add, T.add.T):
+        failures.append("addition is not abelian")
+    G = T.add_group()
+    neg = G.inv
+    if not np.array_equal(T.bracket.T, neg[T.bracket]):
+        failures.append("bracket is not antisymmetric")
+    if failures:
+        return CheckReport(False, tuple(failures))
+    try:
+        L, basis = table_to_sc(T)
+    except (ModArithError, FailedTheoremError) as exc:
+        return CheckReport(False, (str(exc),))
+    rep = verify_lie(L)
+    if not rep.ok:
+        failures.extend(rep.failures)
+    return CheckReport(not failures, tuple(failures))
+
+
+def ad_endo(L: LieRingSC, a: PVec) -> Endo:
+    """The adjoint map b -> [a, b] as an additive endomorphism."""
+    return Endo(L.shape, left_mats(L.shape, L.sc, a.np()))
+
+
+def trivial_brace(G: FinGroup) -> SkewBrace:
+    return SkewBrace(G, G)
+
+
+def holomorph_plus_order(A: FinGroup, F: Filtration) -> int:
+    """|Hol(A)^+| = |A| * |Aut(A)_1| for the given filtration."""
+    return A.order * len(aut_plus(A, F))
+
+
+def regular_lambda_search(A: FinGroup, F: Filtration) -> list[SkewBrace]:
+    """Braces filtered by F, by direct search over lambda: A -> Aut(A)_1."""
+    auts = aut_plus(A, F)
+    out = []
+    seen = set()
+    for rows in _lambda_backtrack(A, auts):
+        key = rows.tobytes()
+        if key not in seen:
+            seen.add(key)
+            out.append(_brace_from_lambda(A, rows))
+    return out

@@ -7,10 +7,13 @@ laz_of_table evaluate only the rows of generators and fill the rest along
 a Schreier tree, and the lower central series of groups and table rings
 work on generators.  Omega and U come from one stacked BCH in the
 semidirect sum T (+) End(T), and the root-of-unity triangle from stacked
-gathers.  The oracles below sweep every triple or pair, search by
-closure, or evaluate one element at a time in the holomorph, as the
-library once did, and must give the same verdict, list, table or map on
-every table, chain, subset, ring and brace of the corpus, valid or not.
+gathers.  transfer_report classifies the subgroups of one order in one
+batch per side, and classify_subset and classify_subset_brace are the
+one-subset case of those batches.  The oracles below sweep every triple
+or pair, search by closure, classify one subset at a time, or evaluate
+one element at a time in the holomorph, as the library once did, and
+must give the same verdict, list, table or map on every table, chain,
+subset, ring and brace of the corpus, valid or not.
 """
 
 from fractions import Fraction
@@ -19,6 +22,7 @@ import numpy as np
 import pytest
 
 import catalogs
+from catalogs import trivial_brace
 from lazbrace import formats, freelie
 from lazbrace.common import IdealLevel
 from lazbrace.liering import (
@@ -32,6 +36,7 @@ from lazbrace.liering import (
     _group_gens,
     _index_set,
     _rational_power_batch,
+    _span_fold,
     _table_series,
     add_closure,
     all_add_subgroups,
@@ -46,7 +51,8 @@ from lazbrace.liering import (
     validate_group_filtration,
     verify_group_table,
 )
-from lazbrace.lazcorr import brace_to_post_lie, lambda_derivative, omega_map, post_lie_to_brace, u_eval
+from lazbrace.lazcorr import (_sweep, brace_to_post_lie, lambda_derivative, omega_map, post_lie_to_brace,
+                              transfer_report, u_eval)
 from lazbrace.modarith import (
     _CHUNK,
     AbelianBasis,
@@ -64,11 +70,11 @@ from lazbrace.skewbrace import (
     SkewBrace,
     _all_subgroups_group,
     _star_set,
+    classify_subset_brace,
     enumerate_braces,
     l_series_brace,
     minimal_generators,
     strong_series_brace,
-    trivial_brace,
     verify_skew_brace,
 )
 
@@ -450,6 +456,99 @@ def test_classifications_match_the_pairwise_oracle(postlie_cat, rng):
 
 
 # ---------------------------------------------------------------------------
+# The batched subgroup sweep against the one-subset classifiers it replaced.
+
+
+def oracle_classify_subset_gens(P, members: frozenset) -> IdealLevel:
+    """One subset at a time: the greedy additive fold of its sorted
+    members, then each level on the generators kept and the unit vectors."""
+    s = P.shape
+    H = sorted(members)
+    span, gens = _span_fold(s, H, members)
+    if span.size != len(H):  # the fold stops at H exactly when H is closed
+        return IdealLevel.NOT_CLOSED
+    inside = np.zeros(s.order, dtype=bool)
+    inside[H] = True
+    G = s.coords_batch(np.asarray(gens, dtype=np.int64))
+    units = np.eye(s.rank, dtype=np.int64)
+
+    def within(op, X):
+        return inside[s.index_batch(op(X[:, None, :], G[None, :, :]))].all()
+
+    if not (within(P.base.bracket_batch, G) and within(P.tri_batch, G)):
+        return IdealLevel.NOT_CLOSED
+    if not within(P.tri_batch, units):
+        return IdealLevel.SUB
+    if not within(P.base.bracket_batch, units):
+        return IdealLevel.LEFT_IDEAL
+    if not within(P.circ.bracket_batch, units):
+        return IdealLevel.STRONG_LEFT_IDEAL
+    return IdealLevel.IDEAL
+
+
+def oracle_classify_subset_brace(B: SkewBrace, members: frozenset) -> IdealLevel:
+    """One subset at a time: its group closure, then circ on all pairs of
+    members, and lambda_a and both conjugations by every a of A."""
+    if B.dot.identity not in members or group_closure(B.dot, members) != members:
+        return IdealLevel.NOT_CLOSED
+    arr = np.asarray(sorted(members), dtype=np.int64)
+    inside = lambda vals: set(int(v) for v in np.unique(vals)) <= members
+    if not inside(B.circ.table[arr[:, None], arr[None, :]]):
+        return IdealLevel.NOT_CLOSED
+    if not inside(B.lam[:, arr]):
+        return IdealLevel.SUB
+    n = B.order
+    allidx = np.arange(n, dtype=np.int64)
+    conj_dot = B.dot.table[B.dot.table[allidx[:, None], arr[None, :]], B.dot.inv[allidx][:, None]]
+    if not inside(conj_dot):
+        return IdealLevel.LEFT_IDEAL
+    conj_circ = B.circ.table[B.circ.table[allidx[:, None], arr[None, :]], B.circ.inv[allidx][:, None]]
+    if not inside(conj_circ):
+        return IdealLevel.STRONG_LEFT_IDEAL
+    return IdealLevel.IDEAL
+
+
+def test_batched_sweep_matches_the_one_subset_oracles(postlie_cat):
+    levels = set()
+    for name, P in list(postlie_cat) + [("left_not_right_p3", _left_not_right(3))]:
+        flow = post_lie_to_brace(P, check=False)
+        subs = all_add_subgroups(P.shape)
+        swept = [(row.tolist(), lv_p, lv_b) for members, lp, lb in _sweep(P, flow.brace, subs)
+                 for row, lv_p, lv_b in zip(members, lp, lb)]
+        assert [row for row, _, _ in swept] == [sorted(S) for S in subs], name
+        expected = [(oracle_classify_subset_gens(P, S), oracle_classify_subset_brace(flow.brace, S)) for S in subs]
+        assert [(lv_p, lv_b) for _, lv_p, lv_b in swept] == expected, name
+        mismatches = tuple((sorted(S), a.name, b.name) for S, (a, b) in zip(subs, expected) if a != b)
+        assert transfer_report(P, flow).mismatches == mismatches, name
+        levels |= {a for a, _ in expected}
+    assert levels == set(IdealLevel)
+
+
+def test_single_subsets_match_the_oracles_off_subgroups(postlie_cat, rng):
+    # the one-row case on subsets that are not subgroups, on both sides
+    for name, P in [(name, P) for name, P in postlie_cat if P.shape.order <= 125] + [
+            ("left_not_right_p3", _left_not_right(3))]:
+        B = post_lie_to_brace(P, check=False).brace
+        subs = all_add_subgroups(P.shape)
+        for S in (_non_subgroups(subs, P.shape.order, rng) if len(subs) > 2 else []) + [frozenset()]:
+            assert classify_subset(P, S) == oracle_classify_subset_gens(P, S) == IdealLevel.NOT_CLOSED, name
+            assert classify_subset_brace(B, S) == oracle_classify_subset_brace(B, S), (name, sorted(S))
+    # and every dot subgroup, plus random subsets, of braces on D_4 and of order 9
+    levels = set()
+    for name, B in [(f"d4_{i}", B) for i, B in enumerate(enumerate_braces(_D4))] + catalogs.order9_braces():
+        n = B.order
+        subsets = _all_subgroups_group(B.dot) + [frozenset({0} | set(rng.choice(n, size=int(rng.integers(1, n)),
+                                                                               replace=False).tolist()))
+                                                  for _ in range(3)]
+        for S in subsets:
+            level = classify_subset_brace(B, S)
+            assert level == oracle_classify_subset_brace(B, S), (name, sorted(S))
+            levels.add(level)
+    # no strong left ideal that is not an ideal here; the sweep test has one
+    assert levels == set(IdealLevel) - {IdealLevel.STRONG_LEFT_IDEAL}
+
+
+# ---------------------------------------------------------------------------
 # Lazard tables from generator rows against the all-pairs evaluators.
 
 
@@ -662,6 +761,15 @@ _S3 = FinGroup(np.array([[0, 1, 2, 3, 4, 5], [1, 2, 0, 5, 3, 4], [2, 0, 1, 4, 5,
                          [3, 4, 5, 0, 1, 2], [4, 5, 3, 2, 0, 1], [5, 3, 4, 1, 2, 0]]), 0)
 
 
+def _dihedral8() -> FinGroup:
+    """D_4 with r^a s^b at index a + 4 b: (r^a s^b)(r^c s^d) = r^(a + (-1)^b c) s^(b + d)."""
+    a, b = np.arange(8) % 4, np.arange(8) // 4
+    return FinGroup((a[:, None] + (1 - 2 * b)[:, None] * a) % 4 + 4 * ((b[:, None] + b) % 2), 0)
+
+
+_D4 = _dihedral8()
+
+
 def oracle_group_closure(G: FinGroup, gen_indices) -> frozenset:
     """Frontier search on a Python set: multiply the newest members by every
     generator until no new element appears."""
@@ -712,15 +820,18 @@ def oracle_l_series(B: SkewBrace):
 def series_braces(brace_corpus):
     """The flow images of the post-Lie catalog, the braces of order 9 and
     six radical braces (the brace corpus without its relabelled copies),
-    the trivial brace on S_3, whose L-series stalls at A_3, and the 28
-    skew braces on Z/4 x Z/2, some of which need star seeds over circ
-    generators rather than dot generators."""
+    the trivial brace on S_3, whose L-series stalls at A_3, the 28 skew
+    braces on Z/4 x Z/2, some of which need star seeds over circ
+    generators rather than dot generators, and the 20 skew braces on the
+    dihedral group D_4."""
     out = [(name, B) for name, B in brace_corpus if not name.startswith("relabelled")]
     assert len(out) == 69
     out.append(("trivial_S3", trivial_brace(_S3)))
     z4z2 = enumerate_braces(catalogs.shape_group(PShape(2, (2, 1))))
     assert len(z4z2) == 28
-    return out + [(f"z4z2_{i}", B) for i, B in enumerate(z4z2)]
+    d4 = enumerate_braces(_D4)
+    assert len(d4) == 20
+    return out + [(f"z4z2_{i}", B) for i, B in enumerate(z4z2)] + [(f"d4_{i}", B) for i, B in enumerate(d4)]
 
 
 def test_l_series_match_the_whole_carrier_oracle(series_braces):

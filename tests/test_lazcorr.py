@@ -8,6 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import catalogs
+from catalogs import ad_endo, trivial_brace
 from lazbrace import formats, freelie, lazcorr
 from lazbrace.common import FailedTheoremError, NotLazardError
 from lazbrace.liering import Filtration, FinGroup, add_closure, canonical_filtration, laz, laz_inv, laz_of_table
@@ -19,7 +20,6 @@ from lazbrace.skewbrace import (
     enumerate_braces,
     l_series_brace,
     regular_subgroups,
-    trivial_brace,
     verify_skew_brace,
 )
 from lazbrace.lazcorr import (
@@ -77,8 +77,6 @@ def test_v_eval_matches_displayed_truncation():
     F = Filtration(l_series(P).terms)
     s = L.shape
     rng = random.Random(17)
-    from lazbrace.liering import ad_endo
-
     for _ in range(40):
         a = PVec(s, tuple(rng.randrange(5) for _ in range(4)))
         b = PVec(s, tuple(rng.randrange(5) for _ in range(4)))

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 import catalogs
+from catalogs import ad_endo, verify_lie_table
 from lazbrace.common import FailedTheoremError, NotLazardError
 from lazbrace.liering import (
     LieRingTable,
@@ -27,8 +28,6 @@ from lazbrace.liering import (
     table_to_sc,
     verify_group_table,
     verify_lie,
-    verify_lie_table,
-    ad_endo,
 )
 from lazbrace.modarith import ModArithError, PShape, PVec, endo_exp
 

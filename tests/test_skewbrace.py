@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import catalogs
+from catalogs import holomorph_plus_order, regular_lambda_search, trivial_brace
 from lazbrace.common import FailedTheoremError, IdealLevel
 from lazbrace.liering import FinGroup, Filtration, canonical_group_filtration, group_closure, laz
 from lazbrace.modarith import ModArithError, PShape
@@ -15,7 +16,6 @@ from lazbrace.skewbrace import (
     classify_subset_brace,
     enumerate_braces,
     enumerate_braces_via_chains,
-    holomorph_plus_order,
     ideal_type_brace,
     isomorphism_classes,
     l_series_brace,
@@ -24,11 +24,9 @@ from lazbrace.skewbrace import (
     minimal_generators,
     nilpotency_decomposition_brace,
     power_set_ideals,
-    regular_lambda_search,
     regular_subgroups,
     strong_series_brace,
     substructures_brace,
-    trivial_brace,
     verify_skew_brace,
 )
 
