@@ -297,9 +297,16 @@ def _span_fold(shape: PShape, order, target: frozenset | None = None) -> tuple[n
     return members, kept
 
 
+def _indices(gen_indices) -> np.ndarray:
+    """Element indices, given as a set or as an array-like, as one flat array."""
+    if isinstance(gen_indices, (set, frozenset)):
+        return np.fromiter(gen_indices, dtype=np.int64, count=len(gen_indices))
+    return np.asarray(gen_indices, dtype=np.int64).ravel()
+
+
 def add_closure(shape: PShape, gen_indices) -> frozenset:
     """Subgroup of (shape, +) generated by the given element indices."""
-    members, _ = _span_fold(shape, sorted(set(int(g) for g in gen_indices)))
+    members, _ = _span_fold(shape, _indices(gen_indices))
     return frozenset(members.tolist())
 
 
@@ -391,36 +398,29 @@ def all_add_subgroups(shape: PShape) -> list[frozenset]:
     return [frozenset(H.tolist()) for H in subs]
 
 
-def _index_set(op, A, B) -> set[int]:
-    """{op(a, b) : a in A, b in B} for an elementwise op on index arrays:
-    one scatter (bincount) per block of rows, one set at the end."""
-    ai = np.fromiter(A, dtype=np.int64)
-    bi = np.fromiter(B, dtype=np.int64)
-    hits = np.zeros(0, dtype=np.int64)
-    for rows in _row_blocks(len(ai), len(bi)):
-        block = np.bincount(op(ai[rows, None], bi[None, :]).ravel(), minlength=hits.size)
-        block[:hits.size] += hits
-        hits = block
-    return set(np.flatnonzero(hits).tolist())
+def _product_series(shape: PShape, consts: np.ndarray, right: bool = False) -> SeriesResult:
+    """X_1 = a, X_(i+1) = <x.y : x in a, y in X_i> (with right, <y.x>) for
+    the biadditive products whose constants consts[..., i, j] (stacked on
+    the leading axes) hold the coordinates of g_i.g_j.
 
+    Each term is the additive closure of the products u.g of the unit
+    vectors u with the generators g of the term before.  This is exact by
+    biadditivity: x.y is a sum of multiples of the u.g.
+    """
+    consts = consts.reshape((-1,) + consts.shape[-3:])
+    if right:
+        consts = consts.swapaxes(1, 2)
 
-def _on_indices(shape: PShape, op):
-    """A biadditive op on coordinate arrays, as an op on element indices."""
-    return lambda x, y: shape.index_batch(op(shape.coords_batch(x), shape.coords_batch(y)))
+    def next_term(cur: frozenset) -> frozenset:
+        gens = shape.coords_batch(_subgroup_gens(shape, cur))
+        return add_closure(shape, shape.index_batch(np.einsum("bj,oijl->oibl", gens, consts)))
 
-
-def _bracket_set(L: LieRingSC, A: frozenset, B: frozenset) -> set[int]:
-    """{index([a,b]) : a in A, b in B}."""
-    return _index_set(_on_indices(L.shape, L.bracket_batch), A, B)
+    return descending_series(frozenset(range(shape.order)), next_term)
 
 
 def lower_central_series(L: LieRingSC) -> SeriesResult:
     """gamma^1 = a, gamma^(i+1) = [a, gamma^i], until stabilization."""
-    s = L.shape
-    full = frozenset(range(s.order))
-    units = [u.index for u in s.units()]
-    return descending_series(
-        full, lambda cur: add_closure(s, _bracket_set(L, units, _subgroup_gens(s, cur))))
+    return _product_series(L.shape, L.sc)
 
 
 def canonical_filtration(L: LieRingSC) -> Filtration:
@@ -436,8 +436,8 @@ def validate_filtration(F: Filtration, full: frozenset, trivial: frozenset,
     with op(X_i, X_j) inside X_(i+j), testing op on generators only.
 
     closure(g) is the substructure generated by g, gens(term) a greedy
-    generating set of a term, op(A, B) the set of products over A x B
-    (the bracket, or the group commutator).  Raises ModArithError.
+    generating set of a term, op(x, y) the product (the bracket, or the
+    group commutator) on broadcast index arrays.  Raises ModArithError.
     """
     if F.terms[0] != full:
         raise ModArithError("filtration must start at the whole structure")
@@ -446,7 +446,7 @@ def validate_filtration(F: Filtration, full: frozenset, trivial: frozenset,
     for a, b in zip(F.terms, F.terms[1:]):
         if not b <= a:
             raise ModArithError("filtration is not descending")
-    term_gens = [gens(term) for term in F.terms]
+    term_gens = [np.asarray(gens(term), dtype=np.int64) for term in F.terms]
     for i, (term, g) in enumerate(zip(F.terms, term_gens), start=1):
         if closure(g) != term:
             raise ModArithError(f"filtration term {i} is not closed")
@@ -458,7 +458,7 @@ def validate_filtration(F: Filtration, full: frozenset, trivial: frozenset,
     pairs = [(1, j) for j in range(depth, 0, -1)]
     pairs += [(i, j) for i in range(2, depth + 1) for j in range(i, depth + 1)]
     for i, j in pairs:
-        if not op(term_gens[i - 1], term_gens[j - 1]) <= F.term(i + j):
+        if not (F.level[op(term_gens[i - 1][:, None], term_gens[j - 1])] >= min(i + j, depth)).all():
             raise ModArithError(f"[term {i}, term {j}] escapes term {i + j}")
 
 
@@ -467,7 +467,8 @@ def _validate_lie_filtration(L: LieRingSC, F: Filtration) -> None:
     validate_filtration(F, frozenset(range(shape.order)), frozenset({0}),
                         lambda gens: add_closure(shape, gens),
                         lambda term: _subgroup_gens(shape, term),
-                        lambda A, B: _bracket_set(L, A, B))
+                        lambda x, y: shape.index_batch(
+                            L.bracket_batch(shape.coords_batch(x), shape.coords_batch(y))))
 
 
 def is_lazard(L: LieRingSC, F: Filtration | None = None) -> bool:
@@ -751,20 +752,9 @@ def _close(G: FinGroup, inside: np.ndarray, frontier: np.ndarray, gens) -> None:
 
 
 def group_closure(G: FinGroup, gen_indices) -> frozenset:
-    """Subgroup generated by the given element indices, closed on a mask."""
-    if isinstance(gen_indices, (set, frozenset)):
-        gens = np.fromiter(gen_indices, dtype=np.int64)
-    else:
-        gens = np.asarray(gen_indices, dtype=np.int64).ravel()
-    inside = np.zeros(G.order, dtype=bool)
-    inside[G.identity] = True
-    inside[gens] = True
-    _close(G, inside, np.flatnonzero(inside), gens)
-    return frozenset(np.flatnonzero(inside).tolist())
-
-
-def _comm_set(G: FinGroup, A: frozenset, B: frozenset) -> set[int]:
-    return _index_set(G.comm_batch, A, B)
+    """Subgroup generated by the given element indices: an invariant
+    closure under no maps."""
+    return _invariant_closure(G, gen_indices, np.empty((0, G.order), dtype=np.int64))
 
 
 def _invariant_closure(G: FinGroup, seeds, maps: np.ndarray) -> frozenset:
@@ -780,7 +770,7 @@ def _invariant_closure(G: FinGroup, seeds, maps: np.ndarray) -> frozenset:
     """
     inside = np.zeros(G.order, dtype=bool)
     inside[G.identity] = True
-    new = _fresh(inside, np.asarray(seeds, dtype=np.int64).ravel())
+    new = _fresh(inside, _indices(seeds))
     gens = new
     while new.size:
         inside[new] = True
@@ -836,7 +826,7 @@ def validate_group_filtration(G: FinGroup, F: Filtration) -> None:
     validate_filtration(F, frozenset(range(G.order)), frozenset({G.identity}),
                         lambda gens: group_closure(G, gens),
                         lambda term: _group_gens(G, term),
-                        lambda A, B: _comm_set(G, A, B))
+                        G.comm_batch)
 
 
 def _p_of_group(G: FinGroup) -> int:

@@ -23,16 +23,12 @@ from .liering import (
     SeriesResult,
     add_closure,
     bilinear_batch,
-    _bracket_set,
     _ill_defined_pairs,
-    _index_set,
     _levels,
-    _on_indices,
+    _product_series,
     _span_rows,
-    _subgroup_gens,
     _subset_rows,
     _validate_lie_filtration,
-    descending_series,
     left_mats,
     lower_central_series,
     verify_lie,
@@ -153,38 +149,19 @@ def circ_ring(P: PostLieRing) -> LieRingSC:
     return out
 
 
-def _tri_set(P: PostLieRing, A: frozenset, B: frozenset) -> set[int]:
-    """{index(a > b) : a in A, b in B}."""
-    return _index_set(_on_indices(P.shape, P.tri_batch), A, B)
-
-
 def l_series(P: PostLieRing) -> SeriesResult:
     """L^1 = a, L^(i+1) = <x > y and [x, y] : x in a, y in L^i>."""
-    s = P.shape
-    full = frozenset(range(s.order))
-    units = [u.index for u in s.units()]
-
-    def next_term(cur):
-        gens = _subgroup_gens(s, cur)
-        return add_closure(s, _tri_set(P, units, gens) | _bracket_set(P.base, units, gens))
-
-    return descending_series(full, next_term)
+    return _product_series(P.shape, np.stack([P.tri, P.base.sc]))
 
 
 def left_series(P: PostLieRing) -> SeriesResult:
     """a^1 = a, a^(i+1) = <x > y : x in a, y in a^i> (left nilpotency series)."""
-    s = P.shape
-    full = frozenset(range(s.order))
-    units = [u.index for u in s.units()]
-    return descending_series(full, lambda cur: add_closure(s, _tri_set(P, units, _subgroup_gens(s, cur))))
+    return _product_series(P.shape, P.tri)
 
 
 def right_series(P: PostLieRing) -> SeriesResult:
     """a_1 = a, a_(i+1) = <x > y : x in a_i, y in a> (right nilpotency series)."""
-    s = P.shape
-    full = frozenset(range(s.order))
-    units = [u.index for u in s.units()]
-    return descending_series(full, lambda cur: add_closure(s, _tri_set(P, _subgroup_gens(s, cur), units)))
+    return _product_series(P.shape, P.tri, right=True)
 
 
 def l_nilpotency_decomposition(P: PostLieRing) -> tuple[bool, bool, bool]:
@@ -212,8 +189,8 @@ def substructures(P: PostLieRing) -> tuple[frozenset, frozenset, frozenset]:
     fix_mask = ~P.tri_batch(units[:, None, :], coords).any(axis=(0, -1))
     soc_mask = ~(P.l_mats(coords).any(axis=(-2, -1))
                  | left_mats(s, P.base.sc, coords).any(axis=(-2, -1)))
-    fix = frozenset(int(i) for i in np.nonzero(fix_mask)[0])
-    soc = frozenset(int(i) for i in np.nonzero(soc_mask)[0])
+    fix = frozenset(np.flatnonzero(fix_mask).tolist())
+    soc = frozenset(np.flatnonzero(soc_mask).tolist())
     ann = soc & fix
     if classify_subset(P, fix) < IdealLevel.LEFT_IDEAL:
         raise FailedTheoremError("fix is not a left ideal")
@@ -296,8 +273,8 @@ def adjoint_filtration(P: PostLieRing, F: Filtration | None = None) -> AdjointFi
             raise ModArithError(f"L_a does not map X_j into X_(j+1) for a = {int(np.argmin(raised))}")
     out_terms: list[frozenset] = []
     for i in range(1, len(F.terms) + 1):
-        members = np.asarray(sorted(F.term(i)), dtype=np.int64)
-        out_terms.append(frozenset(int(a) for a in members[F.raises(tri_table[members], i)]))
+        members = np.flatnonzero(F.level >= i)
+        out_terms.append(frozenset(members[F.raises(tri_table[members], i)].tolist()))
         if out_terms[-1] == frozenset({0}):
             break
     if out_terms[-1] != frozenset({0}):

@@ -26,10 +26,9 @@ from .liering import (
     group_closure,
     validate_group_filtration,
     verify_group_table,
-    _comm_set,
     _conjugations,
     _group_gens,
-    _index_set,
+    _indices,
     _invariant_closure,
     _levels,
     _subset_rows,
@@ -98,21 +97,11 @@ class SkewBrace:
     def l_series(self) -> SeriesResult:
         """l_series_brace(self), computed once per brace and cached.
 
-        L^(i+1) is the smallest normal subgroup of (A, .) holding g*h for
-        circ generators g and [g', h] for dot generators g', with h over
-        generators of L^i: an invariant closure under conjugation by dot
-        generators.
-
-        This is exact.  By induction L^(i+1) lies in L^i, so it is normal
-        (x^a = x [x, a] with [a, x] in [A, L^i]).  Conversely let N be the
-        normal closure of the seeds.  For a circ generator g the x with
-        g*x in N form a subgroup, since g*(xy) = (g*x) x (g*y) x^-1, and it
-        holds the generators h, so it holds L^i.  The a with a*L^i in N
-        form a submonoid of (A, o), since (a o b)*h = (a*(b*h)) (b*h) (a*h)
-        with b*h in L^(i+1), which lies in L^i; it holds the circ
-        generators, so it is all of A.  The commutators follow as for
-        groups (Robinson, 5.1.7).  So N holds every generator of L^(i+1),
-        with no closure under the lambda maps.
+        L^(i+1) is the normal closure in (A, .) of g*h for circ generators
+        g and [g', h] for dot generators g', with h over generators of L^i.
+        This is exact: L^(i+1) lies in L^i and holds [A, L^i], so it is
+        normal; the rest is the proof of left_series_brace, with N normal,
+        and for the commutators as for groups (Robinson, 5.1.7).
         """
         dot = self.dot
         dg = np.asarray(dot.gens, dtype=np.int64)
@@ -121,9 +110,8 @@ class SkewBrace:
 
         def next_term(cur: frozenset) -> frozenset:
             h = np.asarray(_group_gens(dot, cur), dtype=np.int64)
-            stars = dot.table[self.lam[cg[:, None], h], dot.inv[h]]  # g*h = lambda_g(h) h^-1
             return _invariant_closure(dot, np.concatenate(
-                [stars.ravel(), dot.comm_batch(dg[:, None], h).ravel()]), maps)
+                [_star(self, cg[:, None], h).ravel(), dot.comm_batch(dg[:, None], h).ravel()]), maps)
 
         return descending_series(frozenset(range(self.order)), next_term)
 
@@ -201,8 +189,9 @@ def lambda_and_star(B: SkewBrace) -> tuple[np.ndarray, np.ndarray]:
     return lam, star
 
 
-def _star_set(B: SkewBrace, A: frozenset, C: frozenset) -> set[int]:
-    return _index_set(lambda x, y: B.star[x, y], A, C)
+def _star(B: SkewBrace, A, H) -> np.ndarray:
+    """a*h = lambda_a(h) h^-1 on broadcast index arrays A and H."""
+    return B.dot.table[B.lam[A, H], B.dot.inv[H]]
 
 
 def l_series_brace(B: SkewBrace) -> SeriesResult:
@@ -212,15 +201,35 @@ def l_series_brace(B: SkewBrace) -> SeriesResult:
 
 
 def left_series_brace(B: SkewBrace) -> SeriesResult:
-    """A^1 = A, A^(i+1) = <a*b : a in A, b in A^i>."""
-    full = frozenset(range(B.order))
-    return descending_series(full, lambda cur: group_closure(B.dot, _star_set(B, full, cur)))
+    """A^1 = A, A^(i+1) = <a*b : a in A, b in A^i>: the closure of g*h, for
+    circ generators g of A and dot generators h of A^i, under conjugation
+    by the h.  Exact by b (a*c) b^-1 = (a*b)^-1 (a*(bc)): conjugation by A^i
+    keeps A^(i+1), which so holds the closure N, and the x in A^i with g*x
+    in N form a subgroup, so all of A^i; and by
+    (a o a')*x = (a*(a'*x)) (a'*x) (a*x): the a with a*A^i inside N form a
+    submonoid of (A, o) holding the circ generators, so all of A.
+    """
+    dot = B.dot
+    cg = np.asarray(B.circ.gens, dtype=np.int64)
+
+    def next_term(cur: frozenset) -> frozenset:
+        h = np.asarray(_group_gens(dot, cur), dtype=np.int64)
+        return _invariant_closure(dot, _star(B, cg[:, None], h), _conjugations(dot, h))
+
+    return descending_series(frozenset(range(B.order)), next_term)
 
 
 def right_series_brace(B: SkewBrace) -> SeriesResult:
-    """A_1 = A, A_(i+1) = <a*b : a in A_i, b in A>."""
-    full = frozenset(range(B.order))
-    return descending_series(full, lambda cur: group_closure(B.dot, _star_set(B, cur, full)))
+    """A_1 = A, A_(i+1) = <a*b : a in A_i, b in A>: the normal closure in
+    (A, .) of a*g, for the members a of A_i and the dot generators g of A.
+    Exact by b (a*c) b^-1 = (a*b)^-1 (a*(bc)): A_(i+1) is normal, so it
+    holds the closure N, and the x with a*x in N form a subgroup, so all of A.
+    """
+    dot = B.dot
+    dg = np.asarray(dot.gens, dtype=np.int64)
+    conj = _conjugations(dot, dg)
+    return descending_series(frozenset(range(B.order)), lambda cur: _invariant_closure(
+        dot, _star(B, _indices(cur)[:, None], dg), conj))
 
 
 def nilpotency_decomposition_brace(B: SkewBrace) -> tuple[bool, bool, bool]:
@@ -256,9 +265,7 @@ def substructures_brace(B: SkewBrace) -> tuple[frozenset, frozenset, frozenset]:
     fix_mask = (circ == dot).all(axis=0)
     soc_mask = (circ == dot).all(axis=1) & (dot == dot.T).all(axis=1)
     ann_mask = soc_mask & fix_mask & (circ == circ.T).all(axis=1)
-    fix = frozenset(int(i) for i in np.nonzero(fix_mask)[0])
-    soc = frozenset(int(i) for i in np.nonzero(soc_mask)[0])
-    ann = frozenset(int(i) for i in np.nonzero(ann_mask)[0])
+    fix, soc, ann = (frozenset(np.flatnonzero(mask).tolist()) for mask in (fix_mask, soc_mask, ann_mask))
     if classify_subset_brace(B, fix) < IdealLevel.LEFT_IDEAL:
         raise FailedTheoremError("fix is not a left ideal")
     for name, sub in (("socle", soc), ("annihilator", ann)):
@@ -315,10 +322,10 @@ def power_set_ideals(B: SkewBrace, n: int) -> dict:
     allidx = np.arange(B.order, dtype=np.int64)
     dot_pow = B.dot.power_batch(allidx, n)
     circ_pow = B.circ.power_batch(allidx, n)
-    powers_dot = frozenset(int(v) for v in np.unique(dot_pow))
-    powers_circ = frozenset(int(v) for v in np.unique(circ_pow))
-    torsion_dot = frozenset(int(v) for v in np.nonzero(dot_pow == B.dot.identity)[0])
-    torsion_circ = frozenset(int(v) for v in np.nonzero(circ_pow == B.circ.identity)[0])
+    powers_dot = frozenset(np.unique(dot_pow).tolist())
+    powers_circ = frozenset(np.unique(circ_pow).tolist())
+    torsion_dot = frozenset(np.flatnonzero(dot_pow == B.dot.identity).tolist())
+    torsion_circ = frozenset(np.flatnonzero(circ_pow == B.circ.identity).tolist())
     if powers_dot != powers_circ:
         raise FailedTheoremError(f"power images differ for n={n}")
     if torsion_dot != torsion_circ:
@@ -334,21 +341,29 @@ def power_set_ideals(B: SkewBrace, n: int) -> dict:
 
 def strong_series_brace(B: SkewBrace, cap: int | None = None) -> SeriesResult:
     """Doubly-indexed strong series: A^{1} = A, A^{k+1} generated by a*b and
-    dot-commutators over a in A^{i}, b in A^{k+1-i}."""
-    full = frozenset(range(B.order))
-    terms = [full]
+    dot-commutators [a, b] over a in A^{i}, b in A^{k+1-i}: the normal
+    closure in (A, .) of a*h and [a, h], for the members a of A^{i} and the
+    dot generators h of A^{k+1-i}.  Exact: A^{k+1} lies in A^{k} and holds
+    [A^{k}, A], so it is normal and holds the closure N; and the x with a*x
+    in N, or with [a, x] in N, form a subgroup, by
+    b (a*c) b^-1 = (a*b)^-1 (a*(bc)) or [a, xy] = [a, y] y^-1 [a, x] y.
+    """
+    dot = B.dot
+    conj = _conjugations(dot, dot.gens)
+    terms = [frozenset(range(B.order))]
+    members = [np.arange(B.order)[:, None]]
+    gens = [np.asarray(dot.gens, dtype=np.int64)]
     cap = cap or (B.order.bit_length() * 4)
     while len(terms[-1]) > 1 and len(terms) <= cap:
-        k1 = len(terms) + 1
-        gens: set[int] = set()
-        for i in range(1, k1):
-            A_i, A_j = terms[i - 1], terms[k1 - i - 1]
-            gens |= _star_set(B, A_i, A_j)
-            gens |= _comm_set(B.dot, A_i, A_j)
-        new = group_closure(B.dot, gens)
+        seeds = []
+        for a, h in zip(members, reversed(gens)):  # A^{i} against A^{k+1-i}
+            seeds += [_star(B, a, h).ravel(), dot.comm_batch(a, h).ravel()]
+        new = _invariant_closure(dot, np.concatenate(seeds), conj)
         if new == terms[-1]:
             return SeriesResult(tuple(terms), None)
         terms.append(new)
+        members.append(_indices(new)[:, None])
+        gens.append(np.asarray(_group_gens(dot, new), dtype=np.int64))
     if len(terms[-1]) > 1:
         return SeriesResult(tuple(terms), None)
     return SeriesResult(tuple(terms), len(terms) - 1)
@@ -495,9 +510,9 @@ def adjoint_group_filtration(B: SkewBrace, F: Filtration | None = None) -> Filtr
         validate_group_filtration(B.dot, F)
     terms: list[frozenset] = []
     for i in range(1, len(F.terms) + 1):
-        members = np.asarray(sorted(F.term(i)), dtype=np.int64)
+        members = np.flatnonzero(F.level >= i)
         # star[a, g] = lambda_a(g) g^-1 must land in X_(level[g] + i)
-        terms.append(frozenset(int(a) for a in members[F.raises(B.star[members], i)]))
+        terms.append(frozenset(members[F.raises(B.star[members], i)].tolist()))
     if terms[-1] != frozenset({B.dot.identity}):
         terms.append(frozenset({B.dot.identity}))
     out = Filtration(tuple(terms))

@@ -15,7 +15,7 @@ import numpy as np
 from lazbrace.common import FailedTheoremError
 from lazbrace.liering import (CheckReport, Filtration, FinGroup, LieRingSC, LieRingTable, left_mats, table_to_sc,
                               verify_group_table, verify_lie)
-from lazbrace.modarith import Endo, ModArithError, PShape, PVec
+from lazbrace.modarith import Endo, ModArithError, PShape, PVec, _row_blocks
 from lazbrace.postlie import PostLieRing, verify_post_lie
 from lazbrace.skewbrace import SkewBrace, _brace_from_lambda, _lambda_backtrack, aut_plus, enumerate_braces
 
@@ -249,3 +249,46 @@ def regular_lambda_search(A: FinGroup, F: Filtration) -> list[SkewBrace]:
             seen.add(key)
             out.append(_brace_from_lambda(A, rows))
     return out
+
+
+# ---------------------------------------------------------------------------
+# Whole-set product oracles: every product over A x B as a Python set, as
+# the series and filtration builders once took them.
+
+
+def _index_set(op, A, B) -> set[int]:
+    """{op(a, b) : a in A, b in B} for an elementwise op on index arrays:
+    one scatter (bincount) per block of rows, one set at the end."""
+    ai = np.fromiter(A, dtype=np.int64)
+    bi = np.fromiter(B, dtype=np.int64)
+    hits = np.zeros(0, dtype=np.int64)
+    for rows in _row_blocks(len(ai), len(bi)):
+        block = np.bincount(op(ai[rows, None], bi[None, :]).ravel(), minlength=hits.size)
+        block[:hits.size] += hits
+        hits = block
+    return set(np.flatnonzero(hits).tolist())
+
+
+def _on_indices(shape: PShape, op):
+    """A biadditive op on coordinate arrays, as an op on element indices."""
+    return lambda x, y: shape.index_batch(op(shape.coords_batch(x), shape.coords_batch(y)))
+
+
+def _bracket_set(L: LieRingSC, A, B) -> set[int]:
+    """{index([a,b]) : a in A, b in B}."""
+    return _index_set(_on_indices(L.shape, L.bracket_batch), A, B)
+
+
+def _tri_set(P: PostLieRing, A, B) -> set[int]:
+    """{index(a > b) : a in A, b in B}."""
+    return _index_set(_on_indices(P.shape, P.tri_batch), A, B)
+
+
+def _star_set(B: SkewBrace, A, C) -> set[int]:
+    """{a*c : a in A, c in C}."""
+    return _index_set(lambda x, y: B.star[x, y], A, C)
+
+
+def _comm_set(G: FinGroup, A, B) -> set[int]:
+    """{[a, b] : a in A, b in B}, dot commutators."""
+    return _index_set(G.comm_batch, A, B)

@@ -4,16 +4,17 @@ verify_group_table, verify_skew_brace, the filtration validators and
 classify_subset check each law on generators only, and all_add_subgroups
 builds each subgroup once without a closure.  laz, laz_inv and
 laz_of_table evaluate only the rows of generators and fill the rest along
-a Schreier tree, and the lower central series of groups and table rings
-work on generators.  Omega and U come from one stacked BCH in the
-semidirect sum T (+) End(T), and the root-of-unity triangle from stacked
-gathers.  transfer_report classifies the subgroups of one order in one
-batch per side, and classify_subset and classify_subset_brace are the
-one-subset case of those batches.  The oracles below sweep every triple
-or pair, search by closure, classify one subset at a time, or evaluate
-one element at a time in the holomorph, as the library once did, and
-must give the same verdict, list, table or map on every table, chain,
-subset, ring and brace of the corpus, valid or not.
+a Schreier tree, and every series of rings, groups and braces takes each
+term as one closure of products of generators.  Omega and U come from one
+stacked BCH in the semidirect sum T (+) End(T), and the root-of-unity
+triangle from stacked gathers.  transfer_report classifies the subgroups
+of one order in one batch per side, and classify_subset and
+classify_subset_brace are the one-subset case of those batches.  The
+oracles below sweep every triple or pair, search by closure, close whole
+product sets, classify one subset at a time, or evaluate one element at a
+time in the holomorph, as the library once did, and must give the same
+verdict, list, table or map on every table, chain, subset, ring and brace
+of the corpus, valid or not.
 """
 
 from fractions import Fraction
@@ -22,21 +23,20 @@ import numpy as np
 import pytest
 
 import catalogs
-from catalogs import trivial_brace
+from catalogs import _bracket_set, _comm_set, _index_set, _star_set, _tri_set, trivial_brace
 from lazbrace import formats, freelie
 from lazbrace.common import IdealLevel
 from lazbrace.liering import (
     Filtration,
     FinGroup,
     LieRingTable,
+    SeriesResult,
     _bch_batch,
-    _bracket_set,
-    _comm_set,
     _eval_word_batch,
     _group_gens,
-    _index_set,
     _rational_power_batch,
     _span_fold,
+    _subgroup_gens,
     _table_series,
     add_closure,
     all_add_subgroups,
@@ -48,6 +48,7 @@ from lazbrace.liering import (
     laz,
     laz_inv,
     laz_of_table,
+    lower_central_series,
     validate_group_filtration,
     verify_group_table,
 )
@@ -65,15 +66,17 @@ from lazbrace.modarith import (
     prime_power,
     root_of_unity,
 )
-from lazbrace.postlie import PostLieRing, _tri_set, circ_ring, classify_subset, verify_post_lie
+from lazbrace.postlie import (PostLieRing, circ_ring, classify_subset, l_series, left_series, right_series,
+                              verify_post_lie)
 from lazbrace.skewbrace import (
     SkewBrace,
     _all_subgroups_group,
-    _star_set,
     classify_subset_brace,
     enumerate_braces,
     l_series_brace,
+    left_series_brace,
     minimal_generators,
+    right_series_brace,
     strong_series_brace,
     verify_skew_brace,
 )
@@ -524,7 +527,7 @@ def test_batched_sweep_matches_the_one_subset_oracles(postlie_cat):
     assert levels == set(IdealLevel)
 
 
-def test_single_subsets_match_the_oracles_off_subgroups(postlie_cat, rng):
+def test_single_subsets_match_the_oracles_off_subgroups(postlie_cat, z8z2_braces, rng):
     # the one-row case on subsets that are not subgroups, on both sides
     for name, P in [(name, P) for name, P in postlie_cat if P.shape.order <= 125] + [
             ("left_not_right_p3", _left_not_right(3))]:
@@ -533,9 +536,12 @@ def test_single_subsets_match_the_oracles_off_subgroups(postlie_cat, rng):
         for S in (_non_subgroups(subs, P.shape.order, rng) if len(subs) > 2 else []) + [frozenset()]:
             assert classify_subset(P, S) == oracle_classify_subset_gens(P, S) == IdealLevel.NOT_CLOSED, name
             assert classify_subset_brace(B, S) == oracle_classify_subset_brace(B, S), (name, sorted(S))
-    # and every dot subgroup, plus random subsets, of braces on D_4 and of order 9
+    # and every dot subgroup, plus random subsets, of braces on D_4, of order
+    # 9 and on Z/8 x Z/2, where lambda-invariance against the dot generators
+    # instead of the circ generators would give wrong verdicts
     levels = set()
-    for name, B in [(f"d4_{i}", B) for i, B in enumerate(enumerate_braces(_D4))] + catalogs.order9_braces():
+    for name, B in ([(f"d4_{i}", B) for i, B in enumerate(enumerate_braces(_D4))] + catalogs.order9_braces()
+                    + [(f"z8z2_{i}", B) for i, B in enumerate(z8z2_braces)]):
         n = B.order
         subsets = _all_subgroups_group(B.dot) + [frozenset({0} | set(rng.choice(n, size=int(rng.integers(1, n)),
                                                                                replace=False).tolist()))
@@ -544,8 +550,8 @@ def test_single_subsets_match_the_oracles_off_subgroups(postlie_cat, rng):
             level = classify_subset_brace(B, S)
             assert level == oracle_classify_subset_brace(B, S), (name, sorted(S))
             levels.add(level)
-    # no strong left ideal that is not an ideal here; the sweep test has one
-    assert levels == set(IdealLevel) - {IdealLevel.STRONG_LEFT_IDEAL}
+    # the braces on Z/8 x Z/2 have strong left ideals that are not ideals
+    assert levels == set(IdealLevel)
 
 
 # ---------------------------------------------------------------------------
@@ -834,6 +840,14 @@ def series_braces(brace_corpus):
     return out + [(f"z4z2_{i}", B) for i, B in enumerate(z4z2)] + [(f"d4_{i}", B) for i, B in enumerate(d4)]
 
 
+@pytest.fixture(scope="module")
+def z8z2_braces():
+    """The 160 skew braces on Z/8 x Z/2."""
+    braces = enumerate_braces(catalogs.shape_group(PShape(2, (3, 1))))
+    assert len(braces) == 160
+    return braces
+
+
 def test_l_series_match_the_whole_carrier_oracle(series_braces):
     for name, B in series_braces:
         fresh = SkewBrace(FinGroup(B.dot.table, B.dot.identity), FinGroup(B.circ.table, B.circ.identity))
@@ -925,3 +939,72 @@ def test_group_table_verdicts_unchanged_on_loops_and_perturbed_tables(rng):
             assert rep.failures == (() if expected is None else (expected,))
         assert rep.ok == oracle_group_table(t)
     assert loops >= 7
+
+
+# ---------------------------------------------------------------------------
+# Every series term as one closure of generator products, against the
+# closures of whole product sets that the series once took.
+
+
+def oracle_left_series_brace(B: SkewBrace):
+    """A^(i+1) closed from a*b over all of A and all of A^i."""
+    full = frozenset(range(B.order))
+    return descending_series(full, lambda cur: group_closure(B.dot, _star_set(B, full, cur)))
+
+
+def oracle_right_series_brace(B: SkewBrace):
+    """A_(i+1) closed from a*b over all of A_i and all of A."""
+    full = frozenset(range(B.order))
+    return descending_series(full, lambda cur: group_closure(B.dot, _star_set(B, cur, full)))
+
+
+def oracle_strong_series_brace(B: SkewBrace, cap: int | None = None):
+    """A^{k+1} closed from a*b and [a, b] over all of A^{i} and all of A^{k+1-i}."""
+    full = frozenset(range(B.order))
+    terms = [full]
+    cap = cap or (B.order.bit_length() * 4)
+    while len(terms[-1]) > 1 and len(terms) <= cap:
+        k1 = len(terms) + 1
+        gens: set[int] = set()
+        for i in range(1, k1):
+            A_i, A_j = terms[i - 1], terms[k1 - i - 1]
+            gens |= _star_set(B, A_i, A_j)
+            gens |= _comm_set(B.dot, A_i, A_j)
+        new = group_closure(B.dot, gens)
+        if new == terms[-1]:
+            return SeriesResult(tuple(terms), None)
+        terms.append(new)
+    if len(terms[-1]) > 1:
+        return SeriesResult(tuple(terms), None)
+    return SeriesResult(tuple(terms), len(terms) - 1)
+
+
+def oracle_product_series(shape: PShape, product_set):
+    """X_(i+1) closed from the set product_set(U, G) of products of the unit
+    vectors U with generators G of X_i."""
+    units = [u.index for u in shape.units()]
+    return descending_series(frozenset(range(shape.order)), lambda cur: add_closure(
+        shape, product_set(units, _subgroup_gens(shape, cur))))
+
+
+def test_series_match_the_whole_set_oracles(series_braces, z8z2_braces, lie_cat, postlie_cat):
+    z2cubed = enumerate_braces(catalogs.shape_group(PShape(2, (1, 1, 1))))
+    assert len(z2cubed) == 232
+    braces = list(series_braces) + [(f"z8z2_{i}", B) for i, B in enumerate(z8z2_braces)] + [
+        (f"z2cubed_{i}", B) for i, B in enumerate(z2cubed)]
+    assert len(braces) == 510
+    for name, B in braces:
+        assert left_series_brace(B) == oracle_left_series_brace(B), name
+        assert right_series_brace(B) == oracle_right_series_brace(B), name
+        assert strong_series_brace(B) == oracle_strong_series_brace(B), name
+        assert strong_series_brace(B, cap=2) == oracle_strong_series_brace(B, cap=2), name
+    for name, L in list(lie_cat) + [(f"{name}.circ", P.circ) for name, P in postlie_cat]:
+        assert lower_central_series(L) == oracle_product_series(L.shape, lambda U, G: _bracket_set(L, U, G)), name
+    for name, P in postlie_cat:
+        s = P.shape
+        assert lower_central_series(P.base) == oracle_product_series(
+            s, lambda U, G: _bracket_set(P.base, U, G)), name
+        assert l_series(P) == oracle_product_series(
+            s, lambda U, G: _tri_set(P, U, G) | _bracket_set(P.base, U, G)), name
+        assert left_series(P) == oracle_product_series(s, lambda U, G: _tri_set(P, U, G)), name
+        assert right_series(P) == oracle_product_series(s, lambda U, G: _tri_set(P, G, U)), name

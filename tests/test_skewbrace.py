@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 import catalogs
-from catalogs import holomorph_plus_order, regular_lambda_search, trivial_brace
+from catalogs import _comm_set, holomorph_plus_order, regular_lambda_search, trivial_brace
 from lazbrace.common import FailedTheoremError, IdealLevel
 from lazbrace.liering import FinGroup, Filtration, canonical_group_filtration, group_closure, laz
 from lazbrace.modarith import ModArithError, PShape
@@ -256,8 +256,6 @@ def test_holomorph_plus_materialized():
 
 
 def test_brace_l_series_is_a_filtration(radical25):
-    from lazbrace.liering import _comm_set
-
     for B in (radical25, catalogs.radical_brace(5, 3)):
         terms = l_series_brace(B).terms
         for i, ti in enumerate(terms, start=1):
