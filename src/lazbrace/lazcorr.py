@@ -23,9 +23,8 @@ from .liering import (
     Filtration,
     FinGroup,
     LieRingSC,
+    _add_subgroup_runs,
     _require_none,
-    _subset_rows,
-    all_add_subgroups,
     canonical_group_filtration,
     laz,
     laz_inv,
@@ -36,6 +35,7 @@ from .modarith import (AbelianBasis, Endo, ModArithError, PShape, PVec, _row_blo
 from .postlie import (
     PostLieRing,
     _classify_batch,
+    _validate_post_filtration,
     l_series,
     right_series,
     substructures,
@@ -108,14 +108,13 @@ def v_eval(P: PostLieRing, a: PVec, f: Endo, F: Filtration | None = None) -> PVe
     """V(a, f): carrier component of BCH((a, f), (0, -f)) in the semidirect sum.
 
     Truncation at the filtration length k is exact; requires a Lazard input
-    and a filtration-raising f.
+    and a filtration-raising f.  A caller's F is checked as
+    adjoint_filtration checks it.
     """
-    F = F or _canonical_post_filtration(P)
+    F = _lazard_post_filtration(P, F)
     s = P.shape
     k = F.length
-    if k >= s.p:
-        raise NotLazardError(f"not Lazard: L-class {k} >= p = {s.p}")
-    if not F.raises(s.index_batch(f.apply_batch(s.all_coords())), 1):
+    if F.margin(s.index_batch(f.apply_batch(s.all_coords()))) < 1:
         raise ModArithError("endomorphism does not raise the filtration")
     return s.vec(_v_batch(P, k, a.np()[None, :], f.matrix())[0])
 
@@ -143,19 +142,26 @@ def _require_bijective(images: np.ndarray, what: str, name: str) -> None:
         raise FailedTheoremError(f"{what} is not bijective: {name}({a}) = {name}({b})")
 
 
-def _canonical_post_filtration(P: PostLieRing) -> Filtration:
-    ser = l_series(P)
-    if not ser.is_nilpotent:
-        raise NotLazardError("post-Lie ring is not L-nilpotent")
-    F = Filtration(ser.terms)
+def _lazard_post_filtration(P: PostLieRing, F: Filtration | None = None) -> Filtration:
+    """The canonical L-filtration (cached on P), or a caller's F validated:
+    a Lie filtration of the base with a > X_j inside X_(j+1) for all a
+    (ModArithError otherwise).  Either must be shorter than p."""
+    if F is None:
+        ser = l_series(P)
+        if not ser.is_nilpotent:
+            raise NotLazardError("post-Lie ring is not L-nilpotent")
+        F = ser.filtration
+    else:
+        _validate_post_filtration(P, F)
     if F.length >= P.shape.p:
         raise NotLazardError(f"not Lazard: L-class {F.length} >= p = {P.shape.p}")
     return F
 
 
 def w_map(P: PostLieRing, F: Filtration | None = None) -> np.ndarray:
-    """W(a) = V(a, L_a) over the whole carrier, verified bijective."""
-    F = F or _canonical_post_filtration(P)
+    """W(a) = V(a, L_a) over the whole carrier, verified bijective.  A
+    caller's F is checked as adjoint_filtration checks it."""
+    F = _lazard_post_filtration(P, F)
     s = P.shape
     coords = s.all_coords()
     out = s.index_batch(_v_batch(P, F.length, coords, P.l_mats(coords)))
@@ -176,7 +182,7 @@ class FlowResult:
 
 def post_lie_to_brace(P: PostLieRing, check: bool = True) -> FlowResult:
     """Construction S: dot = Laz(base), circ(a, b) = a . exp(L_{Omega(a)})(b)."""
-    F = _canonical_post_filtration(P)
+    F = _lazard_post_filtration(P)
     s = P.shape
     k = F.length
     n = s.order
@@ -184,7 +190,7 @@ def post_lie_to_brace(P: PostLieRing, check: bool = True) -> FlowResult:
     if not rep.ok:
         raise ModArithError(f"not a post-Lie ring: {rep.failures}")
     dot = laz(P.base, F)
-    W = w_map(P, F)
+    W = w_map(P)  # the canonical F again, cached: no validation
     Omega = np.empty(n, dtype=np.int64)
     Omega[W] = np.arange(n)
     coords = s.all_coords()
@@ -210,7 +216,7 @@ def _canonical_brace_filtration(B: SkewBrace) -> Filtration:
     if not ser.is_nilpotent:
         raise NotLazardError(
             f"skew brace is not L-nilpotent: the L-series stops at a term of order {len(ser.terms[-1])}")
-    F = Filtration(ser.terms)
+    F = ser.filtration
     if F.length >= B.p:
         raise NotLazardError(f"not Lazard: L-class {F.length} >= p = {B.p}")
     return F
@@ -223,7 +229,7 @@ def _dot_log(dot: FinGroup) -> tuple[LieRingSC, AbelianBasis]:
     if not ser.is_nilpotent:
         raise NotLazardError("dot group is not nilpotent: the lower central series stops"
                              f" at a term of order {len(ser.terms[-1])}")
-    return table_to_sc(laz_inv(dot, Filtration(ser.terms)))
+    return table_to_sc(laz_inv(dot, ser.filtration))
 
 
 def _additive_log(basis: AbelianBasis, alpha: np.ndarray, k: int, name: str, exc) -> np.ndarray:
@@ -268,7 +274,7 @@ def omega_map(B: SkewBrace, F: Filtration | None = None, *,
     """Omega(a) = U(a, lambda_a) over the carrier, verified bijective: one
     u_eval on the whole carrier.  dot_log and log are passed on to it."""
     F = F or _canonical_brace_filtration(B)
-    if not F.raises(B.star, 1).all():  # star[a, g] = lambda_a(g) g^-1
+    if F.margin(B.star).min() < 1:  # star[a, g] = lambda_a(g) g^-1
         raise ModArithError("lambda maps do not raise the filtration")
     out = u_eval(B, np.arange(B.order), B.lam, F, dot_log=dot_log, log=log)
     _require_bijective(out, "omega map", "Omega")
@@ -362,19 +368,19 @@ def transfer_report(
     """Classify every additive subgroup on both sides of the correspondence
     and compare; also compares fix/socle/annihilator and right nilpotency.
 
-    The sweep builds each subgroup once (all_add_subgroups) and classifies
-    the subgroups of each order in one batch per side (_sweep): on additive
-    generators on the post-Lie side, and on pairs of members and generators
-    of A on the brace side.  include_subgroups=False keeps only the set
-    comparisons."""
+    The sweep builds each subgroup once (all_add_subgroups, as arrays of
+    members) and classifies the subgroups of each order in one batch per
+    side (_sweep): on additive generators on the post-Lie side, and on
+    pairs of members and generators of A on the brace side.
+    include_subgroups=False keeps only the set comparisons."""
     flow = flow or post_lie_to_brace(P)
     B = flow.brace
     mismatches = []
     count = 0
     if include_subgroups:
-        subgroups = all_add_subgroups(P.shape)
-        count = len(subgroups)
-        for members, lv_p, lv_b in _sweep(P, B, subgroups):
+        runs = _add_subgroup_runs(P.shape)
+        count = sum(len(run) for run in runs)
+        for members, lv_p, lv_b in _sweep(P, B, runs):
             mismatches += [(members[i].tolist(), IdealLevel(lv_p[i]).name, IdealLevel(lv_b[i]).name)
                            for i in np.flatnonzero(lv_p != lv_b)]
     fix_p, soc_p, ann_p = substructures(P)
@@ -392,11 +398,12 @@ def transfer_report(
     )
 
 
-def _sweep(P: PostLieRing, B: SkewBrace, subsets):
+def _sweep(P: PostLieRing, B: SkewBrace, runs):
     """(members, post-Lie levels, brace levels) for each run of equal-size
-    subsets (liering._subset_rows), each side classified in one batch."""
-    for members, inside in _subset_rows(P.shape.order, subsets):
-        yield members, _classify_batch(P, members, inside), _classify_batch_brace(B, members, inside)
+    subsets, a (k, m) array of sorted members, each side classified in one
+    batch."""
+    for members in runs:
+        yield members, _classify_batch(P, members), _classify_batch_brace(B, members)
 
 
 # ---------------------------------------------------------------------------

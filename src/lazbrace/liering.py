@@ -9,8 +9,9 @@ arrays; bulk operations are vectorized over element-index arrays.
 
 from __future__ import annotations
 
-import itertools
 import math
+from collections.abc import Set
+from itertools import combinations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -78,74 +79,109 @@ class CheckReport:
         return self.ok
 
 
+class Filtration:
+    """Descending chain X_1 >= X_2 >= ... over the carrier 0..n-1, ending at
+    the trivial subgroup in a filtration, stored as its level function
+    level[x] = max{i : x in X_i} (Lazard's weight; 0 off X_1) and its number
+    of terms, depth: X_i is the mask level >= i, and X_0 = X_1.  length is
+    the index of the last (potentially) nonzero term, so a nilpotent
+    structure of class k has length k.  Filtration(terms) takes the terms
+    as sets, starting at 0..n-1 and nested; `terms` derives them again.
+    """
+
+    def __init__(self, terms):
+        if not terms:
+            raise ModArithError("filtration needs at least the trivial term")
+        n = len(terms[0])
+        masks = np.zeros((len(terms), n + 1), dtype=bool)  # column n: members outside 0..n-1
+        for mask, term in zip(masks, terms):
+            x = np.fromiter(term, dtype=np.int64, count=len(term))
+            mask[np.where((x >= 0) & (x < n), x, n)] = True
+        if masks[0, n]:
+            raise ModArithError("filtration must start at the whole carrier")
+        if (masks[1:] > masks[:-1]).any():
+            raise ModArithError("filtration is not descending")
+        self.level, self.depth = masks[:, :n].sum(axis=0), len(terms)
+        self.level.setflags(write=False)
+
+    @classmethod
+    def _of(cls, level: np.ndarray, depth: int) -> "Filtration":
+        """The chain with the given int64 level function and depth."""
+        F = cls.__new__(cls)
+        F.level, F.depth = level, depth
+        level.setflags(write=False)
+        return F
+
+    @cached_property
+    def terms(self) -> tuple[frozenset, ...]:
+        return tuple(frozenset(np.flatnonzero(self.level >= i).tolist())
+                     for i in range(1, self.depth + 1))
+
+    @property
+    def length(self) -> int:
+        return self.depth - 1
+
+    def term(self, i: int) -> frozenset:
+        """X_i with X_0 = X_1 and X_i trivial beyond the chain."""
+        return self.terms[min(max(i, 1), self.depth) - 1]
+
+    def margin(self, images) -> np.ndarray:
+        """With images[..., y] = f(y) over the last axis: the largest i <= depth
+        with f(X_j) inside X_(j + i) for all j, below 1 when f does not raise
+        F.  That is the least level[f(y)] - level[y] over the y with f(y)
+        outside the last term."""
+        hit = self.level[np.asarray(images)]
+        return np.where(hit >= self.depth, self.depth, hit - self.level).min(axis=-1)
+
+    def __eq__(self, other):
+        return (isinstance(other, Filtration) and self.depth == other.depth
+                and np.array_equal(self.level, other.level))
+
+    def __hash__(self):
+        return hash((self.depth, self.level.tobytes()))
+
+
 @dataclass(frozen=True)
 class SeriesResult:
     """Descending series with its stabilization verdict.
 
     terms[0] is the whole structure; nilpotency_class is None when the
-    series stabilizes at a nontrivial term.
+    series stabilizes at a nontrivial term.  The filtration may be given
+    as its terms.
     """
 
-    terms: tuple[frozenset, ...]
+    filtration: Filtration
     nilpotency_class: int | None
+
+    def __post_init__(self):
+        if not isinstance(self.filtration, Filtration):
+            object.__setattr__(self, "filtration", Filtration(self.filtration))
+
+    @property
+    def terms(self) -> tuple[frozenset, ...]:
+        return self.filtration.terms
 
     @property
     def is_nilpotent(self) -> bool:
         return self.nilpotency_class is not None
 
 
-def descending_series(full: frozenset, next_term) -> SeriesResult:
-    """X_1 = full, X_(i+1) = next_term(X_i), until a trivial or a repeated term."""
-    terms = [full]
-    while len(terms[-1]) > 1:
-        new = next_term(terms[-1])
-        if new == terms[-1]:
-            return SeriesResult(tuple(terms), None)
-        terms.append(new)
-    return SeriesResult(tuple(terms), len(terms) - 1)
-
-
-@dataclass(frozen=True)
-class Filtration:
-    """Descending chain X_1 >= X_2 >= ... ending at the trivial subgroup.
-
-    Index i of the chain holds X_i (1-based); the implied X_0 equals X_1.
-    length is the index of the last (potentially) nonzero term, so a
-    nilpotent structure of class k has length k.
-    """
-
-    terms: tuple[frozenset, ...]
-
-    def __post_init__(self):
-        if not self.terms:
-            raise ModArithError("filtration needs at least the trivial term")
-
-    @property
-    def length(self) -> int:
-        return len(self.terms) - 1
-
-    def term(self, i: int) -> frozenset:
-        """X_i with X_0 = X_1 and X_i trivial beyond the chain."""
-        if i <= 0:
-            return self.terms[0]
-        if i > len(self.terms):
-            return self.terms[-1]
-        return self.terms[i - 1]
-
-    @cached_property
-    def level(self) -> np.ndarray:
-        """level[x] = largest i with x in X_i, over the carrier X_1 = 0..n-1."""
-        level = np.zeros(len(self.terms[0]), dtype=np.int64)
-        for i, term in enumerate(self.terms, start=1):
-            level[list(term)] = i
-        return level
-
-    def raises(self, images, shift: int):
-        """Whether images[..., x] lies in X_(level[x] + shift) for every x of
-        the last axis: with images[x] = f(x), whether f(X_i) lies in
-        X_(i + shift) for all i."""
-        target = np.minimum(self.level + shift, len(self.terms))
-        return (self.level[np.asarray(images)] >= target).all(axis=-1)
+def descending_series(n: int, next_term, cap: int | None = None) -> SeriesResult:
+    """X_1 = 0..n-1, X_(i+1) = next_term(X_i) on boolean masks, until a
+    trivial or a repeated term, or (with a cap) a (cap + 1)-th term.  The
+    level is the sum of the masks, as the terms nest: every next_term here
+    closes products with X_i, so it is monotone, and X_2 lies in X_1."""
+    level = np.ones(n, dtype=np.int64)
+    cur = np.ones(n, dtype=bool)
+    depth = 1
+    while cur.sum() > 1 and (cap is None or depth <= cap):
+        new = next_term(cur)
+        if np.array_equal(new, cur):
+            break
+        level += new
+        cur = new
+        depth += 1
+    return SeriesResult(Filtration._of(level, depth), depth - 1 if cur.sum() <= 1 else None)
 
 
 # ---------------------------------------------------------------------------
@@ -235,21 +271,18 @@ def verify_lie(L: LieRingSC) -> CheckReport:
             failures.append(f"[g{i},g{i}] != 0")
         failures += [f"bracket [g{i},g{j}] not killed by p^min(e{i},e{j})"
                      for row, j in ill_defined if row == i]
-    for i in range(s.rank):
-        for j in range(i + 1, s.rank):
-            if s.reduce(L.sc[i, j] + L.sc[j, i]).any():
-                failures.append(f"antisymmetry fails on (g{i},g{j})")
+    for i, j in combinations(range(s.rank), 2):
+        if s.reduce(L.sc[i, j] + L.sc[j, i]).any():
+            failures.append(f"antisymmetry fails on (g{i},g{j})")
     units = np.eye(s.rank, dtype=np.int64)
-    for i in range(s.rank):
-        for j in range(i + 1, s.rank):
-            for k in range(j + 1, s.rank):
-                total = (
-                    L.bracket_batch(units[i], L.bracket_batch(units[j], units[k]))
-                    + L.bracket_batch(units[j], L.bracket_batch(units[k], units[i]))
-                    + L.bracket_batch(units[k], L.bracket_batch(units[i], units[j]))
-                )
-                if s.reduce(total).any():
-                    failures.append(f"Jacobi fails on (g{i},g{j},g{k})")
+    for i, j, k in combinations(range(s.rank), 3):
+        total = (
+            L.bracket_batch(units[i], L.bracket_batch(units[j], units[k]))
+            + L.bracket_batch(units[j], L.bracket_batch(units[k], units[i]))
+            + L.bracket_batch(units[k], L.bracket_batch(units[i], units[j]))
+        )
+        if s.reduce(total).any():
+            failures.append(f"Jacobi fails on (g{i},g{j},g{k})")
     return CheckReport(not failures, tuple(failures))
 
 
@@ -267,21 +300,18 @@ def _extend(shape: PShape, members: np.ndarray, gens, q: int) -> np.ndarray:
     return sums.reshape(sums.shape[:-2] + (-1,))
 
 
-def _span_fold(shape: PShape, order, target: frozenset | None = None) -> tuple[np.ndarray, list[int]]:
+def _span_fold(shape: PShape, order, target: np.ndarray | None = None) -> tuple[np.ndarray, list[int]]:
     """Fold H <- H + <g> from H = 0 over the elements g of `order` not yet in
-    H; returns the members of H and the g kept.  With a target, stops as soon
-    as H equals it."""
+    H; returns the mask of H and the g kept.  With a target mask, stops as
+    soon as H equals it."""
     p = shape.p
     order = np.asarray(order, dtype=np.int64)
     inside = np.zeros(shape.order, dtype=bool)
     inside[0] = True
     members = np.zeros(1, dtype=np.int64)
-    if target is not None:
-        goal = np.zeros(shape.order, dtype=bool)
-        goal[list(target)] = True
     kept: list[int] = []
     while order.size:
-        if target is not None and members.size == len(target) and goal[members].all():
+        if target is not None and np.array_equal(inside, target):
             break
         fresh = np.flatnonzero(~inside[order])
         if fresh.size == 0:
@@ -294,28 +324,28 @@ def _span_fold(shape: PShape, order, target: frozenset | None = None) -> tuple[n
         members = _extend(shape, members, g, p ** int(np.argmax(inside[multiples])))
         inside[members] = True
         kept.append(g)
-    return members, kept
+    return inside, kept
 
 
 def _indices(gen_indices) -> np.ndarray:
     """Element indices, given as a set or as an array-like, as one flat array."""
-    if isinstance(gen_indices, (set, frozenset)):
+    if isinstance(gen_indices, Set):
         return np.fromiter(gen_indices, dtype=np.int64, count=len(gen_indices))
     return np.asarray(gen_indices, dtype=np.int64).ravel()
 
 
 def add_closure(shape: PShape, gen_indices) -> frozenset:
     """Subgroup of (shape, +) generated by the given element indices."""
-    members, _ = _span_fold(shape, _indices(gen_indices))
-    return frozenset(members.tolist())
+    return frozenset(np.flatnonzero(_span_fold(shape, _indices(gen_indices))[0]).tolist())
 
 
-def _subgroup_gens(shape: PShape, members: frozenset) -> list[int]:
-    """Small generating set of an additive subgroup (the greedy walk over
-    sorted members, deterministic); the unit vectors for the whole carrier."""
-    if len(members) == shape.order:
+def _subgroup_gens(shape: PShape, inside: np.ndarray) -> list[int]:
+    """Small generating set of the additive subgroup with mask `inside` (the
+    greedy walk over its members in order, deterministic); the unit vectors
+    for the whole carrier."""
+    if inside.all():
         return [u.index for u in shape.units()]
-    return _span_fold(shape, sorted(members), members)[1]
+    return _span_fold(shape, np.flatnonzero(inside), inside)[1]
 
 
 def _span_rows(shape: PShape, walk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -347,18 +377,11 @@ def _span_rows(shape: PShape, walk: np.ndarray) -> tuple[np.ndarray, np.ndarray]
     return span, np.stack(kept, axis=1) if kept else np.zeros((len(walk), 0), dtype=np.int64)
 
 
-def _subset_rows(n: int, subsets) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Subsets of 0..n-1 as runs of equal size, in the order given: each run
-    a (k, m) array of sorted members and its (k, n) boolean mask."""
-    out = []
-    for m, run in itertools.groupby(subsets, len):
-        run = list(run)
-        members = np.sort(np.fromiter(itertools.chain.from_iterable(run), dtype=np.int64,
-                                      count=len(run) * m).reshape(len(run), m), axis=1)
-        inside = np.zeros((len(run), n), dtype=bool)
-        inside[np.arange(len(run))[:, None], members] = True
-        out.append((members, inside))
-    return out
+def _row_masks(n: int, members: np.ndarray) -> np.ndarray:
+    """The (k, n) masks of the subsets of 0..n-1 with members the rows of members."""
+    inside = np.zeros((len(members), n), dtype=bool)
+    inside[np.arange(len(members))[:, None], members] = True
+    return inside
 
 
 def _levels(tests) -> np.ndarray:
@@ -369,7 +392,13 @@ def _levels(tests) -> np.ndarray:
 
 
 def all_add_subgroups(shape: PShape) -> list[frozenset]:
-    """Every additive subgroup, each built once, sorted by (size, members).
+    """Every additive subgroup, each built once, sorted by (size, members)."""
+    return [frozenset(H.tolist()) for run in _add_subgroup_runs(shape) for H in run]
+
+
+def _add_subgroup_runs(shape: PShape) -> list[np.ndarray]:
+    """Every additive subgroup, each built once, as one (k, m) array of
+    sorted members per order m, rows in lexicographic order, by increasing m.
 
     Built one cyclic factor at a time: a subgroup H of A' (+) Z/p^e is
     K + <(y, p^c)> for exactly one triple of K = H meet A', 0 <= c <= e and
@@ -393,9 +422,11 @@ def all_add_subgroups(shape: PShape) -> list[frozenset]:
                 ys = prefix[least & in_k[shape.index_batch(q * pc)]]
                 out.extend(_extend(shape, K, ys + stride * p ** c, q))
         subs = out
-    subs = [np.sort(H) for H in subs]
-    subs.sort(key=lambda H: (H.size, H.tolist()))
-    return [frozenset(H.tolist()) for H in subs]
+    runs = []
+    for m in sorted({H.size for H in subs}):
+        run = np.sort([H for H in subs if H.size == m], axis=1)
+        runs.append(run[np.lexsort(run.T[::-1])])
+    return runs
 
 
 def _product_series(shape: PShape, consts: np.ndarray, right: bool = False) -> SeriesResult:
@@ -411,11 +442,11 @@ def _product_series(shape: PShape, consts: np.ndarray, right: bool = False) -> S
     if right:
         consts = consts.swapaxes(1, 2)
 
-    def next_term(cur: frozenset) -> frozenset:
+    def next_term(cur: np.ndarray) -> np.ndarray:
         gens = shape.coords_batch(_subgroup_gens(shape, cur))
-        return add_closure(shape, shape.index_batch(np.einsum("bj,oijl->oibl", gens, consts)))
+        return _span_fold(shape, shape.index_batch(np.einsum("bj,oijl->oibl", gens, consts)).ravel())[0]
 
-    return descending_series(frozenset(range(shape.order)), next_term)
+    return descending_series(shape.order, next_term)
 
 
 def lower_central_series(L: LieRingSC) -> SeriesResult:
@@ -427,34 +458,32 @@ def canonical_filtration(L: LieRingSC) -> Filtration:
     series = lower_central_series(L)
     if not series.is_nilpotent:
         raise NotLazardError("Lie ring is not nilpotent; no canonical Lazard filtration")
-    return Filtration(series.terms)
+    return series.filtration
 
 
-def validate_filtration(F: Filtration, full: frozenset, trivial: frozenset,
-                        closure, gens, op) -> None:
-    """Check that F runs from `full` down to `trivial` through closed terms
-    with op(X_i, X_j) inside X_(i+j), testing op on generators only.
+def validate_filtration(F: Filtration, n: int, identity: int, closure, gens, op) -> None:
+    """Check that F runs from the whole carrier 0..n-1 down to {identity}
+    through closed terms with op(X_i, X_j) inside X_(i+j), testing op on
+    generators only.  The terms nest by construction of F.
 
-    closure(g) is the substructure generated by g, gens(term) a greedy
-    generating set of a term, op(x, y) the product (the bracket, or the
-    group commutator) on broadcast index arrays.  Raises ModArithError.
+    closure(g) is the mask of the substructure generated by g, gens(mask) a
+    greedy generating set of a term, op(x, y) the product (the bracket, or
+    the group commutator) on broadcast index arrays.  Raises ModArithError.
     """
-    if F.terms[0] != full:
+    if F.level.size != n or F.level.min() < 1:
         raise ModArithError("filtration must start at the whole structure")
-    if F.terms[-1] != trivial:
+    depth = F.depth
+    if F.level[identity] != depth or np.count_nonzero(F.level == depth) != 1:
         raise ModArithError("filtration must terminate at the trivial term")
-    for a, b in zip(F.terms, F.terms[1:]):
-        if not b <= a:
-            raise ModArithError("filtration is not descending")
-    term_gens = [np.asarray(gens(term), dtype=np.int64) for term in F.terms]
-    for i, (term, g) in enumerate(zip(F.terms, term_gens), start=1):
-        if closure(g) != term:
+    term_gens = []
+    for i in range(1, depth + 1):
+        term_gens.append(np.asarray(gens(F.level >= i), dtype=np.int64))
+        if not np.array_equal(closure(term_gens[-1]), F.level >= i):
             raise ModArithError(f"filtration term {i} is not closed")
     # A bracket is biadditive, so generators suffice.  A commutator check on
     # generators is exact only when the target X_(i+j) is normal: row i = 1,
     # taken from the bottom term up, proves [G, X_j] in X_(j+1) with X_(j+1)
     # already normal, which makes X_j normal; the other pairs follow.
-    depth = len(F.terms)
     pairs = [(1, j) for j in range(depth, 0, -1)]
     pairs += [(i, j) for i in range(2, depth + 1) for j in range(i, depth + 1)]
     for i, j in pairs:
@@ -464,8 +493,7 @@ def validate_filtration(F: Filtration, full: frozenset, trivial: frozenset,
 
 def _validate_lie_filtration(L: LieRingSC, F: Filtration) -> None:
     shape = L.shape
-    validate_filtration(F, frozenset(range(shape.order)), frozenset({0}),
-                        lambda gens: add_closure(shape, gens),
+    validate_filtration(F, shape.order, 0, lambda gens: _span_fold(shape, gens)[0],
                         lambda term: _subgroup_gens(shape, term),
                         lambda x, y: shape.index_batch(
                             L.bracket_batch(shape.coords_batch(x), shape.coords_batch(y))))
@@ -477,7 +505,7 @@ def is_lazard(L: LieRingSC, F: Filtration | None = None) -> bool:
         series = lower_central_series(L)
         if not series.is_nilpotent:
             return False
-        F = Filtration(series.terms)
+        F = series.filtration
     else:
         _validate_lie_filtration(L, F)
     return F.length < L.shape.p
@@ -719,13 +747,6 @@ def group_root(G: FinGroup, g: int, n: int) -> int:
 # Group filtrations and Laz^-1.
 
 
-def _mask(n: int, members) -> np.ndarray:
-    """Boolean mask of length n of a set of element indices."""
-    inside = np.zeros(n, dtype=bool)
-    inside[np.fromiter(members, dtype=np.int64)] = True
-    return inside
-
-
 def _fresh(inside: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """The distinct values of vals outside the mask, sorted."""
     new = np.zeros(inside.size, dtype=bool)
@@ -754,12 +775,13 @@ def _close(G: FinGroup, inside: np.ndarray, frontier: np.ndarray, gens) -> None:
 def group_closure(G: FinGroup, gen_indices) -> frozenset:
     """Subgroup generated by the given element indices: an invariant
     closure under no maps."""
-    return _invariant_closure(G, gen_indices, np.empty((0, G.order), dtype=np.int64))
+    return frozenset(np.flatnonzero(_invariant_closure(G, gen_indices)).tolist())
 
 
-def _invariant_closure(G: FinGroup, seeds, maps: np.ndarray) -> frozenset:
-    """The smallest subgroup N of G holding the seeds with f(N) inside N
-    for every row f of `maps` (x -> f[x]), each an automorphism of G.
+def _invariant_closure(G: FinGroup, seeds, maps: np.ndarray | None = None) -> np.ndarray:
+    """The mask of the smallest subgroup N of G holding the seeds with f(N)
+    inside N for every row f of `maps` (x -> f[x]; default none), each an
+    automorphism of G.
 
     N is the closure of a growing generator set: the seeds, then the images
     of the newest generators that fall outside the closure so far.  Since
@@ -768,6 +790,7 @@ def _invariant_closure(G: FinGroup, seeds, maps: np.ndarray) -> frozenset:
     every invariant subgroup holding the seeds; so only images of
     generators are ever taken.
     """
+    maps = np.empty((0, G.order), dtype=np.int64) if maps is None else maps
     inside = np.zeros(G.order, dtype=bool)
     inside[G.identity] = True
     new = _fresh(inside, _indices(seeds))
@@ -777,7 +800,7 @@ def _invariant_closure(G: FinGroup, seeds, maps: np.ndarray) -> frozenset:
         _close(G, inside, np.flatnonzero(inside), gens)
         new = _fresh(inside, maps[:, new].ravel())
         gens = np.concatenate([gens, new])
-    return frozenset(np.flatnonzero(inside).tolist())
+    return inside
 
 
 def _conjugations(G: FinGroup, gens) -> np.ndarray:
@@ -791,22 +814,23 @@ def canonical_group_filtration(G: FinGroup) -> SeriesResult:
     of the [g, h] for generators g of G and h of G_i (Robinson, 5.1.7)."""
     gens = np.asarray(G.gens, dtype=np.int64)
     conj = _conjugations(G, gens)
-    return descending_series(frozenset(range(G.order)), lambda cur: _invariant_closure(
+    return descending_series(G.order, lambda cur: _invariant_closure(
         G, G.comm_batch(gens[:, None], np.asarray(_group_gens(G, cur))), conj))
 
 
-def _group_gens(G: FinGroup, members: frozenset | None = None, order=None) -> list[int]:
-    """Greedy generators of `members` (default: G): walk `order` (default:
-    sorted members) once, keeping each element outside the closure of those
-    kept so far, whose mask grows with each one kept.
+def _group_gens(G: FinGroup, members: np.ndarray | None = None, order=None) -> list[int]:
+    """Greedy generators of the subset with mask `members` (default: G):
+    walk `order` (default: the members in order) once, keeping each element
+    outside the closure of those kept so far, whose mask grows with each one
+    kept.
 
     The closure of the result equals `members` exactly when `members` is
     closed, so the same walk also tests closedness.  The walk over the
     whole group is cached as G.gens.
     """
-    if order is None and (members is None or len(members) == G.order):
+    if order is None and (members is None or members.all()):
         return list(G.gens)
-    goal = np.ones(G.order, dtype=bool) if members is None else _mask(G.order, members)
+    goal = np.ones(G.order, dtype=bool) if members is None else members
     walk = np.flatnonzero(goal) if order is None else np.asarray(order, dtype=np.int64)
     inside = np.zeros(G.order, dtype=bool)
     inside[G.identity] = True
@@ -823,10 +847,8 @@ def _group_gens(G: FinGroup, members: frozenset | None = None, order=None) -> li
 
 
 def validate_group_filtration(G: FinGroup, F: Filtration) -> None:
-    validate_filtration(F, frozenset(range(G.order)), frozenset({G.identity}),
-                        lambda gens: group_closure(G, gens),
-                        lambda term: _group_gens(G, term),
-                        G.comm_batch)
+    validate_filtration(F, G.order, G.identity, lambda gens: _invariant_closure(G, gens),
+                        lambda term: _group_gens(G, term), G.comm_batch)
 
 
 def _p_of_group(G: FinGroup) -> int:
@@ -889,7 +911,7 @@ def laz_inv(G: FinGroup, F: Filtration | None = None, force: bool = False) -> Li
         series = canonical_group_filtration(G)
         if not series.is_nilpotent:
             raise NotLazardError("group is not nilpotent")
-        F = Filtration(series.terms)
+        F = series.filtration
     else:
         validate_group_filtration(G, F)
     if G.order == 1:
@@ -938,7 +960,7 @@ def _table_series(T: LieRingTable) -> SeriesResult:
     bracket is biadditive."""
     G = T.add_group()
     gens = G.gens
-    return descending_series(frozenset(range(T.order)), lambda cur: group_closure(
+    return descending_series(T.order, lambda cur: _invariant_closure(
         G, T.bracket[np.ix_(gens, _group_gens(G, cur))].ravel()))
 
 

@@ -9,9 +9,10 @@ on generator triples, to which tri-additivity reduces them.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 
@@ -24,10 +25,12 @@ from .liering import (
     add_closure,
     bilinear_batch,
     _ill_defined_pairs,
+    _indices,
     _levels,
     _product_series,
+    _row_masks,
     _span_rows,
-    _subset_rows,
+    _subgroup_gens,
     _validate_lie_filtration,
     left_mats,
     lower_central_series,
@@ -104,6 +107,11 @@ class PostLieRing:
         """circ_ring(self), built and verified once per ring."""
         return circ_ring(self)
 
+    @cached_property
+    def l_series(self) -> SeriesResult:
+        """l_series(self), computed once per ring."""
+        return _product_series(self.shape, np.stack([self.tri, self.base.sc]))
+
 
 def l_mul(P: PostLieRing, a: PVec) -> Endo:
     """Left multiplication L_a : b -> a > b as an additive endomorphism."""
@@ -120,21 +128,18 @@ def verify_post_lie(P: PostLieRing) -> CheckReport:
     units = np.eye(s.rank, dtype=np.int64)
     br = P.base.bracket_batch
     tri = P.tri_batch
-    for i in range(s.rank):
-        for j in range(s.rank):
-            for k in range(j + 1, s.rank):
-                lhs = tri(units[i], br(units[j], units[k]))
-                rhs = br(tri(units[i], units[j]), units[k]) + br(units[j], tri(units[i], units[k]))
-                if s.reduce(lhs - rhs).any():
-                    failures.append(f"derivation axiom fails on (g{i},g{j},g{k})")
-    for i in range(s.rank):
-        for j in range(i + 1, s.rank):
-            for k in range(s.rank):
-                lhs = tri(br(units[i], units[j]), units[k])
-                assoc_ijk = tri(units[i], tri(units[j], units[k])) - tri(tri(units[i], units[j]), units[k])
-                assoc_jik = tri(units[j], tri(units[i], units[k])) - tri(tri(units[j], units[i]), units[k])
-                if s.reduce(lhs - (assoc_ijk - assoc_jik)).any():
-                    failures.append(f"associator axiom fails on (g{i},g{j},g{k})")
+    pairs = list(combinations(range(s.rank), 2))
+    for i, (j, k) in product(range(s.rank), pairs):
+        lhs = tri(units[i], br(units[j], units[k]))
+        rhs = br(tri(units[i], units[j]), units[k]) + br(units[j], tri(units[i], units[k]))
+        if s.reduce(lhs - rhs).any():
+            failures.append(f"derivation axiom fails on (g{i},g{j},g{k})")
+    for (i, j), k in product(pairs, range(s.rank)):
+        lhs = tri(br(units[i], units[j]), units[k])
+        assoc_ijk = tri(units[i], tri(units[j], units[k])) - tri(tri(units[i], units[j]), units[k])
+        assoc_jik = tri(units[j], tri(units[i], units[k])) - tri(tri(units[j], units[i]), units[k])
+        if s.reduce(lhs - (assoc_ijk - assoc_jik)).any():
+            failures.append(f"associator axiom fails on (g{i},g{j},g{k})")
     return CheckReport(not failures, tuple(failures))
 
 
@@ -150,8 +155,9 @@ def circ_ring(P: PostLieRing) -> LieRingSC:
 
 
 def l_series(P: PostLieRing) -> SeriesResult:
-    """L^1 = a, L^(i+1) = <x > y and [x, y] : x in a, y in L^i>."""
-    return _product_series(P.shape, np.stack([P.tri, P.base.sc]))
+    """L^1 = a, L^(i+1) = <x > y and [x, y] : x in a, y in L^i>, cached
+    as P.l_series."""
+    return P.l_series
 
 
 def left_series(P: PostLieRing) -> SeriesResult:
@@ -189,8 +195,7 @@ def substructures(P: PostLieRing) -> tuple[frozenset, frozenset, frozenset]:
     fix_mask = ~P.tri_batch(units[:, None, :], coords).any(axis=(0, -1))
     soc_mask = ~(P.l_mats(coords).any(axis=(-2, -1))
                  | left_mats(s, P.base.sc, coords).any(axis=(-2, -1)))
-    fix = frozenset(np.flatnonzero(fix_mask).tolist())
-    soc = frozenset(np.flatnonzero(soc_mask).tolist())
+    fix, soc = (frozenset(np.flatnonzero(mask).tolist()) for mask in (fix_mask, soc_mask))
     ann = soc & fix
     if classify_subset(P, fix) < IdealLevel.LEFT_IDEAL:
         raise FailedTheoremError("fix is not a left ideal")
@@ -203,13 +208,12 @@ def substructures(P: PostLieRing) -> tuple[frozenset, frozenset, frozenset]:
 def classify_subset(P: PostLieRing, members: frozenset) -> IdealLevel:
     """Strongest substructure level of an explicit subset (no closure taken):
     the one-row case of _classify_batch."""
-    ((row, inside),) = _subset_rows(P.shape.order, [members])
-    return IdealLevel(int(_classify_batch(P, row, inside)[0]))
+    return IdealLevel(int(_classify_batch(P, np.sort(_indices(members))[None, :])[0]))
 
 
-def _classify_batch(P: PostLieRing, members: np.ndarray, inside: np.ndarray) -> np.ndarray:
+def _classify_batch(P: PostLieRing, members: np.ndarray) -> np.ndarray:
     """IdealLevel values of k subsets of one size m, given as a (k, m) array
-    of sorted members and their (k, n) masks.
+    of sorted members.
 
     A row is an additive subgroup when the fold of its members stops at
     exactly its mask (_span_rows).  Each level is then tested on the
@@ -222,7 +226,7 @@ def _classify_batch(P: PostLieRing, members: np.ndarray, inside: np.ndarray) -> 
     # a fold step moves up to n members of a row by up to max_modulus steps
     for blk in _row_blocks(len(members), s.order * s.rank * s.max_modulus):
         span, gens = _span_rows(s, members[blk])
-        mask = inside[blk]
+        mask = _row_masks(s.order, members[blk])
         G = s.coords_batch(gens)
         rows = np.arange(len(G))[:, None]
 
@@ -250,42 +254,49 @@ class AdjointFiltration:
     is_lazard_post: bool
 
 
-def adjoint_filtration(P: PostLieRing, F: Filtration | None = None) -> AdjointFiltration:
-    """Filtration of the circ ring: a-circ_i = {a in a_i : L_a raises F by i}.
+def _validate_post_filtration(P: PostLieRing, F: Filtration) -> None:
+    """Check that F is a Lie filtration of the base with a > X_j inside
+    X_(j+1) for all a (so each term is a left ideal), the latter as
+    u > g in X_(level[g] + 1) for the unit vectors u and the generators g of
+    each term, exact by biadditivity.  Raises ModArithError naming a u."""
+    _validate_lie_filtration(P.base, F)
+    s = P.shape
+    gens = np.array(sum((_subgroup_gens(s, F.level >= j) for j in range(1, F.depth)), []), dtype=np.int64)
+    images = s.index_batch(P.tri_batch(np.eye(s.rank, dtype=np.int64)[:, None, :], s.coords_batch(gens)))
+    raised = (F.level[images] >= np.minimum(F.level[gens] + 1, F.depth)).all(axis=1)
+    if not raised.all():
+        a = s.unit(int(np.argmin(raised))).index
+        raise ModArithError(f"L_a does not map X_j into X_(j+1) for a = {a}")
 
-    F defaults to the canonical L-filtration.  A caller's F must be a chain
-    of strong left ideals forming a Lie filtration, with every L_a mapping
-    X_j into X_(j+1); otherwise ModArithError names a witness a.
+
+def adjoint_filtration(P: PostLieRing, F: Filtration | None = None) -> AdjointFiltration:
+    """Filtration of the circ ring: a-circ_i = {a in a_i : L_a raises F by i},
+    cut after its first trivial term.
+
+    F defaults to the canonical L-filtration.  A caller's F must be a Lie
+    filtration with every L_a mapping X_j into X_(j+1), which makes each
+    term a left ideal; otherwise ModArithError names a unit vector a.
     """
     s = P.shape
-    coords = s.all_coords()
-    tri_table = s.index_batch(P.tri_batch(coords[:, None, :], coords[None, :, :]))
     if F is None:
         ser = l_series(P)
         if not ser.is_nilpotent:
             raise ModArithError("no canonical filtration: not L-nilpotent")
-        F = Filtration(ser.terms)
+        F = ser.filtration
     else:
-        _validate_lie_filtration(P.base, F)
-        # a > X_j inside X_(j+1) for all a also makes each term a left ideal
-        raised = F.raises(tri_table, 1)
-        if not raised.all():
-            raise ModArithError(f"L_a does not map X_j into X_(j+1) for a = {int(np.argmin(raised))}")
-    out_terms: list[frozenset] = []
-    for i in range(1, len(F.terms) + 1):
-        members = np.flatnonzero(F.level >= i)
-        out_terms.append(frozenset(members[F.raises(tri_table[members], i)].tolist()))
-        if out_terms[-1] == frozenset({0}):
-            break
-    if out_terms[-1] != frozenset({0}):
-        out_terms.append(frozenset({0}))
+        _validate_post_filtration(P, F)
+    coords = s.all_coords()
+    level = np.maximum(np.minimum(F.level, F.margin(s.index_batch(
+        P.tri_batch(coords[:, None, :], coords[None, :, :])))), 0)
+    # the first trivial term {0} follows the deepest nonzero element
+    depth = int(level[1:].max(initial=0)) + 1
+    level[0] = depth
+    out = Filtration._of(level, depth)
     try:
-        _validate_lie_filtration(P.circ, Filtration(tuple(out_terms)))
+        _validate_lie_filtration(P.circ, out)
     except ModArithError as exc:
         raise FailedTheoremError(f"adjoint chain is not a filtration of the circ ring: {exc}") from exc
-    p = s.p
-    lazard = F.length < p and (len(out_terms) - 1) < p and out_terms[-1] == frozenset({0})
-    return AdjointFiltration(tuple(out_terms), lazard)
+    return AdjointFiltration(out.terms, F.length < s.p and out.length < s.p)
 
 
 def is_square_free(P: PostLieRing) -> bool:
@@ -318,9 +329,7 @@ def _left_mul_candidates(shape: PShape, i: int) -> list[np.ndarray]:
 
 def _candidate_tuples(shape: PShape):
     per_gen = [_left_mul_candidates(shape, i) for i in range(shape.rank)]
-    total = 1
-    for c in per_gen:
-        total *= len(c)
+    total = math.prod(len(c) for c in per_gen)
     if total > 200_000:
         raise ModArithError(f"pre-Lie search space {total} exceeds the desk-scale cap")
     yield from product(*per_gen)
@@ -351,21 +360,16 @@ def enumerate_prelie_ops_aff(shape: PShape, left_nilpotent_only: bool = True) ->
     s = shape
     base = LieRingSC.from_brackets(s, {})
     units = np.eye(s.rank, dtype=np.int64)
+
+    def closed(mats, i, j):
+        first = s.reduce(units[j] @ mats[i] - units[i] @ mats[j])
+        # row-image convention: the endo x -> x@M1 then x@M2 has matrix M1@M2
+        commut = s.reduce(mats[j] @ mats[i] - mats[i] @ mats[j])
+        return not s.reduce(commut - s.reduce(np.tensordot(first, np.stack(mats), axes=(0, 0)))).any()
+
     out = []
     for mats in _candidate_tuples(shape):
-        ok = True
-        for i in range(s.rank):
-            for j in range(i + 1, s.rank):
-                first = s.reduce(units[j] @ mats[i] - units[i] @ mats[j])
-                # row-image convention: the endo x -> x@M1 then x@M2 has matrix M1@M2
-                commut = s.reduce(mats[j] @ mats[i] - mats[i] @ mats[j])
-                lifted = s.reduce(np.tensordot(first, np.stack(mats), axes=(0, 0)))
-                if s.reduce(commut - lifted).any():
-                    ok = False
-                    break
-            if not ok:
-                break
-        if not ok:
+        if not all(closed(mats, i, j) for i, j in combinations(range(s.rank), 2)):
             continue
         P = PostLieRing(base, np.stack(mats))
         if left_nilpotent_only and not left_series(P).is_nilpotent:

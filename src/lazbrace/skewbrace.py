@@ -9,6 +9,7 @@ search in Hol^+).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import product
@@ -31,7 +32,7 @@ from .liering import (
     _indices,
     _invariant_closure,
     _levels,
-    _subset_rows,
+    _row_masks,
 )
 from .modarith import ModArithError, _row_blocks, prime_power
 
@@ -108,12 +109,12 @@ class SkewBrace:
         cg = np.asarray(self.circ.gens, dtype=np.int64)
         maps = _conjugations(dot, dg)
 
-        def next_term(cur: frozenset) -> frozenset:
+        def next_term(cur: np.ndarray) -> np.ndarray:
             h = np.asarray(_group_gens(dot, cur), dtype=np.int64)
             return _invariant_closure(dot, np.concatenate(
                 [_star(self, cg[:, None], h).ravel(), dot.comm_batch(dg[:, None], h).ravel()]), maps)
 
-        return descending_series(frozenset(range(self.order)), next_term)
+        return descending_series(self.order, next_term)
 
     @property
     def is_brace(self) -> bool:
@@ -212,11 +213,11 @@ def left_series_brace(B: SkewBrace) -> SeriesResult:
     dot = B.dot
     cg = np.asarray(B.circ.gens, dtype=np.int64)
 
-    def next_term(cur: frozenset) -> frozenset:
+    def next_term(cur: np.ndarray) -> np.ndarray:
         h = np.asarray(_group_gens(dot, cur), dtype=np.int64)
         return _invariant_closure(dot, _star(B, cg[:, None], h), _conjugations(dot, h))
 
-    return descending_series(frozenset(range(B.order)), next_term)
+    return descending_series(B.order, next_term)
 
 
 def right_series_brace(B: SkewBrace) -> SeriesResult:
@@ -228,8 +229,8 @@ def right_series_brace(B: SkewBrace) -> SeriesResult:
     dot = B.dot
     dg = np.asarray(dot.gens, dtype=np.int64)
     conj = _conjugations(dot, dg)
-    return descending_series(frozenset(range(B.order)), lambda cur: _invariant_closure(
-        dot, _star(B, _indices(cur)[:, None], dg), conj))
+    return descending_series(B.order, lambda cur: _invariant_closure(
+        dot, _star(B, np.flatnonzero(cur)[:, None], dg), conj))
 
 
 def nilpotency_decomposition_brace(B: SkewBrace) -> tuple[bool, bool, bool]:
@@ -252,9 +253,8 @@ def circ_nilpotency_bound(B: SkewBrace) -> tuple[int, int]:
     if not circ_ser.is_nilpotent or circ_ser.nilpotency_class > k:
         raise FailedTheoremError("circ group class exceeds the L-class bound")
     if k >= 1:
-        gamma_k = circ_ser.terms[k - 1] if k <= len(circ_ser.terms) else frozenset({B.dot.identity})
         _fix, _soc, ann = substructures_brace(B)
-        if not gamma_k <= ann:
+        if not circ_ser.filtration.term(k) <= ann:
             raise FailedTheoremError("gamma^k of the circ group escapes the annihilator")
     return k, circ_ser.nilpotency_class
 
@@ -277,13 +277,12 @@ def substructures_brace(B: SkewBrace) -> tuple[frozenset, frozenset, frozenset]:
 def classify_subset_brace(B: SkewBrace, members: frozenset) -> IdealLevel:
     """Strongest substructure level of an explicit subset (no closure taken):
     the one-row case of _classify_batch_brace."""
-    ((row, inside),) = _subset_rows(B.order, [members])
-    return IdealLevel(int(_classify_batch_brace(B, row, inside)[0]))
+    return IdealLevel(int(_classify_batch_brace(B, np.sort(_indices(members))[None, :])[0]))
 
 
-def _classify_batch_brace(B: SkewBrace, members: np.ndarray, inside: np.ndarray) -> np.ndarray:
+def _classify_batch_brace(B: SkewBrace, members: np.ndarray) -> np.ndarray:
     """IdealLevel values of k subsets of one size m, given as a (k, m) array
-    of sorted members and their (k, n) masks.
+    of sorted members.
 
     Closure under dot and circ is checked on all pairs of members.  The
     other levels are checked on all members h against generators of A, which
@@ -297,7 +296,8 @@ def _classify_batch_brace(B: SkewBrace, members: np.ndarray, inside: np.ndarray)
     k, m = members.shape
     levels = np.empty(k, dtype=np.int64)
     for blk in _row_blocks(k, m * max(m, *(len(f) for f in maps))):
-        M, mask = members[blk], inside[blk]
+        M = members[blk]
+        mask = _row_masks(B.order, M)
         rows = np.arange(len(M))[:, None]
 
         def within(images):  # element indices (kb, ...), each inside its row
@@ -320,23 +320,20 @@ def power_set_ideals(B: SkewBrace, n: int) -> dict:
     if not ser.is_nilpotent or ser.nilpotency_class >= B.p:
         raise ModArithError("power-set identities need a Lazard brace")
     allidx = np.arange(B.order, dtype=np.int64)
-    dot_pow = B.dot.power_batch(allidx, n)
-    circ_pow = B.circ.power_batch(allidx, n)
-    powers_dot = frozenset(np.unique(dot_pow).tolist())
-    powers_circ = frozenset(np.unique(circ_pow).tolist())
-    torsion_dot = frozenset(np.flatnonzero(dot_pow == B.dot.identity).tolist())
-    torsion_circ = frozenset(np.flatnonzero(circ_pow == B.circ.identity).tolist())
-    if powers_dot != powers_circ:
+    # rows: the dot and the circ side
+    pows = np.stack([B.dot.power_batch(allidx, n), B.circ.power_batch(allidx, n)])
+    powers = _row_masks(B.order, pows)
+    torsion = pows == np.array([[B.dot.identity], [B.circ.identity]])
+    if not np.array_equal(*powers):
         raise FailedTheoremError(f"power images differ for n={n}")
-    if torsion_dot != torsion_circ:
+    if not np.array_equal(*torsion):
         raise FailedTheoremError(f"torsion sets differ for n={n}")
-    for name, sub in (("powers", powers_dot), ("torsion", torsion_dot)):
+    out = {name: frozenset(np.flatnonzero(mask[0]).tolist())
+           for name, mask in (("powers", powers), ("torsion", torsion))}
+    for name, sub in out.items():
         if classify_subset_brace(B, sub) < IdealLevel.IDEAL:
             raise FailedTheoremError(f"{name} set is not an ideal for n={n}")
-    return {
-        "powers": powers_dot,
-        "torsion": torsion_dot,
-    }
+    return out
 
 
 def strong_series_brace(B: SkewBrace, cap: int | None = None) -> SeriesResult:
@@ -350,23 +347,17 @@ def strong_series_brace(B: SkewBrace, cap: int | None = None) -> SeriesResult:
     """
     dot = B.dot
     conj = _conjugations(dot, dot.gens)
-    terms = [frozenset(range(B.order))]
-    members = [np.arange(B.order)[:, None]]
-    gens = [np.asarray(dot.gens, dtype=np.int64)]
-    cap = cap or (B.order.bit_length() * 4)
-    while len(terms[-1]) > 1 and len(terms) <= cap:
+    members, gens = [], []  # of the terms A^{1}, ..., A^{k} so far
+
+    def next_term(cur: np.ndarray) -> np.ndarray:
+        members.append(np.flatnonzero(cur)[:, None])
+        gens.append(np.asarray(_group_gens(dot, cur), dtype=np.int64))
         seeds = []
         for a, h in zip(members, reversed(gens)):  # A^{i} against A^{k+1-i}
             seeds += [_star(B, a, h).ravel(), dot.comm_batch(a, h).ravel()]
-        new = _invariant_closure(dot, np.concatenate(seeds), conj)
-        if new == terms[-1]:
-            return SeriesResult(tuple(terms), None)
-        terms.append(new)
-        members.append(_indices(new)[:, None])
-        gens.append(np.asarray(_group_gens(dot, new), dtype=np.int64))
-    if len(terms[-1]) > 1:
-        return SeriesResult(tuple(terms), None)
-    return SeriesResult(tuple(terms), len(terms) - 1)
+        return _invariant_closure(dot, np.concatenate(seeds), conj)
+
+    return descending_series(B.order, next_term, cap or (B.order.bit_length() * 4))
 
 
 # ---------------------------------------------------------------------------
@@ -424,40 +415,33 @@ def _extend_images(G: FinGroup, gens, fact, images) -> np.ndarray | None:
     return phi
 
 
+def _automorphisms_into(G: FinGroup, gens: list[int], cands: list[list[int]]) -> list[np.ndarray]:
+    """The automorphisms of G sending each gens[k] into cands[k]."""
+    fact = _factorization(G, gens)
+    maps = (_extend_images(G, gens, fact, list(combo)) for combo in product(*cands))
+    return [phi for phi in maps if phi is not None]
+
+
 def automorphisms(G: FinGroup) -> list[np.ndarray]:
     """Full automorphism group as permutation arrays (desk scale)."""
     gens = minimal_generators(G)
-    fact = _factorization(G, gens)
     orders = G.element_orders
-    cands = [
-        [x for x in range(G.order) if orders[x] == orders[g]]
-        for g in gens
-    ]
-    total = 1
-    for c in cands:
-        total *= len(c)
+    cands = [np.flatnonzero(orders == orders[g]).tolist() for g in gens]
+    total = math.prod(len(c) for c in cands)
     if total > 2_000_000:
         raise CapExceededError(f"automorphism search space {total} too large")
-    out = []
-    for combo in product(*cands):
-        phi = _extend_images(G, gens, fact, list(combo))
-        if phi is not None:
-            out.append(phi)
-    return out
+    return _automorphisms_into(G, gens, cands)
 
 
 def aut_plus(A: FinGroup, F: Filtration) -> list[np.ndarray]:
     """Automorphisms with f(g) g^-1 in F_(j+1) for g in F_j (all j >= 0)."""
     validate_group_filtration(A, F)
     gens = minimal_generators(A)
-    fact = _factorization(A, gens)
-    cands = [[A.mul(g, t) for t in sorted(F.term(int(F.level[g]) + 1))] for g in gens]
-    out = []
-    for combo in product(*cands):
-        phi = _extend_images(A, gens, fact, list(combo))
-        if phi is not None and F.raises(A.table[phi, A.inv], 1):  # f(x) x^-1
-            out.append(phi)
-    return out
+    # g goes to some g t with t in X_(level[g] + 1)
+    cands = [A.table[g, np.flatnonzero(F.level >= min(F.level[g] + 1, F.depth))].tolist()
+             for g in gens]
+    return [phi for phi in _automorphisms_into(A, gens, cands)
+            if F.margin(A.table[phi, A.inv]) >= 1]  # f(x) x^-1
 
 
 def _composition_table(auts: list[np.ndarray]) -> tuple[np.ndarray, int]:
@@ -484,13 +468,9 @@ def holomorph_plus(A: FinGroup, F: Filtration, force: bool = False) -> tuple[Fin
     if n * m > 20_000 and not force:
         raise CapExceededError(f"|Hol^+| = {n * m} too large to materialize")
     comp, id_idx = _composition_table(auts)
-    table = np.empty((n * m, n * m), dtype=np.int64)
-    for a in range(n):
-        for i in range(m):
-            # (a, i)(b, j) = (a . auts[i](b), comp[i, j])
-            carriers = A.table[a, auts[i]]  # indexed by b
-            block = carriers[:, None] * m + comp[i][None, :]
-            table[a * m + i] = block.reshape(-1)
+    # (a, i)(b, j) = (a . auts[i](b), comp[i, j]), as the [a, i, b, j] entry
+    carriers = A.table[np.arange(n)[:, None, None], np.stack(auts)[None, :, :]]
+    table = (carriers[..., None] * m + comp[None, :, None, :]).reshape(n * m, n * m)
     hol = FinGroup(table, A.identity * m + id_idx)
     pairs = [(a, i) for a in range(n) for i in range(m)]
     return hol, pairs
@@ -505,17 +485,12 @@ def adjoint_group_filtration(B: SkewBrace, F: Filtration | None = None) -> Filtr
         ser = l_series_brace(B)
         if not ser.is_nilpotent:
             raise ModArithError("no canonical filtration: brace is not L-nilpotent")
-        F = Filtration(ser.terms)
+        F = ser.filtration
     else:
         validate_group_filtration(B.dot, F)
-    terms: list[frozenset] = []
-    for i in range(1, len(F.terms) + 1):
-        members = np.flatnonzero(F.level >= i)
-        # star[a, g] = lambda_a(g) g^-1 must land in X_(level[g] + i)
-        terms.append(frozenset(members[F.raises(B.star[members], i)].tolist()))
-    if terms[-1] != frozenset({B.dot.identity}):
-        terms.append(frozenset({B.dot.identity}))
-    out = Filtration(tuple(terms))
+    # a is in (A, o)_i when star[a, g] = lambda_a(g) g^-1 lies in
+    # X_(level[g] + i) for all g; the identity alone stays in the last term
+    out = Filtration._of(np.maximum(np.minimum(F.level, F.margin(B.star)), 0), F.depth)
     # must be a filtration of the circle group
     validate_group_filtration(B.circ, out)
     return out
@@ -624,44 +599,45 @@ def regular_subgroups(A: FinGroup, F: Filtration, force: bool = False) -> list[S
     return out
 
 
-def _all_subgroups_group(G: FinGroup) -> list[frozenset]:
-    trivial = frozenset({G.identity})
-    seen = {trivial}
+def _all_subgroups_group(G: FinGroup) -> np.ndarray:
+    """The (k, n) masks of every subgroup, the trivial one first, in the
+    order a depth-first search by closures of H and one element finds them."""
+    trivial = np.arange(G.order) == G.identity
+    seen = {trivial.tobytes()}
     queue = [trivial]
     out = [trivial]
     while queue:
         H = queue.pop()
-        for x in range(G.order):
-            if x in H:
-                continue
-            H2 = group_closure(G, set(H) | {x})
-            if H2 not in seen:
-                seen.add(H2)
+        for x in np.flatnonzero(~H):
+            H2 = _invariant_closure(G, np.append(np.flatnonzero(H), x))
+            if H2.tobytes() not in seen:
+                seen.add(H2.tobytes())
                 out.append(H2)
                 queue.append(H2)
-    return out
+    return np.array(out)
 
 
 def all_group_chains(A: FinGroup, max_len: int) -> list[Filtration]:
     """All descending subgroup chains A > ... > 1 of length <= max_len that
     satisfy the commutator filtration law."""
-    subs = _all_subgroups_group(A)
-    full = frozenset(range(A.order))
-    trivial = frozenset({A.identity})
+    subs = _all_subgroups_group(A)[::-1]
+    sizes = subs.sum(axis=1)
     chains: list[Filtration] = []
-    stack = [[full]]  # depth first, first subgroup on top
+    stack = [[np.ones(A.order, dtype=bool)]]  # depth first, first subgroup on top
     while stack:
         chain = stack.pop()
-        if chain[-1] == trivial:
+        last = chain[-1]
+        if last.sum() == 1:
             if len(chain) - 1 <= max_len:
-                F = Filtration(tuple(chain))
+                F = Filtration._of(np.sum(chain, axis=0), len(chain))
                 try:
                     validate_group_filtration(A, F)
                 except ModArithError:
                     continue
                 chains.append(F)
         elif len(chain) - 1 < max_len:
-            stack.extend(chain + [H] for H in reversed(subs) if H < chain[-1])
+            below = (sizes < last.sum()) & ~(subs & ~last).any(axis=1)
+            stack.extend(chain + [H] for H in subs[below])
     return chains
 
 
@@ -706,28 +682,17 @@ def isomorphism_classes(braces: list[SkewBrace]) -> list[list[SkewBrace]]:
     dot = braces[0].dot
     if any(B.dot != dot for B in braces):
         raise ModArithError("isomorphism grouping expects a shared dot group")
-    auts = automorphisms(dot)
+    # phi relabels a circ table c as phi[c[phi^-1 x, phi^-1 y]]; the
+    # identity is among the phi, so a repeated table finds its own class
+    relabels = [(phi, np.argsort(phi)) for phi in automorphisms(dot)]
     classes: list[list[SkewBrace]] = []
-    reps: list[bytes] = []
-    seen: dict[bytes, int] = {}
+    seen: dict[bytes, int] = {}  # circ table -> class
     for B in braces:
-        key = B.circ.table.tobytes()
-        if key in seen:
-            classes[seen[key]].append(B)
-            continue
-        found = None
-        for phi in auts:
-            inv_phi = np.empty_like(phi)
-            inv_phi[phi] = np.arange(dot.order)
-            relabeled = phi[B.circ.table[inv_phi[:, None], inv_phi[None, :]]]
-            k2 = relabeled.tobytes()
-            if k2 in seen:
-                found = seen[k2]
-                break
-        if found is None:
-            classes.append([B])
-            seen[key] = len(classes) - 1
-        else:
-            classes[found].append(B)
-            seen[key] = found
+        c = B.circ.table
+        keys = (phi[c[inv[:, None], inv[None, :]]].tobytes() for phi, inv in relabels)
+        found = next((seen[k] for k in keys if k in seen), len(classes))
+        if found == len(classes):
+            classes.append([])
+        classes[found].append(B)
+        seen[c.tobytes()] = found
     return classes

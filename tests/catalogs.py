@@ -13,8 +13,8 @@ import random
 import numpy as np
 
 from lazbrace.common import FailedTheoremError
-from lazbrace.liering import (CheckReport, Filtration, FinGroup, LieRingSC, LieRingTable, left_mats, table_to_sc,
-                              verify_group_table, verify_lie)
+from lazbrace.liering import (CheckReport, Filtration, FinGroup, LieRingSC, LieRingTable, SeriesResult, left_mats,
+                              table_to_sc, verify_group_table, verify_lie)
 from lazbrace.modarith import Endo, ModArithError, PShape, PVec, _row_blocks
 from lazbrace.postlie import PostLieRing, verify_post_lie
 from lazbrace.skewbrace import SkewBrace, _brace_from_lambda, _lambda_backtrack, aut_plus, enumerate_braces
@@ -185,6 +185,15 @@ def order9_braces() -> list[tuple[str, SkewBrace]]:
     return out
 
 
+def modular16() -> FinGroup:
+    """The modular group M16 = Z/8 x| Z/2 with b a b^-1 = a^5, the element
+    a^i b^j at index i + 8 j: a^i b^j a^k b^l = a^(i + 5^j k) b^(j + l).
+    Its skew braces need the conjugation steps of the brace series."""
+    i, j = np.arange(16) % 8, np.arange(16) // 8
+    table = (i[:, None] + 5 ** j[:, None] * i[None, :]) % 8 + 8 * ((j[:, None] + j[None, :]) % 2)
+    return FinGroup(table, 0)
+
+
 def radical_brace(p, e) -> SkewBrace:
     """a o b = a + ab + b on the ideal pZ/p^(e+1)Z, built straight from the
     ring arithmetic (independently of the flow construction)."""
@@ -292,3 +301,31 @@ def _star_set(B: SkewBrace, A, C) -> set[int]:
 def _comm_set(G: FinGroup, A, B) -> set[int]:
     """{[a, b] : a in A, b in B}, dot commutators."""
     return _index_set(G.comm_batch, A, B)
+
+
+# ---------------------------------------------------------------------------
+# Subsets as sets and as the boolean masks the library works on, and the
+# series loop on sets that the library once ran.
+
+
+def mask(n: int, members) -> np.ndarray:
+    """The boolean mask over 0..n-1 of a set of element indices."""
+    inside = np.zeros(n, dtype=bool)
+    inside[list(members)] = True
+    return inside
+
+
+def sets(masks) -> list[frozenset]:
+    """The member sets of the rows of a stack of boolean masks."""
+    return [frozenset(np.flatnonzero(m).tolist()) for m in masks]
+
+
+def descending_series(full: frozenset, next_term) -> SeriesResult:
+    """X_1 = full, X_(i+1) = next_term(X_i), until a trivial or a repeated term."""
+    terms = [full]
+    while len(terms[-1]) > 1:
+        new = next_term(terms[-1])
+        if new == terms[-1]:
+            return SeriesResult(tuple(terms), None)
+        terms.append(new)
+    return SeriesResult(tuple(terms), len(terms) - 1)

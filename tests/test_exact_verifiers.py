@@ -23,7 +23,8 @@ import numpy as np
 import pytest
 
 import catalogs
-from catalogs import _bracket_set, _comm_set, _index_set, _star_set, _tri_set, trivial_brace
+from catalogs import (_bracket_set, _comm_set, _index_set, _star_set, _tri_set, descending_series, mask, sets,
+                      trivial_brace)
 from lazbrace import formats, freelie
 from lazbrace.common import IdealLevel
 from lazbrace.liering import (
@@ -31,6 +32,7 @@ from lazbrace.liering import (
     FinGroup,
     LieRingTable,
     SeriesResult,
+    _add_subgroup_runs,
     _bch_batch,
     _eval_word_batch,
     _group_gens,
@@ -42,7 +44,6 @@ from lazbrace.liering import (
     all_add_subgroups,
     canonical_filtration,
     canonical_group_filtration,
-    descending_series,
     group_closure,
     is_lazard,
     laz,
@@ -376,7 +377,7 @@ def test_braces_match_the_compatibility_oracle(rng):
 def test_group_chains_match_the_pairwise_oracle(data_dir):
     # every chain (G, H, K, 1) of the extraspecial group, normal terms or not
     _, G = formats.parse_file(data_dir / "extraspecial_27.grp")
-    subs = _all_subgroups_group(G)
+    subs = sets(_all_subgroups_group(G))
     full, trivial = frozenset(range(G.order)), frozenset({G.identity})
     chains = [Filtration((full, H, K, trivial)) for H in subs for K in subs if K <= H]
     verdicts = [not _raises_modarith(lambda: validate_group_filtration(G, F)) for F in chains]
@@ -467,8 +468,8 @@ def oracle_classify_subset_gens(P, members: frozenset) -> IdealLevel:
     members, then each level on the generators kept and the unit vectors."""
     s = P.shape
     H = sorted(members)
-    span, gens = _span_fold(s, H, members)
-    if span.size != len(H):  # the fold stops at H exactly when H is closed
+    span, gens = _span_fold(s, H, mask(s.order, members))
+    if span.sum() != len(H):  # the fold stops at H exactly when H is closed
         return IdealLevel.NOT_CLOSED
     inside = np.zeros(s.order, dtype=bool)
     inside[H] = True
@@ -516,7 +517,8 @@ def test_batched_sweep_matches_the_one_subset_oracles(postlie_cat):
     for name, P in list(postlie_cat) + [("left_not_right_p3", _left_not_right(3))]:
         flow = post_lie_to_brace(P, check=False)
         subs = all_add_subgroups(P.shape)
-        swept = [(row.tolist(), lv_p, lv_b) for members, lp, lb in _sweep(P, flow.brace, subs)
+        runs = _add_subgroup_runs(P.shape)
+        swept = [(row.tolist(), lv_p, lv_b) for members, lp, lb in _sweep(P, flow.brace, runs)
                  for row, lv_p, lv_b in zip(members, lp, lb)]
         assert [row for row, _, _ in swept] == [sorted(S) for S in subs], name
         expected = [(oracle_classify_subset_gens(P, S), oracle_classify_subset_brace(flow.brace, S)) for S in subs]
@@ -543,9 +545,9 @@ def test_single_subsets_match_the_oracles_off_subgroups(postlie_cat, z8z2_braces
     for name, B in ([(f"d4_{i}", B) for i, B in enumerate(enumerate_braces(_D4))] + catalogs.order9_braces()
                     + [(f"z8z2_{i}", B) for i, B in enumerate(z8z2_braces)]):
         n = B.order
-        subsets = _all_subgroups_group(B.dot) + [frozenset({0} | set(rng.choice(n, size=int(rng.integers(1, n)),
-                                                                               replace=False).tolist()))
-                                                  for _ in range(3)]
+        subsets = sets(_all_subgroups_group(B.dot)) + [
+            frozenset({0} | set(rng.choice(n, size=int(rng.integers(1, n)), replace=False).tolist()))
+            for _ in range(3)]
         for S in subsets:
             level = classify_subset_brace(B, S)
             assert level == oracle_classify_subset_brace(B, S), (name, sorted(S))
@@ -870,7 +872,7 @@ def test_group_series_and_generators_match_the_set_oracles(series_braces, data_d
         assert series == oracle_group_filtration(G), name
         assert list(G.gens) == _group_gens(G) == oracle_group_gens(G), name
         for term in series.terms:
-            assert _group_gens(G, term) == oracle_group_gens(G, term), name
+            assert _group_gens(G, mask(G.order, term)) == oracle_group_gens(G, term), name
         if G.order == 6:  # S_3: element orders need a p-group
             continue
         orders = G.element_orders
@@ -886,7 +888,7 @@ def test_generator_walk_matches_on_subsets_that_are_not_closed(series_braces, da
         for _ in range(3):
             S = frozenset({G.identity} | set(rng.choice(G.order, size=int(rng.integers(1, G.order)),
                                                         replace=True).tolist()))
-            gens = _group_gens(G, S)
+            gens = _group_gens(G, mask(G.order, S))
             assert gens == oracle_group_gens(G, S), (name, sorted(S))
             seen_open += group_closure(G, gens) != S
     assert seen_open > 0
@@ -984,15 +986,19 @@ def oracle_product_series(shape: PShape, product_set):
     vectors U with generators G of X_i."""
     units = [u.index for u in shape.units()]
     return descending_series(frozenset(range(shape.order)), lambda cur: add_closure(
-        shape, product_set(units, _subgroup_gens(shape, cur))))
+        shape, product_set(units, _subgroup_gens(shape, mask(shape.order, cur)))))
 
 
 def test_series_match_the_whole_set_oracles(series_braces, z8z2_braces, lie_cat, postlie_cat):
+    # the braces on the modular group M16 are the ones where the conjugation
+    # steps of the left and right series add elements
     z2cubed = enumerate_braces(catalogs.shape_group(PShape(2, (1, 1, 1))))
     assert len(z2cubed) == 232
+    m16 = enumerate_braces(catalogs.modular16())
+    assert len(m16) == 160
     braces = list(series_braces) + [(f"z8z2_{i}", B) for i, B in enumerate(z8z2_braces)] + [
-        (f"z2cubed_{i}", B) for i, B in enumerate(z2cubed)]
-    assert len(braces) == 510
+        (f"z2cubed_{i}", B) for i, B in enumerate(z2cubed)] + [(f"m16_{i}", B) for i, B in enumerate(m16)]
+    assert len(braces) == 670
     for name, B in braces:
         assert left_series_brace(B) == oracle_left_series_brace(B), name
         assert right_series_brace(B) == oracle_right_series_brace(B), name

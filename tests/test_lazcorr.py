@@ -144,6 +144,29 @@ def test_w_map_identity_on_square_free():
     assert np.array_equal(w_map(P), np.arange(P.shape.order))
 
 
+def test_w_map_and_v_eval_validate_a_callers_filtration(radical5_2):
+    # L-class 2: (A, 0) is a Lie filtration of the abelian base, but L_a does
+    # not map A into 0, and a W truncated at its length 1 would be wrong
+    s = radical5_2.shape
+    a = s.unit(0)
+    short = Filtration((frozenset(range(25)), frozenset({0})))
+    for call in (lambda: w_map(radical5_2, short), lambda: v_eval(radical5_2, a, l_mul(radical5_2, a), short)):
+        with pytest.raises(ModArithError, match="L_a does not map"):
+            call()
+    # the canonical chain, passed by hand, passes
+    assert np.array_equal(w_map(radical5_2, Filtration(l_series(radical5_2).terms)), w_map(radical5_2))
+    # a chain that is not a Lie filtration of the (Heisenberg) base
+    H = catalogs.postlie_heis_form(5)
+    x = H.shape.unit(0).index
+    not_lie = Filtration((frozenset(range(125)), add_closure(H.shape, [x]), frozenset({0})))
+    with pytest.raises(ModArithError):
+        w_map(H, not_lie)
+    # a valid chain of length p is refused as not Lazard
+    P3 = catalogs.prelie_radical(3, 3)
+    with pytest.raises(NotLazardError):
+        w_map(P3, Filtration(l_series(P3).terms))
+
+
 def test_flow_construction_trivial():
     P = catalogs.zero_triangle(catalogs.abelian(5, (1, 1)))
     flow = post_lie_to_brace(P)

@@ -105,6 +105,22 @@ def test_empty_filtration_rejected():
         Filtration(())
 
 
+def test_malformed_chains_rejected():
+    # a chain that does not nest, or does not start at the carrier 0..n-1,
+    # has no level function
+    full = frozenset(range(9))
+    for chain in ((full, frozenset({0, 3, 6}), frozenset({0, 1})),
+                  (full, frozenset({0, 9}), frozenset({0})),
+                  (frozenset(range(1, 10)), frozenset({1})),
+                  (frozenset({0, 3, 6}), frozenset({0}))):
+        with pytest.raises(ModArithError):
+            Filtration(chain)
+    # a repeated term is allowed: the chain need not be strict
+    F = Filtration((full, frozenset({0, 3, 6}), frozenset({0, 3, 6}), frozenset({0})))
+    assert F.level.tolist() == [4, 1, 1, 3, 1, 1, 3, 1, 1] and F.length == 3
+    assert F.terms[1] == F.term(3) == frozenset({0, 3, 6}) and F.term(7) == frozenset({0})
+
+
 def test_bch_eval_abelian_is_addition():
     L = catalogs.abelian(5, (2, 1))
     F = canonical_filtration(L)
