@@ -70,92 +70,60 @@ def _write_output(text: str, path: str | None) -> int:
     return EXIT_OK
 
 
-def _check_lie(L, out):
-    rep = verify_lie(L)
-    if not rep.ok:
-        out.append("verify: FAIL")
-        out.extend("  " + f for f in rep.failures)
-        return EXIT_VERIFY
+def _report_lie(L) -> list[str]:
     ser = lower_central_series(L)
     cls = ser.nilpotency_class
     lazard = cls is not None and cls < L.shape.p
     head = f"Lie ring, class {cls if cls is not None else 'infinite (not nilpotent)'}"
     head += f", {'Lazard' if lazard else 'not Lazard'} (p={L.shape.p})"
-    out.insert(0, head)
-    out.append(f"shape: {L.shape}")
-    out.append("verify: pass")
-    out.append("series sizes: " + " ".join(str(len(t)) for t in ser.terms))
-    return EXIT_OK
+    return [head, f"shape: {L.shape}", "verify: pass",
+            "series sizes: " + " ".join(str(len(t)) for t in ser.terms)]
 
 
-def _check_postlie(P, out):
-    rep = verify_post_lie(P)
-    if not rep.ok:
-        out.append("verify: FAIL")
-        out.extend("  " + f for f in rep.failures)
-        return EXIT_VERIFY
-    ser = l_series(P)
-    cls = ser.nilpotency_class
+def _report_postlie(P) -> list[str]:
+    cls = l_series(P).nilpotency_class
     lazard = cls is not None and cls < P.shape.p
-    out.insert(0, (
-        f"post-Lie ring, L-class {cls if cls is not None else 'infinite'}"
-        f", {'Lazard' if lazard else 'not Lazard'} (p={P.shape.p})"
-    ))
-    out.append(f"shape: {P.shape}")
-    out.append("verify: pass")
     fix, soc, ann = substructures(P)
-    out.append(f"fix: {_fmt_set(fix)}")
-    out.append(f"soc: {_fmt_set(soc)}")
-    out.append(f"ann: {_fmt_set(ann)}")
-    return EXIT_OK
+    return [f"post-Lie ring, L-class {cls if cls is not None else 'infinite'}"
+            f", {'Lazard' if lazard else 'not Lazard'} (p={P.shape.p})",
+            f"shape: {P.shape}", "verify: pass",
+            f"fix: {_fmt_set(fix)}", f"soc: {_fmt_set(soc)}", f"ann: {_fmt_set(ann)}"]
 
 
-def _check_group(G, out):
-    rep = verify_group_table(G.table)
-    if not rep.ok:
-        out.append("verify: FAIL")
-        out.extend("  " + f for f in rep.failures)
-        return EXIT_VERIFY
-    ser = canonical_group_filtration(G)
-    cls = ser.nilpotency_class
-    out.insert(0, f"group of order {G.order}, class {cls if cls is not None else 'infinite'}")
-    out.append("verify: pass")
-    return EXIT_OK
+def _report_group(G) -> list[str]:
+    cls = canonical_group_filtration(G).nilpotency_class
+    return [f"group of order {G.order}, class {cls if cls is not None else 'infinite'}", "verify: pass"]
 
 
-def _check_brace(B, out):
-    rep = verify_skew_brace(B)
-    if not rep.ok:
-        out.append("verify: FAIL")
-        out.extend("  " + f for f in rep.failures)
-        return EXIT_VERIFY
-    ser = l_series_brace(B)
-    cls = ser.nilpotency_class
+def _report_brace(B) -> list[str]:
+    cls = l_series_brace(B).nilpotency_class
     kind = "brace" if B.is_brace else "skew brace"
     lazard = cls is not None and cls < B.p
-    out.insert(0, (
-        f"skew brace ({kind}), L-class {cls if cls is not None else 'infinite'}"
-        f", {'Lazard' if lazard else 'not Lazard'} (p={B.p})"
-    ))
-    out.append("verify: pass")
     fix, soc, ann = substructures_brace(B)
-    out.append(f"fix: {_fmt_set(fix)}")
-    out.append(f"soc: {_fmt_set(soc)}")
-    out.append(f"ann: {_fmt_set(ann)}")
-    return EXIT_OK
+    return [f"skew brace ({kind}), L-class {cls if cls is not None else 'infinite'}"
+            f", {'Lazard' if lazard else 'not Lazard'} (p={B.p})",
+            "verify: pass",
+            f"fix: {_fmt_set(fix)}", f"soc: {_fmt_set(soc)}", f"ann: {_fmt_set(ann)}"]
+
+
+# kind -> (verifier, report of a verified value)
+_CHECKS = {
+    "lie": (verify_lie, _report_lie),
+    "postlie": (verify_post_lie, _report_postlie),
+    "group": (verify_group_table, _report_group),
+    "skewbrace": (verify_skew_brace, _report_brace),
+}
 
 
 def cmd_check(args) -> int:
     kind, value = formats.parse_file(args.path)
-    out: list[str] = []
-    code = {
-        "lie": _check_lie,
-        "postlie": _check_postlie,
-        "group": _check_group,
-        "skewbrace": _check_brace,
-    }[kind](value, out)
-    print("\n".join(out))
-    return code
+    verify, report = _CHECKS[kind]
+    rep = verify(value)
+    if not rep.ok:
+        print("\n".join(["verify: FAIL"] + ["  " + f for f in rep.failures]))
+        return EXIT_VERIFY
+    print("\n".join(report(value)))
+    return EXIT_OK
 
 
 def cmd_convert(args) -> int:
@@ -182,11 +150,8 @@ def cmd_roundtrip(args) -> int:
     elif kind == "skewbrace":
         log = brace_to_post_lie(value)
         flow = post_lie_to_brace(log.post_lie)
-        eo, ie = log.basis.elem_of, log.basis.index_of_elem
-        dot_back = eo[flow.brace.dot.table[ie[:, None], ie[None, :]]]
-        circ_back = eo[flow.brace.circ.table[ie[:, None], ie[None, :]]]
-        same = np.array_equal(dot_back, value.dot.table) and np.array_equal(
-            circ_back, value.circ.table
+        same = np.array_equal(log.basis.relabel(flow.brace.dot.table), value.dot.table) and np.array_equal(
+            log.basis.relabel(flow.brace.circ.table), value.circ.table
         )
     else:
         raise ParseError(f"roundtrip needs a postlie or skewbrace file, got {kind}")

@@ -154,27 +154,18 @@ def _table_lines(table) -> list[str]:
 
 def write_text(value) -> str:
     lines = [f"format {FORMAT_VERSION}"]
-    if isinstance(value, PostLieRing):
-        s = value.shape
-        lines.append("postlie " + str(s.p) + " " + " ".join(str(e) for e in s.exps))
-        for i in range(s.rank):
-            for j in range(i + 1, s.rank):
-                if value.base.sc[i, j].any():
-                    coords = " ".join(str(int(v)) for v in value.base.sc[i, j])
-                    lines.append(f"bracket {i + 1} {j + 1} : {coords}")
-        for i in range(s.rank):
-            for j in range(s.rank):
-                if value.tri[i, j].any():
-                    coords = " ".join(str(int(v)) for v in value.tri[i, j])
-                    lines.append(f"triangle {i + 1} {j + 1} : {coords}")
-    elif isinstance(value, LieRingSC):
-        s = value.shape
-        lines.append("lie " + str(s.p) + " " + " ".join(str(e) for e in s.exps))
-        for i in range(s.rank):
-            for j in range(i + 1, s.rank):
-                if value.sc[i, j].any():
-                    coords = " ".join(str(int(v)) for v in value.sc[i, j])
-                    lines.append(f"bracket {i + 1} {j + 1} : {coords}")
+    if isinstance(value, (PostLieRing, LieRingSC)):
+        post = isinstance(value, PostLieRing)
+        base = value.base if post else value
+        s = base.shape
+        lines.append(("postlie " if post else "lie ") + str(s.p) + " " + " ".join(str(e) for e in s.exps))
+        products = [("bracket", i, j, base.sc) for i in range(s.rank) for j in range(i + 1, s.rank)]
+        if post:
+            products += [("triangle", i, j, value.tri) for i in range(s.rank) for j in range(s.rank)]
+        for op, i, j, consts in products:
+            if consts[i, j].any():
+                coords = " ".join(str(int(v)) for v in consts[i, j])
+                lines.append(f"{op} {i + 1} {j + 1} : {coords}")
     elif isinstance(value, SkewBrace):
         lines.append(f"skewbrace {value.order}")
         lines.append("dot:")

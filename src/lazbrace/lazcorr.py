@@ -24,14 +24,14 @@ from .liering import (
     FinGroup,
     LieRingSC,
     _add_subgroup_runs,
-    _require_none,
     canonical_group_filtration,
     laz,
     laz_inv,
     table_to_sc,
+    validate_group_filtration,
 )
-from .modarith import (AbelianBasis, Endo, ModArithError, PShape, PVec, _row_blocks, endo_exp, endo_log,
-                       root_of_unity)
+from .modarith import (AbelianBasis, Endo, ModArithError, PShape, PVec, _block_table, _require_none, endo_exp,
+                       endo_log, root_of_unity)
 from .postlie import (
     PostLieRing,
     _classify_batch,
@@ -124,15 +124,6 @@ def _v_batch(P: PostLieRing, k: int, A: np.ndarray, mat: np.ndarray) -> np.ndarr
     return _sd_bch(P, k, (A, mat), (np.zeros_like(A), P.shape.reduce(-mat)))
 
 
-def _apply_all(s: PShape, coords: np.ndarray, mats: np.ndarray) -> np.ndarray:
-    """out[x, b] = index of coords[b] @ mats[x], a block of rows at a time."""
-    n = len(coords)
-    out = np.empty((len(mats), n), dtype=np.int64)
-    for rows in _row_blocks(len(mats), n):
-        out[rows] = s.index_batch(np.matmul(coords, mats[rows]))
-    return out
-
-
 def _require_bijective(images: np.ndarray, what: str, name: str) -> None:
     """Raise FailedTheoremError naming two elements with one image."""
     order = np.argsort(images, kind="stable")
@@ -195,7 +186,8 @@ def post_lie_to_brace(P: PostLieRing, check: bool = True) -> FlowResult:
     Omega[W] = np.arange(n)
     coords = s.all_coords()
     exp_mats = endo_exp(Endo(s, P.l_mats(coords[Omega])), max(k, 1)).mat
-    circ = dot.table[np.arange(n)[:, None], _apply_all(s, coords, exp_mats)]
+    images = _block_table(n, n, lambda rows: s.index_batch(coords @ exp_mats[rows]))  # exp(L_Omega(a))(b)
+    circ = dot.table[np.arange(n)[:, None], images]
     brace = SkewBrace(dot, FinGroup(circ, 0))
     if check:
         rep = verify_skew_brace(brace)
@@ -211,12 +203,18 @@ def post_lie_to_brace(P: PostLieRing, check: bool = True) -> FlowResult:
     return FlowResult(P, brace, W, Omega, k)
 
 
-def _canonical_brace_filtration(B: SkewBrace) -> Filtration:
-    ser = l_series_brace(B)
-    if not ser.is_nilpotent:
-        raise NotLazardError(
-            f"skew brace is not L-nilpotent: the L-series stops at a term of order {len(ser.terms[-1])}")
-    F = ser.filtration
+def _lazard_brace_filtration(B: SkewBrace, F: Filtration | None = None) -> Filtration:
+    """The canonical L-filtration (cached on B), or a caller's F validated as
+    a group filtration of (A, .) (ModArithError otherwise).  Either must be
+    shorter than p."""
+    if F is None:
+        ser = l_series_brace(B)
+        if not ser.is_nilpotent:
+            raise NotLazardError(
+                f"skew brace is not L-nilpotent: the L-series stops at a term of order {len(ser.terms[-1])}")
+        F = ser.filtration
+    else:
+        validate_group_filtration(B.dot, F)
     if F.length >= B.p:
         raise NotLazardError(f"not Lazard: L-class {F.length} >= p = {B.p}")
     return F
@@ -237,11 +235,10 @@ def _additive_log(basis: AbelianBasis, alpha: np.ndarray, k: int, name: str, exc
     given by their rows of carrier images.  The matrices are read off the
     generators (Endo checks them well defined); exc names the first (a, b)
     where alpha[a, b] is not the matrix image."""
-    s = basis.shape
-    coords = s.all_coords()[basis.index_of_elem]
-    mats = Endo(s, coords[alpha[:, basis.elem_of[s.index_batch(np.eye(s.rank, dtype=np.int64))]]])
-    _require_none(basis.elem_of[_apply_all(s, coords, mats.mat)] != alpha,
-                  f"{name} is not additive over Laz^-1 of the dot group", exc)
+    coords = basis.coords
+    mats = Endo(basis.shape, coords[alpha[:, list(basis.gens)]])
+    images = _block_table(len(alpha), len(coords), lambda rows: basis.elems(coords @ mats.mat[rows]))
+    _require_none(images != alpha, f"{name} is not additive over Laz^-1 of the dot group", exc)
     return endo_log(mats, max(k, 1)).mat
 
 
@@ -252,19 +249,23 @@ def u_eval(B: SkewBrace, a, alpha: np.ndarray, F: Filtration | None = None, *,
     With T = Laz^-1(A, .), that is the carrier part of BCH((a, 0), (0, log
     alpha)) in T (+) End(T), exact at degree k = F.length since log alpha
     raises the filtration.  a may be an index array and alpha an (m, n)
-    stack, one map per entry, all in one fold; each alpha must be additive
-    over T (ModArithError otherwise).  A caller may pass dot_log =
-    _dot_log(B.dot) and log = the log alpha stack over it; alpha is then
-    not read.
+    stack, one map per entry, all in one fold.  A caller's F must be a
+    group filtration of (A, .) shorter than p; each alpha must raise F,
+    alpha(g) g^-1 in X_(level[g] + 1), and be additive over T
+    (ModArithError naming the first (a, g) otherwise).  A caller may pass
+    dot_log = _dot_log(B.dot) and log = the log alpha stack over it; alpha
+    is then read only for the raising check.
     """
-    F = F or _canonical_brace_filtration(B)
-    k = F.length
     L, basis = dot_log or _dot_log(B.dot)
-    s = L.shape
+    F = _lazard_brace_filtration(B, F)
+    k = F.length
+    alpha = np.atleast_2d(np.asarray(alpha, dtype=np.int64))
+    _require_none(F.level[B.dot.table[alpha, B.dot.inv]] < np.minimum(F.level + 1, F.depth),
+                  "alpha does not raise the filtration", ModArithError)
     if log is None:
-        log = _additive_log(basis, np.atleast_2d(np.asarray(alpha, dtype=np.int64)), k, "alpha", ModArithError)
-    A = s.coords_batch(basis.index_of_elem[np.atleast_1d(a)])
-    out = basis.elem_of[s.index_batch(_sd_bch(L, k, (A, np.zeros_like(log)), (np.zeros_like(A), log)))]
+        log = _additive_log(basis, alpha, k, "alpha", ModArithError)
+    A = basis.coords[np.atleast_1d(a)]
+    out = basis.elems(_sd_bch(L, k, (A, np.zeros_like(log)), (np.zeros_like(A), log)))
     return int(out[0]) if np.ndim(a) == 0 else out
 
 
@@ -272,10 +273,8 @@ def omega_map(B: SkewBrace, F: Filtration | None = None, *,
               dot_log: tuple[LieRingSC, AbelianBasis] | None = None,
               log: np.ndarray | None = None) -> np.ndarray:
     """Omega(a) = U(a, lambda_a) over the carrier, verified bijective: one
-    u_eval on the whole carrier.  dot_log and log are passed on to it."""
-    F = F or _canonical_brace_filtration(B)
-    if F.margin(B.star).min() < 1:  # star[a, g] = lambda_a(g) g^-1
-        raise ModArithError("lambda maps do not raise the filtration")
+    u_eval on the whole carrier, which checks F and that lambda raises it.
+    dot_log and log are passed on to it."""
     out = u_eval(B, np.arange(B.order), B.lam, F, dot_log=dot_log, log=log)
     _require_bijective(out, "omega map", "Omega")
     return out
@@ -302,35 +301,30 @@ class LogResult:
 def brace_to_post_lie(B: SkewBrace, check: bool = True) -> LogResult:
     """Construction L: base = Laz^-1(dot), a > b = log(lambda_{W(a)})(b); one
     stack of logged lambda maps gives both Omega (through u_eval) and >."""
-    F = _canonical_brace_filtration(B)
-    k = F.length
+    k = _lazard_brace_filtration(B).length
     n = B.order
     L_sc, basis = _dot_log(B.dot)
-    s = L_sc.shape
     D = _additive_log(basis, B.lam, k, "lambda", FailedTheoremError)
-    Omega = omega_map(B, F, dot_log=(L_sc, basis), log=D)
+    Omega = omega_map(B, dot_log=(L_sc, basis), log=D)
     W = np.empty(n, dtype=np.int64)
     W[Omega] = np.arange(n)
-    coords_of_elem = s.all_coords()[basis.index_of_elem]
-    tri_table = basis.elem_of[_apply_all(s, coords_of_elem, D[W])]
-    gen_elems = basis.elem_of[s.index_batch(np.eye(s.rank, dtype=np.int64))]
-    P = PostLieRing(L_sc, coords_of_elem[tri_table[np.ix_(gen_elems, gen_elems)]])
+    coords = basis.coords
+    tri_table = _block_table(n, n, lambda rows: basis.elems(coords @ D[W[rows]]))
+    # row j of D[W[g_i]], the matrix of L_(g_i), is g_i > g_j
+    P = PostLieRing(L_sc, D[W[list(basis.gens)]])
     if check:
         rep = verify_post_lie(P)
         if not rep.ok:
             raise FailedTheoremError(f"logged structure is not post-Lie: {rep.failures}")
         # the bilinear extension must reproduce the pointwise table
-        for rows in _row_blocks(n, n):
-            blk = P.tri_batch(coords_of_elem[rows, None, :], coords_of_elem[None, :, :])
-            _require_none(basis.elem_of[s.index_batch(blk)] != tri_table[rows],
-                          "triangle product is not biadditive", row0=rows.start)
+        rebuilt = _block_table(n, n, lambda rows: basis.elems(P.tri_batch(coords[rows, None, :], coords)))
+        _require_none(rebuilt != tri_table, "triangle product is not biadditive")
         pser = l_series(P)
         if pser.nilpotency_class != k:
             raise FailedTheoremError("L-class changed across the logarithm construction")
         # Omega: (A, o) -> circ ring is a group isomorphism onto Laz of it
-        lazc = laz(P.circ, F=None)
-        om_s = basis.index_of_elem[Omega]
-        _require_none(om_s[B.circ.table] != lazc.table[om_s[:, None], om_s[None, :]],
+        lazc = basis.relabel(laz(P.circ, F=None).table)
+        _require_none(Omega[B.circ.table] != lazc[Omega[:, None], Omega[None, :]],
                       "omega is not an isomorphism onto Laz of the circ ring")
     return LogResult(B, P, basis, tri_table, W, Omega, k)
 
@@ -428,14 +422,16 @@ def lambda_derivative(B: SkewBrace, log: LogResult | None = None) -> np.ndarray:
     s = basis.shape
     m = s.max_modulus
     xi = root_of_unity(p, s.exps[0])
-    coords_of_elem = s.all_coords()[basis.index_of_elem]
-    out = np.empty((B.order, B.order), dtype=np.int64)
-    for rows in _row_blocks(B.order, B.order):
+    coords = basis.coords
+
+    def block(rows):
         acc = 0
         for i in range(p - 1):
-            a_i = basis.elem_of[s.index_batch(coords_of_elem[rows] * pow(xi, -i, m))]  # xi^(-i) a
-            acc = s.reduce(acc + pow(xi, i, m) * coords_of_elem[B.lam[a_i]])
-        out[rows] = basis.elem_of[s.index_batch(acc * s.scale_multiplier(Fraction(1, p - 1)))]
+            a_i = basis.elems(coords[rows] * pow(xi, -i, m))  # xi^(-i) a
+            acc = s.reduce(acc + pow(xi, i, m) * coords[B.lam[a_i]])
+        return basis.elems(acc * s.scale_multiplier(Fraction(1, p - 1)))
+
+    out = _block_table(B.order, B.order, block)
     if not np.array_equal(out, log.tri_table):
         raise FailedTheoremError("root-of-unity triangle differs from the logged triangle")
     return out

@@ -22,7 +22,7 @@ import numpy as np
 from . import freelie
 from .common import CapExceededError, FailedTheoremError, NotLazardError
 from .modarith import (AbelianBasis, ModArithError, PShape, PVec, abelian_decompose, prime_power,
-                       _row_blocks, _table_orders, _table_times)
+                       _block_table, _require_none, _row_blocks, _table_orders, _table_times)
 
 __all__ = [
     "LieRingSC",
@@ -54,13 +54,6 @@ __all__ = [
 ]
 
 _SOFT_ORDER_CAP = 5 ** 6  # table constructions refuse beyond this unless forced
-
-
-def _require_none(bad: np.ndarray, what: str, exc=FailedTheoremError, row0: int = 0) -> None:
-    """Raise exc(what) naming the first (a, b) where bad holds, rows counted from row0."""
-    if bad.any():
-        x, y = np.argwhere(bad)[0]
-        raise exc(f"{what} at (a,b)=({row0 + int(x)},{int(y)})")
 
 
 def _check_order_cap(n: int, force: bool) -> None:
@@ -300,31 +293,11 @@ def _extend(shape: PShape, members: np.ndarray, gens, q: int) -> np.ndarray:
     return sums.reshape(sums.shape[:-2] + (-1,))
 
 
-def _span_fold(shape: PShape, order, target: np.ndarray | None = None) -> tuple[np.ndarray, list[int]]:
+def _span_fold(shape: PShape, order) -> tuple[np.ndarray, list[int]]:
     """Fold H <- H + <g> from H = 0 over the elements g of `order` not yet in
-    H; returns the mask of H and the g kept.  With a target mask, stops as
-    soon as H equals it."""
-    p = shape.p
-    order = np.asarray(order, dtype=np.int64)
-    inside = np.zeros(shape.order, dtype=bool)
-    inside[0] = True
-    members = np.zeros(1, dtype=np.int64)
-    kept: list[int] = []
-    while order.size:
-        if target is not None and np.array_equal(inside, target):
-            break
-        fresh = np.flatnonzero(~inside[order])
-        if fresh.size == 0:
-            break
-        g = int(order[fresh[0]])
-        order = order[fresh[0] + 1:]
-        # the order of g modulo H: the least p^j with p^j g in H
-        multiples = shape.index_batch(np.multiply.outer(
-            p ** np.arange(shape.exps[0] + 1), shape.coords_batch(g)))
-        members = _extend(shape, members, g, p ** int(np.argmax(inside[multiples])))
-        inside[members] = True
-        kept.append(g)
-    return inside, kept
+    H: the one-row case of _span_rows.  Returns the mask of H and the g kept."""
+    span, kept = _span_rows(shape, np.asarray(order, dtype=np.int64)[None, :])
+    return span[0], kept[0].tolist()
 
 
 def _indices(gen_indices) -> np.ndarray:
@@ -345,7 +318,7 @@ def _subgroup_gens(shape: PShape, inside: np.ndarray) -> list[int]:
     for the whole carrier."""
     if inside.all():
         return [u.index for u in shape.units()]
-    return _span_fold(shape, np.flatnonzero(inside), inside)[1]
+    return _span_fold(shape, np.flatnonzero(inside))[1]
 
 
 def _span_rows(shape: PShape, walk: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -921,9 +894,7 @@ def laz_inv(G: FinGroup, F: Filtration | None = None, force: bool = False) -> Li
     k = F.length
     if k >= p:
         raise NotLazardError(f"not Lazard: filtration length {k} >= p = {p}")
-    p_word, q_word = freelie.inverse_words(max(k, 1))
-    p_word = p_word.truncated(k)
-    q_word = q_word.truncated(k)
+    p_word, q_word = freelie.inverse_words(k)
     n = G.order
     idx = np.arange(n, dtype=np.int64)
     tree = _schreier(n, G.identity, lambda g: _eval_word_batch(G, p_word, np.full(n, g), idx),
@@ -942,15 +913,12 @@ def table_to_sc(T: LieRingTable) -> tuple[LieRingSC, AbelianBasis]:
     generator values.
     """
     basis = abelian_decompose(T.add)
-    shape = basis.shape
-    r = shape.rank
-    coords = shape.all_coords()[basis.index_of_elem]
-    gen_elems = basis.elem_of[shape.index_batch(np.eye(r, dtype=np.int64))]
-    L = LieRingSC(shape, coords[T.bracket[np.ix_(gen_elems, gen_elems)]])
-    for rows in _row_blocks(T.order, T.order):
-        blk = L.bracket_batch(coords[rows, None, :], coords[None, :, :])
-        _require_none(basis.elem_of[shape.index_batch(blk)] != T.bracket[rows],
-                      "bracket table is not biadditive over the decomposition", row0=rows.start)
+    coords = basis.coords
+    gens = list(basis.gens)
+    L = LieRingSC(basis.shape, coords[T.bracket[np.ix_(gens, gens)]])
+    n = T.order
+    rebuilt = _block_table(n, n, lambda rows: basis.elems(L.bracket_batch(coords[rows, None, :], coords)))
+    _require_none(rebuilt != T.bracket, "bracket table is not biadditive over the decomposition")
     return L, basis
 
 

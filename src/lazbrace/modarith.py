@@ -19,6 +19,8 @@ from math import factorial
 
 import numpy as np
 
+from .common import FailedTheoremError
+
 __all__ = [
     "ModArithError",
     "PShape",
@@ -46,6 +48,21 @@ def _row_blocks(m: int, n: int):
     small enough for one vectorised pass."""
     step = max(1, _CHUNK // max(1, n))
     return (slice(start, min(m, start + step)) for start in range(0, m, step))
+
+
+def _block_table(m: int, n: int, block) -> np.ndarray:
+    """The (m, n) table whose rows `rows`, a _row_blocks slice, are block(rows)."""
+    out = np.empty((m, n), dtype=np.int64)
+    for rows in _row_blocks(m, n):
+        out[rows] = block(rows)
+    return out
+
+
+def _require_none(bad: np.ndarray, what: str, exc=FailedTheoremError) -> None:
+    """Raise exc(what) naming the first (a, b) where bad holds."""
+    if bad.any():
+        x, y = np.argwhere(bad)[0]
+        raise exc(f"{what} at (a,b)=({int(x)},{int(y)})")
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -380,13 +397,29 @@ class AbelianBasis:
     """Explicit isomorphism between a table group and its invariant-factor shape.
 
     elem_of[i] is the table element matching shape-enumeration index i;
-    index_of_elem is its inverse permutation.
+    index_of_elem is its inverse permutation.  gens[i] is the element of the
+    i-th unit vector.  The relabelling between table elements and shape
+    coordinates goes through coords, elems and relabel.
     """
 
     shape: PShape
     gens: tuple[int, ...]
     elem_of: np.ndarray
     index_of_elem: np.ndarray
+
+    @cached_property
+    def coords(self) -> np.ndarray:
+        """coords[t]: the shape coordinates of table element t (read-only)."""
+        return _read_only(self.shape.all_coords()[self.index_of_elem])
+
+    def elems(self, coords) -> np.ndarray:
+        """The table elements of coordinate rows (..., r), reduced first."""
+        return self.elem_of[self.shape.index_batch(coords)]
+
+    def relabel(self, table: np.ndarray) -> np.ndarray:
+        """A table on shape indices, moved onto the table elements."""
+        ie = self.index_of_elem
+        return self.elem_of[table[ie[:, None], ie[None, :]]]
 
     def vec_of(self, t: int) -> PVec:
         return self.shape.vec_of_index(int(self.index_of_elem[t]))
@@ -519,11 +552,9 @@ def abelian_decompose(table) -> AbelianBasis:
     index_of_elem[elem_of] = np.arange(n)
     basis = AbelianBasis(shape, gens, elem_of, index_of_elem)
     # round trip: vecOps through the bijection must reproduce the table
-    coords = shape.all_coords()[index_of_elem]
-    for rows in _row_blocks(n, n):
-        block = shape.index_batch(coords[rows, None, :] + coords[None, :, :])
-        if not np.array_equal(elem_of[block], table[rows]):
-            raise ModArithError("table does not match abelian reconstruction")
+    coords = basis.coords
+    if not np.array_equal(_block_table(n, n, lambda rows: basis.elems(coords[rows, None, :] + coords)), table):
+        raise ModArithError("table does not match abelian reconstruction")
     return basis
 
 

@@ -33,6 +33,7 @@ from .liering import (
     _invariant_closure,
     _levels,
     _row_masks,
+    _schreier,
 )
 from .modarith import ModArithError, _row_blocks, prime_power
 
@@ -88,11 +89,6 @@ class SkewBrace:
     def lam(self) -> np.ndarray:
         """lam[a, b] = a^-1 . (a o b), an automorphism of dot for each a."""
         return self.dot.table[self.dot.inv[:, None], self.circ.table]
-
-    @cached_property
-    def star(self) -> np.ndarray:
-        """star[a, b] = lam[a, b] . b^-1."""
-        return self.dot.table[self.lam, self.dot.inv[None, :]]
 
     @cached_property
     def l_series(self) -> SeriesResult:
@@ -173,7 +169,7 @@ def lambda_and_star(B: SkewBrace) -> tuple[np.ndarray, np.ndarray]:
     """The lambda table and star table, with the automorphism and
     homomorphism properties verified on generators, which is exact once
     both group tables are (verify_skew_brace)."""
-    lam, star = B.lam, B.star
+    lam = B.lam
     bijective = (np.sort(lam, axis=1) == np.arange(B.order)).all(axis=1)
     if not bijective.all():
         raise FailedTheoremError(f"lambda_{int(np.argmin(bijective))} is not a bijection")
@@ -187,7 +183,8 @@ def lambda_and_star(B: SkewBrace) -> tuple[np.ndarray, np.ndarray]:
         if bad_a.any():
             raise FailedTheoremError(
                 f"lambda_(a o b) != lambda_a lambda_b at a={int(np.argmax(bad_a))}")
-    return lam, star
+    idx = np.arange(B.order)
+    return lam, _star(B, idx[:, None], idx)
 
 
 def _star(B: SkewBrace, A, H) -> np.ndarray:
@@ -372,54 +369,26 @@ def minimal_generators(G: FinGroup) -> list[int]:
     return _group_gens(G, order=walk)
 
 
-def _factorization(G: FinGroup, gens: list[int]) -> list[tuple[int, int] | None]:
-    """parent/generator decomposition: elem = parent . gens[k]; None at identity."""
-    n = G.order
-    out: list = [None] * n
-    seen = {G.identity}
-    frontier = [G.identity]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for k, g in enumerate(gens):
-                y = G.mul(x, g)
-                if y not in seen:
-                    seen.add(y)
-                    out[y] = (x, k)
-                    nxt.append(y)
-        frontier = nxt
-    if len(seen) != n:
-        raise ModArithError("generators do not generate")
-    return out
-
-
-def _extend_images(G: FinGroup, gens, fact, images) -> np.ndarray | None:
-    """Map determined by generator images, or None when not a homomorphism."""
-    n = G.order
-    phi = np.full(n, -1, dtype=np.int64)
-    phi[G.identity] = G.identity
-    pending = [x for x in range(n) if fact[x] is not None]
-    while pending:
-        rest = []
-        for x in pending:
-            parent, k = fact[x]
-            if phi[parent] >= 0:
-                phi[x] = G.table[phi[parent], images[k]]
-            else:
-                rest.append(x)
-        if len(rest) == len(pending):
-            raise ModArithError("factorization order broken")
-        pending = rest
-    if np.unique(phi).size != n or _hom_failure(G.table, phi, gens) is not None:
-        return None
-    return phi
-
-
 def _automorphisms_into(G: FinGroup, gens: list[int], cands: list[list[int]]) -> list[np.ndarray]:
-    """The automorphisms of G sending each gens[k] into cands[k]."""
-    fact = _factorization(G, gens)
-    maps = (_extend_images(G, gens, fact, list(combo)) for combo in product(*cands))
-    return [phi for phi in maps if phi is not None]
+    """The automorphisms of G sending each gens[k] into cands[k].
+
+    Each choice of images is extended along one Schreier tree of the rows
+    x -> g x, as phi(g z) = phi(g) phi(z) on each edge, and kept when it is
+    a bijection and a homomorphism on the generators (_hom_failure, which
+    proves it one on G).  An automorphism satisfies every edge, those of the
+    generators the tree adds itself included, so none is missed.
+    """
+    tree = _schreier(G.order, G.identity, lambda g: G.table[g], gens)
+    tree_gens = np.asarray(tree.gens, dtype=np.int64)
+    out = []
+    for combo in product(*cands):
+        phi = np.full(G.order, G.identity, dtype=np.int64)
+        phi[gens] = combo
+        for ys, zs, i in tree.levels:
+            phi[ys] = G.table[phi[tree_gens[i]], phi[zs]]
+        if np.unique(phi).size == G.order and _hom_failure(G.table, phi, gens) is None:
+            out.append(phi)
+    return out
 
 
 def automorphisms(G: FinGroup) -> list[np.ndarray]:
@@ -488,9 +457,10 @@ def adjoint_group_filtration(B: SkewBrace, F: Filtration | None = None) -> Filtr
         F = ser.filtration
     else:
         validate_group_filtration(B.dot, F)
-    # a is in (A, o)_i when star[a, g] = lambda_a(g) g^-1 lies in
-    # X_(level[g] + i) for all g; the identity alone stays in the last term
-    out = Filtration._of(np.maximum(np.minimum(F.level, F.margin(B.star)), 0), F.depth)
+    # a is in (A, o)_i when a*g = lambda_a(g) g^-1 lies in X_(level[g] + i)
+    # for all g; the identity alone stays in the last term
+    idx = np.arange(B.order)
+    out = Filtration._of(np.maximum(np.minimum(F.level, F.margin(_star(B, idx[:, None], idx))), 0), F.depth)
     # must be a filtration of the circle group
     validate_group_filtration(B.circ, out)
     return out

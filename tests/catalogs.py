@@ -294,8 +294,8 @@ def _tri_set(P: PostLieRing, A, B) -> set[int]:
 
 
 def _star_set(B: SkewBrace, A, C) -> set[int]:
-    """{a*c : a in A, c in C}."""
-    return _index_set(lambda x, y: B.star[x, y], A, C)
+    """{a*c : a in A, c in C}, a*c = lambda_a(c) c^-1 by its definition."""
+    return _index_set(lambda x, y: B.dot.table[B.lam[x, y], B.dot.inv[y]], A, C)
 
 
 def _comm_set(G: FinGroup, A, B) -> set[int]:

@@ -18,6 +18,7 @@ of the corpus, valid or not.
 """
 
 from fractions import Fraction
+from itertools import product
 
 import numpy as np
 import pytest
@@ -37,6 +38,7 @@ from lazbrace.liering import (
     _eval_word_batch,
     _group_gens,
     _rational_power_batch,
+    _schreier,
     _span_fold,
     _subgroup_gens,
     _table_series,
@@ -72,6 +74,11 @@ from lazbrace.postlie import (PostLieRing, circ_ring, classify_subset, l_series,
 from lazbrace.skewbrace import (
     SkewBrace,
     _all_subgroups_group,
+    _automorphisms_into,
+    _hom_failure,
+    all_group_chains,
+    aut_plus,
+    automorphisms,
     classify_subset_brace,
     enumerate_braces,
     l_series_brace,
@@ -137,6 +144,36 @@ def oracle_add_closure(shape: PShape, gen_indices) -> frozenset:
         frontier = [int(s) for s in np.unique(sums) if int(s) not in members]
         members.update(frontier)
     return frozenset(members)
+
+
+def oracle_span_fold(shape: PShape, order, target: np.ndarray | None = None) -> tuple[np.ndarray, list[int]]:
+    """Fold H <- H + <g> from H = 0 over the elements g of `order` not yet in
+    H, one g at a time, dropping the walked prefix; returns the mask of H
+    and the g kept.  With a target mask, stops as soon as H equals it."""
+    p = shape.p
+    order = np.asarray(order, dtype=np.int64)
+    inside = np.zeros(shape.order, dtype=bool)
+    inside[0] = True
+    members = np.zeros(1, dtype=np.int64)
+    kept: list[int] = []
+    while order.size:
+        if target is not None and np.array_equal(inside, target):
+            break
+        fresh = np.flatnonzero(~inside[order])
+        if fresh.size == 0:
+            break
+        g = int(order[fresh[0]])
+        order = order[fresh[0] + 1:]
+        # the order q of g modulo H: the least p^j with p^j g in H; the
+        # cosets H + t g for t < q are disjoint
+        multiples = shape.index_batch(np.multiply.outer(
+            p ** np.arange(shape.exps[0] + 1), shape.coords_batch(g)))
+        q = p ** int(np.argmax(inside[multiples]))
+        steps = np.arange(q, dtype=np.int64)[:, None, None] * shape.coords_batch(g)
+        members = shape.index_batch(steps + shape.coords_batch(members)).ravel()
+        inside[members] = True
+        kept.append(g)
+    return inside, kept
 
 
 def oracle_greedy_gens(closure, members: frozenset, order=None) -> list[int]:
@@ -425,6 +462,22 @@ def test_add_closure_matches_the_frontier_oracle(rng):
             assert add_closure(shape, gens) == oracle_add_closure(shape, gens), (p, exps, gens)
 
 
+def test_span_fold_matches_the_target_oracle(rng):
+    # the one-row _span_rows fold against the one-generator-at-a-time fold
+    # it replaced: with or without the target exit on subgroups, and on
+    # walks with repeats, zeros and elements outside any one subgroup
+    for p, exps, _ in _SUBGROUP_COUNTS:
+        shape = PShape(p, exps)
+        for k in (0, 1, 2, 3, 5, 12):
+            walk = rng.integers(0, shape.order, size=k)
+            span, kept = _span_fold(shape, walk)
+            want_span, want_kept = oracle_span_fold(shape, walk)
+            assert np.array_equal(span, want_span) and kept == want_kept, (p, exps, walk)
+        for H in all_add_subgroups(shape)[:-1]:  # the whole carrier takes the unit vectors
+            inside = mask(shape.order, H)
+            assert _subgroup_gens(shape, inside) == oracle_span_fold(shape, sorted(H), inside)[1], (p, exps, H)
+
+
 def _non_subgroups(subs, n, rng):
     """A subgroup with one outside element added or one nonzero member
     dropped, and a random subset holding 0: none is an additive subgroup
@@ -468,7 +521,7 @@ def oracle_classify_subset_gens(P, members: frozenset) -> IdealLevel:
     members, then each level on the generators kept and the unit vectors."""
     s = P.shape
     H = sorted(members)
-    span, gens = _span_fold(s, H, mask(s.order, members))
+    span, gens = oracle_span_fold(s, H, mask(s.order, members))
     if span.sum() != len(H):  # the fold stops at H exactly when H is closed
         return IdealLevel.NOT_CLOSED
     inside = np.zeros(s.order, dtype=bool)
@@ -598,11 +651,26 @@ def test_group_series_match_the_all_pairs_oracle(data_dir):
 
 
 def test_abelian_bases_match_the_row_oracle(lazard_tables, lie_cat):
+    rng = np.random.default_rng(5)
     for name, _L, _G, T in lazard_tables[:len(lie_cat)]:
         basis, oracle = abelian_decompose(T.add), oracle_abelian_decompose(T.add)
         assert basis.shape == oracle.shape and basis.gens == oracle.gens, name
         assert np.array_equal(basis.elem_of, oracle.elem_of), name
         assert np.array_equal(basis.index_of_elem, oracle.index_of_elem), name
+        if T.order > 125:
+            continue
+        # the carrier bridge, here and on a relabelled carrier: gens are the
+        # unit-vector elements, coords and elems invert each other, relabel
+        # conjugates a table by elem_of
+        perm = rng.permutation(T.order)
+        inv = np.argsort(perm)
+        for basis in (basis, abelian_decompose(perm[T.add[inv[:, None], inv[None, :]]])):
+            s = basis.shape
+            assert basis.gens == tuple(basis.elem_of[s.index_batch(np.eye(s.rank, dtype=np.int64))]), name
+            assert np.array_equal(basis.coords, s.all_coords()[basis.index_of_elem]), name
+            assert np.array_equal(basis.elems(basis.coords), np.arange(T.order)), name
+            eo, ie = basis.elem_of, basis.index_of_elem
+            assert np.array_equal(basis.relabel(T.bracket), eo[T.bracket[ie[:, None], ie[None, :]]]), name
     bad = np.add.outer(np.arange(9), np.arange(9)) % 9
     bad[2, 5] = bad[5, 2] = 0  # symmetric, with rows that are not permutations
     for decompose in (abelian_decompose, oracle_abelian_decompose):
@@ -1014,3 +1082,82 @@ def test_series_match_the_whole_set_oracles(series_braces, z8z2_braces, lie_cat,
             s, lambda U, G: _tri_set(P, U, G) | _bracket_set(P.base, U, G)), name
         assert left_series(P) == oracle_product_series(s, lambda U, G: _tri_set(P, U, G)), name
         assert right_series(P) == oracle_product_series(s, lambda U, G: _tri_set(P, G, U)), name
+
+
+# ---------------------------------------------------------------------------
+# Automorphisms along the shared Schreier tree against the parent-pointer
+# breadth-first search and the element-by-element extension they replace.
+
+
+def oracle_factorization(G: FinGroup, gens: list[int]) -> list[tuple[int, int] | None]:
+    """parent/generator decomposition: elem = parent . gens[k]; None at identity."""
+    out: list = [None] * G.order
+    seen = {G.identity}
+    frontier = [G.identity]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for k, g in enumerate(gens):
+                y = G.mul(x, g)
+                if y not in seen:
+                    seen.add(y)
+                    out[y] = (x, k)
+                    nxt.append(y)
+        frontier = nxt
+    assert len(seen) == G.order, "generators do not generate"
+    return out
+
+
+def oracle_extend_images(G: FinGroup, gens, fact, images) -> np.ndarray | None:
+    """The map determined by generator images, one element at a time from
+    its parent, or None when it is not a bijective homomorphism."""
+    n = G.order
+    phi = np.full(n, -1, dtype=np.int64)
+    phi[G.identity] = G.identity
+    pending = [x for x in range(n) if fact[x] is not None]
+    while pending:
+        rest = []
+        for x in pending:
+            parent, k = fact[x]
+            if phi[parent] >= 0:
+                phi[x] = G.table[phi[parent], images[k]]
+            else:
+                rest.append(x)
+        assert len(rest) < len(pending), "factorization order broken"
+        pending = rest
+    if np.unique(phi).size != n or _hom_failure(G.table, phi, gens) is not None:
+        return None
+    return phi
+
+
+def oracle_automorphisms_into(G: FinGroup, gens: list[int], cands) -> list[np.ndarray]:
+    fact = oracle_factorization(G, gens)
+    maps = (oracle_extend_images(G, gens, fact, list(combo)) for combo in product(*cands))
+    return [phi for phi in maps if phi is not None]
+
+
+def test_automorphisms_match_the_factorization_oracle(order9_braces):
+    # cyclic groups make the tree add generators of its own (Z/27, Z/64 and
+    # Z/81 with one generator); the others cover ranks 2-4 and p = 2, 3, 5
+    groups = [(f"Z{p}{exps}", catalogs.shape_group(PShape(p, exps)))
+              for p, exps in ((3, (3,)), (2, (6,)), (3, (4,)), (5, (2,)), (2, (2, 1)), (2, (1, 1, 1)),
+                              (3, (2, 1)), (2, (2, 1, 1)), (5, (1, 1)), (3, (2, 2)))]
+    groups += [("D4", _D4), ("M16", catalogs.modular16()),
+               ("heisenberg_3", laz(catalogs.heisenberg(3)))]
+    groups += [(f"{name}.circ", B.circ) for name, B in order9_braces]
+    deep = 0
+    for name, G in groups:
+        gens = minimal_generators(G)
+        deep += len(_schreier(G.order, G.identity, lambda g: G.table[g], gens).gens) > len(gens)
+        cands = [np.flatnonzero(G.element_orders == G.element_orders[g]).tolist() for g in gens]
+        got, want = _automorphisms_into(G, gens, cands), oracle_automorphisms_into(G, gens, cands)
+        assert len(got) == len(want) and all(map(np.array_equal, got, want)), name
+        assert len(automorphisms(G)) == len(want), name
+        # aut_plus on the lower central series and on every chain of length <= 3
+        for F in [canonical_group_filtration(G).filtration] + (all_group_chains(G, 3) if G.order <= 16 else []):
+            cands = [G.table[g, np.flatnonzero(F.level >= min(F.level[g] + 1, F.depth))].tolist() for g in gens]
+            want = [phi for phi in oracle_automorphisms_into(G, gens, cands)
+                    if F.margin(G.table[phi, G.inv]) >= 1]
+            got = aut_plus(G, F)
+            assert len(got) == len(want) and all(map(np.array_equal, got, want)), name
+    assert deep >= 3

@@ -12,7 +12,7 @@ from catalogs import ad_endo, trivial_brace
 from lazbrace import formats, freelie, lazcorr
 from lazbrace.common import FailedTheoremError, NotLazardError
 from lazbrace.liering import Filtration, FinGroup, add_closure, canonical_filtration, laz, laz_inv, laz_of_table
-from lazbrace.modarith import Endo, ModArithError, PShape, PVec, endo_exp, endo_log
+from lazbrace.modarith import Endo, ModArithError, PShape, PVec, _require_none, endo_exp, endo_log
 from lazbrace.postlie import PostLieRing, circ_ring, l_mul, l_series, verify_post_lie
 from lazbrace.skewbrace import (
     SkewBrace,
@@ -24,7 +24,6 @@ from lazbrace.skewbrace import (
 )
 from lazbrace.lazcorr import (
     _require_bijective,
-    _require_none,
     _sd_bracket,
     _v_batch,
     brace_to_post_lie,
@@ -538,7 +537,13 @@ def test_stacked_maps_match_per_element_loops(postlie_cat):
     braces = [(name, flow.brace) for name, _P, flow in cases]
     for name, B in braces + [("radical_brace_5_2", catalogs.radical_brace(5, 2))]:
         log = brace_to_post_lie(B, check=False)
-        assert np.array_equal(log.tri_table, _tri_table_per_element(B, log)), name
+        tri_table = _tri_table_per_element(B, log)
+        assert np.array_equal(log.tri_table, tri_table), name
+        # the constants D[W[gens]] against the gather through the triangle table
+        s, basis = log.post_lie.shape, log.basis
+        gens = basis.elem_of[s.index_batch(np.eye(s.rank, dtype=np.int64))]
+        coords_of_elem = s.all_coords()[basis.index_of_elem]
+        assert np.array_equal(log.post_lie.tri, coords_of_elem[tri_table[np.ix_(gens, gens)]]), name
 
 
 # Lie rings of order <= 125 whose [g_i, g_j] lie in the span of later
@@ -642,6 +647,19 @@ def test_non_additive_lambda_is_named():
         u_eval(B, np.array([0, 1]), B.lam[:2])
 
 
+def test_a_callers_brace_filtration_is_checked():
+    # (A, {0}) is a filtration of the abelian dot group, but lambda_1 moves
+    # 1 to 6, so 1*1 = 5 lies outside X_2 = {0}
+    B = post_lie_to_brace(catalogs.prelie_radical(5, 2)).brace
+    F = Filtration((frozenset(range(25)), frozenset({0})))
+    for call in (lambda: u_eval(B, np.arange(25), B.lam, F), lambda: omega_map(B, F)):
+        with pytest.raises(ModArithError, match=r"^alpha does not raise the filtration at \(a,b\)=\(1,1\)$"):
+            call()
+    assert u_eval(B, 3, np.arange(25), F) == 3
+    with pytest.raises(ModArithError, match="^filtration term 2 is not closed$"):
+        u_eval(B, 3, B.lam[3], Filtration((frozenset(range(25)), frozenset({0, 1, 2}), frozenset({0}))))
+
+
 def test_omega_map_names_two_elements_with_one_image(radical_flow, monkeypatch):
     monkeypatch.setattr(lazcorr, "u_eval", lambda B, a, *args, **kwargs: np.minimum(a, 3))
     with pytest.raises(FailedTheoremError, match=r"omega map is not bijective: Omega\(3\) = Omega\(4\)$"):
@@ -659,5 +677,5 @@ def test_witness_helpers():
     bad[2, 0] = bad[1, 3] = True
     with pytest.raises(FailedTheoremError, match=r"^triangle product is not biadditive at \(a,b\)=\(1,3\)$"):
         _require_none(bad, "triangle product is not biadditive")
-    with pytest.raises(ModArithError, match=r"^W is not an isomorphism onto the circle group at \(a,b\)=\(11,3\)$"):
-        _require_none(bad, "W is not an isomorphism onto the circle group", ModArithError, row0=10)
+    with pytest.raises(ModArithError, match=r"^W is not an isomorphism onto the circle group at \(a,b\)=\(1,3\)$"):
+        _require_none(bad, "W is not an isomorphism onto the circle group", ModArithError)

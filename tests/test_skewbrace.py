@@ -78,6 +78,19 @@ def test_lambda_star_radical_oracle(radical25):
     assert np.array_equal(lam, expected_lam)
 
 
+def test_star_is_lambda_times_inverse():
+    from lazbrace.lazcorr import post_lie_to_brace
+
+    # a*b = lambda_a(b) b^-1 by its definition, one pair at a time, on a
+    # brace where a*b and b*a differ
+    B = post_lie_to_brace(catalogs.prelie_antisym(3)).brace
+    lam, star = lambda_and_star(B)
+    dot = B.dot
+    want = np.array([[dot.mul(int(lam[a, b]), int(dot.inv[b])) for b in range(27)] for a in range(27)])
+    assert (want != want.T).any()
+    assert np.array_equal(star, want)
+
+
 def test_l_series_radical(radical25):
     ser = l_series_brace(radical25)
     assert ser.nilpotency_class == 2
