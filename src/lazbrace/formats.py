@@ -11,8 +11,8 @@ import re
 
 import numpy as np
 
-from .common import ParseError
-from .liering import FinGroup, LieRingSC
+from .common import CapExceededError, ParseError
+from .liering import _SOFT_ORDER_CAP, FinGroup, LieRingSC
 from .modarith import ModArithError, PShape
 from .postlie import PostLieRing
 from .skewbrace import SkewBrace
@@ -72,6 +72,10 @@ def parse_text(text: str):
         if len(toks) < 3:
             raise ParseError(f"line {no}: need '{kind} <p> <e1> [e2 ...]'")
         p, *exps = _intline(toks[1:], "shape", no)
+        k = sum(exps)
+        # before the primality test of p and before any array over the shape
+        if max(p, k) > _SOFT_ORDER_CAP or (p > 1 and k > 0 and p ** k > _SOFT_ORDER_CAP):
+            raise CapExceededError(f"line {no}: order {p}^{k} exceeds the soft cap {_SOFT_ORDER_CAP}")
         try:
             shape = PShape(p, tuple(exps))
         except ValueError as exc:
@@ -99,7 +103,7 @@ def parse_text(text: str):
                 raise ParseError(f"line {ln_no}: unknown op {op!r}")
             if (i - 1, j - 1) in target:
                 raise ParseError(f"line {ln_no}: repeated {op} {i} {j}")
-            target[(i - 1, j - 1)] = coords
+            target[(i - 1, j - 1)] = [c % m for c, m in zip(coords, shape.moduli)]  # reduced before numpy
         base = LieRingSC.from_brackets(shape, brackets)
         if kind == "lie":
             if triangles:
@@ -149,7 +153,7 @@ def parse_file(path):
 
 
 def _table_lines(table) -> list[str]:
-    return [" ".join(str(int(v)) for v in row) for row in np.asarray(table)]
+    return [" ".join(map(str, row)) for row in np.asarray(table).tolist()]
 
 
 def write_text(value) -> str:

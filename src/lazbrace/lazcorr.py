@@ -230,15 +230,16 @@ def _dot_log(dot: FinGroup) -> tuple[LieRingSC, AbelianBasis]:
     return table_to_sc(laz_inv(dot, ser.filtration))
 
 
-def _additive_log(basis: AbelianBasis, alpha: np.ndarray, k: int, name: str, exc) -> np.ndarray:
-    """The (m, r, r) stack of log alpha[a] over basis.shape, for maps alpha[a]
-    given by their rows of carrier images.  The matrices are read off the
-    generators (Endo checks them well defined); exc names the first (a, b)
-    where alpha[a, b] is not the matrix image."""
+def _additive_log(basis: AbelianBasis, alpha: np.ndarray, k: int, name: str, exc, elements=None) -> np.ndarray:
+    """The (m, r, r) stack of log alpha[i] over basis.shape, for maps alpha[i]
+    given by their rows of carrier images, row i standing for the element
+    elements[i] (default i).  The matrices are read off the generators (Endo
+    checks them well defined); exc names the first (a, b) where alpha[i, b]
+    is not the matrix image, a = elements[i]."""
     coords = basis.coords
     mats = Endo(basis.shape, coords[alpha[:, list(basis.gens)]])
     images = _block_table(len(alpha), len(coords), lambda rows: basis.elems(coords @ mats.mat[rows]))
-    _require_none(images != alpha, f"{name} is not additive over Laz^-1 of the dot group", exc)
+    _require_none(images != alpha, f"{name} is not additive over Laz^-1 of the dot group", exc, elements)
     return endo_log(mats, max(k, 1)).mat
 
 
@@ -252,18 +253,20 @@ def u_eval(B: SkewBrace, a, alpha: np.ndarray, F: Filtration | None = None, *,
     stack, one map per entry, all in one fold.  A caller's F must be a
     group filtration of (A, .) shorter than p; each alpha must raise F,
     alpha(g) g^-1 in X_(level[g] + 1), and be additive over T
-    (ModArithError naming the first (a, g) otherwise).  A caller may pass
-    dot_log = _dot_log(B.dot) and log = the log alpha stack over it; alpha
-    is then read only for the raising check.
+    (ModArithError naming the first (a, g) otherwise, a the entry of `a`
+    the failing map is paired with).  A caller may pass dot_log =
+    _dot_log(B.dot) and log = the log alpha stack over it; alpha is then
+    read only for the raising check.
     """
     L, basis = dot_log or _dot_log(B.dot)
     F = _lazard_brace_filtration(B, F)
     k = F.length
-    alpha = np.atleast_2d(np.asarray(alpha, dtype=np.int64))
+    alpha = np.atleast_2d(np.asarray(alpha))
+    elements = np.broadcast_to(np.atleast_1d(a), (max(np.size(a), len(alpha)),))
     _require_none(F.level[B.dot.table[alpha, B.dot.inv]] < np.minimum(F.level + 1, F.depth),
-                  "alpha does not raise the filtration", ModArithError)
+                  "alpha does not raise the filtration", ModArithError, elements)
     if log is None:
-        log = _additive_log(basis, alpha, k, "alpha", ModArithError)
+        log = _additive_log(basis, alpha, k, "alpha", ModArithError, elements)
     A = basis.coords[np.atleast_1d(a)]
     out = basis.elems(_sd_bch(L, k, (A, np.zeros_like(log)), (np.zeros_like(A), log)))
     return int(out[0]) if np.ndim(a) == 0 else out

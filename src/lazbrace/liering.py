@@ -21,8 +21,8 @@ import numpy as np
 
 from . import freelie
 from .common import CapExceededError, FailedTheoremError, NotLazardError
-from .modarith import (AbelianBasis, ModArithError, PShape, PVec, abelian_decompose, prime_power,
-                       _block_table, _require_none, _row_blocks, _table_orders, _table_times)
+from .modarith import (AbelianBasis, ModArithError, PShape, PVec, abelian_decompose, index_dtype, prime_power,
+                       _block_table, _index_table, _require_none, _row_blocks, _table_orders, _table_times)
 
 __all__ = [
     "LieRingSC",
@@ -163,7 +163,10 @@ def descending_series(n: int, next_term, cap: int | None = None) -> SeriesResult
     """X_1 = 0..n-1, X_(i+1) = next_term(X_i) on boolean masks, until a
     trivial or a repeated term, or (with a cap) a (cap + 1)-th term.  The
     level is the sum of the masks, as the terms nest: every next_term here
-    closes products with X_i, so it is monotone, and X_2 lies in X_1."""
+    closes products with X_i, so it is monotone, and X_2 lies in X_1.  Only
+    an input that breaks its structure's axioms gives a term outside the one
+    before; that raises ModArithError naming an element, so the series ends
+    within n terms on every input."""
     level = np.ones(n, dtype=np.int64)
     cur = np.ones(n, dtype=bool)
     depth = 1
@@ -171,6 +174,10 @@ def descending_series(n: int, next_term, cap: int | None = None) -> SeriesResult
         new = next_term(cur)
         if np.array_equal(new, cur):
             break
+        outside = new & ~cur
+        if outside.any():
+            raise ModArithError(f"series term {depth + 1} holds element {int(np.argmax(outside))}"
+                                f" outside term {depth}")
         level += new
         cur = new
         depth += 1
@@ -506,15 +513,14 @@ def bch_eval(L: LieRingSC, F: Filtration, a: PVec, b: PVec) -> PVec:
 
 @dataclass(frozen=True)
 class FinGroup:
-    """Finite group as a Cayley table on 0..n-1."""
+    """Finite group as a Cayley table on 0..n-1, stored read-only in
+    index_dtype(n); an entry outside 0..n-1 raises ModArithError."""
 
     table: np.ndarray
     identity: int
 
     def __post_init__(self):
-        arr = np.ascontiguousarray(np.asarray(self.table, dtype=np.int64))
-        arr.setflags(write=False)
-        object.__setattr__(self, "table", arr)
+        object.__setattr__(self, "table", _index_table(self.table))
 
     @property
     def order(self) -> int:
@@ -583,7 +589,7 @@ def verify_group_table(table) -> CheckReport:
     when its identity is the one found.
     """
     group = table if isinstance(table, FinGroup) else None
-    table = np.asarray(table if group is None else group.table, dtype=np.int64)
+    table = np.asarray(table if group is None else group.table)  # ranges checked before any cast
     n = table.shape[0]
     failures = []
     if table.ndim != 2 or table.shape[1] != n:
@@ -667,7 +673,7 @@ def _fill(tree: _Tree, first, step) -> np.ndarray:
     """The table with row `first` at the root and row y = step(i, row z) on
     each tree edge y = gens[i] z, one gather per level (chunked)."""
     n = len(first)
-    table = np.empty((n, n), dtype=np.int64)
+    table = np.empty((n, n), dtype=index_dtype(n))
     table[tree.root] = first
     for ys, zs, gi in tree.levels:
         for part in _row_blocks(ys.size, n):
@@ -849,19 +855,17 @@ def _eval_word_batch(G: FinGroup, word: freelie.GroupWord, A, B) -> np.ndarray:
 
 @dataclass(frozen=True)
 class LieRingTable:
-    """Lie ring in table form: pointwise addition and bracket tables."""
+    """Lie ring in table form: pointwise addition and bracket tables, each
+    stored as FinGroup stores its table."""
 
     add: np.ndarray
     bracket: np.ndarray
     zero: int
 
     def __post_init__(self):
-        a = np.ascontiguousarray(np.asarray(self.add, dtype=np.int64))
-        b = np.ascontiguousarray(np.asarray(self.bracket, dtype=np.int64))
-        a.setflags(write=False)
-        b.setflags(write=False)
-        object.__setattr__(self, "add", a)
-        object.__setattr__(self, "bracket", b)
+        add = _index_table(self.add)
+        object.__setattr__(self, "add", add)
+        object.__setattr__(self, "bracket", _index_table(self.bracket, add.shape[0]))
 
     @property
     def order(self) -> int:

@@ -50,19 +50,47 @@ def _row_blocks(m: int, n: int):
     return (slice(start, min(m, start + step)) for start in range(0, m, step))
 
 
+def index_dtype(n: int) -> np.dtype:
+    """The smallest unsigned dtype that holds every element index 0..n-1:
+    uint8 up to n = 256, uint16 up to 65536, uint32 above.  Element-index
+    tables are stored in it; values that need negatives or arithmetic
+    (sentinels, x * n + y keys, differences) are taken as int64 first."""
+    return np.min_scalar_type(max(n - 1, 0))
+
+
+def _index_table(table, n: int | None = None) -> np.ndarray:
+    """An n x n element-index table (n defaults to its row count) as a
+    read-only C-contiguous array in index_dtype(n).
+
+    The range 0 <= v < n is checked on the given array, before the cast,
+    so no entry wraps into range; ModArithError names the first (row,
+    column, value) outside it.
+    """
+    arr = np.asarray(table)
+    n = arr.shape[0] if n is None and arr.ndim else n
+    if arr.shape != (n, n):
+        raise ModArithError(f"table of shape {arr.shape} is not {n} x {n}")
+    if arr.size and (arr.min() < 0 or arr.max() >= n):
+        x, y = np.argwhere((arr < 0) | (arr >= n))[0]
+        raise ModArithError(f"table entry out of range 0..{n - 1} at (row,column,value)=({x},{y},{arr[x, y]})")
+    return _read_only(np.ascontiguousarray(arr, dtype=index_dtype(n)))
+
+
 def _block_table(m: int, n: int, block) -> np.ndarray:
-    """The (m, n) table whose rows `rows`, a _row_blocks slice, are block(rows)."""
-    out = np.empty((m, n), dtype=np.int64)
+    """The (m, n) table of element indices below n whose rows `rows`, a
+    _row_blocks slice, are block(rows); stored in index_dtype(n)."""
+    out = np.empty((m, n), dtype=index_dtype(n))
     for rows in _row_blocks(m, n):
         out[rows] = block(rows)
     return out
 
 
-def _require_none(bad: np.ndarray, what: str, exc=FailedTheoremError) -> None:
-    """Raise exc(what) naming the first (a, b) where bad holds."""
+def _require_none(bad: np.ndarray, what: str, exc=FailedTheoremError, rows=None) -> None:
+    """Raise exc(what) naming the first (a, b) where bad holds; a is the
+    row, or rows[row] when the rows stand for the elements `rows`."""
     if bad.any():
         x, y = np.argwhere(bad)[0]
-        raise exc(f"{what} at (a,b)=({int(x)},{int(y)})")
+        raise exc(f"{what} at (a,b)=({int(x if rows is None else rows[x])},{int(y)})")
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
@@ -517,14 +545,10 @@ def abelian_decompose(table) -> AbelianBasis:
     Returns the shape together with an explicit index <-> vector bijection;
     the bijection provably reproduces the table (checked on all pairs).
     """
-    table = np.asarray(table, dtype=np.int64)
-    if table.ndim != 2 or table.shape[0] != table.shape[1]:
-        raise ModArithError("addition table must be square")
+    table = _index_table(table)
     n = table.shape[0]
     if n < 2:
         raise ModArithError("trivial table carries no p-group shape")
-    if table.min() < 0 or table.max() >= n:
-        raise ModArithError("table entries out of range")
     if not np.array_equal(table, table.T):
         raise ModArithError("table is not abelian")
     if (np.sort(table, axis=1) != np.arange(n)).any():

@@ -438,7 +438,7 @@ def holomorph_plus(A: FinGroup, F: Filtration, force: bool = False) -> tuple[Fin
         raise CapExceededError(f"|Hol^+| = {n * m} too large to materialize")
     comp, id_idx = _composition_table(auts)
     # (a, i)(b, j) = (a . auts[i](b), comp[i, j]), as the [a, i, b, j] entry
-    carriers = A.table[np.arange(n)[:, None, None], np.stack(auts)[None, :, :]]
+    carriers = A.table[np.arange(n)[:, None, None], np.stack(auts)[None, :, :]].astype(np.int64)
     table = (carriers[..., None] * m + comp[None, :, None, :]).reshape(n * m, n * m)
     hol = FinGroup(table, A.identity * m + id_idx)
     pairs = [(a, i) for a in range(n) for i in range(m)]
@@ -653,8 +653,9 @@ def isomorphism_classes(braces: list[SkewBrace]) -> list[list[SkewBrace]]:
     if any(B.dot != dot for B in braces):
         raise ModArithError("isomorphism grouping expects a shared dot group")
     # phi relabels a circ table c as phi[c[phi^-1 x, phi^-1 y]]; the
-    # identity is among the phi, so a repeated table finds its own class
-    relabels = [(phi, np.argsort(phi)) for phi in automorphisms(dot)]
+    # identity is among the phi, so a repeated table finds its own class.
+    # phi is cast to the tables' dtype, so both byte keys share it
+    relabels = [(phi.astype(dot.table.dtype), np.argsort(phi)) for phi in automorphisms(dot)]
     classes: list[list[SkewBrace]] = []
     seen: dict[bytes, int] = {}  # circ table -> class
     for B in braces:

@@ -1,5 +1,12 @@
+import contextlib
+import io
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import catalogs
 from lazbrace import formats
@@ -178,6 +185,23 @@ def test_malformed_input_exits_2(capsys, tmp_path, name):
     assert err.startswith("parse error: ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("text, code", [
+    ("lie 18446744073709551619 2", 3),  # refused before p is tested for primality
+    ("lie 5 65536 1", 3),  # 5^65536 fits no int64 modulus
+    ("lie 5 7", 3),  # 5^7 is above the soft cap
+    ("lie 5 1 1 1\nbracket 1 2 : 0 0 18446744073709551617", 0),  # 2^64 + 1 = 2 mod 5
+])
+def test_shapes_and_coordinates_beyond_int64(capsys, tmp_path, text, code):
+    path = tmp_path / "big.lie"
+    path.write_text(f"format 1\n{text}\n")
+    got, out, err = run(capsys, "check", str(path))
+    assert got == code
+    if code:
+        assert err.startswith("refused: line 2: order ") and err.count("\n") == 1
+    else:
+        assert out.startswith("Lie ring, class 2, Lazard (p=5)")
+
+
 def test_non_post_lie_input_exits_1(capsys, tmp_path):
     # L-nilpotent, but the associator axiom fails
     path = tmp_path / "bad.plie"
@@ -218,3 +242,67 @@ def test_successive_calls_behave_as_fresh_invocations(capsys, tmp_path, data_dir
     assert run(capsys, "roundtrip", str(image)) == (0, "roundtrip: exact\n", "")
     code, out, _ = run(capsys, "check", str(data_dir / "radical_25.skb"))
     assert code == 0 and out.startswith("skew brace (brace), L-class 2")
+
+
+_DATA = Path(__file__).parent.parent / "data"
+# out of range for every table (at and beyond uint16 and uint32, beyond
+# int64), signs, other notations, and non-ASCII digits and letters
+_BAD_TOKENS = ["-1", "-0", "+3", "25", "65536", "65539", str(2 ** 32 + 3), str(2 ** 63), str(2 ** 64 + 3),
+               "9" * 20, "0x1", "1e3", "3.0", "", ":", "\u0663", "caf\u00e9"]
+
+
+@st.composite
+def _mutated_data_file(draw):
+    """A data/ file with one to three edits: a line truncated, the file cut
+    after a line, two lines swapped, a line repeated, or a token replaced by
+    a bad token or by a small number (which keeps a table in range)."""
+    name = draw(st.sampled_from(sorted(p.name for p in _DATA.iterdir())))
+    lines = (_DATA / name).read_text().split("\n")
+    for _ in range(draw(st.integers(1, 3))):
+        i = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(("truncate", "cut", "swap", "repeat", "token")))
+        if edit == "truncate":
+            lines[i] = lines[i][:draw(st.integers(0, len(lines[i])))]
+        elif edit == "cut":
+            lines = lines[:i + 1]
+        elif edit == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif edit == "repeat":
+            lines.insert(i, lines[i])
+        else:
+            tokens = lines[i].split(" ")
+            tokens[draw(st.integers(0, len(tokens) - 1))] = draw(
+                st.one_of(st.sampled_from(_BAD_TOKENS), st.integers(0, 30).map(str)))
+            lines[i] = " ".join(tokens)
+    return name, "\n".join(lines).encode("utf-8")
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(_mutated_data_file(), st.sampled_from(("check", "roundtrip")))
+def test_mutated_data_files_end_with_an_exit_code(mutated, command):
+    # parse -> range check -> cast: every run ends with a documented exit
+    # code, and a parse error or a refusal with exactly one stderr line
+    name, text = mutated
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_bytes(text)
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main([command, str(path)])
+    lines = err.getvalue().splitlines()
+    assert code in (0, 1, 2, 3)
+    assert len(lines) == (code in (2, 3)) or (code == 1 and len(lines) <= 1), (code, lines)
+
+
+def test_a_series_that_does_not_descend_is_refused(capsys, tmp_path, data_dir):
+    # radical_25.skb with three rows moved in a 3-cycle (two circ rows, one
+    # dot row): not a brace, and its L-series terms stop nesting; without
+    # the nesting check the series would run forever
+    lines = (data_dir / "radical_25.skb").read_text().split("\n")
+    lines[18], lines[33], lines[53] = lines[33], lines[53], lines[18]
+    path = tmp_path / "cycled.skb"
+    path.write_text("\n".join(lines))
+    code, out, err = run(capsys, "roundtrip", str(path))
+    assert (code, out) == (1, "")
+    assert err == "verification failure: series term 3 holds element 1 outside term 2\n"

@@ -1,0 +1,112 @@
+"""Element-index tables are stored in the smallest unsigned dtype that
+holds n - 1, with every entry range-checked before the cast."""
+
+import numpy as np
+import pytest
+
+import catalogs
+from lazbrace import formats, liering, modarith
+from lazbrace.lazcorr import post_lie_to_brace
+from lazbrace.liering import Filtration, FinGroup, LieRingTable, laz, laz_inv, laz_of_table, verify_group_table
+from lazbrace.modarith import ModArithError, abelian_decompose
+from lazbrace.skewbrace import aut_plus, holomorph_plus
+
+
+def _compact(n: int):
+    return np.uint8 if n <= 256 else np.uint16 if n <= 65536 else np.uint32
+
+
+def _cyclic_table(n: int) -> np.ndarray:
+    return np.add.outer(np.arange(n), np.arange(n)) % n
+
+
+# a cast to uint16 turns 65539 and 2**32 + 3 into 3, and -1 into 65535
+@pytest.mark.parametrize("value", [-1, 65536 + 3, 2 ** 32 + 3])
+def test_out_of_range_entries_are_named_before_the_cast(value):
+    n = 625
+    table = _cyclic_table(n)
+    table[7, 11] = value
+    named = rf"at \(row,column,value\)=\(7,11,{value}\)$"
+    with pytest.raises(ModArithError, match=named):
+        FinGroup(table, 0)
+    with pytest.raises(ModArithError, match=named):
+        LieRingTable(table, np.zeros((n, n), dtype=np.int64), 0)
+    with pytest.raises(ModArithError, match=named):
+        LieRingTable(_cyclic_table(n), table, 0)
+    with pytest.raises(ModArithError, match=named):
+        abelian_decompose(table)
+    assert verify_group_table(table).failures == ("entries out of range",)
+
+
+def test_entries_beyond_int64_are_named():
+    rows = _cyclic_table(625).tolist()
+    rows[7][11] = 2 ** 64 + 3
+    with pytest.raises(ModArithError, match=rf"\(7,11,{2 ** 64 + 3}\)$"):
+        FinGroup(rows, 0)
+    assert verify_group_table(rows).failures == ("entries out of range",)
+
+
+def test_tables_must_be_square():
+    with pytest.raises(ModArithError, match=r"^table of shape \(3, 4\) is not 3 x 3$"):
+        FinGroup(np.zeros((3, 4), dtype=np.int64), 0)
+    with pytest.raises(ModArithError, match=r"^table of shape \(2, 2\) is not 3 x 3$"):
+        LieRingTable(_cyclic_table(3), np.zeros((2, 2), dtype=np.int64), 0)
+
+
+def _public_tables(L, P, files=None):
+    """Every table the public API returns for a Lie ring L and a post-Lie
+    ring P on the same order: the Lazard round trip, the flow brace with
+    its lambda table, and the .grp and .skb texts `files` (default: those
+    of the group and the brace) parsed back."""
+    G = laz(L)
+    T = laz_inv(G)
+    B = post_lie_to_brace(P).brace
+    files = files or [formats.write_text(G), formats.write_text(B)]
+    _, G_file = formats.parse_text(files[0])
+    _, B_file = formats.parse_text(files[1])
+    return files, {"laz": G.table, "laz_inv.add": T.add, "laz_inv.bracket": T.bracket,
+            "laz_of_table": laz_of_table(T).table, "brace.dot": B.dot.table, "brace.circ": B.circ.table,
+            "brace.lam": B.lam, ".grp": G_file.table, ".skb dot": B_file.dot.table,
+            ".skb circ": B_file.circ.table, ".skb lam": B_file.lam}
+
+
+@pytest.mark.parametrize("p", [3, 5, 7])  # orders 81, 625 and 2401
+def test_public_tables_are_compact_and_match_an_int64_oracle(p, monkeypatch):
+    L = catalogs.class2_r4(p)
+    P = catalogs.zero_triangle(catalogs.heisenberg(p, (2, 1, 1)))
+    n = p ** 4
+    assert L.order == P.shape.order == n
+    files, tables = _public_tables(L, P)
+    # the same computation with every table held in int64, on the same files
+    for module in (modarith, liering):
+        monkeypatch.setattr(module, "index_dtype", lambda n: np.dtype(np.int64))
+    _, oracle = _public_tables(L, P, files)
+    for name, table in tables.items():
+        assert table.shape == (n, n) and table.dtype == _compact(n), name
+        assert oracle[name].dtype == np.int64, name
+        assert np.array_equal(table, oracle[name]), name
+
+
+def test_index_dtype_thresholds():
+    for n, dtype in ((1, np.uint8), (256, np.uint8), (257, np.uint16), (65536, np.uint16),
+                     (65537, np.uint32)):
+        assert modarith.index_dtype(n) == dtype, n
+
+
+def test_holomorph_keys_are_taken_in_int64():
+    # Z/125 with 125 > 25 > 1: Aut_1 is x -> (1 + 25t)x, so Hol^+ has order
+    # 625 while its carrier part is a uint8 table: x * m + y must not wrap
+    A = FinGroup(_cyclic_table(125), 0)
+    F = Filtration((frozenset(range(125)), frozenset(range(0, 125, 5)), frozenset({0})))
+    hol, pairs = holomorph_plus(A, F)
+    assert hol.order == 625 and hol.table.dtype == np.uint16
+    units = [int(phi[1]) for phi in aut_plus(A, F)]  # pair (a, i) acts by x -> units[i] x
+    m = len(units)
+    assert sorted(units) == [1 + 25 * t for t in range(5)]
+    idx = {u: i for i, u in enumerate(units)}
+    expected = np.array([[((a + ui * b) % 125) * m + idx[(ui * uj) % 125]
+                          for b, uj in ((b, units[j]) for b in range(125) for j in range(m))]
+                         for a, ui in ((a, units[i]) for a in range(125) for i in range(m))])
+    assert pairs == [(a, i) for a in range(125) for i in range(m)]
+    assert np.array_equal(hol.table, expected)
+    assert verify_group_table(hol).ok

@@ -359,6 +359,7 @@ def _intercalate_switch(table, r, c, d):
 def _product(t1, t2):
     """Direct product table on (a1, a2) -> a1 + n1 a2: generators of the first
     factor come first, so a fault of the second shows only at a later one."""
+    t1, t2 = (np.asarray(t, dtype=np.int64) for t in (t1, t2))  # a1 + n1 a2 overflows a compact dtype
     n1 = t1.shape[0]
     n = n1 * t2.shape[0]
     return (t1[None, :, None, :] + n1 * t2[:, None, :, None]).reshape(n, n)
@@ -368,7 +369,7 @@ def _perturbed(table, rng):
     t = table.copy()
     n = t.shape[0]
     x, y = (int(v) for v in rng.integers(1, n, size=2))
-    t[x, y] = (t[x, y] + 1) % n
+    t[x, y] = (int(t[x, y]) + 1) % n
     return t
 
 

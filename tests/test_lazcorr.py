@@ -645,6 +645,10 @@ def test_non_additive_lambda_is_named():
         brace_to_post_lie(B)
     with pytest.raises(ModArithError, match=r"alpha is not additive over Laz\^-1 of the dot group at \(a,b\)=\(1,2\)$"):
         u_eval(B, np.array([0, 1]), B.lam[:2])
+    # a names the element, not its row in the alpha stack: lambda_3(2) = 2,
+    # its matrix image is 2 lambda_3(1) = (2, 2)
+    with pytest.raises(ModArithError, match=r"alpha is not additive over Laz\^-1 of the dot group at \(a,b\)=\(3,2\)$"):
+        u_eval(B, 3, B.lam[3])
 
 
 def test_a_callers_brace_filtration_is_checked():
@@ -656,6 +660,9 @@ def test_a_callers_brace_filtration_is_checked():
         with pytest.raises(ModArithError, match=r"^alpha does not raise the filtration at \(a,b\)=\(1,1\)$"):
             call()
     assert u_eval(B, 3, np.arange(25), F) == 3
+    for a in (3, np.array([3])):  # named by the element, not by row 0
+        with pytest.raises(ModArithError, match=r"^alpha does not raise the filtration at \(a,b\)=\(3,1\)$"):
+            u_eval(B, a, B.lam[3], F)
     with pytest.raises(ModArithError, match="^filtration term 2 is not closed$"):
         u_eval(B, 3, B.lam[3], Filtration((frozenset(range(25)), frozenset({0, 1, 2}), frozenset({0}))))
 
