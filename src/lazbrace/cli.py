@@ -18,6 +18,7 @@ from . import formats, freelie
 from .common import CapabilityError, CapExceededError, FailedTheoremError, NotLazardError, ParseError
 from .liering import (
     FinGroup,
+    _check_shape_cap,
     canonical_group_filtration,
     is_lazard,
     laz_inv,
@@ -177,9 +178,13 @@ def cmd_bch_words(args) -> int:
 
 
 def _parse_shape(spec: str) -> PShape:
+    """The shape of a 'p:e1,e2,...' spec; one above the soft cap is refused
+    before PShape tests p for primality, whatever --force says."""
     try:
         p_s, exps_s = spec.split(":")
-        return PShape(int(p_s), tuple(int(e) for e in exps_s.split(",")))
+        p, exps = int(p_s), tuple(int(e) for e in exps_s.split(","))
+        _check_shape_cap(p, exps)
+        return PShape(p, exps)
     except ValueError as exc:
         raise ParseError(f"bad shape spec {spec!r}; use 'p:e1,e2,...'") from exc
 

@@ -11,8 +11,8 @@ import re
 
 import numpy as np
 
-from .common import CapExceededError, ParseError
-from .liering import _SOFT_ORDER_CAP, FinGroup, LieRingSC
+from .common import ParseError
+from .liering import _check_shape_cap, FinGroup, LieRingSC
 from .modarith import ModArithError, PShape
 from .postlie import PostLieRing
 from .skewbrace import SkewBrace
@@ -72,10 +72,7 @@ def parse_text(text: str):
         if len(toks) < 3:
             raise ParseError(f"line {no}: need '{kind} <p> <e1> [e2 ...]'")
         p, *exps = _intline(toks[1:], "shape", no)
-        k = sum(exps)
-        # before the primality test of p and before any array over the shape
-        if max(p, k) > _SOFT_ORDER_CAP or (p > 1 and k > 0 and p ** k > _SOFT_ORDER_CAP):
-            raise CapExceededError(f"line {no}: order {p}^{k} exceeds the soft cap {_SOFT_ORDER_CAP}")
+        _check_shape_cap(p, exps, f"line {no}: ")
         try:
             shape = PShape(p, tuple(exps))
         except ValueError as exc:

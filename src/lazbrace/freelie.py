@@ -1,8 +1,11 @@
 """Free nilpotent Lie algebra on two generators over Q.
 
-Provides the Lyndon-word basis with exact structure constants, the
-Baker-Campbell-Hausdorff series via the Dynkin expansion, and the two
-inverse group words P, Q that recover x+y and [x,y] from the BCH product.
+Provides the Lyndon-word basis with exact structure constants, group
+arithmetic in the truncated free associative envelope, and two things
+computed there: the Baker-Campbell-Hausdorff series log(exp x . exp y)
+and the two inverse group words P, Q that recover x+y and [x,y] from the
+BCH product.  exp, the group inverse and log are one truncated power
+series with different coefficients.
 
 Bracket trees are nested tuples whose leaves are 0 (first letter) and
 1 (second letter).  Group-commutator words use the convention
@@ -134,13 +137,9 @@ class LyndonBasis:
         if len(w) == 1:
             return w[0]
         for i in range(1, len(w)):
-            if w[i:] in self.word_set or self._is_lyndon(w[i:]):
+            if w[i:] in self.word_set:  # every Lyndon word up to the class bound is there
                 return (self._bracketing(w[:i]), self._bracketing(w[i:]))
         raise AssertionError("Lyndon word without standard factorization")
-
-    @staticmethod
-    def _is_lyndon(w: tuple[int, ...]) -> bool:
-        return all(w < w[i:] + w[:i] for i in range(1, len(w)))
 
     def expansion(self, tree) -> dict[tuple[int, ...], int]:
         """Expand a bracket tree into the free associative algebra (integer coeffs)."""
@@ -198,18 +197,9 @@ class LyndonBasis:
         if w1 > w2:
             return {w: -c for w, c in self.sc(w2, w1).items()}
         key = (w1, w2)
-        if key in self._sc_cache:
-            return self._sc_cache[key]
-        e1 = self.expansion(self.tree[w1])
-        e2 = self.expansion(self.tree[w2])
-        comm: dict[tuple[int, ...], Fraction] = {}
-        for u1, c1 in e1.items():
-            for u2, c2 in e2.items():
-                comm[u1 + u2] = comm.get(u1 + u2, Fraction(0)) + c1 * c2
-                comm[u2 + u1] = comm.get(u2 + u1, Fraction(0)) - c1 * c2
-        out = self.project(comm)
-        self._sc_cache[key] = out
-        return out
+        if key not in self._sc_cache:
+            self._sc_cache[key] = self.project(self.expansion((self.tree[w1], self.tree[w2])))
+        return self._sc_cache[key]
 
     def gen(self, letter: int) -> "FreeLieElem":
         return FreeLieElem(self, {(letter,): Fraction(1)})
@@ -292,48 +282,14 @@ class FreeLieElem:
 
 
 # ---------------------------------------------------------------------------
-# BCH series by the Dynkin expansion.
-
-
-def _pair_sequences(total: int, parts: int):
-    """Sequences of `parts` pairs (p,q) != (0,0) with degrees summing to total."""
-    if parts == 0:
-        if total == 0:
-            yield ()
-        return
-    for head_deg in range(1, total - parts + 2):
-        for p in range(head_deg + 1):
-            q = head_deg - p
-            for rest in _pair_sequences(total - head_deg, parts - 1):
-                yield ((p, q),) + rest
+# The BCH series, log(exp x . exp y) in the free envelope below.
 
 
 @lru_cache(maxsize=None)
 def bch_series(class_bound: int) -> FreeLieElem:
-    """BCH(x, y) truncated at the class bound, via Dynkin's expansion."""
+    """BCH(x, y) = log(exp x . exp y), truncated at the class bound."""
     basis = get_basis(class_bound)
-    total = basis.zero()
-    gens = (basis.gen(0), basis.gen(1))
-    for n in range(1, class_bound + 1):
-        for k in range(1, n + 1):
-            for seq in _pair_sequences(n, k):
-                letters = []
-                for p, q in seq:
-                    letters.extend([0] * p)
-                    letters.extend([1] * q)
-                if n >= 2 and letters[-1] == letters[-2]:
-                    continue  # right-normed bracket vanishes
-                val = gens[letters[-1]]
-                for letter in reversed(letters[:-1]):
-                    val = gens[letter].bracket(val)
-                if val.is_zero:
-                    continue
-                denom = n * k
-                for p, q in seq:
-                    denom *= math.factorial(p) * math.factorial(q)
-                coeff = Fraction((-1) ** (k - 1), denom)
-                total = total + val.scale(coeff)
-    return total
+    return GroupSeries.exp(basis.gen(0)).mul(GroupSeries.exp(basis.gen(1))).log()
 
 
 @lru_cache(maxsize=None)
@@ -395,6 +351,27 @@ def _poly_mul(a: dict, b: dict, c: int) -> dict:
     return {w: v for w, v in out.items() if v}
 
 
+def _power_series(z: dict, c: int, coeff) -> dict:
+    """sum_k coeff(k) u^k, truncated above degree c, where u is z without
+    its constant term.
+
+    With coeff(k) = 1/k!, (-1)^k or (-1)^(k+1)/k (k > 0) this is exp(u),
+    (1 + u)^-1 or log(1 + u).  u^k starts in degree k, so the sum stops
+    after at most c powers.
+    """
+    z = {w: v for w, v in z.items() if w}
+    out: dict[tuple[int, ...], Fraction] = {}
+    power = {(): Fraction(1)}
+    k = 0
+    while power:
+        a = coeff(k)
+        for w, v in power.items():
+            out[w] = out.get(w, Fraction(0)) + a * v
+        k += 1
+        power = _poly_mul(power, z, c)
+    return {w: v for w, v in out.items() if v}
+
+
 def _lie_to_poly(elem: FreeLieElem) -> dict:
     out: dict[tuple[int, ...], Fraction] = {}
     for w, c in elem.coeffs.items():
@@ -416,50 +393,18 @@ class GroupSeries:
 
     @classmethod
     def exp(cls, elem: FreeLieElem) -> "GroupSeries":
-        basis = elem.basis
-        z = _lie_to_poly(elem)
-        out = {(): Fraction(1)}
-        power = {(): Fraction(1)}
-        fact = 1
-        for k in range(1, basis.c + 1):
-            power = _poly_mul(power, z, basis.c)
-            if not power:
-                break
-            fact *= k
-            for w, c in power.items():
-                out[w] = out.get(w, Fraction(0)) + c / fact
-        return cls(basis, out)
+        return cls(elem.basis, _power_series(_lie_to_poly(elem), elem.basis.c,
+                                             lambda k: Fraction(1, math.factorial(k))))
 
     def mul(self, other: "GroupSeries") -> "GroupSeries":
         return GroupSeries(self.basis, _poly_mul(self.terms, other.terms, self.basis.c))
 
     def inv(self) -> "GroupSeries":
-        z = dict(self.terms)
-        z.pop(())
-        out = {(): Fraction(1)}
-        power = {(): Fraction(1)}
-        for k in range(1, self.basis.c + 1):
-            power = _poly_mul(power, z, self.basis.c)
-            if not power:
-                break
-            sign = (-1) ** k
-            for w, c in power.items():
-                out[w] = out.get(w, Fraction(0)) + sign * c
-        return GroupSeries(self.basis, out)
+        return GroupSeries(self.basis, _power_series(self.terms, self.basis.c, lambda k: (-1) ** k))
 
     def log(self) -> FreeLieElem:
-        z = dict(self.terms)
-        z.pop(())
-        out: dict[tuple[int, ...], Fraction] = {}
-        power = {(): Fraction(1)}
-        for k in range(1, self.basis.c + 1):
-            power = _poly_mul(power, z, self.basis.c)
-            if not power:
-                break
-            coeff = Fraction((-1) ** (k + 1), k)
-            for w, c in power.items():
-                out[w] = out.get(w, Fraction(0)) + coeff * c
-        return FreeLieElem(self.basis, self.basis.project(out))
+        return FreeLieElem(self.basis, self.basis.project(_power_series(
+            self.terms, self.basis.c, lambda k: Fraction((-1) ** (k + 1), k) if k else 0)))
 
     def pow_rational(self, q) -> "GroupSeries":
         return GroupSeries.exp(self.log().scale(Fraction(q)))

@@ -63,6 +63,14 @@ def _check_order_cap(n: int, force: bool) -> None:
         )
 
 
+def _check_shape_cap(p: int, exps, where: str = "") -> None:
+    """Refuse a shape p^k above the soft cap from p and k alone: before
+    PShape tests p for primality, and without computing p ** k for a huge k."""
+    k = sum(exps)
+    if max(p, k) > _SOFT_ORDER_CAP or (p > 1 and k > 0 and p ** k > _SOFT_ORDER_CAP):
+        raise CapExceededError(f"{where}order {p}^{k} exceeds the soft cap {_SOFT_ORDER_CAP}")
+
+
 @dataclass(frozen=True)
 class CheckReport:
     ok: bool

@@ -1,6 +1,7 @@
 import contextlib
 import io
 import tempfile
+import time
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import catalogs
-from lazbrace import formats
+from lazbrace import formats, modarith
 from lazbrace.cli import main
 from lazbrace.common import ParseError
 from lazbrace.modarith import PShape
@@ -103,9 +104,26 @@ def test_enumerate_refuses_k_ge_p(capsys):
 
 def test_enumerate_cap(capsys):
     code, _, err = run(capsys, "enumerate", "5:2")
-    assert code == 3 and "--max-order" in err
+    assert code == 3 and err == "refused: order 25 above --max-order 9 (use --force)\n"
     code, out, _ = run(capsys, "enumerate", "5:2", "--force", "--max-order", "25")
     assert code == 0 and "pairing: bijective" in out
+
+
+@pytest.mark.parametrize("spec, order", [
+    ("18446744073709551557:1", "18446744073709551557^1"),  # a 20-digit prime
+    ("2:99999999999999999999", "2^99999999999999999999"),  # p ** k is never formed
+    ("5:3,4", "5^7"),
+])
+def test_enumerate_refuses_a_shape_above_the_soft_cap_before_testing_p(capsys, monkeypatch, spec, order):
+    def no_primality_test(n):
+        raise AssertionError(f"primality test of {n} before the cap")
+
+    monkeypatch.setattr(modarith, "is_prime", no_primality_test)
+    start = time.perf_counter()
+    code, out, err = run(capsys, "enumerate", spec, "--force")
+    assert time.perf_counter() - start < 1
+    assert code == 3 and out == ""
+    assert err == f"refused: order {order} exceeds the soft cap {5 ** 6}\n"
 
 
 def test_root_diff_command(capsys, tmp_path, data_dir):

@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 from importlib import resources
 
@@ -5,6 +6,8 @@ import pytest
 
 from lazbrace import freelie
 from lazbrace.freelie import (
+    MAX_BCH_CLASS,
+    GroupSeries,
     GroupWord,
     bch_series,
     derive_inverse_words,
@@ -91,13 +94,70 @@ def test_bch_low_degree_golden_values():
     assert b.coefficient((0, 1, 1, 1)) == 0
 
 
+def _pair_sequences(total: int, parts: int):
+    """Sequences of `parts` pairs (p,q) != (0,0) with degrees summing to total."""
+    if parts == 0:
+        if total == 0:
+            yield ()
+        return
+    for head_deg in range(1, total - parts + 2):
+        for p in range(head_deg + 1):
+            q = head_deg - p
+            for rest in _pair_sequences(total - head_deg, parts - 1):
+                yield ((p, q),) + rest
+
+
+def oracle_dynkin_bch(class_bound: int) -> freelie.FreeLieElem:
+    """BCH(x, y) truncated at the class bound, via Dynkin's expansion."""
+    basis = get_basis(class_bound)
+    total = basis.zero()
+    gens = (basis.gen(0), basis.gen(1))
+    for n in range(1, class_bound + 1):
+        for k in range(1, n + 1):
+            for seq in _pair_sequences(n, k):
+                letters = []
+                for p, q in seq:
+                    letters.extend([0] * p)
+                    letters.extend([1] * q)
+                if n >= 2 and letters[-1] == letters[-2]:
+                    continue  # right-normed bracket vanishes
+                val = gens[letters[-1]]
+                for letter in reversed(letters[:-1]):
+                    val = gens[letter].bracket(val)
+                if val.is_zero:
+                    continue
+                denom = n * k
+                for p, q in seq:
+                    denom *= math.factorial(p) * math.factorial(q)
+                coeff = Fraction((-1) ** (k - 1), denom)
+                total = total + val.scale(coeff)
+    return total
+
+
 def test_bch_matches_associative_log_oracle():
-    # independent route: log(exp(x) exp(y)) in the free associative algebra
-    for c in (3, 4, 5, 6):
-        basis = get_basis(c)
-        g = freelie.GroupSeries.exp(basis.gen(0))
-        h = freelie.GroupSeries.exp(basis.gen(1))
-        assert g.mul(h).log() == bch_series(c)
+    # bch_series is log(exp(x) exp(y)) in the free associative envelope;
+    # the independent route is Dynkin's expansion over right-normed brackets
+    for c in range(1, MAX_BCH_CLASS + 1):
+        assert bch_series(c) == oracle_dynkin_bch(c), c
+
+
+def _sample_group_series(c: int) -> list[GroupSeries]:
+    basis = get_basis(c)
+    x, y = basis.gen(0), basis.gen(1)
+    g, h = GroupSeries.exp(x), GroupSeries.exp(y)
+    return [g, h, g.mul(h), g.commutator(h),
+            h.mul(g.pow_rational(Fraction(-1, 2))).mul(g.commutator(h)),
+            GroupSeries.exp(x.scale(3) - y + x.bracket(y).scale(Fraction(1, 2)))]
+
+
+def test_envelope_exp_inverse_and_log_laws():
+    for c in range(1, MAX_BCH_CLASS + 1):
+        one = {(): Fraction(1)}
+        for i, g in enumerate(_sample_group_series(c)):
+            assert g.mul(g.inv()).terms == one, (c, i)
+            assert g.inv().mul(g).terms == one, (c, i)
+            assert GroupSeries.exp(g.log()).terms == g.terms, (c, i)
+            assert g.inv().terms == g.pow_rational(-1).terms, (c, i)
 
 
 def test_bch_symbolic_identities():
@@ -255,6 +315,12 @@ def test_packaged_table_matches_fresh_derivation():
         P, Q = inverse_words(c)
         Pd, Qd = derive_inverse_words(c)
         assert P == Pd and Q == Qd
+
+
+def test_packaged_table_is_the_class_six_dump():
+    # the BCH section too: the envelope route reproduces the shipped series
+    shipped = (resources.files("lazbrace") / "tables" / "inverse_words_c6.txt").read_bytes()
+    assert shipped == dump_tables(6).encode("ascii")
 
 
 def test_render_and_parse_trees():

@@ -1,6 +1,8 @@
 """Golden CLI runs: stdout, stderr and exit code of `check` and `roundtrip`
-on every file of data/, and of `root-diff data/radical_25.skb`, compared
-with the copies recorded in tests/golden/cli.json.
+on every file of data/, of `root-diff data/radical_25.skb`, of
+`bch-words c --recheck` for every class c and of
+`enumerate 3:1,1 --iso-dedup`, compared with the copies recorded in
+tests/golden/cli.json.
 
 To re-record (only when an output is meant to change):
 
@@ -18,21 +20,27 @@ from pathlib import Path
 import pytest
 
 from lazbrace.cli import main
+from lazbrace.freelie import MAX_WORD_CLASS
 
 DATA = Path(__file__).parent.parent / "data"
 GOLDEN = Path(__file__).parent / "golden" / "cli.json"
+_FILE_COMMANDS = ("check", "roundtrip", "root-diff")
 
 
 def _runs() -> list[tuple[str, ...]]:
     files = sorted(p.name for p in DATA.iterdir())
     return ([("check", f) for f in files] + [("roundtrip", f) for f in files]
-            + [("root-diff", "radical_25.skb")])
+            + [("root-diff", "radical_25.skb")]
+            + [("bch-words", str(c), "--recheck") for c in range(1, MAX_WORD_CLASS + 1)]
+            + [("enumerate", "3:1,1", "--iso-dedup")])
 
 
-def _run(command: str, name: str) -> dict:
+def _run(command: str, *args: str) -> dict:
+    if command in _FILE_COMMANDS:
+        args = (str(DATA / args[0]),) + args[1:]
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        code = main([command, str(DATA / name)])
+        code = main([command, *args])
     return {"code": code, "stdout": out.getvalue(), "stderr": err.getvalue()}
 
 
