@@ -3,7 +3,7 @@ roundtrip.
 
 Exit codes: 0 ok, 1 verification failure, 2 parse error or unusable
 argument (such as an unwritable output path), 3 capability refused
-(non-Lazard input or a size cap).
+(non-Lazard input, a size cap, or memory run out).
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from .liering import (
 )
 from .modarith import ModArithError, PShape
 from .postlie import (
+    _check_prelie_space,
     enumerate_prelie_ops,
     enumerate_prelie_ops_aff,
     l_series,
@@ -37,6 +38,7 @@ from .postlie import (
 )
 from .skewbrace import (
     SkewBrace,
+    _check_soft_cap,
     enumerate_braces,
     enumerate_braces_via_chains,
     isomorphism_classes,
@@ -190,6 +192,8 @@ def _parse_shape(spec: str) -> PShape:
 
 
 def cmd_enumerate(args) -> int:
+    """Every size cap is compared before any enumeration starts; --force
+    lifts --max-order only."""
     shape = _parse_shape(args.shape)
     p = shape.p
     k = sum(shape.exps)
@@ -201,8 +205,9 @@ def cmd_enumerate(args) -> int:
         raise CapExceededError(
             f"order {shape.order} above --max-order {args.max_order} (use --force)"
         )
-    coords = shape.all_coords()
-    A = FinGroup(shape.index_batch(coords[:, None, :] + coords[None, :, :]), 0)
+    _check_soft_cap(shape.order)
+    _check_prelie_space(shape)
+    A = FinGroup(shape.carrier.add, 0)
     braces = enumerate_braces(A)
     braces_chain = enumerate_braces_via_chains(A)
     prelie = enumerate_prelie_ops(shape)
@@ -272,7 +277,8 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("enumerate", help="enumerate braces and pre-Lie rings on a shape")
     p.add_argument("shape", help="shape spec 'p:e1,e2,...'")
     p.add_argument("--max-order", type=int, default=9)
-    p.add_argument("--force", action="store_true")
+    p.add_argument("--force", action="store_true",
+                   help="lift --max-order only; the brace order cap (125) and the pre-Lie search-space cap still hold")
     p.add_argument("--iso-dedup", action="store_true")
     p.set_defaults(func=cmd_enumerate)
 
@@ -300,6 +306,9 @@ def main(argv=None) -> int:
     except ModArithError as exc:  # the input breaks a structure axiom
         print(f"verification failure: {exc}", file=sys.stderr)
         return EXIT_VERIFY
+    except MemoryError:
+        print(f"refused: out of memory in {args.command}", file=sys.stderr)
+        return EXIT_REFUSED
 
 
 if __name__ == "__main__":

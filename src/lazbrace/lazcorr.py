@@ -30,8 +30,8 @@ from .liering import (
     table_to_sc,
     validate_group_filtration,
 )
-from .modarith import (AbelianBasis, Endo, ModArithError, PShape, PVec, _block_table, _require_none, endo_exp,
-                       endo_log, root_of_unity)
+from .modarith import (AbelianBasis, Endo, ModArithError, PShape, PVec, _require_none, endo_exp, endo_log,
+                       index_dtype, root_of_unity)
 from .postlie import (
     PostLieRing,
     _classify_batch,
@@ -124,6 +124,14 @@ def _v_batch(P: PostLieRing, k: int, A: np.ndarray, mat: np.ndarray) -> np.ndarr
     return _sd_bch(P, k, (A, mat), (np.zeros_like(A), P.shape.reduce(-mat)))
 
 
+def _require_isomorphism(phi: np.ndarray, src: np.ndarray, dst: np.ndarray, what: str) -> None:
+    """Raise FailedTheoremError(what) naming the first (a, b) with phi(a b)
+    != phi(a) phi(b), products read from the n x n tables src and dst.  phi
+    is cast to index_dtype(n) first, so the n^2 gather phi[src] is held in
+    that dtype, as the tables are."""
+    _require_none(phi.astype(index_dtype(phi.size))[src] != dst[phi[:, None], phi[None, :]], what)
+
+
 def _require_bijective(images: np.ndarray, what: str, name: str) -> None:
     """Raise FailedTheoremError naming two elements with one image."""
     order = np.argsort(images, kind="stable")
@@ -172,7 +180,10 @@ class FlowResult:
 
 
 def post_lie_to_brace(P: PostLieRing, check: bool = True) -> FlowResult:
-    """Construction S: dot = Laz(base), circ(a, b) = a . exp(L_{Omega(a)})(b)."""
+    """Construction S: dot = Laz(base), circ(a, b) = a . exp(L_{Omega(a)})(b).
+
+    The maps exp(L_{Omega(a)}) are validated matrices, so their table is
+    filled along the shape's additive tree (AbelianBasis.additive_table)."""
     F = _lazard_post_filtration(P)
     s = P.shape
     k = F.length
@@ -184,9 +195,8 @@ def post_lie_to_brace(P: PostLieRing, check: bool = True) -> FlowResult:
     W = w_map(P)  # the canonical F again, cached: no validation
     Omega = np.empty(n, dtype=np.int64)
     Omega[W] = np.arange(n)
-    coords = s.all_coords()
-    exp_mats = endo_exp(Endo(s, P.l_mats(coords[Omega])), max(k, 1)).mat
-    images = _block_table(n, n, lambda rows: s.index_batch(coords @ exp_mats[rows]))  # exp(L_Omega(a))(b)
+    exp_mats = endo_exp(Endo(s, P.l_mats(s.all_coords()[Omega])), max(k, 1)).mat
+    images = np.ascontiguousarray(s.carrier.additive_table(lambda X: X @ exp_mats))  # exp(L_Omega(a))(b)
     circ = dot.table[np.arange(n)[:, None], images]
     brace = SkewBrace(dot, FinGroup(circ, 0))
     if check:
@@ -197,9 +207,7 @@ def post_lie_to_brace(P: PostLieRing, check: bool = True) -> FlowResult:
         if bser.nilpotency_class != k:
             raise FailedTheoremError("L-class changed across the flow construction")
         # W is a group isomorphism Laz(circ ring) -> (A, o)
-        lazc = laz(P.circ, F=None)
-        _require_none(W[lazc.table] != circ[W[:, None], W[None, :]],
-                      "W is not an isomorphism onto the circle group")
+        _require_isomorphism(W, laz(P.circ, F=None).table, circ, "W is not an isomorphism onto the circle group")
     return FlowResult(P, brace, W, Omega, k)
 
 
@@ -235,10 +243,12 @@ def _additive_log(basis: AbelianBasis, alpha: np.ndarray, k: int, name: str, exc
     given by their rows of carrier images, row i standing for the element
     elements[i] (default i).  The matrices are read off the generators (Endo
     checks them well defined); exc names the first (a, b) where alpha[i, b]
-    is not the matrix image, a = elements[i]."""
-    coords = basis.coords
-    mats = Endo(basis.shape, coords[alpha[:, list(basis.gens)]])
-    images = _block_table(len(alpha), len(coords), lambda rows: basis.elems(coords @ mats.mat[rows]))
+    is not the matrix image, a = elements[i].  The matrix images are filled
+    along the additive tree, every tree generator's image computed from its
+    coordinates and none read from alpha, so the table compared with alpha
+    is the matrix maps themselves."""
+    mats = Endo(basis.shape, basis.coords[alpha[:, list(basis.gens)]])
+    images = basis.additive_table(lambda X: X @ mats.mat)
     _require_none(images != alpha, f"{name} is not additive over Laz^-1 of the dot group", exc, elements)
     return endo_log(mats, max(k, 1)).mat
 
@@ -263,7 +273,8 @@ def u_eval(B: SkewBrace, a, alpha: np.ndarray, F: Filtration | None = None, *,
     k = F.length
     alpha = np.atleast_2d(np.asarray(alpha))
     elements = np.broadcast_to(np.atleast_1d(a), (max(np.size(a), len(alpha)),))
-    _require_none(F.level[B.dot.table[alpha, B.dot.inv]] < np.minimum(F.level + 1, F.depth),
+    level = F.level.astype(index_dtype(F.depth + 1))  # the n^2 gather below is held in that dtype
+    _require_none(level[B.dot.table[alpha, B.dot.inv]] < np.minimum(F.level + 1, F.depth),
                   "alpha does not raise the filtration", ModArithError, elements)
     if log is None:
         log = _additive_log(basis, alpha, k, "alpha", ModArithError, elements)
@@ -303,7 +314,13 @@ class LogResult:
 
 def brace_to_post_lie(B: SkewBrace, check: bool = True) -> LogResult:
     """Construction L: base = Laz^-1(dot), a > b = log(lambda_{W(a)})(b); one
-    stack of logged lambda maps gives both Omega (through u_eval) and >."""
+    stack of logged lambda maps gives both Omega (through u_eval) and >.
+
+    The triangle table is filled along the additive tree from the matrices
+    D[W(a)].  Its rows and those of the bilinear extension of the triangle
+    constants are both additive in b, so the biadditivity check compares
+    their generator columns, the n r matrix rows of D[W(a)] and L_a, and
+    names the first a with a generator b."""
     k = _lazard_brace_filtration(B).length
     n = B.order
     L_sc, basis = _dot_log(B.dot)
@@ -311,8 +328,8 @@ def brace_to_post_lie(B: SkewBrace, check: bool = True) -> LogResult:
     Omega = omega_map(B, dot_log=(L_sc, basis), log=D)
     W = np.empty(n, dtype=np.int64)
     W[Omega] = np.arange(n)
-    coords = basis.coords
-    tri_table = _block_table(n, n, lambda rows: basis.elems(coords @ D[W[rows]]))
+    DW = D[W]
+    tri_table = basis.additive_table(lambda X: X @ DW)
     # row j of D[W[g_i]], the matrix of L_(g_i), is g_i > g_j
     P = PostLieRing(L_sc, D[W[list(basis.gens)]])
     if check:
@@ -320,15 +337,14 @@ def brace_to_post_lie(B: SkewBrace, check: bool = True) -> LogResult:
         if not rep.ok:
             raise FailedTheoremError(f"logged structure is not post-Lie: {rep.failures}")
         # the bilinear extension must reproduce the pointwise table
-        rebuilt = _block_table(n, n, lambda rows: basis.elems(P.tri_batch(coords[rows, None, :], coords)))
-        _require_none(rebuilt != tri_table, "triangle product is not biadditive")
+        _require_none((P.l_mats(basis.coords) != DW).any(axis=-1), "triangle product is not biadditive",
+                      cols=basis.gens)
         pser = l_series(P)
         if pser.nilpotency_class != k:
             raise FailedTheoremError("L-class changed across the logarithm construction")
         # Omega: (A, o) -> circ ring is a group isomorphism onto Laz of it
-        lazc = basis.relabel(laz(P.circ, F=None).table)
-        _require_none(Omega[B.circ.table] != lazc[Omega[:, None], Omega[None, :]],
-                      "omega is not an isomorphism onto Laz of the circ ring")
+        _require_isomorphism(Omega, B.circ.table, basis.relabel(laz(P.circ, F=None).table),
+                             "omega is not an isomorphism onto Laz of the circ ring")
     return LogResult(B, P, basis, tri_table, W, Omega, k)
 
 
@@ -415,26 +431,28 @@ def lambda_derivative(B: SkewBrace, log: LogResult | None = None) -> np.ndarray:
 
     the sum taken in Laz^-1 of the dot group.  Requires the strong series
     to vanish at index p; the result must match the logged triangle table.
+
+    Each lambda_x is the matrix M_x of its generator images: log.brace is
+    B, whose lambda brace_to_post_lie checked additive on all pairs (a log
+    of another brace is recomputed for B).  So row a is the matrix map of
+    1/(p-1) sum_i xi^i M_(xi^-i a), filled along the additive tree.
     """
     p = B.p
     ss = strong_series_brace(B, cap=p + 1)
     if not (ss.nilpotency_class is not None and ss.nilpotency_class < p):
         raise NotLazardError("strong series too long: A^{p} != 1")
-    log = log or brace_to_post_lie(B)
+    if log is None or log.brace is not B:
+        log = brace_to_post_lie(B)
     basis = log.basis
     s = basis.shape
     m = s.max_modulus
     xi = root_of_unity(p, s.exps[0])
     coords = basis.coords
-
-    def block(rows):
-        acc = 0
-        for i in range(p - 1):
-            a_i = basis.elems(coords[rows] * pow(xi, -i, m))  # xi^(-i) a
-            acc = s.reduce(acc + pow(xi, i, m) * coords[B.lam[a_i]])
-        return basis.elems(acc * s.scale_multiplier(Fraction(1, p - 1)))
-
-    out = _block_table(B.order, B.order, block)
+    mats = coords[B.lam[:, list(basis.gens)]]
+    acc = 0
+    for i in range(p - 1):
+        acc = s.reduce(acc + pow(xi, i, m) * mats[basis.elems(coords * pow(xi, -i, m))])  # M_(xi^-i a)
+    out = basis.additive_table(lambda X: X @ (acc * s.scale_multiplier(Fraction(1, p - 1))))
     if not np.array_equal(out, log.tri_table):
         raise FailedTheoremError("root-of-unity triangle differs from the logged triangle")
     return out

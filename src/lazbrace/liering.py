@@ -9,20 +9,18 @@ arrays; bulk operations are vectorized over element-index arrays.
 
 from __future__ import annotations
 
-import math
 from collections.abc import Set
 from itertools import combinations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import NamedTuple
 
 import numpy as np
 
 from . import freelie
 from .common import CapExceededError, FailedTheoremError, NotLazardError
 from .modarith import (AbelianBasis, ModArithError, PShape, PVec, abelian_decompose, index_dtype, prime_power,
-                       _block_table, _index_table, _require_none, _row_blocks, _table_orders, _table_times)
+                       _fill, _fill_group, _index_table, _require_none, _schreier, _table_orders, _table_times)
 
 __all__ = [
     "LieRingSC",
@@ -633,68 +631,6 @@ def verify_group_table(table) -> CheckReport:
     return CheckReport(not failures, tuple(failures))
 
 
-class _Tree(NamedTuple):
-    """A breadth-first Schreier tree of z -> g z from `root`: rows[i] is
-    x -> gens[i] x, and each level (ys, zs, i) has ys = gens[i] zs."""
-
-    root: int
-    gens: list[int]
-    rows: np.ndarray
-    levels: list
-
-
-def _schreier(n: int, identity: int, row_of, gens, grow: bool = False) -> _Tree:
-    """Grow the tree over 0..n-1 one vectorised level at a time; row_of(g)
-    is the array x -> g x.  Where the tree stops short, its least unreached
-    element joins the generators (grow) or is named in a FailedTheoremError.
-    Every 2 isqrt(n) levels the least element of the newest level joins
-    them too, so that a cyclic tree is about 2.5 sqrt(n) deep, not n."""
-    gens = [int(g) for g in gens]
-    rows = [row_of(g) for g in gens]
-    reached = np.zeros(n, dtype=bool)
-    reached[identity] = True
-    levels = []
-    frontier = np.array([identity])
-    deep = 2 * math.isqrt(n)
-    while not reached.all():
-        blocks = [(frontier, i) for i in range(len(gens))] if frontier.size else []
-        if not blocks or len(levels) % deep == deep - 1:
-            new = int(frontier[0]) if blocks else int(np.argmin(reached))
-            if not (blocks or grow):
-                raise FailedTheoremError(
-                    f"generator rows do not generate: the Schreier tree misses element {new}")
-            gens.append(new)
-            rows.append(row_of(new))
-            blocks.append((np.flatnonzero(reached), len(gens) - 1))
-        cand = np.concatenate([rows[i][zs] for zs, i in blocks])
-        fresh = np.flatnonzero(~reached[cand])
-        ys, first = np.unique(cand[fresh], return_index=True)
-        pos = fresh[first]
-        levels.append((ys, np.concatenate([zs for zs, _ in blocks])[pos],
-                       np.concatenate([np.full(zs.size, i) for zs, i in blocks])[pos]))
-        reached[ys] = True
-        frontier = ys
-    return _Tree(identity, gens, np.asarray(rows, dtype=np.int64).reshape(-1, n), levels)
-
-
-def _fill(tree: _Tree, first, step) -> np.ndarray:
-    """The table with row `first` at the root and row y = step(i, row z) on
-    each tree edge y = gens[i] z, one gather per level (chunked)."""
-    n = len(first)
-    table = np.empty((n, n), dtype=index_dtype(n))
-    table[tree.root] = first
-    for ys, zs, gi in tree.levels:
-        for part in _row_blocks(ys.size, n):
-            table[ys[part]] = step(gi[part], table[zs[part]])
-    return table
-
-
-def _fill_group(tree: _Tree) -> np.ndarray:
-    """The Cayley table of an associative product fixed by the tree's
-    generator rows: row y = g z is row_g[row z]."""
-    return _fill(tree, np.arange(tree.rows.shape[1]), lambda i, Z: tree.rows[i[:, None], Z])
-
-
 def laz(L: LieRingSC, F: Filtration | None = None, force: bool = False) -> FinGroup:
     """The Lazard group (a, BCH) of a Lazard Lie ring, as a Cayley table.
 
@@ -922,15 +858,24 @@ def table_to_sc(T: LieRingTable) -> tuple[LieRingSC, AbelianBasis]:
     """Structure-constant form of a table Lie ring, plus the carrier bijection.
 
     Checks that the bracket table is the biadditive extension of its
-    generator values.
+    generator values.  A biadditive bracket kills p^min(e_i, e_j) [g_i,
+    g_j], so constants that do not are named first, as the generator pair
+    (a, b).  Otherwise b -> [a, b] is a well-defined matrix map for each
+    a, and its table is filled along the additive tree from the brackets
+    of the tree generators, computed in coordinates: that is the bilinear
+    extension itself, compared with the bracket table on all pairs, which
+    names the first failing (a, b).
     """
     basis = abelian_decompose(T.add)
     coords = basis.coords
     gens = list(basis.gens)
     L = LieRingSC(basis.shape, coords[T.bracket[np.ix_(gens, gens)]])
-    n = T.order
-    rebuilt = _block_table(n, n, lambda rows: basis.elems(L.bracket_batch(coords[rows, None, :], coords)))
-    _require_none(rebuilt != T.bracket, "bracket table is not biadditive over the decomposition")
+    what = "bracket table is not biadditive over the decomposition"
+    bad = _ill_defined_pairs(basis.shape, L.sc)
+    if bad:
+        raise FailedTheoremError(f"{what} at (a,b)=({gens[bad[0][0]]},{gens[bad[0][1]]})")
+    rebuilt = basis.additive_table(lambda X: L.bracket_batch(coords[:, None, :], X))
+    _require_none(rebuilt != T.bracket, what)
     return L, basis
 
 

@@ -2,8 +2,9 @@
 
 Coordinate vectors over an invariant-factor shape, rational scalars acting
 through modular inverses, additive endomorphisms with truncated exp/log,
-recovery of the shape from a raw addition table, and primitive (p-1)-th
-roots of unity modulo p^e.
+recovery of the shape from a raw addition table, primitive (p-1)-th roots
+of unity modulo p^e, and the one way element tables are built: a
+breadth-first Schreier tree of generator rows, and tables filled along it.
 
 Everything is integer exact.  An operation that would divide by the
 ambient prime raises ModArithError instead of silently reducing.  All
@@ -12,10 +13,11 @@ values are immutable after construction and safe to share between tasks.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import factorial
+from typing import NamedTuple
 
 import numpy as np
 
@@ -76,26 +78,85 @@ def _index_table(table, n: int | None = None) -> np.ndarray:
     return _read_only(np.ascontiguousarray(arr, dtype=index_dtype(n)))
 
 
-def _block_table(m: int, n: int, block) -> np.ndarray:
-    """The (m, n) table of element indices below n whose rows `rows`, a
-    _row_blocks slice, are block(rows); stored in index_dtype(n)."""
-    out = np.empty((m, n), dtype=index_dtype(n))
-    for rows in _row_blocks(m, n):
-        out[rows] = block(rows)
-    return out
-
-
-def _require_none(bad: np.ndarray, what: str, exc=FailedTheoremError, rows=None) -> None:
+def _require_none(bad: np.ndarray, what: str, exc=FailedTheoremError, rows=None, cols=None) -> None:
     """Raise exc(what) naming the first (a, b) where bad holds; a is the
-    row, or rows[row] when the rows stand for the elements `rows`."""
+    row, or rows[row] when the rows stand for the elements `rows`, and b
+    likewise the column or cols[column]."""
     if bad.any():
         x, y = np.argwhere(bad)[0]
-        raise exc(f"{what} at (a,b)=({int(x if rows is None else rows[x])},{int(y)})")
+        raise exc(f"{what} at (a,b)=({int(x if rows is None else rows[x])},{int(y if cols is None else cols[y])})")
 
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+# ---------------------------------------------------------------------------
+# Schreier trees, and tables filled along them.
+
+
+class _Tree(NamedTuple):
+    """A breadth-first Schreier tree of z -> g z from `root`: rows[i] is
+    x -> gens[i] x, and each level (ys, zs, i) has ys = gens[i] zs."""
+
+    root: int
+    gens: list[int]
+    rows: np.ndarray
+    levels: list
+
+
+def _schreier(n: int, identity: int, row_of, gens, grow: bool = False) -> _Tree:
+    """Grow the tree over 0..n-1 one vectorised level at a time; row_of(g)
+    is the array x -> g x.  Where the tree stops short, its least unreached
+    element joins the generators (grow) or is named in a FailedTheoremError.
+    Every 2 isqrt(n) levels the least element of the newest level joins
+    them too, so that a cyclic tree is about 2.5 sqrt(n) deep, not n."""
+    gens = [int(g) for g in gens]
+    rows = [row_of(g) for g in gens]
+    reached = np.zeros(n, dtype=bool)
+    reached[identity] = True
+    levels = []
+    frontier = np.array([identity])
+    deep = 2 * math.isqrt(n)
+    while not reached.all():
+        blocks = [(frontier, i) for i in range(len(gens))] if frontier.size else []
+        if not blocks or len(levels) % deep == deep - 1:
+            new = int(frontier[0]) if blocks else int(np.argmin(reached))
+            if not (blocks or grow):
+                raise FailedTheoremError(
+                    f"generator rows do not generate: the Schreier tree misses element {new}")
+            gens.append(new)
+            rows.append(row_of(new))
+            blocks.append((np.flatnonzero(reached), len(gens) - 1))
+        cand = np.concatenate([rows[i][zs] for zs, i in blocks])
+        fresh = np.flatnonzero(~reached[cand])
+        ys, first = np.unique(cand[fresh], return_index=True)
+        pos = fresh[first]
+        levels.append((ys, np.concatenate([zs for zs, _ in blocks])[pos],
+                       np.concatenate([np.full(zs.size, i) for zs, i in blocks])[pos]))
+        reached[ys] = True
+        frontier = ys
+    return _Tree(identity, gens, np.asarray(rows, dtype=np.int64).reshape(-1, n), levels)
+
+
+def _fill(tree: _Tree, first, step) -> np.ndarray:
+    """The (n, m) table over the tree's n elements with row `first` (m
+    element indices below n) at the root and row y = step(i, row z) on each
+    tree edge y = gens[i] z, one gather per level (chunked)."""
+    n, m = tree.rows.shape[1], len(first)
+    table = np.empty((n, m), dtype=index_dtype(n))
+    table[tree.root] = first
+    for ys, zs, gi in tree.levels:
+        for part in _row_blocks(ys.size, m):
+            table[ys[part]] = step(gi[part], table[zs[part]])
+    return table
+
+
+def _fill_group(tree: _Tree) -> np.ndarray:
+    """The Cayley table of an associative product fixed by the tree's
+    generator rows: row y = g z is row_g[row z]."""
+    return _fill(tree, np.arange(tree.rows.shape[1]), lambda i, Z: tree.rows[i[:, None], Z])
 
 
 def is_prime(n: int) -> bool:
@@ -225,6 +286,13 @@ class PShape:
 
     def vec_of_index(self, index: int) -> "PVec":
         return PVec(self, tuple(int(x) for x in self.coords_batch(int(index))))
+
+    @cached_property
+    def carrier(self) -> "AbelianBasis":
+        """The shape's own carrier: the identity-labelled basis, whose tree
+        and addition table live as long as this shape."""
+        idx = _read_only(np.arange(self.order, dtype=np.int64))
+        return AbelianBasis(self, tuple(int(u) for u in self._strides), idx, idx)
 
     def scale_multiplier(self, q: Fraction | int) -> int:
         """Integer m with m = q mod every modulus; q's denominator must be prime to p."""
@@ -406,7 +474,7 @@ def _nil_series(d: Endo, nil_bound: int, coeff) -> Endo:
 def endo_exp(d: Endo, nil_bound: int) -> Endo:
     """exp(d) = sum_{k<nil_bound} d^k / k! for d nilpotent of index <= nil_bound < p;
     d may be a stack of maps."""
-    return _nil_series(d, nil_bound, lambda k: Fraction(1, factorial(k)))
+    return _nil_series(d, nil_bound, lambda k: Fraction(1, math.factorial(k)))
 
 
 def endo_log(f: Endo, nil_bound: int) -> Endo:
@@ -427,7 +495,9 @@ class AbelianBasis:
     elem_of[i] is the table element matching shape-enumeration index i;
     index_of_elem is its inverse permutation.  gens[i] is the element of the
     i-th unit vector.  The relabelling between table elements and shape
-    coordinates goes through coords, elems and relabel.
+    coordinates goes through coords, elems and relabel.  The carrier's
+    additive Schreier tree and addition table are built once, on first use,
+    and additive_table fills every table of additive maps along that tree.
     """
 
     shape: PShape
@@ -445,9 +515,45 @@ class AbelianBasis:
         return self.elem_of[self.shape.index_batch(coords)]
 
     def relabel(self, table: np.ndarray) -> np.ndarray:
-        """A table on shape indices, moved onto the table elements."""
+        """A table on shape indices, moved onto the table elements, in
+        index_dtype(n)."""
         ie = self.index_of_elem
-        return self.elem_of[table[ie[:, None], ie[None, :]]]
+        return self.elem_of.astype(index_dtype(ie.size))[table[ie[:, None], ie[None, :]]]
+
+    @cached_property
+    def tree(self) -> _Tree:
+        """The additive Schreier tree of the carrier from the elements p^j
+        gens[i], j < e_i, so that coordinate i takes e_i (p - 1) levels,
+        not p^e_i - 1: row g is x -> x + g, computed in coordinates, also
+        for the generators the tree adds itself."""
+        s, coords = self.shape, self.coords
+        steps = np.concatenate([np.multiply.outer(s.p ** np.arange(e), np.eye(s.rank, dtype=np.int64)[i])
+                                for i, e in enumerate(s.exps)])
+        return _schreier(len(coords), int(self.elem_of[0]), lambda g: self.elems(coords + coords[g]),
+                         self.elems(steps))
+
+    @cached_property
+    def add(self) -> np.ndarray:
+        """The carrier's addition table, filled along the tree (read-only):
+        the shape's addition moved onto the table elements."""
+        return _read_only(_fill_group(self.tree))
+
+    def additive_table(self, images) -> np.ndarray:
+        """The (m, n) table of m additive maps f_j of the carrier, row j
+        holding f_j, from images(X): the (m, k, r) coordinates of f_j(x)
+        for the (k, r) coordinate rows X of the tree generators.
+
+        Filled along the tree as the (n, m) table T[x] = (f_j(x))_j, T[g +
+        z] = add[T[g], T[z]], and returned as its transpose (a view).  Every
+        generator image, those of the generators the tree adds itself
+        included, comes from images(), never from a table under test; so
+        for well-defined matrix or bilinear maps the table is the maps
+        themselves, entry for entry.
+        """
+        tree = self.tree
+        cols = np.ascontiguousarray(self.elems(images(self.coords[tree.gens])).T)  # (k, m)
+        add = self.add
+        return _fill(tree, np.full(cols.shape[1], self.elem_of[0]), lambda i, Z: add[cols[i], Z]).T
 
     def vec_of(self, t: int) -> PVec:
         return self.shape.vec_of_index(int(self.index_of_elem[t]))
@@ -543,7 +649,9 @@ def abelian_decompose(table) -> AbelianBasis:
     """Recover the invariant-factor shape of a finite abelian p-group table.
 
     Returns the shape together with an explicit index <-> vector bijection;
-    the bijection provably reproduces the table (checked on all pairs).
+    the bijection provably reproduces the table: the basis's addition
+    table, the shape's addition moved through it, equals the table on all
+    pairs.
     """
     table = _index_table(table)
     n = table.shape[0]
@@ -575,10 +683,9 @@ def abelian_decompose(table) -> AbelianBasis:
     index_of_elem = np.empty(n, dtype=np.int64)
     index_of_elem[elem_of] = np.arange(n)
     basis = AbelianBasis(shape, gens, elem_of, index_of_elem)
-    # round trip: vecOps through the bijection must reproduce the table
-    coords = basis.coords
-    if not np.array_equal(_block_table(n, n, lambda rows: basis.elems(coords[rows, None, :] + coords)), table):
+    if not np.array_equal(basis.add, table):
         raise ModArithError("table does not match abelian reconstruction")
+    object.__setattr__(basis, "add", table)  # the same table: keep one copy
     return basis
 
 

@@ -16,7 +16,7 @@ from itertools import combinations, product
 
 import numpy as np
 
-from .common import FailedTheoremError, IdealLevel
+from .common import CapExceededError, FailedTheoremError, IdealLevel
 from .liering import (
     CheckReport,
     Filtration,
@@ -275,7 +275,9 @@ def adjoint_filtration(P: PostLieRing, F: Filtration | None = None) -> AdjointFi
 
     F defaults to the canonical L-filtration.  A caller's F must be a Lie
     filtration with every L_a mapping X_j into X_(j+1), which makes each
-    term a left ideal; otherwise ModArithError names a unit vector a.
+    term a left ideal; otherwise ModArithError names a unit vector a.  The
+    triangle table is filled along the shape's additive tree: P's
+    constants are validated, so it is the bilinear triangle itself.
     """
     s = P.shape
     if F is None:
@@ -286,8 +288,8 @@ def adjoint_filtration(P: PostLieRing, F: Filtration | None = None) -> AdjointFi
     else:
         _validate_post_filtration(P, F)
     coords = s.all_coords()
-    level = np.maximum(np.minimum(F.level, F.margin(s.index_batch(
-        P.tri_batch(coords[:, None, :], coords[None, :, :])))), 0)
+    level = np.maximum(np.minimum(F.level, F.margin(s.carrier.additive_table(
+        lambda X: P.tri_batch(coords[:, None, :], X)))), 0)
     # the first trivial term {0} follows the deepest nonzero element
     depth = int(level[1:].max(initial=0)) + 1
     level[0] = depth
@@ -310,29 +312,34 @@ def is_square_free(P: PostLieRing) -> bool:
 # Enumeration oracles for pre-Lie structures on an abelian shape.
 
 
+def _entry_values(shape: PShape, i: int) -> list[range]:
+    """The values of each entry (j, k), row-major, of a possible matrix of
+    L_{g_i}: the multiples of p^(e_k - min(e_i, e_j)) below p^e_k."""
+    s = shape
+    return [range(0, s.p ** s.exps[k], s.p ** max(0, s.exps[k] - min(s.exps[i], s.exps[j])))
+            for j in range(s.rank) for k in range(s.rank)]
+
+
 def _left_mul_candidates(shape: PShape, i: int) -> list[np.ndarray]:
     """All matrices of possible L_{g_i}: endomorphisms killed by p^e_i.
 
     Row j is g_i > g_j, so one matrix per generator, stacked, is the triangle.
     """
-    s = shape
-    entry_choices = []
-    for j in range(s.rank):
-        for k in range(s.rank):
-            gap = max(0, s.exps[k] - min(s.exps[i], s.exps[j]))
-            entry_choices.append(range(0, s.p ** s.exps[k], s.p ** gap))
-    return [
-        np.asarray(combo, dtype=np.int64).reshape(s.rank, s.rank)
-        for combo in product(*entry_choices)
-    ]
+    r = shape.rank
+    return [np.asarray(combo, dtype=np.int64).reshape(r, r) for combo in product(*_entry_values(shape, i))]
+
+
+def _check_prelie_space(shape: PShape) -> None:
+    """Refuse (CapExceededError) a shape whose candidate triangles number
+    more than the desk-scale cap, counted from the entry ranges alone."""
+    total = math.prod(len(v) for i in range(shape.rank) for v in _entry_values(shape, i))
+    if total > 200_000:
+        raise CapExceededError(f"pre-Lie search space {total} exceeds the desk-scale cap")
 
 
 def _candidate_tuples(shape: PShape):
-    per_gen = [_left_mul_candidates(shape, i) for i in range(shape.rank)]
-    total = math.prod(len(c) for c in per_gen)
-    if total > 200_000:
-        raise ModArithError(f"pre-Lie search space {total} exceeds the desk-scale cap")
-    yield from product(*per_gen)
+    _check_prelie_space(shape)
+    yield from product(*[_left_mul_candidates(shape, i) for i in range(shape.rank)])
 
 
 def enumerate_prelie_ops(shape: PShape, left_nilpotent_only: bool = True) -> list[PostLieRing]:

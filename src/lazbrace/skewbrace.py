@@ -66,6 +66,11 @@ __all__ = [
 _SOFT_CAP = 125  # |A| cap for enumeration, per the desk-scale contract
 
 
+def _check_soft_cap(order: int, force: bool = False) -> None:
+    if order > _SOFT_CAP and not force:
+        raise CapExceededError(f"|A| = {order} exceeds the soft cap {_SOFT_CAP}")
+
+
 @dataclass(frozen=True)
 class SkewBrace:
     """Two group tables on the same carrier satisfying the brace compatibility."""
@@ -519,8 +524,7 @@ def regular_subgroups(A: FinGroup, F: Filtration, force: bool = False) -> list[S
     a regular subgroup meets each carrier element exactly once and converts
     through a o b = a . lambda_a(b).
     """
-    if A.order > _SOFT_CAP and not force:
-        raise CapExceededError(f"|A| = {A.order} exceeds the soft cap {_SOFT_CAP}")
+    _check_soft_cap(A.order, force)
     auts = aut_plus(A, F)
     m = len(auts)
     comp, id_idx = _composition_table(auts)

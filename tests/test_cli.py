@@ -1,5 +1,7 @@
 import contextlib
+import importlib.util
 import io
+import sys
 import tempfile
 import time
 from pathlib import Path
@@ -10,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import catalogs
-from lazbrace import formats, modarith
+from lazbrace import cli, formats, modarith
 from lazbrace.cli import main
 from lazbrace.common import ParseError
 from lazbrace.modarith import PShape
+
+LAZBENCH = Path(__file__).resolve().parents[1] / "lazbench"
 
 
 def run(capsys, *argv):
@@ -324,3 +328,56 @@ def test_a_series_that_does_not_descend_is_refused(capsys, tmp_path, data_dir):
     code, out, err = run(capsys, "roundtrip", str(path))
     assert (code, out) == (1, "")
     assert err == "verification failure: series term 3 holds element 1 outside term 2\n"
+
+
+@pytest.mark.parametrize("spec, err", [
+    ("5:1,1", "refused: pre-Lie search space 390625 exceeds the desk-scale cap\n"),
+    ("7:3", "refused: |A| = 343 exceeds the soft cap 125\n"),
+])
+def test_enumerate_compares_every_cap_before_any_enumeration(capsys, monkeypatch, spec, err):
+    # --force lifts --max-order only; the other caps refuse before any work
+    for name in ("enumerate_braces", "enumerate_braces_via_chains", "enumerate_prelie_ops",
+                 "enumerate_prelie_ops_aff"):
+        monkeypatch.setattr(cli, name, lambda *a, _name=name: pytest.fail(f"{_name} ran before the caps"))
+    assert run(capsys, "enumerate", spec, "--force") == (3, "", err)
+
+
+def test_running_out_of_memory_is_one_refusal_line(capsys, monkeypatch, data_dir):
+    def exhausted(table):
+        raise MemoryError()
+
+    monkeypatch.setattr(formats, "_table_lines", exhausted)
+    code, out, err = run(capsys, "convert", str(data_dir / "prelie25_selfsquare.plie"), "--to", "brace")
+    assert (code, out, err) == (3, "", "refused: out of memory in convert\n")
+
+
+def _lazbench_generate(monkeypatch):
+    """lazbench/generate.py, loaded without writing a bytecode cache there."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    spec = importlib.util.spec_from_file_location("lazbench_generate", LAZBENCH / "generate.py")
+    generate = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, generate)  # its dataclasses look their module up
+    spec.loader.exec_module(generate)
+    return generate
+
+
+def test_no_command_converts_coordinates_on_all_pairs(capsys, monkeypatch, tmp_path):
+    # every n x n table is filled along a Schreier tree from n k generator
+    # images, so no PShape.index_batch call converts more than 8 n rows
+    generate = _lazbench_generate(monkeypatch)
+    skb, plie = tmp_path / "radical.skb", tmp_path / "graded.plie"
+    skb.write_text(formats.write_text(generate.radical_brace_instance("radical", 3, 5, 4).build()))
+    plie.write_text(formats.write_text(generate.triangle_instance("graded", 3, 5, (1, 1, 1, 1), "zero", 2).build()))
+    largest = []
+    index_batch = PShape.index_batch
+
+    def recording(self, coords):
+        largest.append(int(np.prod(np.shape(coords)[:-1])))
+        return index_batch(self, coords)
+
+    monkeypatch.setattr(PShape, "index_batch", recording)
+    out = str(tmp_path / "out")
+    for argv in (("roundtrip", skb), ("roundtrip", plie), ("convert", plie, "--to", "brace", "-o", out),
+                 ("root-diff", skb, "-o", out)):
+        assert run(capsys, *map(str, argv))[0] == 0, argv
+    assert 0 < max(largest) <= 8 * 625

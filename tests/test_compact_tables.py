@@ -6,7 +6,8 @@ import pytest
 
 import catalogs
 from lazbrace import formats, liering, modarith
-from lazbrace.lazcorr import post_lie_to_brace
+from lazbrace.common import FailedTheoremError
+from lazbrace.lazcorr import _require_isomorphism, post_lie_to_brace
 from lazbrace.liering import Filtration, FinGroup, LieRingTable, laz, laz_inv, laz_of_table, verify_group_table
 from lazbrace.modarith import ModArithError, abelian_decompose
 from lazbrace.skewbrace import aut_plus, holomorph_plus
@@ -110,3 +111,19 @@ def test_holomorph_keys_are_taken_in_int64():
     assert pairs == [(a, i) for a in range(125) for i in range(m)]
     assert np.array_equal(hol.table, expected)
     assert verify_group_table(hol).ok
+
+
+def test_an_isomorphism_check_on_compact_tables_names_its_witness():
+    # W is cast to uint16 before the n^2 gather W[laz(circ ring)]; a circ
+    # table one transposition away (two entries of row W(17) swapped) is
+    # still named at its first (a, b)
+    P = catalogs.zero_triangle(catalogs.heisenberg(5, (2, 1, 1)))
+    flow = post_lie_to_brace(P)
+    W, circ, lazc = flow.w, flow.brace.circ.table, laz(P.circ).table
+    assert W.dtype == np.int64 and circ.dtype == lazc.dtype == np.uint16
+    _require_isomorphism(W, lazc, circ, "W")
+    a, b1, b2 = 17, 300, 42
+    bad = circ.copy()
+    bad[W[a], W[b1]], bad[W[a], W[b2]] = circ[W[a], W[b2]], circ[W[a], W[b1]]
+    with pytest.raises(FailedTheoremError, match=r"^W at \(a,b\)=\(17,42\)$"):
+        _require_isomorphism(W, lazc, bad, "W")

@@ -27,10 +27,11 @@ import catalogs
 from catalogs import (_bracket_set, _comm_set, _index_set, _star_set, _tri_set, descending_series, mask, sets,
                       trivial_brace)
 from lazbrace import formats, freelie
-from lazbrace.common import IdealLevel
+from lazbrace.common import FailedTheoremError, IdealLevel
 from lazbrace.liering import (
     Filtration,
     FinGroup,
+    LieRingSC,
     LieRingTable,
     SeriesResult,
     _add_subgroup_runs,
@@ -52,25 +53,31 @@ from lazbrace.liering import (
     laz_inv,
     laz_of_table,
     lower_central_series,
+    table_to_sc,
     validate_group_filtration,
     verify_group_table,
 )
-from lazbrace.lazcorr import (_sweep, brace_to_post_lie, lambda_derivative, omega_map, post_lie_to_brace,
+from lazbrace.lazcorr import (_additive_log, _sweep, brace_to_post_lie, lambda_derivative, omega_map, post_lie_to_brace,
                               transfer_report, u_eval)
 from lazbrace.modarith import (
     _CHUNK,
     AbelianBasis,
+    Endo,
     ModArithError,
     PShape,
     _find_identity,
+    _require_none,
+    _row_blocks,
     _table_orders,
     _table_times,
     abelian_decompose,
+    endo_exp,
+    endo_log,
     prime_power,
     root_of_unity,
 )
-from lazbrace.postlie import (PostLieRing, circ_ring, classify_subset, l_series, left_series, right_series,
-                              verify_post_lie)
+from lazbrace.postlie import (PostLieRing, adjoint_filtration, circ_ring, classify_subset, l_series, left_series,
+                              right_series, verify_post_lie)
 from lazbrace.skewbrace import (
     SkewBrace,
     _all_subgroups_group,
@@ -826,6 +833,214 @@ def test_lambda_derivative_matches_the_per_element_loop(brace_corpus):
         assert np.array_equal(lambda_derivative(B, log), oracle_lambda_derivative(B, log)), name
         checked += 1
     assert checked == len(brace_corpus)
+
+
+# ---------------------------------------------------------------------------
+# Tables of additive maps, filled along the carrier's additive Schreier
+# tree, against the coordinate passes over all pairs, a block of rows at a
+# time, that built them before.
+
+
+def oracle_block_table(m: int, n: int, block) -> np.ndarray:
+    """The (m, n) table whose rows `rows`, one _row_blocks slice at a time,
+    are block(rows)."""
+    out = np.empty((m, n), dtype=np.int64)
+    for rows in _row_blocks(m, n):
+        out[rows] = block(rows)
+    return out
+
+
+def oracle_circ(P: PostLieRing, omega: np.ndarray, k: int) -> np.ndarray:
+    """The flow's circle product a . exp(L_Omega(a))(b), the images taken
+    in coordinates on all pairs."""
+    s = P.shape
+    n, coords = s.order, s.all_coords()
+    exp_mats = endo_exp(Endo(s, P.l_mats(coords[omega])), max(k, 1)).mat
+    images = oracle_block_table(n, n, lambda rows: s.index_batch(coords @ exp_mats[rows]))
+    return laz(P.base).table[np.arange(n)[:, None], images]
+
+
+def oracle_additive_log(basis: AbelianBasis, alpha, k: int, name: str, exc, elements=None) -> np.ndarray:
+    """log of the maps alpha, after comparing alpha with their matrix
+    images on all pairs."""
+    coords = basis.coords
+    mats = Endo(basis.shape, coords[alpha[:, list(basis.gens)]])
+    images = oracle_block_table(len(alpha), len(coords), lambda rows: basis.elems(coords @ mats.mat[rows]))
+    _require_none(images != alpha, f"{name} is not additive over Laz^-1 of the dot group", exc, elements)
+    return endo_log(mats, max(k, 1)).mat
+
+
+def oracle_tri_table(basis: AbelianBasis, D: np.ndarray, W: np.ndarray) -> np.ndarray:
+    """a > b = D[W(a)](b) on all pairs."""
+    coords = basis.coords
+    return oracle_block_table(len(W), len(W), lambda rows: basis.elems(coords @ D[W[rows]]))
+
+
+def oracle_tri_rebuild(basis: AbelianBasis, P: PostLieRing) -> np.ndarray:
+    """The bilinear extension of P's triangle constants on all pairs."""
+    coords = basis.coords
+    n = len(coords)
+    return oracle_block_table(n, n, lambda rows: basis.elems(P.tri_batch(coords[rows, None, :], coords)))
+
+
+def oracle_adjoint_terms(P: PostLieRing) -> tuple[frozenset, ...]:
+    """adjoint_filtration's terms, with the triangle taken on all pairs."""
+    s = P.shape
+    coords, F = s.all_coords(), l_series(P).filtration
+    tri = oracle_block_table(s.order, s.order, lambda rows: s.index_batch(P.tri_batch(coords[rows, None, :], coords)))
+    level = np.maximum(np.minimum(F.level, F.margin(tri)), 0)
+    level[0] = int(level[1:].max(initial=0)) + 1
+    return Filtration._of(level, int(level[0])).terms
+
+
+def oracle_reconstruction(basis: AbelianBasis) -> np.ndarray:
+    """The shape's addition moved onto the table elements, on all pairs."""
+    coords = basis.coords
+    n = len(coords)
+    return oracle_block_table(n, n, lambda rows: basis.elems(coords[rows, None, :] + coords))
+
+
+def oracle_bracket_rebuild(basis: AbelianBasis, L: LieRingSC) -> np.ndarray:
+    """The bilinear extension of L's bracket constants on all pairs."""
+    coords = basis.coords
+    n = len(coords)
+    return oracle_block_table(n, n, lambda rows: basis.elems(L.bracket_batch(coords[rows, None, :], coords)))
+
+
+def oracle_table_to_sc(T: LieRingTable) -> tuple[LieRingSC, AbelianBasis]:
+    """table_to_sc with the reconstruction and the bracket rebuilt on all
+    pairs."""
+    basis = oracle_abelian_decompose(T.add)
+    if not np.array_equal(oracle_reconstruction(basis), T.add):
+        raise ModArithError("table does not match abelian reconstruction")
+    gens = list(basis.gens)
+    L = LieRingSC(basis.shape, basis.coords[T.bracket[np.ix_(gens, gens)]])
+    _require_none(oracle_bracket_rebuild(basis, L) != T.bracket, "bracket table is not biadditive over the decomposition")
+    return L, basis
+
+
+def oracle_lambda_derivative_blocks(B: SkewBrace, log) -> np.ndarray:
+    """The root-of-unity triangle in coordinates on all pairs."""
+    p, basis = B.p, log.basis
+    s = basis.shape
+    m = s.max_modulus
+    xi = root_of_unity(p, s.exps[0])
+    coords = basis.coords
+
+    def block(rows):
+        acc = 0
+        for i in range(p - 1):
+            a_i = basis.elems(coords[rows] * pow(xi, -i, m))  # xi^(-i) a
+            acc = s.reduce(acc + pow(xi, i, m) * coords[B.lam[a_i]])
+        return basis.elems(acc * s.scale_multiplier(Fraction(1, p - 1)))
+
+    return oracle_block_table(B.order, B.order, block)
+
+
+def _failure(fn) -> str | None:
+    try:
+        fn()
+    except (ModArithError, FailedTheoremError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    return None
+
+
+@pytest.fixture(scope="module")
+def brace_logs(brace_corpus):
+    return [(name, B, brace_to_post_lie(B, check=False)) for name, B in brace_corpus]
+
+
+def test_additive_fills_match_the_all_pairs_oracles(postlie_cat, brace_logs, lazard_tables):
+    for name, P in postlie_cat:
+        flow = post_lie_to_brace(P, check=False)
+        assert np.array_equal(flow.brace.circ.table, oracle_circ(P, flow.omega, flow.l_class)), name
+        assert np.array_equal(P.shape.carrier.add, catalogs.shape_group(P.shape).table), name
+        assert adjoint_filtration(P).terms == oracle_adjoint_terms(P), name
+    for name, B, log in brace_logs:
+        basis, k = log.basis, log.l_class
+        D = oracle_additive_log(basis, B.lam, k, "lambda", FailedTheoremError)
+        assert np.array_equal(_additive_log(basis, B.lam, k, "lambda", FailedTheoremError), D), name
+        assert np.array_equal(log.tri_table, oracle_tri_table(basis, D, log.w)), name
+        assert np.array_equal(oracle_tri_rebuild(basis, log.post_lie), log.tri_table), name
+        assert np.array_equal(lambda_derivative(B, log), oracle_lambda_derivative_blocks(B, log)), name
+    # the bases themselves match the row oracle in test_abelian_bases_match_the_row_oracle;
+    # order 2401 is left out, where the oracles take 10 s
+    for name, _L, _G, T in lazard_tables:
+        if T.order > 625:
+            continue
+        L, basis = table_to_sc(T)
+        assert np.array_equal(basis.add, oracle_reconstruction(basis)), name
+        assert np.array_equal(oracle_bracket_rebuild(basis, L), T.bracket), name
+
+
+def test_lambda_derivative_logs_the_brace_it_is_given(brace_logs):
+    (_, B, log), (_, other, other_log) = brace_logs[-2:]
+    assert np.array_equal(lambda_derivative(B, other_log), lambda_derivative(B, log))
+    assert np.array_equal(lambda_derivative(other, log), other_log.tri_table)
+
+
+def test_non_additive_maps_are_named_as_before(brace_logs):
+    # one entry of lambda moved, in the column of each tree generator (the
+    # ones the tree adds itself included) and in random columns: the same
+    # exception, message and (a, b) as the comparison on all pairs
+    rng = np.random.default_rng(13)
+    deep = 0
+    for name, B, log in brace_logs:
+        basis, k = log.basis, log.l_class
+        deep += len(basis.tree.gens) > len(basis.gens)
+        for b in list(basis.tree.gens) + rng.integers(0, B.order, 2).tolist():
+            a = int(rng.integers(0, B.order))
+            alpha = B.lam.copy()
+            alpha[a, b] = B.dot.table[alpha[a, b], basis.gens[0]]
+            elements = rng.permutation(B.order)
+            want = _failure(lambda: oracle_additive_log(basis, alpha, k, "alpha", ModArithError, elements))
+            assert want is not None, (name, a, b)
+            assert _failure(lambda: _additive_log(basis, alpha, k, "alpha", ModArithError, elements)) == want
+    assert deep >= 6
+
+
+def test_non_biadditive_brackets_are_named_as_before(lazard_tables):
+    # one bracket entry moved, off the generator pairs the constants are
+    # read from, in the column of each generator the tree adds to gens and
+    # in a random column (up to order 625: the oracle is slow at 2401).
+    # The oracle's basis and rebuilt table stay those of T, which pass, so
+    # its comparison is the one with T.bracket
+    rng = np.random.default_rng(17)
+    what = "bracket table is not biadditive over the decomposition"
+    deep = 0
+    for name, _L, _G, T in lazard_tables:
+        if T.order > 625:
+            continue
+        _, basis = oracle_table_to_sc(T)
+        tree_gens = abelian_decompose(T.add).tree.gens
+        deep += len(tree_gens) > len(basis.gens)
+        for b in list(tree_gens[len(basis.gens):]) + [int(rng.integers(0, T.order))]:
+            a = int(rng.integers(0, T.order))
+            if a in basis.gens and b in basis.gens:
+                continue
+            bracket = T.bracket.copy()
+            bracket[a, b] = T.add[bracket[a, b], basis.gens[0]]
+            want = _failure(lambda: _require_none(T.bracket != bracket, what))
+            assert want == f"FailedTheoremError: {what} at (a,b)=({a},{b})"
+            assert _failure(lambda: table_to_sc(LieRingTable(T.add, bracket, T.zero))) == want, name
+    assert deep >= 3
+
+
+def test_ill_defined_bracket_constants_are_refused():
+    # [g0, g1] = g0 on (3;[2,1]) is not killed by 3 although 3 g1 = 0, so
+    # its coordinate formula on canonical coordinates is no biadditive
+    # table; the comparison on all pairs accepted it as one
+    s = PShape(3, (2, 1))
+    co = s.all_coords()
+    L = LieRingSC.from_brackets(s, {(0, 1): (1, 0)})
+    add = catalogs.shape_group(s).table
+    T = LieRingTable(add, s.index_batch(L.bracket_batch(co[:, None, :], co[None, :, :])), 0)
+    g0, g1 = s.unit(0).index, s.unit(1).index
+    thrice = T.add[T.add[T.bracket[g0, g1], T.bracket[g0, g1]], T.bracket[g0, g1]]
+    assert T.add[T.add[g1, g1], g1] == 0 and thrice != T.bracket[g0, 0] == 0
+    oracle_table_to_sc(T)
+    with pytest.raises(FailedTheoremError, match=r"^bracket table is not biadditive over the decomposition at "):
+        table_to_sc(T)
 
 
 # ---------------------------------------------------------------------------
