@@ -24,6 +24,9 @@ from .liering import (
     FinGroup,
     LieRingSC,
     _add_subgroup_runs,
+    _hom_failure,
+    _laz_rows,
+    _lazard_degree,
     canonical_group_filtration,
     laz,
     laz_inv,
@@ -124,12 +127,34 @@ def _v_batch(P: PostLieRing, k: int, A: np.ndarray, mat: np.ndarray) -> np.ndarr
     return _sd_bch(P, k, (A, mat), (np.zeros_like(A), P.shape.reduce(-mat)))
 
 
-def _require_isomorphism(phi: np.ndarray, src: np.ndarray, dst: np.ndarray, what: str) -> None:
-    """Raise FailedTheoremError(what) naming the first (a, b) with phi(a b)
-    != phi(a) phi(b), products read from the n x n tables src and dst.  phi
-    is cast to index_dtype(n) first, so the n^2 gather phi[src] is held in
-    that dtype, as the tables are."""
-    _require_none(phi.astype(index_dtype(phi.size))[src] != dst[phi[:, None], phi[None, :]], what)
+def _require_hom(f: np.ndarray, gens, src_rows, dst_rows, what: str) -> None:
+    """Raise FailedTheoremError(what) naming the first (a, b), a in gens,
+    with f(a b) != f(a) f(b), from the rows of _hom_failure."""
+    bad = _hom_failure(f, src_rows, dst_rows[None])
+    if bad is not None:
+        raise FailedTheoremError(f"{what} at (a,b)=({gens[bad[1]]},{bad[2]})")
+
+
+def _require_w_hom(P: PostLieRing, W: np.ndarray, circ: np.ndarray) -> None:
+    """W: Laz(circ ring) -> (A, o) is a homomorphism, checked as W(u b) =
+    W(u) o W(b) on the BCH rows of the unit vectors u (_laz_rows).  Exact
+    once circ is a verified group table: P is a verified post-Lie ring, so
+    its circ ring is a Lazard Lie ring (P.circ, _lazard_degree), whose
+    Lazard group is generated by the unit vectors (Khukhro)."""
+    units = [u.index for u in P.shape.units()]
+    _require_hom(W, units, _laz_rows(P.circ, _lazard_degree(P.circ), P.shape.carrier, units), circ[W[units]],
+                 "W is not an isomorphism onto the circle group")
+
+
+def _require_omega_hom(B: SkewBrace, P: PostLieRing, basis: AbelianBasis, Omega: np.ndarray) -> None:
+    """Omega: (A, o) -> Laz(circ ring of P), moved onto the table elements
+    of basis, is a homomorphism, checked as Omega(g o b) = Omega(g)
+    Omega(b) on the circ generators g of B, against the BCH rows of the
+    Omega(g) (_laz_rows).  Exact once B is a verified skew brace and P a
+    verified post-Lie ring, so that both sides are groups."""
+    cg = list(B.circ.gens)
+    _require_hom(Omega, cg, B.circ.table[cg], _laz_rows(P.circ, _lazard_degree(P.circ), basis, Omega[cg]),
+                 "omega is not an isomorphism onto Laz of the circ ring")
 
 
 def _require_bijective(images: np.ndarray, what: str, name: str) -> None:
@@ -182,15 +207,16 @@ class FlowResult:
 def post_lie_to_brace(P: PostLieRing, check: bool = True) -> FlowResult:
     """Construction S: dot = Laz(base), circ(a, b) = a . exp(L_{Omega(a)})(b).
 
-    The maps exp(L_{Omega(a)}) are validated matrices, so their table is
-    filled along the shape's additive tree (AbelianBasis.additive_table)."""
+    P is verified first.  The maps exp(L_{Omega(a)}) are validated
+    matrices, so their table is filled along the shape's additive tree
+    (AbelianBasis.additive_table)."""
+    rep = verify_post_lie(P)
+    if not rep.ok:
+        raise ModArithError(f"not a post-Lie ring: {rep.failures}")
     F = _lazard_post_filtration(P)
     s = P.shape
     k = F.length
     n = s.order
-    rep = verify_post_lie(P)
-    if not rep.ok:
-        raise ModArithError(f"not a post-Lie ring: {rep.failures}")
     dot = laz(P.base, F)
     W = w_map(P)  # the canonical F again, cached: no validation
     Omega = np.empty(n, dtype=np.int64)
@@ -206,8 +232,7 @@ def post_lie_to_brace(P: PostLieRing, check: bool = True) -> FlowResult:
         bser = l_series_brace(brace)
         if bser.nilpotency_class != k:
             raise FailedTheoremError("L-class changed across the flow construction")
-        # W is a group isomorphism Laz(circ ring) -> (A, o)
-        _require_isomorphism(W, laz(P.circ, F=None).table, circ, "W is not an isomorphism onto the circle group")
+        _require_w_hom(P, W, circ)
     return FlowResult(P, brace, W, Omega, k)
 
 
@@ -316,11 +341,16 @@ def brace_to_post_lie(B: SkewBrace, check: bool = True) -> LogResult:
     """Construction L: base = Laz^-1(dot), a > b = log(lambda_{W(a)})(b); one
     stack of logged lambda maps gives both Omega (through u_eval) and >.
 
-    The triangle table is filled along the additive tree from the matrices
-    D[W(a)].  Its rows and those of the bilinear extension of the triangle
-    constants are both additive in b, so the biadditivity check compares
-    their generator columns, the n r matrix rows of D[W(a)] and L_a, and
-    names the first a with a generator b."""
+    With check, B is verified first (ModArithError when it is not a skew
+    brace).  The triangle table is filled along the additive tree from the
+    matrices D[W(a)].  Its rows and those of the bilinear extension of the
+    triangle constants are both additive in b, so the biadditivity check
+    compares their generator columns, the n r matrix rows of D[W(a)] and
+    L_a, and names the first a with a generator b."""
+    if check:
+        rep = verify_skew_brace(B)
+        if not rep.ok:
+            raise ModArithError(f"not a skew brace: {rep.failures}")
     k = _lazard_brace_filtration(B).length
     n = B.order
     L_sc, basis = _dot_log(B.dot)
@@ -342,9 +372,7 @@ def brace_to_post_lie(B: SkewBrace, check: bool = True) -> LogResult:
         pser = l_series(P)
         if pser.nilpotency_class != k:
             raise FailedTheoremError("L-class changed across the logarithm construction")
-        # Omega: (A, o) -> circ ring is a group isomorphism onto Laz of it
-        _require_isomorphism(Omega, B.circ.table, basis.relabel(laz(P.circ, F=None).table),
-                             "omega is not an isomorphism onto Laz of the circ ring")
+        _require_omega_hom(B, P, basis, Omega)
     return LogResult(B, P, basis, tri_table, W, Omega, k)
 
 

@@ -588,11 +588,13 @@ class FinGroup:
 def verify_group_table(table) -> CheckReport:
     """Latin-square, identity, inverse and associativity checks, all exact.
 
-    Associativity is Light's test on a generating set: the a with
-    (x a) y = x (a y) for all x, y form a submagma holding the identity, so
-    it is enough that they include generators of the table as a magma.
-    A FinGroup may stand for its table; its cached generators are used
-    when its identity is the one found.
+    Associativity is Light's test on a generating set, in row form: the g
+    with (g x) y = g (x y) for all x, y form a submagma holding the
+    identity, since ((g h) x) y = (g (h x)) y = g ((h x) y) = g (h (x y)) =
+    (g h) (x y), so it is enough that they include generators of the table
+    as a magma; each g costs two row gathers, t[t[g]] and t[g][t].  A
+    FinGroup may stand for its table; its cached generators are used when
+    its identity is the one found.
     """
     group = table if isinstance(table, FinGroup) else None
     table = np.asarray(table if group is None else group.table)  # ranges checked before any cast
@@ -622,24 +624,38 @@ def verify_group_table(table) -> CheckReport:
     # every product the generator walk takes stays inside the submagma its
     # generators generate, so it presumes no associativity: the generators
     # it returns generate the table as a magma
-    for a in group.gens:
-        bad = table[table[:, a]] != table[:, table[a]]  # (x a) y vs x (a y)
+    for g in group.gens:
+        bad = table[table[g]] != table[g][table]  # (g x) y vs g (x y)
         if bad.any():
             x, y = np.argwhere(bad)[0]
-            failures.append(f"associativity fails at (x,a,y)=({int(x)},{a},{int(y)})")
+            failures.append(f"associativity fails at (g,x,y)=({g},{int(x)},{int(y)})")
             break
     return CheckReport(not failures, tuple(failures))
 
 
-def laz(L: LieRingSC, F: Filtration | None = None, force: bool = False) -> FinGroup:
-    """The Lazard group (a, BCH) of a Lazard Lie ring, as a Cayley table.
+def _hom_failure(maps, src_rows, dst_rows) -> tuple[int, int, int] | None:
+    """The first (j, i, b) with f(g_i b) != f(g_i) f(b) for f = maps[j],
+    where src_rows[i] is the row x -> g_i x of the source and dst_rows[j, i]
+    the row y -> f(g_i) y of the target; None when there is none.
 
-    BCH is evaluated on the rows BCH(g_i, .) of the unit vectors only, and
-    the table is filled from them along a Schreier tree: in a Lazard ring a
-    set generates the group it generates as a Lie ring (Khukhro), and BCH
-    is associative there.
+    The one group-law check.  For a source and a target that are groups,
+    the g with f(g b) = f(g) f(b) for all b form a submonoid: b = h gives
+    f(g h) = f(g) f(h), so f((g h) b) = f(g) f(h b) = f(g) f(h) f(b) =
+    f(g h) f(b); and the identity is in it once any g is, since b = 1 gives
+    f(1) = 1.  So the rows of generators of the source prove every map a
+    homomorphism, with row gathers only.
     """
-    _check_order_cap(L.order, force)
+    maps = np.atleast_2d(maps)
+    bad = maps[:, src_rows] != np.take_along_axis(dst_rows, maps[:, None, :], axis=2)
+    if bad.any():
+        j, i, b = np.argwhere(bad)[0]
+        return int(j), int(i), int(b)
+    return None
+
+
+def _lazard_degree(L: LieRingSC, F: Filtration | None = None) -> int:
+    """The BCH degree of Laz(L): the length of F, by default the lower
+    central series, which must be below p (NotLazardError otherwise)."""
     if F is None:
         F = canonical_filtration(L)  # a lower central series is a filtration by construction
     else:
@@ -648,11 +664,32 @@ def laz(L: LieRingSC, F: Filtration | None = None, force: bool = False) -> FinGr
         raise NotLazardError(
             f"class {F.length} >= p = {L.shape.p}: BCH denominators would divide p"
         )
+    return max(F.length, 1)
+
+
+def _laz_rows(L: LieRingSC, degree: int, basis: AbelianBasis, elems) -> np.ndarray:
+    """The rows x -> BCH(a, x) of Laz(L) for the table elements a in elems,
+    one (len(elems), n) array over the table elements of basis, a carrier
+    of L.shape; BCH is truncated at degree (_lazard_degree)."""
+    X = basis.coords
+    A = X[np.asarray(elems, dtype=np.int64)]
+    out = _bch_batch(L, degree, np.repeat(A, len(X), axis=0), np.tile(X, (len(A), 1)))
+    return basis.elems(out).reshape(len(A), len(X))
+
+
+def laz(L: LieRingSC, F: Filtration | None = None, force: bool = False) -> FinGroup:
+    """The Lazard group (a, BCH) of a Lazard Lie ring, as a Cayley table.
+
+    BCH is evaluated on the rows BCH(g_i, .) of the unit vectors only
+    (_laz_rows), and the table is filled from them along a Schreier tree:
+    in a Lazard ring a set generates the group it generates as a Lie ring
+    (Khukhro), and BCH is associative there.
+    """
+    _check_order_cap(L.order, force)
+    degree = _lazard_degree(L, F)
     shape = L.shape
-    coords = shape.all_coords()
-    degree = max(F.length, 1)
-    tree = _schreier(shape.order, 0, lambda g: shape.index_batch(_bch_batch(
-        L, degree, np.broadcast_to(coords[g], coords.shape), coords)), [u.index for u in shape.units()])
+    tree = _schreier(shape.order, 0, lambda g: _laz_rows(L, degree, shape.carrier, [g])[0],
+                     [u.index for u in shape.units()])
     return FinGroup(_fill_group(tree), 0)
 
 

@@ -29,6 +29,7 @@ from .liering import (
     verify_group_table,
     _conjugations,
     _group_gens,
+    _hom_failure,
     _indices,
     _invariant_closure,
     _levels,
@@ -132,29 +133,30 @@ class SkewBrace:
         return hash((self.dot, self.circ))
 
 
-def _hom_failure(table, maps, gens) -> tuple[int, int, int] | None:
-    """First (k, b, g) with f(b . g) != f(b) . f(g) for f = maps[k], g in
-    gens; None when there is none.
+def _compatibility_failure(B: SkewBrace) -> tuple[int, int, int] | None:
+    """The first (a, b, c) with lambda_a(b c) != lambda_a(b) lambda_a(c),
+    for circ generators a and dot generators b, from the rows lambda_a =
+    dot[a^-1][circ[a]] (_hom_failure); None when there is none.
 
-    For an associative table and maps with f(1) = 1, the c with
-    f(b . c) = f(b) . f(c) for all b form a submonoid, so checking c on
-    generators proves that each map is a homomorphism.
+    Exact once both tables are groups with one identity, so that each
+    lambda_a fixes it.  Compatibility at a says that lambda_a is in End(A, .),
+    and dot generators b prove that for each a (_hom_failure).  The a with
+    lambda_a in End(A, .) form a submonoid of (A, o): compatibility at a
+    with b = a' and c = a'^-1 gives a o a'^-1 = a (a o a')^-1 a, and so, for
+    a and a' in it, (a o a') o (b c) = a o ((a' o b) a'^-1 (a' o c)) =
+    ((a o a') o b) (a o a')^-1 ((a o a') o c).  So circ generators a suffice.
     """
-    maps = np.atleast_2d(maps)
-    for g in gens:
-        bad = maps[:, table[:, g]] != table[maps, maps[:, g, None]]
-        if bad.any():
-            k, b = np.argwhere(bad)[0]
-            return int(k), int(b), int(g)
-    return None
+    dot, cg, dg = B.dot.table, list(B.circ.gens), list(B.dot.gens)
+    lam = dot[B.dot.inv[cg][:, None], B.circ.table[cg]]
+    bad = _hom_failure(lam, dot[dg], dot[lam[:, dg]])
+    return None if bad is None else (cg[bad[0]], dg[bad[1]], bad[2])
 
 
 def verify_skew_brace(B: SkewBrace) -> CheckReport:
-    """Group checks plus a o (b . c) = (a o b) . a^-1 . (a o c), all exact.
-
-    Compatibility says that each lambda_a is an endomorphism of dot, which
-    is checked on dot generators (lambda_a(1) = 1 once the identities agree).
-    """
+    """Group checks plus a o (b . c) = (a o b) . a^-1 . (a o c), all exact:
+    the compatibility on circ generators a and dot generators b
+    (_compatibility_failure), once both tables are groups with one
+    identity."""
     failures = []
     for name, G in (("dot", B.dot), ("circ", B.circ)):
         rep = verify_group_table(G)
@@ -164,32 +166,23 @@ def verify_skew_brace(B: SkewBrace) -> CheckReport:
         failures.append("identities differ")
     if failures:
         return CheckReport(False, tuple(failures))
-    bad = _hom_failure(B.dot.table, B.lam, B.dot.gens)
+    bad = _compatibility_failure(B)
     if bad is not None:
         failures.append("compatibility fails at (a,b,c)=({},{},{})".format(*bad))
     return CheckReport(not failures, tuple(failures))
 
 
 def lambda_and_star(B: SkewBrace) -> tuple[np.ndarray, np.ndarray]:
-    """The lambda table and star table, with the automorphism and
-    homomorphism properties verified on generators, which is exact once
-    both group tables are (verify_skew_brace)."""
-    lam = B.lam
-    bijective = (np.sort(lam, axis=1) == np.arange(B.order)).all(axis=1)
-    if not bijective.all():
-        raise FailedTheoremError(f"lambda_{int(np.argmin(bijective))} is not a bijection")
-    bad = _hom_failure(B.dot.table, lam, B.dot.gens)
+    """The lambda table and star table, with compatibility checked on
+    generators (_compatibility_failure), which is exact once both group
+    tables are (verify_skew_brace).  B is then a skew brace, so each
+    lambda_a is an automorphism of dot and lambda: (A, o) -> Aut(A, .) is a
+    homomorphism (Guarnieri & Vendramin, Math. Comp. 86, 2017)."""
+    bad = _compatibility_failure(B)
     if bad is not None:
         raise FailedTheoremError(f"lambda_{bad[0]} is not an automorphism of dot")
-    # the b with lambda_(a o b) = lambda_a lambda_b for all a form a
-    # submonoid of (A, o), so circ generators suffice
-    for g in B.circ.gens:
-        bad_a = (lam[B.circ.table[:, g]] != lam[:, lam[g]]).any(axis=1)
-        if bad_a.any():
-            raise FailedTheoremError(
-                f"lambda_(a o b) != lambda_a lambda_b at a={int(np.argmax(bad_a))}")
     idx = np.arange(B.order)
-    return lam, _star(B, idx[:, None], idx)
+    return B.lam, _star(B, idx[:, None], idx)
 
 
 def _star(B: SkewBrace, A, H) -> np.ndarray:
@@ -385,13 +378,14 @@ def _automorphisms_into(G: FinGroup, gens: list[int], cands: list[list[int]]) ->
     """
     tree = _schreier(G.order, G.identity, lambda g: G.table[g], gens)
     tree_gens = np.asarray(tree.gens, dtype=np.int64)
+    rows = G.table[gens]
     out = []
     for combo in product(*cands):
         phi = np.full(G.order, G.identity, dtype=np.int64)
         phi[gens] = combo
         for ys, zs, i in tree.levels:
             phi[ys] = G.table[phi[tree_gens[i]], phi[zs]]
-        if np.unique(phi).size == G.order and _hom_failure(G.table, phi, gens) is None:
+        if np.unique(phi).size == G.order and _hom_failure(phi, rows, G.table[phi[gens]][None]) is None:
             out.append(phi)
     return out
 

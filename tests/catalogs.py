@@ -204,6 +204,27 @@ def radical_brace(p, e) -> SkewBrace:
     return SkewBrace(dot, circ)
 
 
+def nonassociative_loop(p) -> np.ndarray:
+    """x y = x + y + (0, x0 y0^2) on (Z/p)^2, x = x0 + p x1: a Latin square
+    with identity 0, not associative for p > 2, generated by x = 1 alone."""
+    u = np.arange(p * p)
+    x0, x1 = u % p, u // p
+    return (x0[:, None] + x0) % p + p * ((x1[:, None] + x1 + x0[:, None] * x0 ** 2) % p)
+
+
+def twisted_sum(p) -> SkewBrace:
+    """(Z/p)^2 with a o b = a + b + (0, g(a_x + b_x) - g(a_x) - g(b_x)) for
+    g(x) = x^3: a group and L-nilpotent of class 2, but lambda_a(b) =
+    b + (0, 3 a_x b_x (a_x + b_x)) is not additive in b, so not a brace."""
+    u = np.arange(p * p)
+    x, y = u % p, u // p
+    f = ((x[:, None] + x[None, :]) ** 3 - x[:, None] ** 3 - x[None, :] ** 3) % p
+    xs = (x[:, None] + x[None, :]) % p
+    dot = xs + p * ((y[:, None] + y[None, :]) % p)
+    circ = xs + p * ((y[:, None] + y[None, :] + f) % p)
+    return SkewBrace(FinGroup(dot, 0), FinGroup(circ, 0))
+
+
 # ---------------------------------------------------------------------------
 # Helpers that only the tests use: a table-form Lie ring check, the adjoint
 # map, the trivial brace, |Hol(A)^+|, and the lambda-search enumeration.

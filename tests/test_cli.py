@@ -12,10 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import catalogs
-from lazbrace import cli, formats, modarith
+from lazbrace import cli, formats, lazcorr, liering, modarith
 from lazbrace.cli import main
 from lazbrace.common import ParseError
-from lazbrace.modarith import PShape
+from lazbrace.liering import FinGroup
+from lazbrace.modarith import ModArithError, PShape
+from lazbrace.skewbrace import SkewBrace, l_series_brace
 
 LAZBENCH = Path(__file__).resolve().parents[1] / "lazbench"
 
@@ -234,6 +236,25 @@ def test_non_post_lie_input_exits_1(capsys, tmp_path):
         assert "not a post-Lie ring" in err and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("name, text, to, what", [
+    ("loop.skb", lambda: formats.write_text(SkewBrace(*[FinGroup(catalogs.nonassociative_loop(5), 0)] * 2)),
+     "postlie", "not a skew brace"),
+    ("twisted.skb", lambda: formats.write_text(catalogs.twisted_sum(5)), "postlie", "not a skew brace"),
+    ("assoc.plie", lambda: "format 1\npostlie 5 1 1\ntriangle 1 2 : 1 0\ntriangle 2 1 : 0 1\n", "brace",
+     "not a post-Lie ring"),
+])
+def test_inputs_that_break_their_axioms_exit_1_before_any_lazard_refusal(capsys, tmp_path, name, text, to, what):
+    # the axioms are checked before any Lazard refusal: the loop and the
+    # post-Lie file are not L-nilpotent either, and the twisted sum's lambda
+    # is not additive, which the log would blame on the library
+    path = tmp_path / name
+    path.write_text(text())
+    for argv in (("convert", str(path), "--to", to), ("roundtrip", str(path))):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (1, ""), argv
+        assert err.startswith(f"verification failure: {what}: ") and err.count("\n") == 1, argv
+
+
 def test_unwritable_output_exits_2(capsys, tmp_path, data_dir):
     target = str(tmp_path / "missing" / "x.out")
     for argv in (
@@ -319,15 +340,19 @@ def test_mutated_data_files_end_with_an_exit_code(mutated, command):
 
 def test_a_series_that_does_not_descend_is_refused(capsys, tmp_path, data_dir):
     # radical_25.skb with three rows moved in a 3-cycle (two circ rows, one
-    # dot row): not a brace, and its L-series terms stop nesting; without
-    # the nesting check the series would run forever
+    # dot row): not a brace, which the CLI says before any series, and its
+    # L-series terms stop nesting; without the nesting check the series
+    # would run forever
     lines = (data_dir / "radical_25.skb").read_text().split("\n")
     lines[18], lines[33], lines[53] = lines[33], lines[53], lines[18]
     path = tmp_path / "cycled.skb"
     path.write_text("\n".join(lines))
     code, out, err = run(capsys, "roundtrip", str(path))
     assert (code, out) == (1, "")
-    assert err == "verification failure: series term 3 holds element 1 outside term 2\n"
+    assert err.startswith("verification failure: not a skew brace: ") and err.count("\n") == 1
+    _, B = formats.parse_file(path)
+    with pytest.raises(ModArithError, match=r"^series term 3 holds element 1 outside term 2$"):
+        l_series_brace(B)
 
 
 @pytest.mark.parametrize("spec, err", [
@@ -361,13 +386,19 @@ def _lazbench_generate(monkeypatch):
     return generate
 
 
-def test_no_command_converts_coordinates_on_all_pairs(capsys, monkeypatch, tmp_path):
-    # every n x n table is filled along a Schreier tree from n k generator
-    # images, so no PShape.index_batch call converts more than 8 n rows
+def _order_625_files(monkeypatch, tmp_path):
+    """lazbench's order-625 radical brace and graded post-Lie files."""
     generate = _lazbench_generate(monkeypatch)
     skb, plie = tmp_path / "radical.skb", tmp_path / "graded.plie"
     skb.write_text(formats.write_text(generate.radical_brace_instance("radical", 3, 5, 4).build()))
     plie.write_text(formats.write_text(generate.triangle_instance("graded", 3, 5, (1, 1, 1, 1), "zero", 2).build()))
+    return skb, plie
+
+
+def test_no_command_converts_coordinates_on_all_pairs(capsys, monkeypatch, tmp_path):
+    # every n x n table is filled along a Schreier tree from n k generator
+    # images, so no PShape.index_batch call converts more than 8 n rows
+    skb, plie = _order_625_files(monkeypatch, tmp_path)
     largest = []
     index_batch = PShape.index_batch
 
@@ -381,3 +412,21 @@ def test_no_command_converts_coordinates_on_all_pairs(capsys, monkeypatch, tmp_p
                  ("root-diff", skb, "-o", out)):
         assert run(capsys, *map(str, argv))[0] == 0, argv
     assert 0 < max(largest) <= 8 * 625
+
+
+def test_a_roundtrip_builds_one_lazard_table(capsys, monkeypatch, tmp_path):
+    # the isomorphism checks read BCH rows of generators, so laz(P.base) in
+    # post_lie_to_brace is the one Lazard table a roundtrip builds
+    calls = []
+    laz = liering.laz
+
+    def counting(*args, **kwargs):
+        calls.append(args[0])
+        return laz(*args, **kwargs)
+
+    for module in (liering, lazcorr):
+        monkeypatch.setattr(module, "laz", counting)
+    for path in _order_625_files(monkeypatch, tmp_path):
+        calls.clear()
+        assert run(capsys, "roundtrip", str(path)) == (0, "roundtrip: exact\n", ""), path
+        assert len(calls) == 1, path

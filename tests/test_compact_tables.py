@@ -7,7 +7,7 @@ import pytest
 import catalogs
 from lazbrace import formats, liering, modarith
 from lazbrace.common import FailedTheoremError
-from lazbrace.lazcorr import _require_isomorphism, post_lie_to_brace
+from lazbrace.lazcorr import _require_w_hom, post_lie_to_brace
 from lazbrace.liering import Filtration, FinGroup, LieRingTable, laz, laz_inv, laz_of_table, verify_group_table
 from lazbrace.modarith import ModArithError, abelian_decompose
 from lazbrace.skewbrace import aut_plus, holomorph_plus
@@ -114,16 +114,17 @@ def test_holomorph_keys_are_taken_in_int64():
 
 
 def test_an_isomorphism_check_on_compact_tables_names_its_witness():
-    # W is cast to uint16 before the n^2 gather W[laz(circ ring)]; a circ
-    # table one transposition away (two entries of row W(17) swapped) is
-    # still named at its first (a, b)
+    # the W check reads uint16 circ rows of W(u) for the unit vectors u
+    # against BCH rows of the u; a circ table one transposition away (two
+    # entries of row W(u) swapped, u the last unit vector) is named at (u, b)
     P = catalogs.zero_triangle(catalogs.heisenberg(5, (2, 1, 1)))
     flow = post_lie_to_brace(P)
-    W, circ, lazc = flow.w, flow.brace.circ.table, laz(P.circ).table
-    assert W.dtype == np.int64 and circ.dtype == lazc.dtype == np.uint16
-    _require_isomorphism(W, lazc, circ, "W")
-    a, b1, b2 = 17, 300, 42
+    W, circ = flow.w, flow.brace.circ.table
+    assert W.dtype == np.int64 and circ.dtype == np.uint16
+    _require_w_hom(P, W, circ)
+    u, b1, b2 = P.shape.units()[-1].index, 300, 42
     bad = circ.copy()
-    bad[W[a], W[b1]], bad[W[a], W[b2]] = circ[W[a], W[b2]], circ[W[a], W[b1]]
-    with pytest.raises(FailedTheoremError, match=r"^W at \(a,b\)=\(17,42\)$"):
-        _require_isomorphism(W, lazc, bad, "W")
+    bad[W[u], W[b1]], bad[W[u], W[b2]] = circ[W[u], W[b2]], circ[W[u], W[b1]]
+    named = rf"^W is not an isomorphism onto the circle group at \(a,b\)=\({u},42\)$"
+    with pytest.raises(FailedTheoremError, match=named):
+        _require_w_hom(P, W, bad)

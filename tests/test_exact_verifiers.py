@@ -1,7 +1,10 @@
 """The generator-based verifiers against exhaustive oracles.
 
 verify_group_table, verify_skew_brace, the filtration validators and
-classify_subset check each law on generators only, and all_add_subgroups
+classify_subset check each law on generators only; every group law, the
+isomorphisms W and Omega included, is one test on generator rows
+(liering._hom_failure), against the column forms and the all-pairs
+comparisons with a whole Laz table of the circ ring.  all_add_subgroups
 builds each subgroup once without a closure.  laz, laz_inv and
 laz_of_table evaluate only the rows of generators and fill the rest along
 a Schreier tree, and every series of rings, groups and braces takes each
@@ -17,6 +20,7 @@ verdict, list, table or map on every table, chain, subset, ring and brace
 of the corpus, valid or not.
 """
 
+import re
 from fractions import Fraction
 from itertools import product
 
@@ -38,6 +42,8 @@ from lazbrace.liering import (
     _bch_batch,
     _eval_word_batch,
     _group_gens,
+    _laz_rows,
+    _lazard_degree,
     _rational_power_batch,
     _schreier,
     _span_fold,
@@ -57,8 +63,8 @@ from lazbrace.liering import (
     validate_group_filtration,
     verify_group_table,
 )
-from lazbrace.lazcorr import (_additive_log, _sweep, brace_to_post_lie, lambda_derivative, omega_map, post_lie_to_brace,
-                              transfer_report, u_eval)
+from lazbrace.lazcorr import (_additive_log, _require_omega_hom, _require_w_hom, _sweep, brace_to_post_lie,
+                              lambda_derivative, omega_map, post_lie_to_brace, transfer_report, u_eval)
 from lazbrace.modarith import (
     _CHUNK,
     AbelianBasis,
@@ -67,6 +73,7 @@ from lazbrace.modarith import (
     PShape,
     _find_identity,
     _require_none,
+    index_dtype,
     _row_blocks,
     _table_orders,
     _table_times,
@@ -82,13 +89,13 @@ from lazbrace.skewbrace import (
     SkewBrace,
     _all_subgroups_group,
     _automorphisms_into,
-    _hom_failure,
     all_group_chains,
     aut_plus,
     automorphisms,
     classify_subset_brace,
     enumerate_braces,
     l_series_brace,
+    lambda_and_star,
     left_series_brace,
     minimal_generators,
     right_series_brace,
@@ -408,15 +415,33 @@ def test_group_tables_match_the_row_oracle(rng):
 
 
 def test_braces_match_the_compatibility_oracle(rng):
-    braces = [B for _, B in catalogs.order9_braces()] + [catalogs.radical_brace(5, 2)]
+    braces = [B for _, B in catalogs.order9_braces()] + [catalogs.radical_brace(5, 2), catalogs.twisted_sum(5)]
     braces += [_relabelled(B, rng) for B in braces for _ in range(2)]
     braces += [SkewBrace(B.dot, FinGroup(_perturbed(B.circ.table, rng), 0)) for B in braces[:6]]
     first = braces[0]
     braces += [SkewBrace(FinGroup(_product(first.dot.table, B.dot.table), 0),
                          FinGroup(_product(first.circ.table, B.circ.table), 0)) for B in braces[:20]]
-    verdicts = [bool(verify_skew_brace(B).ok) for B in braces]
+    reports = [verify_skew_brace(B) for B in braces]
+    verdicts = [bool(rep.ok) for rep in reports]
     assert verdicts == [oracle_brace(B) for B in braces]
+    assert verdicts == [oracle_verify_skew_brace(B) for B in braces]
     assert True in verdicts and False in verdicts
+    compat = 0
+    for B, rep in zip(braces, reports):
+        if not (oracle_group_table(B.dot.table) and oracle_group_table(B.circ.table)):
+            continue
+        compat += not rep.ok
+        if not rep.ok:  # the witness breaks compatibility, at generators a of circ and b of dot
+            a, b, c = map(int, re.fullmatch(r"compatibility fails at \(a,b,c\)=\((\d+),(\d+),(\d+)\)",
+                                            rep.failures[0]).groups())
+            dot, circ, inv = B.dot.table, B.circ.table, B.dot.inv
+            assert circ[a, dot[b, c]] != dot[dot[circ[a, b], inv[a]], circ[a, c]]
+            assert a in B.circ.gens and b in B.dot.gens
+        got, want = _failure(lambda: lambda_and_star(B)), _failure(lambda: oracle_lambda_and_star(B))
+        assert (got is None) == (want is None) == rep.ok
+        if rep.ok:
+            assert all(map(np.array_equal, lambda_and_star(B), oracle_lambda_and_star(B)))
+    assert compat >= 10
 
 
 def test_group_chains_match_the_pairwise_oracle(data_dir):
@@ -1196,8 +1221,8 @@ def test_group_closure_matches_the_frontier_oracle(series_braces, data_dir):
 
 
 def oracle_verify_group_table(table):
-    """verify_group_table with Light's test on the generators of the
-    frontier walk."""
+    """verify_group_table with Light's test on columns, (x a) y = x (a y)
+    for the generators a of the frontier walk."""
     table = np.asarray(table, dtype=np.int64)
     ident = int(np.nonzero((table == np.arange(table.shape[0])).all(axis=1))[0][0])
     for a in oracle_group_gens(FinGroup(table, ident)):
@@ -1208,12 +1233,27 @@ def oracle_verify_group_table(table):
     return None
 
 
+def oracle_left_light(table) -> str | None:
+    """The first (g, x, y) with (g x) y != g (x y), g over the generators of
+    the frontier walk, one product at a time."""
+    table = np.asarray(table, dtype=np.int64)
+    n = table.shape[0]
+    ident = int(np.nonzero((table == np.arange(n)).all(axis=1))[0][0])
+    for g in oracle_group_gens(FinGroup(table, ident)):
+        for x in range(n):
+            for y in range(n):
+                if table[table[g, x], y] != table[g, table[x, y]]:
+                    return f"associativity fails at (g,x,y)=({g},{x},{y})"
+    return None
+
+
 def test_group_table_verdicts_unchanged_on_loops_and_perturbed_tables(rng):
     tables = [laz(catalogs.heisenberg(3)).table]
     for k, switches in ((3, [(1, 2, 3), (2, 4, 7)]), (6, [(1, 2, 3), (5, 30, 17)])):
         X = _xor_table(k)
         tables += [X] + [_intercalate_switch(X, *sw) for sw in switches]
     tables += [_product(tables[1], t) for t in tables[2:4]]
+    tables += [catalogs.nonassociative_loop(5)]  # one generator: the last is the only one that fails
     tables += [_perturbed(t, rng) for t in tables]
     loops = 0
     for t in tables:
@@ -1221,8 +1261,8 @@ def test_group_table_verdicts_unchanged_on_loops_and_perturbed_tables(rng):
         latin = not any("permutation" in f or "identity" in f for f in rep.failures)
         if latin:
             loops += 1
-            expected = oracle_verify_group_table(t)
-            assert rep.failures == (() if expected is None else (expected,))
+            assert rep.ok == (oracle_verify_group_table(t) is None)
+            assert rep.failures == (() if rep.ok else (oracle_left_light(t),))
         assert rep.ok == oracle_group_table(t)
     assert loops >= 7
 
@@ -1341,7 +1381,7 @@ def oracle_extend_images(G: FinGroup, gens, fact, images) -> np.ndarray | None:
                 rest.append(x)
         assert len(rest) < len(pending), "factorization order broken"
         pending = rest
-    if np.unique(phi).size != n or _hom_failure(G.table, phi, gens) is not None:
+    if np.unique(phi).size != n or oracle_hom_failure(G.table, phi, gens) is not None:
         return None
     return phi
 
@@ -1377,3 +1417,112 @@ def test_automorphisms_match_the_factorization_oracle(order9_braces):
             got = aut_plus(G, F)
             assert len(got) == len(want) and all(map(np.array_equal, got, want)), name
     assert deep >= 3
+
+
+# ---------------------------------------------------------------------------
+# One generator-row law test (liering._hom_failure) against the column
+# forms and the all-pairs isomorphism checks it replaced.
+
+
+def oracle_hom_failure(table, maps, gens) -> tuple[int, int, int] | None:
+    """First (k, b, g) with f(b . g) != f(b) . f(g) for f = maps[k] and g in
+    gens, on columns."""
+    maps = np.atleast_2d(maps)
+    for g in gens:
+        bad = maps[:, table[:, g]] != table[maps, maps[:, g, None]]
+        if bad.any():
+            k, b = np.argwhere(bad)[0]
+            return int(k), int(b), int(g)
+    return None
+
+
+def oracle_verify_skew_brace(B: SkewBrace) -> bool:
+    """Both group tables, one identity, and every lambda_a a dot
+    endomorphism on the dot generators, on columns."""
+    if not (oracle_group_table(B.dot.table) and oracle_group_table(B.circ.table)):
+        return False
+    return B.dot.identity == B.circ.identity and oracle_hom_failure(B.dot.table, B.lam, B.dot.gens) is None
+
+
+def oracle_lambda_and_star(B: SkewBrace) -> tuple[np.ndarray, np.ndarray]:
+    """Each lambda_a a bijection (sorted rows) and a dot endomorphism on
+    columns, and lambda_(a o g) = lambda_a lambda_g for circ generators g."""
+    lam = B.lam
+    bijective = (np.sort(lam, axis=1) == np.arange(B.order)).all(axis=1)
+    if not bijective.all():
+        raise FailedTheoremError(f"lambda_{int(np.argmin(bijective))} is not a bijection")
+    bad = oracle_hom_failure(B.dot.table, lam, B.dot.gens)
+    if bad is not None:
+        raise FailedTheoremError(f"lambda_{bad[0]} is not an automorphism of dot")
+    for g in B.circ.gens:
+        bad_a = (lam[B.circ.table[:, g]] != lam[:, lam[g]]).any(axis=1)
+        if bad_a.any():
+            raise FailedTheoremError(f"lambda_(a o b) != lambda_a lambda_b at a={int(np.argmax(bad_a))}")
+    idx = np.arange(B.order)
+    return lam, B.dot.table[lam, B.dot.inv[idx]]
+
+
+def oracle_require_isomorphism(phi: np.ndarray, src: np.ndarray, dst: np.ndarray, what: str) -> None:
+    """phi(a b) = phi(a) phi(b) on all n^2 pairs of the tables src, dst."""
+    _require_none(phi.astype(index_dtype(phi.size))[src] != dst[phi[:, None], phi[None, :]], what)
+
+
+def oracle_w_hom(P: PostLieRing, W: np.ndarray, circ: np.ndarray) -> None:
+    oracle_require_isomorphism(W, laz(P.circ, F=None).table, circ, "W is not an isomorphism onto the circle group")
+
+
+def oracle_omega_hom(B: SkewBrace, P: PostLieRing, basis: AbelianBasis, Omega: np.ndarray) -> None:
+    oracle_require_isomorphism(Omega, B.circ.table, basis.relabel(laz(P.circ, F=None).table),
+                               "omega is not an isomorphism onto Laz of the circ ring")
+
+
+def _coset_swap(row: np.ndarray, identity: int) -> np.ndarray | None:
+    """A bijection psi with psi(g x) = g psi(x) for the row x -> g x of a
+    group: two orbits of the row (cosets of <g>) without the identity,
+    swapped along their walks; None when there are not two."""
+    seen = np.zeros(row.size, dtype=bool)
+    walks = []  # the identity's coset first
+    for x in (identity, *range(row.size)):
+        if not seen[x]:
+            walk = [x]
+            while row[walk[-1]] != x:
+                walk.append(int(row[walk[-1]]))
+            seen[walk] = True
+            walks.append(walk)
+    if len(walks) < 3:
+        return None
+    psi = np.arange(row.size)
+    psi[walks[1]], psi[walks[2]] = walks[2], walks[1]
+    return psi
+
+
+def _verdicts(fn, maps) -> list[str | None]:
+    return [_failure(lambda: fn(f)) for f in maps]
+
+
+def test_isomorphism_checks_match_the_all_pairs_oracles(postlie_cat, brace_logs):
+    # W and Omega as built, moved by a transposition, and moved by a swap of
+    # two cosets of <g> for the first generator g, which keeps
+    # f(g b) = f(g) f(b) for that g: only a later generator shows it
+    assert len(postlie_cat) == 51 and len(brace_logs) == 73
+    failed = 0
+    for name, P in postlie_cat:
+        flow = post_lie_to_brace(P, check=False)
+        W, circ = flow.w, flow.brace.circ.table
+        u = P.shape.units()[0].index
+        psi = _coset_swap(_laz_rows(P.circ, _lazard_degree(P.circ), P.shape.carrier, [u])[0], 0)
+        maps = [W, W[np.roll(np.arange(W.size), 1)]] + ([] if psi is None else [W[psi]])
+        got = [v is None for v in _verdicts(lambda f: _require_w_hom(P, f, circ), maps)]
+        assert got == [v is None for v in _verdicts(lambda f: oracle_w_hom(P, f, circ), maps)], name
+        assert got[0]
+        failed += got.count(False)
+    for name, B, log in brace_logs:  # the flows of the catalog among them
+        assert verify_skew_brace(B).ok and oracle_hom_failure(B.dot.table, B.lam, B.dot.gens) is None, name
+        P, basis, Omega = log.post_lie, log.basis, log.omega
+        psi = _coset_swap(B.circ.table[B.circ.gens[0]], B.circ.identity)
+        maps = [Omega, Omega[::-1]] + ([] if psi is None else [Omega[psi]])
+        got = [v is None for v in _verdicts(lambda f: _require_omega_hom(B, P, basis, f), maps)]
+        assert got == [v is None for v in _verdicts(lambda f: oracle_omega_hom(B, P, basis, f), maps)], name
+        assert got[0]
+        failed += got.count(False)
+    assert failed >= 100
