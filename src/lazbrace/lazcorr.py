@@ -51,7 +51,6 @@ from .skewbrace import (
     right_series_brace,
     strong_series_brace,
     substructures_brace,
-    verify_skew_brace,
 )
 
 __all__ = [
@@ -226,7 +225,7 @@ def post_lie_to_brace(P: PostLieRing, check: bool = True) -> FlowResult:
     circ = dot.table[np.arange(n)[:, None], images]
     brace = SkewBrace(dot, FinGroup(circ, 0))
     if check:
-        rep = verify_skew_brace(brace)
+        rep = brace.verdict
         if not rep.ok:
             raise FailedTheoremError(f"flow image is not a skew brace: {rep.failures}")
         bser = l_series_brace(brace)
@@ -348,7 +347,7 @@ def brace_to_post_lie(B: SkewBrace, check: bool = True) -> LogResult:
     compares their generator columns, the n r matrix rows of D[W(a)] and
     L_a, and names the first a with a generator b."""
     if check:
-        rep = verify_skew_brace(B)
+        rep = B.verdict
         if not rep.ok:
             raise ModArithError(f"not a skew brace: {rep.failures}")
     k = _lazard_brace_filtration(B).length

@@ -534,11 +534,8 @@ class FinGroup:
 
     @cached_property
     def inv(self) -> np.ndarray:
-        n = self.order
-        inv = np.empty(n, dtype=np.int64)
-        rows, cols = np.nonzero(self.table == self.identity)
-        inv[rows] = cols
-        return inv
+        """inv[a]: the first b with a b = identity, or 0 in a row without one."""
+        return (self.table == self.identity).argmax(axis=1)
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
@@ -886,8 +883,14 @@ def laz_inv(G: FinGroup, F: Filtration | None = None, force: bool = False) -> Li
                      [], grow=True)
     add = _fill_group(tree)
     q_rows = np.asarray([_eval_word_batch(G, q_word, np.full(n, g), idx) for g in tree.gens])
-    # biadditivity: [g + z, x] = [z, x] + [g, x] on each tree edge
-    br = _fill(tree, np.full(n, G.identity), lambda i, Z: add[Z, q_rows[i]])
+    flat = add.ravel()
+
+    def bracket_step(i, Z):  # [g + z, x] = [z, x] + [g, x]: add[Z, q] = flat[Z n + q], indexed in intp
+        ix = np.multiply(Z, n, dtype=np.intp)
+        ix += q_rows[i]
+        return flat.take(ix)
+
+    br = _fill(tree, np.full(n, G.identity), bracket_step)
     return LieRingTable(add, br, G.identity)
 
 

@@ -17,6 +17,7 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
+from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -72,6 +73,11 @@ def _index_table(table, n: int | None = None) -> np.ndarray:
     n = arr.shape[0] if n is None and arr.ndim else n
     if arr.shape != (n, n):
         raise ModArithError(f"table of shape {arr.shape} is not {n} x {n}")
+    return _index_rows(arr, n)
+
+
+def _index_rows(arr: np.ndarray, n: int) -> np.ndarray:
+    """_index_table for any 2-D array of element indices below n."""
     if arr.size and (arr.min() < 0 or arr.max() >= n):
         x, y = np.argwhere((arr < 0) | (arr >= n))[0]
         raise ModArithError(f"table entry out of range 0..{n - 1} at (row,column,value)=({x},{y},{arr[x, y]})")
@@ -98,7 +104,8 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 
 class _Tree(NamedTuple):
     """A breadth-first Schreier tree of z -> g z from `root`: rows[i] is
-    x -> gens[i] x, and each level (ys, zs, i) has ys = gens[i] zs."""
+    x -> gens[i] x in index_dtype(n), and each level is a list of runs
+    (ys, zs, i), one per generator i, with ys = gens[i] zs."""
 
     root: int
     gens: list[int]
@@ -108,7 +115,10 @@ class _Tree(NamedTuple):
 
 def _schreier(n: int, identity: int, row_of, gens, grow: bool = False) -> _Tree:
     """Grow the tree over 0..n-1 one vectorised level at a time; row_of(g)
-    is the array x -> g x.  Where the tree stops short, its least unreached
+    is the array x -> g x.  The candidates of a level are gens[i] z for i
+    in order and z in the previous level in increasing order; each new
+    element keeps its first candidate edge, and the edges are cut into one
+    run per generator.  Where the tree stops short, its least unreached
     element joins the generators (grow) or is named in a FailedTheoremError.
     Every 2 isqrt(n) levels the least element of the newest level joins
     them too, so that a cyclic tree is about 2.5 sqrt(n) deep, not n."""
@@ -131,32 +141,36 @@ def _schreier(n: int, identity: int, row_of, gens, grow: bool = False) -> _Tree:
             blocks.append((np.flatnonzero(reached), len(gens) - 1))
         cand = np.concatenate([rows[i][zs] for zs, i in blocks])
         fresh = np.flatnonzero(~reached[cand])
-        ys, first = np.unique(cand[fresh], return_index=True)
-        pos = fresh[first]
-        levels.append((ys, np.concatenate([zs for zs, _ in blocks])[pos],
-                       np.concatenate([np.full(zs.size, i) for zs, i in blocks])[pos]))
-        reached[ys] = True
-        frontier = ys
-    return _Tree(identity, gens, np.asarray(rows, dtype=np.int64).reshape(-1, n), levels)
+        frontier, first = np.unique(cand[fresh], return_index=True)
+        pos = np.sort(fresh[first])  # the first edges, back in block order
+        ends = pos.searchsorted(list(accumulate(zs.size for zs, _ in blocks))).tolist()
+        ys, zs = cand[pos], np.concatenate([zs for zs, _ in blocks])[pos]
+        levels.append([(ys[a:b], zs[a:b], i) for (_, i), a, b in zip(blocks, [0, *ends], ends) if b > a])
+        reached[frontier] = True
+    return _Tree(identity, gens, _index_rows(np.asarray(rows, dtype=np.int64).reshape(-1, n), n), levels)
 
 
 def _fill(tree: _Tree, first, step) -> np.ndarray:
     """The (n, m) table over the tree's n elements with row `first` (m
     element indices below n) at the root and row y = step(i, row z) on each
-    tree edge y = gens[i] z, one gather per level (chunked)."""
+    tree edge y = gens[i] z: one step per run, with i one generator and Z
+    the (k, m) rows of its zs (chunked).  A step that forms a flat index
+    into an n x n table forms it in intp, as n^2 overflows index_dtype(n)."""
     n, m = tree.rows.shape[1], len(first)
     table = np.empty((n, m), dtype=index_dtype(n))
     table[tree.root] = first
-    for ys, zs, gi in tree.levels:
-        for part in _row_blocks(ys.size, m):
-            table[ys[part]] = step(gi[part], table[zs[part]])
+    chunk = max(1, _CHUNK // max(1, m))
+    for level in tree.levels:
+        for ys, zs, i in level:
+            for a in range(0, ys.size, chunk):
+                table[ys[a:a + chunk]] = step(i, table[zs[a:a + chunk]])
     return table
 
 
 def _fill_group(tree: _Tree) -> np.ndarray:
     """The Cayley table of an associative product fixed by the tree's
-    generator rows: row y = g z is row_g[row z]."""
-    return _fill(tree, np.arange(tree.rows.shape[1]), lambda i, Z: tree.rows[i[:, None], Z])
+    generator rows: row y = g z is row_g[row z], one 1-D take per run."""
+    return _fill(tree, np.arange(tree.rows.shape[1]), lambda i, Z: tree.rows[i].take(Z))
 
 
 def is_prime(n: int) -> bool:
@@ -552,8 +566,8 @@ class AbelianBasis:
         """
         tree = self.tree
         cols = np.ascontiguousarray(self.elems(images(self.coords[tree.gens])).T)  # (k, m)
-        add = self.add
-        return _fill(tree, np.full(cols.shape[1], self.elem_of[0]), lambda i, Z: add[cols[i], Z]).T
+        flat, base = self.add.ravel(), cols.astype(np.intp) * len(self.coords)  # add[c, z] = flat[c n + z]
+        return _fill(tree, np.full(cols.shape[1], self.elem_of[0]), lambda i, Z: flat.take(base[i] + Z)).T
 
     def vec_of(self, t: int) -> PVec:
         return self.shape.vec_of_index(int(self.index_of_elem[t]))

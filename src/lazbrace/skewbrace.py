@@ -97,6 +97,14 @@ class SkewBrace:
         return self.dot.table[self.dot.inv[:, None], self.circ.table]
 
     @cached_property
+    def verdict(self) -> CheckReport:
+        """verify_skew_brace(self), computed once per brace and cached.
+
+        Exact: the FinGroup tables are read-only, so the verdict on a brace
+        cannot change once computed."""
+        return verify_skew_brace(self)
+
+    @cached_property
     def l_series(self) -> SeriesResult:
         """l_series_brace(self), computed once per brace and cached.
 
@@ -377,14 +385,14 @@ def _automorphisms_into(G: FinGroup, gens: list[int], cands: list[list[int]]) ->
     generators the tree adds itself included, so none is missed.
     """
     tree = _schreier(G.order, G.identity, lambda g: G.table[g], gens)
-    tree_gens = np.asarray(tree.gens, dtype=np.int64)
+    runs = [(ys, zs, tree.gens[i]) for level in tree.levels for ys, zs, i in level]
     rows = G.table[gens]
     out = []
     for combo in product(*cands):
         phi = np.full(G.order, G.identity, dtype=np.int64)
         phi[gens] = combo
-        for ys, zs, i in tree.levels:
-            phi[ys] = G.table[phi[tree_gens[i]], phi[zs]]
+        for ys, zs, g in runs:
+            phi[ys] = G.table[phi[g]][phi[zs]]
         if np.unique(phi).size == G.order and _hom_failure(phi, rows, G.table[phi[gens]][None]) is None:
             out.append(phi)
     return out

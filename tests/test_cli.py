@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import catalogs
-from lazbrace import cli, formats, lazcorr, liering, modarith
+from lazbrace import cli, formats, lazcorr, liering, modarith, skewbrace
 from lazbrace.cli import main
 from lazbrace.common import ParseError
 from lazbrace.liering import FinGroup
@@ -430,3 +430,22 @@ def test_a_roundtrip_builds_one_lazard_table(capsys, monkeypatch, tmp_path):
         calls.clear()
         assert run(capsys, "roundtrip", str(path)) == (0, "roundtrip: exact\n", ""), path
         assert len(calls) == 1, path
+
+
+def test_a_plie_roundtrip_verifies_its_flow_brace_once(capsys, monkeypatch, tmp_path):
+    # brace_to_post_lie reads the verdict post_lie_to_brace cached on the
+    # flow brace; a .skb roundtrip verifies its input and the flow brace of
+    # the logged ring, two braces
+    calls = []
+    verify = skewbrace.verify_skew_brace
+
+    def counting(B):
+        calls.append(id(B))
+        return verify(B)
+
+    monkeypatch.setattr(skewbrace, "verify_skew_brace", counting)
+    skb, plie = _order_625_files(monkeypatch, tmp_path)
+    for path, braces in ((plie, 1), (skb, 2)):
+        calls.clear()
+        assert run(capsys, "roundtrip", str(path)) == (0, "roundtrip: exact\n", ""), path
+        assert len(calls) == len(set(calls)) == braces, path

@@ -7,19 +7,21 @@ isomorphisms W and Omega included, is one test on generator rows
 comparisons with a whole Laz table of the circ ring.  all_add_subgroups
 builds each subgroup once without a closure.  laz, laz_inv and
 laz_of_table evaluate only the rows of generators and fill the rest along
-a Schreier tree, and every series of rings, groups and braces takes each
-term as one closure of products of generators.  Omega and U come from one
-stacked BCH in the semidirect sum T (+) End(T), and the root-of-unity
-triangle from stacked gathers.  transfer_report classifies the subgroups
-of one order in one batch per side, and classify_subset and
-classify_subset_brace are the one-subset case of those batches.  The
-oracles below sweep every triple or pair, search by closure, close whole
-product sets, classify one subset at a time, or evaluate one element at a
-time in the holomorph, as the library once did, and must give the same
+a Schreier tree, one step per (level, generator) run, and every series of
+rings, groups and braces takes each term as one closure of products of
+generators.  Omega and U come from one stacked BCH in the semidirect sum
+T (+) End(T), and the root-of-unity triangle from stacked gathers.
+transfer_report classifies the subgroups of one order in one batch per
+side, and classify_subset and classify_subset_brace are the one-subset
+case of those batches.  The oracles below sweep every triple or pair,
+search by closure, close whole product sets, classify one subset at a
+time, evaluate one element at a time in the holomorph, or fill each tree
+level in one gather, as the library once did, and must give the same
 verdict, list, table or map on every table, chain, subset, ring and brace
 of the corpus, valid or not.
 """
 
+import math
 import re
 from fractions import Fraction
 from itertools import product
@@ -71,6 +73,7 @@ from lazbrace.modarith import (
     Endo,
     ModArithError,
     PShape,
+    _fill_group,
     _find_identity,
     _require_none,
     index_dtype,
@@ -1066,6 +1069,139 @@ def test_ill_defined_bracket_constants_are_refused():
     oracle_table_to_sc(T)
     with pytest.raises(FailedTheoremError, match=r"^bracket table is not biadditive over the decomposition at "):
         table_to_sc(T)
+
+
+# ---------------------------------------------------------------------------
+# Schreier trees and the run fill against the level-wise tree and fill they
+# replace: the same generators and edges at each depth, and one 2-D gather
+# per level.
+
+
+def oracle_schreier(n: int, identity: int, row_of, gens) -> tuple[list[int], np.ndarray, list]:
+    """(gens, int64 rows, levels), each level (ys, zs, gi) in increasing
+    ys, with ys = gens[gi] zs; the least unreached element joins the
+    generators where the tree stops short."""
+    gens = [int(g) for g in gens]
+    rows = [row_of(g) for g in gens]
+    reached = np.zeros(n, dtype=bool)
+    reached[identity] = True
+    levels = []
+    frontier = np.array([identity])
+    deep = 2 * math.isqrt(n)
+    while not reached.all():
+        blocks = [(frontier, i) for i in range(len(gens))] if frontier.size else []
+        if not blocks or len(levels) % deep == deep - 1:
+            gens.append(int(frontier[0]) if blocks else int(np.argmin(reached)))
+            rows.append(row_of(gens[-1]))
+            blocks.append((np.flatnonzero(reached), len(gens) - 1))
+        cand = np.concatenate([rows[i][zs] for zs, i in blocks])
+        fresh = np.flatnonzero(~reached[cand])
+        ys, first = np.unique(cand[fresh], return_index=True)
+        pos = fresh[first]
+        levels.append((ys, np.concatenate([zs for zs, _ in blocks])[pos],
+                       np.concatenate([np.full(zs.size, i) for zs, i in blocks])[pos]))
+        reached[ys] = True
+        frontier = ys
+    return gens, np.asarray(rows, dtype=np.int64).reshape(-1, n), levels
+
+
+def oracle_fill(tree, root: int, first, step) -> np.ndarray:
+    """The int64 table with row `first` at the root and, on each level,
+    rows ys = step(gi, rows zs) as one 2-D gather."""
+    table = np.empty((tree[1].shape[1], len(first)), dtype=np.int64)
+    table[root] = first
+    for ys, zs, gi in tree[2]:
+        table[ys] = step(gi, table[zs])
+    return table
+
+
+def oracle_fill_group(tree, root: int) -> np.ndarray:
+    rows = tree[1]
+    return oracle_fill(tree, root, np.arange(rows.shape[1]), lambda gi, Z: rows[gi[:, None], Z])
+
+
+def _word_row(G: FinGroup, word):
+    """g -> the row x -> word(g, x) of a group word."""
+    idx = np.arange(G.order, dtype=np.int64)
+    return lambda g: _eval_word_batch(G, word, np.full(G.order, g), idx)
+
+
+def oracle_laz_inv_fill(G: FinGroup, k: int):
+    """laz_inv's tree of the rows P(g, .), and its addition and bracket
+    filled level by level."""
+    p_word, q_word = freelie.inverse_words(k)
+    n = G.order
+    tree = oracle_schreier(n, G.identity, _word_row(G, p_word), [])
+    add = oracle_fill_group(tree, G.identity)
+    q_rows = np.asarray([_word_row(G, q_word)(g) for g in tree[0]], dtype=np.int64)
+    return tree, add, oracle_fill(tree, G.identity, np.full(n, G.identity), lambda gi, Z: add[Z, q_rows[gi]])
+
+
+def oracle_additive_table(basis: AbelianBasis, images):
+    """The carrier's additive tree from the elements p^j gens[i], and the
+    (m, n) table of additive maps filled level by level along it."""
+    s, coords = basis.shape, basis.coords
+    steps = np.concatenate([np.multiply.outer(s.p ** np.arange(e), np.eye(s.rank, dtype=np.int64)[i])
+                            for i, e in enumerate(s.exps)])
+    root = int(basis.elem_of[0])
+    tree = oracle_schreier(len(coords), root, lambda g: basis.elems(coords + coords[g]), basis.elems(steps))
+    add = oracle_fill_group(tree, root)
+    cols = basis.elems(images(coords[tree[0]])).T
+    return tree, add, oracle_fill(tree, root, np.full(cols.shape[1], root), lambda gi, Z: add[cols[gi], Z]).T
+
+
+def _assert_same_tree(tree, oracle, name) -> None:
+    """The same generators, rows and depth, and at each depth one run per
+    generator, in generator order, holding the oracle's edges."""
+    gens, rows, levels = oracle
+    assert tree.gens == gens and tree.rows.dtype == index_dtype(rows.shape[1]), name
+    assert np.array_equal(tree.rows, rows) and len(tree.levels) == len(levels), name
+    for runs, (ys, zs, gi) in zip(tree.levels, levels):
+        order = [i for _, _, i in runs]
+        assert order == sorted(set(order)) and sum(y.size for y, _, _ in runs) == ys.size, name
+        edges = {(y, z, i) for Y, Z, i in runs for y, z in zip(Y.tolist(), Z.tolist())}
+        assert edges == set(zip(ys.tolist(), zs.tolist(), gi.tolist())), name
+
+
+def test_run_fills_match_the_level_oracle(lazard_tables, brace_logs):
+    # every fill on the Lazard tables (uint8 and uint16, up to order 2401)
+    # and on the brace corpus: the Laz table, laz_inv's addition and
+    # bracket, the group tables of both braces, and additive_table
+    orders = set()
+    for name, L, G, T in lazard_tables:
+        n = G.order
+        orders.add(n)
+        degree = _lazard_degree(L, None)
+        row_of = lambda g: _laz_rows(L, degree, L.shape.carrier, [g])[0]
+        units = [u.index for u in L.shape.units()]
+        tree, oracle = _schreier(n, 0, row_of, units), oracle_schreier(n, 0, row_of, units)
+        _assert_same_tree(tree, oracle, name)
+        assert np.array_equal(_fill_group(tree), oracle_fill_group(oracle, 0)), name
+        k = canonical_group_filtration(G).filtration.length
+        oracle, add, br = oracle_laz_inv_fill(G, k)
+        _assert_same_tree(_schreier(n, G.identity, _word_row(G, freelie.inverse_words(k)[0]), [], grow=True),
+                          oracle, name)
+        assert np.array_equal(T.add, add) and np.array_equal(T.bracket, br), name
+        L_sc, basis = table_to_sc(T)
+        images = lambda X: L_sc.bracket_batch(basis.coords[:, None, :], X)
+        oracle, add, table = oracle_additive_table(basis, images)
+        _assert_same_tree(basis.tree, oracle, name)
+        assert np.array_equal(add, T.add) and np.array_equal(table, T.bracket), name
+        assert np.array_equal(basis.additive_table(images), table), name
+    assert {81, 625, 2401} <= orders
+    for name, B, log in brace_logs:
+        for G in (B.dot, B.circ):
+            row_of = lambda g: G.table[g]
+            tree = _schreier(G.order, G.identity, row_of, G.gens)
+            oracle = oracle_schreier(G.order, G.identity, row_of, G.gens)
+            _assert_same_tree(tree, oracle, name)
+            assert np.array_equal(_fill_group(tree), oracle_fill_group(oracle, G.identity)), name
+            assert np.array_equal(_fill_group(tree), G.table), name
+        basis, DW = log.basis, log.post_lie.l_mats(log.basis.coords)
+        oracle, add, table = oracle_additive_table(basis, lambda X: X @ DW)
+        _assert_same_tree(basis.tree, oracle, name)
+        assert np.array_equal(basis.add, add) and np.array_equal(log.tri_table, table), name
+        assert np.array_equal(basis.additive_table(lambda X: X @ DW), table), name
 
 
 # ---------------------------------------------------------------------------
