@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import os
 import sys
 
 import numpy as np
@@ -58,15 +59,21 @@ def _fmt_set(s) -> str:
     return "{" + ",".join(str(x) for x in sorted(s)) + "}"
 
 
-def _write_output(text: str, path: str | None) -> int:
-    """Write text to `path`, or to stdout when there is none; an unwritable
-    path is an unusable argument (exit 2)."""
+def _write_output(blocks, path: str | None) -> int:
+    """Write the text pieces `blocks` to `path`, one at a time, or their join
+    to stdout when there is none.  An unwritable path is an unusable
+    argument (exit 2); a file left part-written by any error is removed."""
     if not path:
-        sys.stdout.write(text)
+        sys.stdout.write("".join(blocks))
         return EXIT_OK
     try:
         with open(path, "w", encoding="ascii") as fh:
-            fh.write(text)
+            try:
+                fh.writelines(blocks)
+            except BaseException:
+                if os.path.isfile(path):  # not a device such as /dev/null
+                    os.remove(path)
+                raise
     except OSError as exc:
         print(f"cannot write {path}: {exc.strerror}", file=sys.stderr)
         return EXIT_PARSE
@@ -135,13 +142,13 @@ def cmd_convert(args) -> int:
         if kind != "postlie":
             raise ParseError(f"convert --to brace needs a postlie file, got {kind}")
         flow = post_lie_to_brace(value)
-        text = formats.write_text(flow.brace)
+        blocks = formats.text_blocks(flow.brace)
     else:
         if kind != "skewbrace":
             raise ParseError(f"convert --to postlie needs a skewbrace file, got {kind}")
         log = brace_to_post_lie(value)
-        text = formats.write_text(log.post_lie)
-    return _write_output(text, args.output)
+        blocks = formats.text_blocks(log.post_lie)
+    return _write_output(blocks, args.output)
 
 
 def cmd_roundtrip(args) -> int:
@@ -176,7 +183,7 @@ def cmd_bch_words(args) -> int:
         print(f"# self-inversion at class {c}: {'pass' if ok else 'FAIL'}", file=sys.stderr)
         if not ok:
             return EXIT_VERIFY
-    return _write_output(text, args.output)
+    return _write_output([text], args.output)
 
 
 def _parse_shape(spec: str) -> PShape:
@@ -240,8 +247,7 @@ def cmd_root_diff(args) -> int:
     log = brace_to_post_lie(value)
     lambda_derivative(value, log)
     print("root-of-unity triangle matches the logged triangle: exact")
-    text = formats.write_text(log.post_lie)
-    return _write_output(text, args.output)
+    return _write_output(formats.text_blocks(log.post_lie), args.output)
 
 
 @functools.cache

@@ -7,17 +7,15 @@ decimal, parsing is locale-free, and writing is deterministic, so write
 
 from __future__ import annotations
 
-import re
-
 import numpy as np
 
 from .common import ParseError
 from .liering import _check_shape_cap, FinGroup, LieRingSC
-from .modarith import ModArithError, PShape
+from .modarith import ModArithError, PShape, _row_blocks, index_dtype
 from .postlie import PostLieRing
 from .skewbrace import SkewBrace
 
-__all__ = ["parse_file", "parse_text", "write_text", "FORMAT_VERSION"]
+__all__ = ["parse_file", "parse_text", "write_text", "text_blocks", "FORMAT_VERSION"]
 
 FORMAT_VERSION = 1
 
@@ -30,32 +28,77 @@ def _intline(tokens, what, line_no):
 
 
 def _parse_table(lines, start, n, what):
-    """The n x n table on lines[start:start + n]: converted in one pass when
-    every row is n plain decimal tokens, else row by row, naming the bad line."""
+    """The n x n table on lines[start:start + n], in index_dtype(n).
+
+    Rows are converted in _row_blocks blocks.  A block of plain rows (see
+    _plain_values) is decoded from its bytes; any other block goes row by
+    row through int(), which names its first bad line.  The range error is
+    raised only after every block has passed its format check, so a format
+    error anywhere in the table wins over it.
+    """
     rows = lines[start:start + n]
-    token = "[0-9]{1,18}"  # at most 18 digits, so below 2**63
-    plain = re.compile(rf"{token}(?:[ \t]+{token}){{{n - 1}}}")
-    if all(plain.fullmatch(ln) for _, ln in rows):
-        table = np.fromstring(" ".join(ln for _, ln in rows), dtype=np.int64, sep=" ").reshape(n, n)
-    else:
-        vals = []
-        for ln_no, ln in rows:
-            row = _intline(ln.split(), what, ln_no)
-            if len(row) != n:
-                raise ParseError(f"line {ln_no}: expected {n} entries in {what} row")
-            vals.append([v if 0 <= v < n else -1 for v in row])  # -1 fails the range check below
-        table = np.asarray(vals, dtype=np.int64)
-    if table.min() < 0 or table.max() >= n:
+    width = len(str(n - 1))
+    table = np.empty((n, n), dtype=index_dtype(n))
+    in_range = True
+    for blk in _row_blocks(n, n * (width + 1)):
+        values = _plain_values(rows[blk], n, width)
+        if values is None:
+            values = []
+            for ln_no, ln in rows[blk]:
+                row = _intline(ln.split(), what, ln_no)
+                if len(row) != n:
+                    raise ParseError(f"line {ln_no}: expected {n} entries in {what} row")
+                values.append(row if min(row) >= 0 and max(row) < n else [n] * n)  # n fails the range check
+        ok = np.max(values) < n
+        if ok:
+            table[blk] = values
+        in_range &= ok
+    if not in_range:
         raise ParseError(f"{what} entries out of range 0..{n - 1}")
     return table
+
+
+def _plain_values(rows, n, width):
+    """The (len(rows), n) array of values of `rows` (line number, stripped
+    line) when every row is plain: only ASCII digits, blanks and tabs, n
+    tokens, and no token longer than `width` digits.  None otherwise.
+
+    The rows are joined into one byte array, each after a newline.  A token
+    is a run of digits, and token k * n must follow the newline of row k.
+    A value is summed from one take per digit place, counted back from the
+    token's last digit, in the smallest dtype that holds 10**width - 1.
+    """
+    text = ("\n" + "\n".join(ln for _, ln in rows) + "\n").encode("ascii", "replace")
+    if text.translate(None, b"0123456789 \t\n"):
+        return None
+    buf = np.frombuffer(text, dtype=np.uint8)
+    digit = buf >= ord("0")
+    edges = np.flatnonzero(digit[1:] != digit[:-1])  # the text starts and ends off a token
+    before, ends = edges[0::2], edges[1::2]  # the byte before each token, and its last digit
+    newlines = np.cumsum([0] + [len(ln) + 1 for _, ln in rows[:-1]])
+    if len(before) != len(rows) * n or not np.array_equal(before[::n], newlines):
+        return None
+    lengths = ends - before
+    if lengths.max() > width:
+        return None
+    lengths = lengths.astype(np.uint8)
+    digits = buf - np.uint8(ord("0"))
+    acc = np.min_scalar_type(10 ** width - 1)
+    values = digits.take(ends).astype(acc)
+    for place in range(1, width):
+        ends -= 1
+        d = digits.take(ends)
+        d *= lengths > place
+        values += np.multiply(d, 10 ** place, dtype=acc)
+    return values.reshape(len(rows), n)
 
 
 def parse_text(text: str):
     """Parse a structure file; returns (kind, value)."""
     lines = [
-        (no, ln.strip())
-        for no, ln in enumerate(text.splitlines(), start=1)
-        if ln.strip() and not ln.strip().startswith("#")
+        (no, ln)
+        for no, raw in enumerate(text.splitlines(), start=1)
+        if (ln := raw.strip()) and not ln.startswith("#")
     ]
     if not lines:
         raise ParseError("empty file")
@@ -149,33 +192,56 @@ def parse_file(path):
     return parse_text(text)
 
 
-def _table_lines(table) -> list[str]:
-    return [" ".join(map(str, row)) for row in np.asarray(table).tolist()]
+def _table_lines(table):
+    """The text of an n x n element table in _row_blocks blocks of whole
+    lines: each row its entries in decimal, one blank apart, then "\n".
+
+    Each value's cell is its digits and a blank, padded with zero bytes to
+    the width of the longest, and held as one void item.  A block is one
+    take of its entries' cells, with the blank of each row's last cell
+    turned into a newline and the zero bytes dropped.
+    """
+    n = len(table)
+    width = len(str(n - 1)) + 1
+    cells = "".join(f"{v} ".ljust(width, "\0") for v in range(n)).encode("ascii")
+    cells = np.frombuffer(cells, dtype=f"V{width}")
+    for blk in _row_blocks(n, n * width):
+        text = cells.take(table[blk]).view(np.uint8).reshape(-1, n, width)
+        last = text[:, -1]
+        last[last == ord(" ")] = ord("\n")
+        text = text.ravel()
+        yield text[text != 0].tobytes().decode("ascii")
 
 
-def write_text(value) -> str:
-    lines = [f"format {FORMAT_VERSION}"]
+def text_blocks(value):
+    """The file text of `value` in pieces whose join is write_text(value);
+    a table comes a block of rows at a time."""
+    yield f"format {FORMAT_VERSION}\n"
     if isinstance(value, (PostLieRing, LieRingSC)):
         post = isinstance(value, PostLieRing)
         base = value.base if post else value
         s = base.shape
-        lines.append(("postlie " if post else "lie ") + str(s.p) + " " + " ".join(str(e) for e in s.exps))
-        products = [("bracket", i, j, base.sc) for i in range(s.rank) for j in range(i + 1, s.rank)]
+        lines = [("postlie " if post else "lie ") + str(s.p) + " " + " ".join(str(e) for e in s.exps)]
+        sc = base.sc.tolist()
+        products = [("bracket", i, j, sc) for i in range(s.rank) for j in range(i + 1, s.rank)]
         if post:
-            products += [("triangle", i, j, value.tri) for i in range(s.rank) for j in range(s.rank)]
+            tri = value.tri.tolist()
+            products += [("triangle", i, j, tri) for i in range(s.rank) for j in range(s.rank)]
         for op, i, j, consts in products:
-            if consts[i, j].any():
-                coords = " ".join(str(int(v)) for v in consts[i, j])
-                lines.append(f"{op} {i + 1} {j + 1} : {coords}")
+            if any(consts[i][j]):
+                lines.append(f"{op} {i + 1} {j + 1} : " + " ".join(map(str, consts[i][j])))
+        yield "".join(ln + "\n" for ln in lines)
     elif isinstance(value, SkewBrace):
-        lines.append(f"skewbrace {value.order}")
-        lines.append("dot:")
-        lines.extend(_table_lines(value.dot.table))
-        lines.append("circ:")
-        lines.extend(_table_lines(value.circ.table))
+        yield f"skewbrace {value.order}\ndot:\n"
+        yield from _table_lines(value.dot.table)
+        yield "circ:\n"
+        yield from _table_lines(value.circ.table)
     elif isinstance(value, FinGroup):
-        lines.append(f"group {value.order} identity {value.identity}")
-        lines.extend(_table_lines(value.table))
+        yield f"group {value.order} identity {value.identity}\n"
+        yield from _table_lines(value.table)
     else:
         raise TypeError(f"cannot serialize {type(value)!r}")
-    return "\n".join(lines) + "\n"
+
+
+def write_text(value) -> str:
+    return "".join(text_blocks(value))

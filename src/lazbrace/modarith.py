@@ -77,8 +77,9 @@ def _index_table(table, n: int | None = None) -> np.ndarray:
 
 
 def _index_rows(arr: np.ndarray, n: int) -> np.ndarray:
-    """_index_table for any 2-D array of element indices below n."""
-    if arr.size and (arr.min() < 0 or arr.max() >= n):
+    """_index_table for any 2-D array of element indices below n; an
+    unsigned array needs no test from below."""
+    if arr.size and ((arr.dtype.kind != "u" and arr.min() < 0) or arr.max() >= n):
         x, y = np.argwhere((arr < 0) | (arr >= n))[0]
         raise ModArithError(f"table entry out of range 0..{n - 1} at (row,column,value)=({x},{y},{arr[x, y]})")
     return _read_only(np.ascontiguousarray(arr, dtype=index_dtype(n)))

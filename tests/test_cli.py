@@ -4,6 +4,7 @@ import io
 import sys
 import tempfile
 import time
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -376,6 +377,19 @@ def test_running_out_of_memory_is_one_refusal_line(capsys, monkeypatch, data_dir
     assert (code, out, err) == (3, "", "refused: out of memory in convert\n")
 
 
+def test_a_refused_write_leaves_no_partial_file(capsys, monkeypatch, tmp_path, data_dir):
+    # convert -o writes the text a block at a time; a refusal after the
+    # first block removes what it wrote
+    def exhausted(table):
+        yield "0\n"
+        raise MemoryError()
+
+    monkeypatch.setattr(formats, "_table_lines", exhausted)
+    out = tmp_path / "image.skb"
+    code, _, err = run(capsys, "convert", str(data_dir / "prelie25_selfsquare.plie"), "--to", "brace", "-o", str(out))
+    assert (code, err) == (3, "refused: out of memory in convert\n") and not out.exists()
+
+
 def _lazbench_generate(monkeypatch):
     """lazbench/generate.py, loaded without writing a bytecode cache there."""
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
@@ -449,3 +463,18 @@ def test_a_plie_roundtrip_verifies_its_flow_brace_once(capsys, monkeypatch, tmp_
         calls.clear()
         assert run(capsys, "roundtrip", str(path)) == (0, "roundtrip: exact\n", ""), path
         assert len(calls) == len(set(calls)) == braces, path
+
+
+def test_an_output_file_is_written_a_block_at_a_time(monkeypatch, tmp_path):
+    # the 3 MB text of an order-625 brace is never held whole
+    skb, _ = _order_625_files(monkeypatch, tmp_path)
+    _, B = formats.parse_file(skb)
+    out = tmp_path / "copy.skb"
+    tracemalloc.start()
+    try:
+        assert cli._write_output(formats.text_blocks(B), str(out)) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert out.read_bytes() == skb.read_bytes()
+    assert peak < out.stat().st_size / 2

@@ -1,22 +1,33 @@
-"""Scale ladder for the Lazard round trip, outside the gated benchmark.
+"""Scale ladder for the Lazard round trip and the CLI, outside the gated
+benchmark.
 
-Each step runs `laz` -> `laz_inv` -> `laz_of_table` on the class-2 graded
-Lie ring of shape (p; 1, ..., 1) that `lazbench/generate.lie_instance("x",
+A step `p^e` runs `laz` -> `laz_inv` -> `laz_of_table` on the class-2
+graded Lie ring of shape (p; 1, ..., 1) that `lazbench/generate.lie_instance("x",
 3, p, (1,) * e, "graded", 2)` builds: the base ring of
-`generate.triangle_instance("x", 3, p, (1,) * e, "zero", 2)`.  The default
-steps are 3^6, 7^4, 5^5 and 5^6 (the soft cap).
+`generate.triangle_instance("x", 3, p, (1,) * e, "zero", 2)`.  Its time is
+that of the round trip, without the import and the ring's construction.
+
+A step `convert:p^e` writes that post-Lie ring's file, then runs
+`python -m lazbrace convert <file> --to brace -o <out>` as the measured
+process: the flow with its checks, and the brace file streamed to `out`
+(a temporary directory, removed afterwards).  Its time is that of the
+whole process, import included; a failed step shows its exit code, its
+last stderr line and how many stderr lines it wrote.
+
+The default steps are 3^6, 7^4, 5^5 and 5^6 (the soft cap), then the
+convert steps at 5^5 and 5^6.
 
 Every step runs in a fresh process under its own `ulimit -v`, so the limit
 binds that process only.  A measuring process starts the step as its one
 child, so the peak RSS it reads from `resource.getrusage(RUSAGE_CHILDREN)`
-is that step's alone.  The wall time is that of the round trip, without
-the import and the ring's construction.
+is that step's alone.
 
-Run from the root of a checkout (stdlib only here; the steps import numpy
-and lazbrace from the checkout named by --root, this one by default):
+Run from the root of a checkout (stdlib only at the top; the steps, and
+the process that writes a convert step's file, import numpy and lazbrace
+from the checkout named by --root, this one by default):
 
     python3 tools/ladder.py
-    python3 tools/ladder.py --limit-kb 6000000 3^6 5^5
+    python3 tools/ladder.py --limit-kb 6000000 3^6 5^5 convert:5^5
     python3 tools/ladder.py --root ../other-checkout
 
 It prints one Markdown table row per step.
@@ -26,15 +37,17 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import resource
 import shlex
 import subprocess
 import sys
+import tempfile
 import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-STEPS = ("3^6", "7^4", "5^5", "5^6")
+STEPS = ("3^6", "7^4", "5^5", "5^6", "convert:5^5", "convert:5^6")
 
 
 def _round_trip(root: Path, p: int, e: int) -> dict:
@@ -51,25 +64,47 @@ def _round_trip(root: Path, p: int, e: int) -> dict:
     return {"wall_s": time.perf_counter() - start, "ok": bool(ok)}
 
 
+def _post_lie_file(root: Path, p: int, e: int, path: Path) -> None:
+    """Write the convert step's post-Lie ring to `path`, in the measuring
+    process, whose own memory the child's peak does not include."""
+    sys.path[:0] = [str(root / "src"), str(root / "lazbench")]
+    import generate
+    from lazbrace import formats
+
+    path.write_text(formats.write_text(generate.triangle_instance("x", 3, p, (1,) * e, "zero", 2).build()))
+
+
 def _measure(root: Path, step: str, limit_kb: int) -> dict:
     """Run one step as this process's only child, under ulimit -v."""
-    p, e = map(int, step.split("^"))
-    cmd = [sys.executable, str(Path(__file__).resolve()), "--root", str(root), "--run", step]
-    start = time.perf_counter()
-    proc = subprocess.run(["sh", "-c", f"ulimit -v {limit_kb} && exec {shlex.join(cmd)}"],
-                          capture_output=True, text=True)
-    out = {"step": step, "n": p ** e, "exit": proc.returncode, "proc_s": time.perf_counter() - start,
+    kind, _, size = step.rpartition(":")
+    p, e = map(int, size.split("^"))
+    with tempfile.TemporaryDirectory() as tmp:
+        if kind == "convert":
+            plie, out = Path(tmp) / "ring.plie", Path(tmp) / "brace.skb"
+            _post_lie_file(root, p, e, plie)
+            cmd = [sys.executable, "-m", "lazbrace", "convert", str(plie), "--to", "brace", "-o", str(out)]
+        else:
+            cmd = [sys.executable, str(Path(__file__).resolve()), "--root", str(root), "--run", step]
+        start = time.perf_counter()
+        proc = subprocess.run(["sh", "-c", f"ulimit -v {limit_kb} && exec {shlex.join(cmd)}"],
+                              capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(root / "src")})
+        wall = time.perf_counter() - start
+        out_mb = out.stat().st_size / 2 ** 20 if kind == "convert" and out.exists() else None
+    res = {"step": step, "n": p ** e, "exit": proc.returncode, "proc_s": wall,
            "peak_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024}
-    if proc.returncode == 0:
-        out.update(json.loads(proc.stdout.splitlines()[-1]))
-    else:
-        out["error"] = (proc.stderr.strip().splitlines() or ["?"])[-1]
-    return out
+    errors = proc.stderr.strip().splitlines()
+    if kind == "convert":
+        res.update(wall_s=wall, ok=proc.returncode == 0, out_mb=out_mb, stderr_lines=len(errors))
+    elif proc.returncode == 0:
+        res.update(json.loads(proc.stdout.splitlines()[-1]))
+    if proc.returncode:
+        res["error"] = (errors or ["?"])[-1]
+    return res
 
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("steps", nargs="*", default=list(STEPS), help="p^e steps (default: %(default)s)")
+    ap.add_argument("steps", nargs="*", default=list(STEPS), help="p^e or convert:p^e steps (default: %(default)s)")
     ap.add_argument("--limit-kb", type=int, default=6_000_000, help="ulimit -v of each step, in KiB")
     ap.add_argument("--root", type=Path, default=ROOT, help="the checkout whose src/ is measured")
     ap.add_argument("--run", help=argparse.SUPPRESS)  # one step, in the measured process
@@ -81,15 +116,19 @@ def main(argv=None) -> int:
     if args.measure:
         print(json.dumps(_measure(args.root.resolve(), args.measure, args.limit_kb)))
         return 0
-    print("| step | n | round trip | peak RSS | exit |")
-    print("|---|---|---|---|---|")
+    print("| step | n | time | peak RSS | output | exit |")
+    print("|---|---|---|---|---|---|")
     for step in args.steps:
         proc = subprocess.run([sys.executable, str(Path(__file__).resolve()), "--root", str(args.root),
                                "--limit-kb", str(args.limit_kb), "--measure", step],
                               capture_output=True, text=True, check=True)
         r = json.loads(proc.stdout.splitlines()[-1])
-        wall = f"{r['wall_s']:.2f} s" + ("" if r["ok"] else " (MISMATCH)") if "wall_s" in r else r["error"]
-        print(f"| {step} | {r['n']} | {wall} | {r['peak_rss_mb']:.0f} MB | {r['exit']} |", flush=True)
+        if r["exit"]:
+            wall = f"{r['error']} ({r.get('stderr_lines', '?')} stderr lines)"
+        else:
+            wall = f"{r['wall_s']:.2f} s" + ("" if r["ok"] else " (MISMATCH)")
+        out = f"{r['out_mb']:.1f} MB" if r.get("out_mb") is not None else "-"
+        print(f"| {step} | {r['n']} | {wall} | {r['peak_rss_mb']:.0f} MB | {out} | {r['exit']} |", flush=True)
     return 0
 
 
