@@ -544,16 +544,27 @@ def dump_tables(class_bound: int) -> str:
 
 
 @lru_cache(maxsize=None)
+def _packaged_words() -> tuple[tuple[GroupWord, GroupWord], ...]:
+    """(P, Q) truncated at each class bound 1, 2, ... that the packaged
+    table reaches, up to MAX_WORD_CLASS: the table is read and parsed once
+    per process.  A damaged table raises ValueError, and nothing is cached."""
+    text = (resources.files("lazbrace") / "tables" / "inverse_words_c6.txt").read_text()
+    c, _bch, p_word, q_word = load_tables(text)
+    return tuple((p_word.truncated(k), q_word.truncated(k)) for k in range(1, min(c, MAX_WORD_CLASS) + 1))
+
+
 def inverse_words(class_bound: int) -> tuple[GroupWord, GroupWord]:
     """P and Q truncated at the class bound, from the packaged table (so hot
     paths never re-derive); a damaged table raises ValueError."""
     if not 1 <= class_bound <= MAX_WORD_CLASS:
         raise ValueError(f"class bound must be in 1..{MAX_WORD_CLASS}")
-    text = (resources.files("lazbrace") / "tables" / "inverse_words_c6.txt").read_text()
-    c, _bch, p_word, q_word = load_tables(text)
-    if c < class_bound:
-        raise ValueError(f"packaged table stops at class {c} < {class_bound}")
-    return p_word.truncated(class_bound), q_word.truncated(class_bound)
+    words = _packaged_words()
+    if len(words) < class_bound:
+        raise ValueError(f"packaged table stops at class {len(words)} < {class_bound}")
+    return words[class_bound - 1]
+
+
+inverse_words.cache_clear = _packaged_words.cache_clear  # its one cache, cleared by its public name
 
 
 def load_tables(text: str) -> tuple[int, FreeLieElem, GroupWord, GroupWord]:

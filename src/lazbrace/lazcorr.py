@@ -33,8 +33,8 @@ from .liering import (
     table_to_sc,
     validate_group_filtration,
 )
-from .modarith import (AbelianBasis, Endo, ModArithError, PShape, PVec, _require_none, endo_exp, endo_log,
-                       index_dtype, root_of_unity)
+from .modarith import (AbelianBasis, Endo, ModArithError, PShape, PVec, _pair_take, _require_none, endo_exp,
+                       endo_log, index_dtype, root_of_unity)
 from .postlie import (
     PostLieRing,
     _classify_batch,
@@ -222,7 +222,7 @@ def post_lie_to_brace(P: PostLieRing, check: bool = True) -> FlowResult:
     Omega[W] = np.arange(n)
     exp_mats = endo_exp(Endo(s, P.l_mats(s.all_coords()[Omega])), max(k, 1)).mat
     images = np.ascontiguousarray(s.carrier.additive_table(lambda X: X @ exp_mats))  # exp(L_Omega(a))(b)
-    circ = dot.table[np.arange(n)[:, None], images]
+    circ = _pair_take(dot.table, np.arange(n)[:, None], images)
     brace = SkewBrace(dot, FinGroup(circ, 0))
     if check:
         rep = brace.verdict
@@ -298,7 +298,7 @@ def u_eval(B: SkewBrace, a, alpha: np.ndarray, F: Filtration | None = None, *,
     alpha = np.atleast_2d(np.asarray(alpha))
     elements = np.broadcast_to(np.atleast_1d(a), (max(np.size(a), len(alpha)),))
     level = F.level.astype(index_dtype(F.depth + 1))  # the n^2 gather below is held in that dtype
-    _require_none(level[B.dot.table[alpha, B.dot.inv]] < np.minimum(F.level + 1, F.depth),
+    _require_none(level[_pair_take(B.dot.table, alpha, B.dot.inv)] < np.minimum(F.level + 1, F.depth),
                   "alpha does not raise the filtration", ModArithError, elements)
     if log is None:
         log = _additive_log(basis, alpha, k, "alpha", ModArithError, elements)

@@ -20,7 +20,8 @@ import numpy as np
 from . import freelie
 from .common import CapExceededError, FailedTheoremError, NotLazardError
 from .modarith import (AbelianBasis, ModArithError, PShape, PVec, abelian_decompose, index_dtype, prime_power,
-                       _fill, _fill_group, _index_table, _require_none, _schreier, _table_orders, _table_times)
+                       _fill, _fill_group, _index_table, _left_identities, _require_none,
+                       _row_blocks, _schreier, _table_orders, _table_times)
 
 __all__ = [
     "LieRingSC",
@@ -209,6 +210,15 @@ def bilinear_batch(shape: PShape, consts: np.ndarray, U, V) -> np.ndarray:
     return shape.reduce(np.matmul(V[..., None, :], left_mats(shape, consts, U))[..., 0, :])
 
 
+def _nested_products(shape: PShape, outer: np.ndarray, inner: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(g_i * (g_j . g_k), (g_i . g_j) * g_k) for every generator triple, as
+    two (r, r, r, r) arrays indexed [i, j, k], where the constants `outer`
+    give * and `inner` give .: each is one contraction of the constant
+    tensors, reduced after the inner sum, where bilinear_batch reduces."""
+    return (shape.reduce(np.einsum("jkl,ilm->ijkm", inner, outer)),
+            shape.reduce(np.einsum("ijl,lkm->ijkm", inner, outer)))
+
+
 def _ill_defined_pairs(shape: PShape, consts: np.ndarray) -> list[tuple[int, int]]:
     """The (i, j) with p^min(e_i, e_j) * consts[i, j] != 0, in row-major order:
     no biadditive product can take those values on the generators."""
@@ -280,15 +290,11 @@ def verify_lie(L: LieRingSC) -> CheckReport:
     for i, j in combinations(range(s.rank), 2):
         if s.reduce(L.sc[i, j] + L.sc[j, i]).any():
             failures.append(f"antisymmetry fails on (g{i},g{j})")
-    units = np.eye(s.rank, dtype=np.int64)
-    for i, j, k in combinations(range(s.rank), 3):
-        total = (
-            L.bracket_batch(units[i], L.bracket_batch(units[j], units[k]))
-            + L.bracket_batch(units[j], L.bracket_batch(units[k], units[i]))
-            + L.bracket_batch(units[k], L.bracket_batch(units[i], units[j]))
-        )
-        if s.reduce(total).any():
-            failures.append(f"Jacobi fails on (g{i},g{j},g{k})")
+    nested = _nested_products(s, L.sc, L.sc)[0]  # [g_i, [g_j, g_k]]
+    jacobi = nested + nested.transpose(2, 0, 1, 3) + nested.transpose(1, 2, 0, 3)
+    idx = np.indices((s.rank,) * 3)
+    failures += [f"Jacobi fails on (g{i},g{j},g{k})"
+                 for i, j, k in np.argwhere(s.reduce(jacobi).any(axis=-1) & (idx[0] < idx[1]) & (idx[1] < idx[2]))]
     return CheckReport(not failures, tuple(failures))
 
 
@@ -583,25 +589,42 @@ class FinGroup:
 
 
 def verify_group_table(table) -> CheckReport:
-    """Latin-square, identity, inverse and associativity checks, all exact.
+    """Identity, associativity and inverse checks, all exact, with the
+    Latin-square checks run only to name what failed.
 
     Associativity is Light's test on a generating set, in row form: the g
     with (g x) y = g (x y) for all x, y form a submagma holding the
     identity, since ((g h) x) y = (g (h x)) y = g ((h x) y) = g (h (x y)) =
     (g h) (x y), so it is enough that they include generators of the table
-    as a magma; each g costs two row gathers, t[t[g]] and t[g][t].  A
-    FinGroup may stand for its table; its cached generators are used when
-    its identity is the one found.
+    as a magma; each g costs two row gathers, t[t[g]] and t[g][t].
+
+    A table with a two-sided identity e that passes is a monoid, and a
+    finite monoid in which every a has a right inverse (its row holds e)
+    is a group: from a b = e and b c = e, a = a (b c) = (a b) c = c, so
+    b a = e as well.  A group table is a Latin square, so the two n x n
+    permutation scatters are skipped when all three checks pass; when one
+    fails they run, and the failures are listed in their fixed order.  A
+    FinGroup may stand for its table; its cached generators and inverses
+    are used when its identity is the one found.
     """
     group = table if isinstance(table, FinGroup) else None
     table = np.asarray(table if group is None else group.table)  # ranges checked before any cast
     n = table.shape[0]
-    failures = []
     if table.ndim != 2 or table.shape[1] != n:
         return CheckReport(False, ("table is not square",))
     if table.min() < 0 or table.max() >= n:
         return CheckReport(False, ("entries out of range",))
     idx = np.arange(n)
+    ident = _left_identities(table)
+    two_sided = ident.size == 1 and bool((table[:, int(ident[0])] == idx).all())
+    light = None
+    if two_sided:
+        if group is None or group.identity != int(ident[0]):
+            group = FinGroup(table, int(ident[0]))
+        light = _light_failure(table, group.gens)
+        if light is None and (table[idx, group.inv] == group.identity).all():
+            return CheckReport(True, ())
+    failures = []
     # a row (column) of n entries in range is a permutation when it hits
     # every value: one boolean scatter of (row, value) ((value, column))
     hit = np.zeros((n, n), dtype=bool)
@@ -612,22 +635,28 @@ def verify_group_table(table) -> CheckReport:
     hit[table, idx] = True
     if not hit.all():
         failures.append("some column is not a permutation")
-    ident = np.nonzero((table == idx).all(axis=1))[0]
-    if ident.size != 1 or not (table[:, int(ident[0])] == idx).all():
+    if not two_sided:
         failures.append("no two-sided identity")
-        return CheckReport(False, tuple(failures))
-    if group is None or group.identity != int(ident[0]):
-        group = FinGroup(table, int(ident[0]))
-    # every product the generator walk takes stays inside the submagma its
-    # generators generate, so it presumes no associativity: the generators
-    # it returns generate the table as a magma
-    for g in group.gens:
-        bad = table[table[g]] != table[g][table]  # (g x) y vs g (x y)
-        if bad.any():
-            x, y = np.argwhere(bad)[0]
-            failures.append(f"associativity fails at (g,x,y)=({g},{int(x)},{int(y)})")
-            break
+    elif light is not None:
+        failures.append(light)
     return CheckReport(not failures, tuple(failures))
+
+
+def _light_failure(table: np.ndarray, gens) -> str | None:
+    """Light's test on the generators `gens` of the table as a magma: the
+    first (g, x, y) with (g x) y != g (x y), named, or None.  Each row of g
+    is compared a block of x at a time, so no n x n temporary is held.
+    The generator walk presumes no associativity: every product it takes
+    stays inside the submagma its generators generate."""
+    n = table.shape[0]
+    for g in gens:
+        row = table[g]
+        for blk in _row_blocks(n, n):
+            bad = table[row[blk]] != row.take(table[blk])  # (g x) y vs g (x y), x in blk
+            if bad.any():
+                x, y = np.argwhere(bad)[0]
+                return f"associativity fails at (g,x,y)=({g},{blk.start + int(x)},{int(y)})"
+    return None
 
 
 def _hom_failure(maps, src_rows, dst_rows) -> tuple[int, int, int] | None:

@@ -53,6 +53,22 @@ def _row_blocks(m: int, n: int):
     return (slice(start, min(m, start + step)) for start in range(0, m, step))
 
 
+def _pair_take(table: np.ndarray, rows, cols) -> np.ndarray:
+    """table[rows, cols] for broadcast index arrays (at least 1-D), as one
+    flat take of rows * n + cols, n the row length: the index is formed in
+    intp for a block of _row_blocks rows of the result at a time, so it
+    stays near _CHUNK entries (a take converts its whole index to intp
+    first).  A lookup arr[index] is _pair_take(arr[None], 0, index)."""
+    rows, cols = np.broadcast_arrays(rows, cols)
+    flat, n = table.ravel(), table.shape[1]
+    out = np.empty(rows.shape, dtype=table.dtype)
+    for blk in _row_blocks(len(out), out.size // max(len(out), 1)):
+        index = rows[blk].astype(np.intp) * n
+        index += cols[blk]
+        out[blk] = flat.take(index)
+    return out
+
+
 def index_dtype(n: int) -> np.dtype:
     """The smallest unsigned dtype that holds every element index 0..n-1:
     uint8 up to n = 256, uint16 up to 65536, uint32 above.  Element-index
@@ -533,7 +549,7 @@ class AbelianBasis:
         """A table on shape indices, moved onto the table elements, in
         index_dtype(n)."""
         ie = self.index_of_elem
-        return self.elem_of.astype(index_dtype(ie.size))[table[ie[:, None], ie[None, :]]]
+        return _pair_take(self.elem_of.astype(index_dtype(ie.size))[None], 0, _pair_take(table, ie[:, None], ie))
 
     @cached_property
     def tree(self) -> _Tree:
@@ -589,9 +605,16 @@ def _table_times(table: np.ndarray, x: np.ndarray, n: int, identity: int) -> np.
     return acc
 
 
+def _left_identities(table: np.ndarray) -> np.ndarray:
+    """The rows e of a nonempty square table with e x = x for all x: only
+    the rows with e 0 = 0 are compared whole."""
+    lead = np.flatnonzero(table[:, 0] == 0)
+    return lead[(table[lead] == np.arange(table.shape[0])).all(axis=1)]
+
+
 def _find_identity(table: np.ndarray) -> int:
     n = table.shape[0]
-    hits = np.nonzero((table == np.arange(n)).all(axis=1))[0]
+    hits = _left_identities(table)
     if hits.size != 1:
         raise ModArithError("table has no unique identity row")
     e = int(hits[0])
@@ -650,8 +673,8 @@ def _greedy_decompose(table: np.ndarray, identity: int, p: int) -> list[tuple[in
         x = int(reps[qgen])
         pf = p ** f
         y = int(_table_times(table, np.array([x]), pf, identity)[0])
-        c = dlog[y]
-        if c % pf != 0:
+        c = dlog.get(y)  # None when the table is no group: y is outside <g>
+        if c is None or c % pf != 0:
             raise ModArithError("lift adjustment failed; table is not abelian p-group")
         tshift = (c // pf) % maxo
         adj = chain[(maxo - tshift) % maxo]
@@ -666,7 +689,9 @@ def abelian_decompose(table) -> AbelianBasis:
     Returns the shape together with an explicit index <-> vector bijection;
     the bijection provably reproduces the table: the basis's addition
     table, the shape's addition moved through it, equals the table on all
-    pairs.
+    pairs.  That equality makes the table a group table, so its rows are
+    scanned for permutations only when the decomposition or the
+    reconstruction fails, to name that failure.
     """
     table = _index_table(table)
     n = table.shape[0]
@@ -674,8 +699,23 @@ def abelian_decompose(table) -> AbelianBasis:
         raise ModArithError("trivial table carries no p-group shape")
     if not np.array_equal(table, table.T):
         raise ModArithError("table is not abelian")
-    if (np.sort(table, axis=1) != np.arange(n)).any():
-        raise ModArithError("table rows are not permutations")
+    try:
+        basis = _decomposed_basis(table)
+        if not np.array_equal(basis.add, table):
+            raise ModArithError("table does not match abelian reconstruction")
+    except ModArithError:
+        if (np.sort(table, axis=1) != np.arange(n)).any():
+            raise ModArithError("table rows are not permutations") from None
+        raise
+    object.__setattr__(basis, "add", table)  # the same table: keep one copy
+    return basis
+
+
+def _decomposed_basis(table: np.ndarray) -> AbelianBasis:
+    """The basis of the greedy decomposition of an abelian table, not yet
+    checked against it; ModArithError when the table is no abelian p-group
+    in a way the decomposition sees."""
+    n = table.shape[0]
     p, _ = prime_power(n)
     identity = _find_identity(table)
     gens_exps = _greedy_decompose(table, identity, p)
@@ -697,11 +737,7 @@ def abelian_decompose(table) -> AbelianBasis:
         raise ModArithError("decomposition is not bijective; table is not abelian p-group")
     index_of_elem = np.empty(n, dtype=np.int64)
     index_of_elem[elem_of] = np.arange(n)
-    basis = AbelianBasis(shape, gens, elem_of, index_of_elem)
-    if not np.array_equal(basis.add, table):
-        raise ModArithError("table does not match abelian reconstruction")
-    object.__setattr__(basis, "add", table)  # the same table: keep one copy
-    return basis
+    return AbelianBasis(shape, gens, elem_of, index_of_elem)
 
 
 @lru_cache(maxsize=None)

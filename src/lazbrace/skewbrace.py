@@ -36,7 +36,7 @@ from .liering import (
     _row_masks,
     _schreier,
 )
-from .modarith import ModArithError, _row_blocks, prime_power
+from .modarith import ModArithError, _pair_take, _row_blocks, prime_power
 
 __all__ = [
     "SkewBrace",
@@ -94,7 +94,7 @@ class SkewBrace:
     @cached_property
     def lam(self) -> np.ndarray:
         """lam[a, b] = a^-1 . (a o b), an automorphism of dot for each a."""
-        return self.dot.table[self.dot.inv[:, None], self.circ.table]
+        return _pair_take(self.dot.table, self.dot.inv[:, None], self.circ.table)
 
     @cached_property
     def verdict(self) -> CheckReport:

@@ -13,7 +13,10 @@ generators.  Omega and U come from one stacked BCH in the semidirect sum
 T (+) End(T), and the root-of-unity triangle from stacked gathers.
 transfer_report classifies the subgroups of one order in one batch per
 side, and classify_subset and classify_subset_brace are the one-subset
-case of those batches.  The oracles below sweep every triple or pair,
+case of those batches.  verify_group_table runs its Latin-square
+scatters only when the identity, Light's test or a right inverse fails,
+and verify_lie and verify_post_lie contract the constant tensors over
+all generator triples at once.  The oracles below sweep every triple or pair,
 search by closure, close whole product sets, classify one subset at a
 time, evaluate one element at a time in the holomorph, or fill each tree
 level in one gather, as the library once did, and must give the same
@@ -24,7 +27,7 @@ of the corpus, valid or not.
 import math
 import re
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import numpy as np
 import pytest
@@ -35,6 +38,7 @@ from catalogs import (_bracket_set, _comm_set, _index_set, _star_set, _tri_set, 
 from lazbrace import formats, freelie
 from lazbrace.common import FailedTheoremError, IdealLevel
 from lazbrace.liering import (
+    CheckReport,
     Filtration,
     FinGroup,
     LieRingSC,
@@ -44,6 +48,7 @@ from lazbrace.liering import (
     _bch_batch,
     _eval_word_batch,
     _group_gens,
+    _ill_defined_pairs,
     _laz_rows,
     _lazard_degree,
     _rational_power_batch,
@@ -64,6 +69,7 @@ from lazbrace.liering import (
     table_to_sc,
     validate_group_filtration,
     verify_group_table,
+    verify_lie,
 )
 from lazbrace.lazcorr import (_additive_log, _require_omega_hom, _require_w_hom, _sweep, brace_to_post_lie,
                               lambda_derivative, omega_map, post_lie_to_brace, transfer_report, u_eval)
@@ -1662,3 +1668,182 @@ def test_isomorphism_checks_match_the_all_pairs_oracles(postlie_cat, brace_logs)
         assert got[0]
         failed += got.count(False)
     assert failed >= 100
+
+
+# ---------------------------------------------------------------------------
+# Group tables: identity, Light's test and right inverses, against the
+# Latin-square scatters that once ran on every table; and the Jacobi
+# identity and both post-Lie axioms as contractions of the constant
+# tensors, against the loops over generator triples they replace.
+
+
+def oracle_group_table_report(table) -> CheckReport:
+    """verify_group_table as it was: both Latin-square scatters on every
+    table, then the identity, then Light's test in row form."""
+    table = np.asarray(table)
+    n = table.shape[0]
+    failures = []
+    if table.ndim != 2 or table.shape[1] != n:
+        return CheckReport(False, ("table is not square",))
+    if table.min() < 0 or table.max() >= n:
+        return CheckReport(False, ("entries out of range",))
+    idx = np.arange(n)
+    hit = np.zeros((n, n), dtype=bool)
+    hit[idx[:, None], table] = True
+    if not hit.all():
+        failures.append("some row is not a permutation")
+    hit[:] = False
+    hit[table, idx] = True
+    if not hit.all():
+        failures.append("some column is not a permutation")
+    ident = np.nonzero((table == idx).all(axis=1))[0]
+    if ident.size != 1 or not (table[:, int(ident[0])] == idx).all():
+        failures.append("no two-sided identity")
+        return CheckReport(False, tuple(failures))
+    group = FinGroup(table, int(ident[0]))
+    for g in group.gens:
+        bad = table[table[g]] != table[g][table]
+        if bad.any():
+            x, y = np.argwhere(bad)[0]
+            failures.append(f"associativity fails at (g,x,y)=({g},{int(x)},{int(y)})")
+            break
+    return CheckReport(not failures, tuple(failures))
+
+
+def _units_monoid(p: int, k: int) -> np.ndarray:
+    """Z/p^k under multiplication: a monoid with identity 1, no group."""
+    a = np.arange(p ** k)
+    return np.multiply.outer(a, a) % p ** k
+
+
+def _semilattice_with_identity(m: int) -> np.ndarray:
+    """({1..m}, min) with 0 adjoined as its identity."""
+    t = np.minimum.outer(np.arange(m + 1), np.arange(m + 1))
+    t[0], t[:, 0] = np.arange(m + 1), np.arange(m + 1)
+    return t
+
+
+def _transformation_monoid(m: int) -> np.ndarray:
+    """All maps f of {0..m-1}, coded as the sum of f(x) m^x, under
+    (a, b) -> (x -> b(a(x))); the identity map is no zero row."""
+    codes = np.arange(m ** m)
+    maps = codes[:, None] // m ** np.arange(m) % m  # maps[c, x] = f_c(x)
+    return (maps[:, maps] * m ** np.arange(m)).sum(axis=-1).T
+
+
+def test_monoids_that_are_not_groups_get_the_old_reports(rng):
+    monoids = [_units_monoid(3, 3), _units_monoid(5, 2), _semilattice_with_identity(7),
+               _transformation_monoid(3)]
+    groups = [laz(catalogs.heisenberg(3)).table, _xor_table(3), _cyclic(8).table]
+    loops = [_intercalate_switch(_xor_table(3), 1, 2, 3), catalogs.nonassociative_loop(3)]
+    tables = monoids + groups + loops
+    tables += [_product(g, m) for g, m in zip(groups, monoids)] + [_product(m, g) for g, m in zip(groups, monoids)]
+    tables += [_perturbed(t, rng) for t in tables]
+    refused = 0
+    for t in tables:
+        rep, want = verify_group_table(t), oracle_group_table_report(t)
+        assert rep == want
+        assert rep.ok == oracle_group_table(t)
+        ident = np.flatnonzero((t == np.arange(len(t))).all(axis=1))
+        if ident.size == 1:  # a FinGroup standing for its table, with its cached inverses
+            assert verify_group_table(FinGroup(t, int(ident[0]))) == want
+            if oracle_verify_group_table(t) is None and not rep.ok:  # associative, with identity
+                refused += 1
+    assert refused >= len(monoids) + 6  # each monoid and its products with a group
+
+
+def oracle_verify_lie(L: LieRingSC) -> CheckReport:
+    """verify_lie with its Jacobi loop, one bracket_batch per product."""
+    s = L.shape
+    failures = []
+    ill_defined = _ill_defined_pairs(s, L.sc)
+    for i in range(s.rank):
+        if L.sc[i, i].any():
+            failures.append(f"[g{i},g{i}] != 0")
+        failures += [f"bracket [g{i},g{j}] not killed by p^min(e{i},e{j})"
+                     for row, j in ill_defined if row == i]
+    for i, j in combinations(range(s.rank), 2):
+        if s.reduce(L.sc[i, j] + L.sc[j, i]).any():
+            failures.append(f"antisymmetry fails on (g{i},g{j})")
+    units = np.eye(s.rank, dtype=np.int64)
+    for i, j, k in combinations(range(s.rank), 3):
+        total = (
+            L.bracket_batch(units[i], L.bracket_batch(units[j], units[k]))
+            + L.bracket_batch(units[j], L.bracket_batch(units[k], units[i]))
+            + L.bracket_batch(units[k], L.bracket_batch(units[i], units[j]))
+        )
+        if s.reduce(total).any():
+            failures.append(f"Jacobi fails on (g{i},g{j},g{k})")
+    return CheckReport(not failures, tuple(failures))
+
+
+def oracle_verify_post_lie(P: PostLieRing) -> CheckReport:
+    """verify_post_lie with its loops over generator triples, one
+    bilinear_batch per product."""
+    base_rep = oracle_verify_lie(P.base)
+    if not base_rep.ok:
+        return CheckReport(False, tuple("base: " + f for f in base_rep.failures))
+    s = P.shape
+    failures = []
+    units = np.eye(s.rank, dtype=np.int64)
+    br = P.base.bracket_batch
+    tri = P.tri_batch
+    pairs = list(combinations(range(s.rank), 2))
+    for i, (j, k) in product(range(s.rank), pairs):
+        lhs = tri(units[i], br(units[j], units[k]))
+        rhs = br(tri(units[i], units[j]), units[k]) + br(units[j], tri(units[i], units[k]))
+        if s.reduce(lhs - rhs).any():
+            failures.append(f"derivation axiom fails on (g{i},g{j},g{k})")
+    for (i, j), k in product(pairs, range(s.rank)):
+        lhs = tri(br(units[i], units[j]), units[k])
+        assoc_ijk = tri(units[i], tri(units[j], units[k])) - tri(tri(units[i], units[j]), units[k])
+        assoc_jik = tri(units[j], tri(units[i], units[k])) - tri(tri(units[j], units[i]), units[k])
+        if s.reduce(lhs - (assoc_ijk - assoc_jik)).any():
+            failures.append(f"associator axiom fails on (g{i},g{j},g{k})")
+    return CheckReport(not failures, tuple(failures))
+
+
+def _moved_constants(shape: PShape, consts: np.ndarray, rng, antisymmetric: bool, defined: bool) -> np.ndarray:
+    """consts with one to three entries (i, j, k) moved; by a multiple of
+    p^max(0, e_k - min(e_i, e_j)) when `defined`, so a well-defined product
+    stays well defined, by any amount otherwise; the (j, i, k) entry moves
+    the other way when `antisymmetric`."""
+    out = consts.copy()
+    for _ in range(int(rng.integers(1, 4))):
+        i, j, k = (int(x) for x in rng.integers(0, shape.rank, size=3))
+        step = shape.p ** max(0, shape.exps[k] - min(shape.exps[i], shape.exps[j])) if defined else 1
+        delta = step * int(rng.integers(1, shape.max_modulus))
+        out[i, j, k] += delta
+        if antisymmetric and i != j:
+            out[j, i, k] -= delta
+    return out
+
+
+def test_post_lie_axioms_match_the_triple_loops(postlie_cat):
+    """Perturbed triangles over the catalog, ranks 1 to 4; one in four with
+    a perturbed base too, half of those ill defined or not antisymmetric."""
+    rng = np.random.default_rng(20)
+    ranks, failing, passing = set(), 0, 0
+    for _ in range(600):
+        _, P = postlie_cat[int(rng.integers(len(postlie_cat)))]
+        s = P.shape
+        base = P.base
+        if rng.random() < 0.25:
+            loose = rng.random() < 0.5
+            base = LieRingSC(s, _moved_constants(s, base.sc, rng, antisymmetric=not loose or rng.random() < 0.5,
+                                                 defined=not loose))
+        if rng.random() < 0.1:  # a random well-defined triangle: many failures, in order
+            tri = _moved_constants(s, np.zeros_like(P.tri), rng, False, True)
+            for _ in range(4):
+                tri = _moved_constants(s, tri, rng, False, True)
+        else:
+            tri = _moved_constants(s, P.tri, rng, False, True)
+        Q = PostLieRing(base, tri)
+        rep = verify_post_lie(Q)
+        assert verify_lie(Q.base) == oracle_verify_lie(Q.base)
+        assert rep == oracle_verify_post_lie(Q)
+        ranks.add(s.rank)
+        failing += not rep.ok
+        passing += rep.ok
+    assert ranks == {1, 2, 3, 4}
+    assert failing >= 200 and passing >= 50

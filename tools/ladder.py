@@ -10,12 +10,16 @@ that of the round trip, without the import and the ring's construction.
 A step `convert:p^e` writes that post-Lie ring's file, then runs
 `python -m lazbrace convert <file> --to brace -o <out>` as the measured
 process: the flow with its checks, and the brace file streamed to `out`
-(a temporary directory, removed afterwards).  Its time is that of the
-whole process, import included; a failed step shows its exit code, its
-last stderr line and how many stderr lines it wrote.
+(a temporary directory, removed afterwards).  A step `roundtrip:p^e`
+writes the same file and runs `python -m lazbrace roundtrip <file>`: the
+flow and the log with their checks, and the comparison of the ring
+written back with the file; it passes when the process exits 0 and
+prints `roundtrip: exact`.  The time of either is that of the whole
+process, import included; a failed step shows its exit code, its last
+stderr line and how many stderr lines it wrote.
 
 The default steps are 3^6, 7^4, 5^5 and 5^6 (the soft cap), then the
-convert steps at 5^5 and 5^6.
+convert and roundtrip steps at 5^5 and 5^6.
 
 Every step runs in a fresh process under its own `ulimit -v`, so the limit
 binds that process only.  A measuring process starts the step as its one
@@ -27,7 +31,7 @@ the process that writes a convert step's file, import numpy and lazbrace
 from the checkout named by --root, this one by default):
 
     python3 tools/ladder.py
-    python3 tools/ladder.py --limit-kb 6000000 3^6 5^5 convert:5^5
+    python3 tools/ladder.py --limit-kb 6000000 3^6 5^5 convert:5^5 roundtrip:5^5
     python3 tools/ladder.py --root ../other-checkout
 
 It prints one Markdown table row per step.
@@ -47,7 +51,7 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-STEPS = ("3^6", "7^4", "5^5", "5^6", "convert:5^5", "convert:5^6")
+STEPS = ("3^6", "7^4", "5^5", "5^6", "convert:5^5", "convert:5^6", "roundtrip:5^5", "roundtrip:5^6")
 
 
 def _round_trip(root: Path, p: int, e: int) -> dict:
@@ -65,7 +69,7 @@ def _round_trip(root: Path, p: int, e: int) -> dict:
 
 
 def _post_lie_file(root: Path, p: int, e: int, path: Path) -> None:
-    """Write the convert step's post-Lie ring to `path`, in the measuring
+    """Write a CLI step's post-Lie ring to `path`, in the measuring
     process, whose own memory the child's peak does not include."""
     sys.path[:0] = [str(root / "src"), str(root / "lazbench")]
     import generate
@@ -79,10 +83,13 @@ def _measure(root: Path, step: str, limit_kb: int) -> dict:
     kind, _, size = step.rpartition(":")
     p, e = map(int, size.split("^"))
     with tempfile.TemporaryDirectory() as tmp:
-        if kind == "convert":
-            plie, out = Path(tmp) / "ring.plie", Path(tmp) / "brace.skb"
+        plie, out = Path(tmp) / "ring.plie", Path(tmp) / "brace.skb"
+        if kind:
             _post_lie_file(root, p, e, plie)
+        if kind == "convert":
             cmd = [sys.executable, "-m", "lazbrace", "convert", str(plie), "--to", "brace", "-o", str(out)]
+        elif kind == "roundtrip":
+            cmd = [sys.executable, "-m", "lazbrace", "roundtrip", str(plie)]
         else:
             cmd = [sys.executable, str(Path(__file__).resolve()), "--root", str(root), "--run", step]
         start = time.perf_counter()
@@ -95,6 +102,9 @@ def _measure(root: Path, step: str, limit_kb: int) -> dict:
     errors = proc.stderr.strip().splitlines()
     if kind == "convert":
         res.update(wall_s=wall, ok=proc.returncode == 0, out_mb=out_mb, stderr_lines=len(errors))
+    elif kind == "roundtrip":
+        res.update(wall_s=wall, ok=proc.returncode == 0 and proc.stdout.strip() == "roundtrip: exact",
+                   stderr_lines=len(errors))
     elif proc.returncode == 0:
         res.update(json.loads(proc.stdout.splitlines()[-1]))
     if proc.returncode:
@@ -104,7 +114,8 @@ def _measure(root: Path, step: str, limit_kb: int) -> dict:
 
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("steps", nargs="*", default=list(STEPS), help="p^e or convert:p^e steps (default: %(default)s)")
+    ap.add_argument("steps", nargs="*", default=list(STEPS),
+                    help="p^e, convert:p^e or roundtrip:p^e steps (default: %(default)s)")
     ap.add_argument("--limit-kb", type=int, default=6_000_000, help="ulimit -v of each step, in KiB")
     ap.add_argument("--root", type=Path, default=ROOT, help="the checkout whose src/ is measured")
     ap.add_argument("--run", help=argparse.SUPPRESS)  # one step, in the measured process
