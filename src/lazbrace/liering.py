@@ -20,7 +20,7 @@ import numpy as np
 from . import freelie
 from .common import CapExceededError, FailedTheoremError, NotLazardError
 from .modarith import (AbelianBasis, ModArithError, PShape, PVec, abelian_decompose, index_dtype, prime_power,
-                       _fill, _fill_group, _index_table, _left_identities, _require_none,
+                       _fill, _fill_group, _index_table, _left_identities, _mask, _require_none,
                        _row_blocks, _schreier, _table_orders, _table_times)
 
 __all__ = [
@@ -706,15 +706,19 @@ def _laz_rows(L: LieRingSC, degree: int, basis: AbelianBasis, elems) -> np.ndarr
 def laz(L: LieRingSC, F: Filtration | None = None, force: bool = False) -> FinGroup:
     """The Lazard group (a, BCH) of a Lazard Lie ring, as a Cayley table.
 
-    BCH is evaluated on the rows BCH(g_i, .) of the unit vectors only
-    (_laz_rows), and the table is filled from them along a Schreier tree:
+    BCH is evaluated on the rows BCH(g_i, .) of the unit vectors only, in
+    one _laz_rows call, and the table is filled from them along a Schreier
+    tree (the rows of its power generators are compositions of them):
     in a Lazard ring a set generates the group it generates as a Lie ring
-    (Khukhro), and BCH is associative there.
+    (Khukhro), and BCH is associative there.  An abelian L is its own
+    Lazard group: the table is the carrier's addition.
     """
     _check_order_cap(L.order, force)
     degree = _lazard_degree(L, F)
     shape = L.shape
-    tree = _schreier(shape.order, 0, lambda g: _laz_rows(L, degree, shape.carrier, [g])[0],
+    if not L.sc.any():  # abelian: BCH(a, b) = a + b
+        return FinGroup(shape.carrier.add, 0)
+    tree = _schreier(shape.order, 0, lambda X: _laz_rows(L, degree, shape.carrier, X),
                      [u.index for u in shape.units()])
     return FinGroup(_fill_group(tree), 0)
 
@@ -735,10 +739,7 @@ def group_root(G: FinGroup, g: int, n: int) -> int:
 
 def _fresh(inside: np.ndarray, vals: np.ndarray) -> np.ndarray:
     """The distinct values of vals outside the mask, sorted."""
-    new = np.zeros(inside.size, dtype=bool)
-    new[vals] = True
-    new &= ~inside
-    return np.flatnonzero(new)
+    return np.flatnonzero(_mask(inside.size, vals) & ~inside)
 
 
 def _close(G: FinGroup, inside: np.ndarray, frontier: np.ndarray, gens) -> None:
@@ -886,9 +887,13 @@ def laz_inv(G: FinGroup, F: Filtration | None = None, force: bool = False) -> Li
     """Laz^-1(G): a + b = P(a, b), [a, b] = Q(a, b), on the same carrier.
 
     P and Q are evaluated only on the rows of a few generators, each the
-    least element the rows P(g, .) so far do not reach.  The addition is
+    least element the rows P(g, .) so far do not reach; the tree's power
+    generators p g take their P rows by composition and their Q rows as
+    p Q(g, .), since Q(p g, .) = [p g, .] = p [g, .].  The addition is
     filled along their Schreier tree, and the bracket on the same edges,
-    since P and Q give a Lie ring for class < p (Lazard).
+    since P and Q give a Lie ring for class < p (Lazard): [g + z, x] =
+    [z, x] + [g, x], a copy run where the row Q(g, .) is all zero.  At
+    length 1 the group is abelian, P = a b and Q = 1: no tree is grown.
     """
     _check_order_cap(G.order, force)
     if F is None:
@@ -905,16 +910,23 @@ def laz_inv(G: FinGroup, F: Filtration | None = None, force: bool = False) -> Li
     k = F.length
     if k >= p:
         raise NotLazardError(f"not Lazard: filtration length {k} >= p = {p}")
-    p_word, q_word = freelie.inverse_words(k)
     n = G.order
+    if k == 1:  # abelian: P(a, b) = a b and Q(a, b) = 1
+        return LieRingTable(G.table, np.full((n, n), G.identity, dtype=G.table.dtype), G.identity)
+    p_word, q_word = freelie.inverse_words(k)
     idx = np.arange(n, dtype=np.int64)
-    tree = _schreier(n, G.identity, lambda g: _eval_word_batch(G, p_word, np.full(n, g), idx),
-                     [], grow=True)
+    word_row = lambda word, g: _eval_word_batch(G, word, np.full(n, g), idx)  # x -> word(g, x)
+    tree = _schreier(n, G.identity, lambda X: [word_row(p_word, g) for g in X], [], grow=True)
     add = _fill_group(tree)
-    q_rows = np.asarray([_eval_word_batch(G, q_word, np.full(n, g), idx) for g in tree.gens])
+    q_rows = []
+    for g, power in zip(tree.gens, tree.powers):  # Q(p g, .) = [p g, .] = p [g, .]
+        q_rows.append(_table_times(add, q_rows[-1], power, G.identity) if power else word_row(q_word, g))
+    copy = [bool((q == G.identity).all()) for q in q_rows]
     flat = add.ravel()
 
     def bracket_step(i, Z):  # [g + z, x] = [z, x] + [g, x]: add[Z, q] = flat[Z n + q], indexed in intp
+        if copy[i]:  # [g, .] = 0
+            return Z
         ix = np.multiply(Z, n, dtype=np.intp)
         ix += q_rows[i]
         return flat.take(ix)
@@ -962,7 +974,8 @@ def laz_of_table(T: LieRingTable, force: bool = False) -> FinGroup:
     """Laz of a table Lie ring, computed purely on the tables (same carrier).
 
     BCH is evaluated by table gathers only on the rows of a few
-    generators, grown as in `laz_inv`, and the table is filled from them.
+    generators, grown as in `laz_inv`, and the table is filled from them;
+    at class 1 the bracket is zero and the group is the addition.
     """
     n = T.order
     _check_order_cap(n, force)
@@ -976,9 +989,11 @@ def laz_of_table(T: LieRingTable, force: bool = False) -> FinGroup:
     k = series.nilpotency_class
     if k >= p:
         raise NotLazardError(f"not Lazard: class {k} >= p = {p}")
+    if k == 1:  # abelian: BCH(a, b) = a + b
+        return FinGroup(T.add, T.zero)
     idx = np.arange(n, dtype=np.int64)
     zero = np.full(n, T.zero, dtype=np.int64)
-    tree = _schreier(n, T.zero, lambda g: freelie.fold_terms(
+    tree = _schreier(n, T.zero, lambda X: [freelie.fold_terms(
         freelie.bch_terms(k), np.full(n, g), idx, lambda u, v: T.bracket[u, v],
-        lambda acc, v, c: T.add[acc, _rational_power_batch(G, v, c)], zero), [], grow=True)
+        lambda acc, v, c: T.add[acc, _rational_power_batch(G, v, c)], zero) for g in X], [], grow=True)
     return FinGroup(_fill_group(tree), T.zero)

@@ -17,7 +17,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import accumulate
 from typing import NamedTuple
 
 import numpy as np
@@ -110,6 +109,14 @@ def _require_none(bad: np.ndarray, what: str, exc=FailedTheoremError, rows=None,
         raise exc(f"{what} at (a,b)=({int(x if rows is None else rows[x])},{int(y if cols is None else cols[y])})")
 
 
+def _mask(n: int, values) -> np.ndarray:
+    """The boolean mask of the values below n: a scatter, where np.unique
+    would sort (and import numpy.ma)."""
+    mask = np.zeros(n, dtype=bool)
+    mask[values] = True
+    return mask
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
@@ -122,57 +129,88 @@ def _read_only(arr: np.ndarray) -> np.ndarray:
 class _Tree(NamedTuple):
     """A breadth-first Schreier tree of z -> g z from `root`: rows[i] is
     x -> gens[i] x in index_dtype(n), and each level is a list of runs
-    (ys, zs, i), one per generator i, with ys = gens[i] zs."""
+    (ys, zs, i), one per generator i, with ys = gens[i] zs.  powers[i] = p
+    where gens[i] is the p-th power of gens[i - 1] (p the least prime
+    dividing n), else 0."""
 
     root: int
     gens: list[int]
     rows: np.ndarray
     levels: list
+    powers: list[int]
 
 
-def _schreier(n: int, identity: int, row_of, gens, grow: bool = False) -> _Tree:
-    """Grow the tree over 0..n-1 one vectorised level at a time; row_of(g)
-    is the array x -> g x.  The candidates of a level are gens[i] z for i
-    in order and z in the previous level in increasing order; each new
-    element keeps its first candidate edge, and the edges are cut into one
-    run per generator.  Where the tree stops short, its least unreached
-    element joins the generators (grow) or is named in a FailedTheoremError.
-    Every 2 isqrt(n) levels the least element of the newest level joins
-    them too, so that a cyclic tree is about 2.5 sqrt(n) deep, not n."""
-    gens = [int(g) for g in gens]
-    rows = [row_of(g) for g in gens]
+def _schreier(n: int, identity: int, rows_of, gens, grow: bool = False) -> _Tree:
+    """Grow the tree over 0..n-1 one vectorised level at a time; rows_of(X)
+    stacks the rows x -> g x for the elements g of an index array X.
+
+    Each generator joins with its power generators g^p, g^(p^2), ... short
+    of the identity (and of p^j = n): each row is the one before composed
+    p times, and its element that row at the identity, so a cyclic factor
+    of order p^e takes e (p - 1) levels, not p^e - 1.  A level takes
+    gens[i] z for i in order and z in the previous level in increasing
+    order, and marks each new element at its first edge as it goes (first
+    occurrences, where rows that are no permutations repeat a candidate);
+    the next level is the sorted union.  Where the tree stops short, its
+    least unreached element joins the generators (grow) or is named in a
+    FailedTheoremError.  Every 2 isqrt(n) levels the least element of the
+    newest level joins them too, so that no tree is much deeper than
+    2.5 sqrt(n)."""
+    p = next((d for d in range(2, math.isqrt(n) + 1) if n % d == 0), n)
+    given = np.asarray(gens, dtype=np.int64)
+    gens, rows, powers = [], [], []
+
+    def join(new, new_rows) -> None:
+        for g, row in zip(new, new_rows):
+            power, q = 0, 1
+            while power == 0 or (g != identity and q < n):
+                gens.append(int(g))
+                rows.append(row)
+                powers.append(power)
+                acc = row
+                for _ in range(p - 1):
+                    acc = row.take(acc)
+                g, row, power, q = acc[identity], acc, p, q * p
+
+    join(given, rows_of(given) if given.size else [])
     reached = np.zeros(n, dtype=bool)
     reached[identity] = True
-    levels = []
-    frontier = np.array([identity])
+    count, levels, frontier = 1, [], np.array([identity])
     deep = 2 * math.isqrt(n)
-    while not reached.all():
+    while count < n:
         blocks = [(frontier, i) for i in range(len(gens))] if frontier.size else []
         if not blocks or len(levels) % deep == deep - 1:
             new = int(frontier[0]) if blocks else int(np.argmin(reached))
             if not (blocks or grow):
                 raise FailedTheoremError(
                     f"generator rows do not generate: the Schreier tree misses element {new}")
-            gens.append(new)
-            rows.append(row_of(new))
-            blocks.append((np.flatnonzero(reached), len(gens) - 1))
-        cand = np.concatenate([rows[i][zs] for zs, i in blocks])
-        fresh = np.flatnonzero(~reached[cand])
-        frontier, first = np.unique(cand[fresh], return_index=True)
-        pos = np.sort(fresh[first])  # the first edges, back in block order
-        ends = pos.searchsorted(list(accumulate(zs.size for zs, _ in blocks))).tolist()
-        ys, zs = cand[pos], np.concatenate([zs for zs, _ in blocks])[pos]
-        levels.append([(ys[a:b], zs[a:b], i) for (_, i), a, b in zip(blocks, [0, *ends], ends) if b > a])
-        reached[frontier] = True
-    return _Tree(identity, gens, _index_rows(np.asarray(rows, dtype=np.int64).reshape(-1, n), n), levels)
+            start = len(gens)
+            join([new], rows_of(np.array([new])))
+            blocks += [(np.flatnonzero(reached), i) for i in range(start, len(gens))]
+        runs = []
+        for zs, i in blocks:
+            cand = rows[i].take(zs)
+            fresh = ~reached.take(cand)
+            ys = cand[fresh]
+            reached[ys] = True
+            if np.count_nonzero(reached) - count < ys.size:  # a repeated candidate keeps its first edge
+                keep = np.flatnonzero(fresh)[np.sort(np.unique(ys, return_index=True)[1])]
+                fresh, ys = keep, cand[keep]
+            count += ys.size
+            if ys.size:
+                runs.append((ys, zs[fresh], i))
+        levels.append(runs)
+        frontier = np.sort(np.concatenate([ys for ys, _, _ in runs])) if runs else np.array([], dtype=np.int64)
+    return _Tree(identity, gens, _index_rows(np.asarray(rows, dtype=np.int64).reshape(-1, n), n), levels, powers)
 
 
 def _fill(tree: _Tree, first, step) -> np.ndarray:
     """The (n, m) table over the tree's n elements with row `first` (m
     element indices below n) at the root and row y = step(i, row z) on each
     tree edge y = gens[i] z: one step per run, with i one generator and Z
-    the (k, m) rows of its zs (chunked).  A step that forms a flat index
-    into an n x n table forms it in intp, as n^2 overflows index_dtype(n)."""
+    the (k, m) rows of its zs (chunked); it may return Z itself (a copy
+    run).  A step that forms a flat index into an n x n table forms it in
+    intp, as n^2 overflows index_dtype(n)."""
     n, m = tree.rows.shape[1], len(first)
     table = np.empty((n, m), dtype=index_dtype(n))
     table[tree.root] = first
@@ -553,15 +591,14 @@ class AbelianBasis:
 
     @cached_property
     def tree(self) -> _Tree:
-        """The additive Schreier tree of the carrier from the elements p^j
-        gens[i], j < e_i, so that coordinate i takes e_i (p - 1) levels,
-        not p^e_i - 1: row g is x -> x + g, computed in coordinates, also
-        for the generators the tree adds itself."""
-        s, coords = self.shape, self.coords
-        steps = np.concatenate([np.multiply.outer(s.p ** np.arange(e), np.eye(s.rank, dtype=np.int64)[i])
-                                for i, e in enumerate(s.exps)])
-        return _schreier(len(coords), int(self.elem_of[0]), lambda g: self.elems(coords + coords[g]),
-                         self.elems(steps))
+        """The additive Schreier tree of the carrier from the unit vectors
+        gens[i], each followed by its multiples p^j gens[i], j < e_i (the
+        tree's power generators), so that coordinate i takes e_i (p - 1)
+        levels, not p^e_i - 1: row g is x -> x + g, computed in coordinates
+        for the unit vectors and the generators the tree adds itself."""
+        coords = self.coords
+        return _schreier(len(coords), int(self.elem_of[0]),
+                         lambda G: self.elems(coords + coords[G][:, None]), self.gens)
 
     @cached_property
     def add(self) -> np.ndarray:
@@ -660,7 +697,7 @@ def _greedy_decompose(table: np.ndarray, identity: int, p: int) -> list[tuple[in
     dlog = {x: i for i, x in enumerate(chain)}
     # quotient by <g>: canonical representative = smallest index in the coset
     reps_of = table[:, np.array(chain, dtype=np.int64)].min(axis=1)
-    reps = np.unique(reps_of)
+    reps = np.flatnonzero(_mask(n, reps_of))
     qn = reps.size
     if qn * maxo != n:
         raise ModArithError("table is not a group (coset sizes are uneven)")
@@ -733,7 +770,7 @@ def _decomposed_basis(table: np.ndarray) -> AbelianBasis:
         for i in range(1, m):
             chain[i] = table[chain[i - 1], g]
         elem_of = table[np.asarray(elem_of)[None, :], chain[:, None]].ravel()
-    if np.unique(elem_of).size != n:
+    if np.count_nonzero(_mask(n, elem_of)) != n:
         raise ModArithError("decomposition is not bijective; table is not abelian p-group")
     index_of_elem = np.empty(n, dtype=np.int64)
     index_of_elem[elem_of] = np.arange(n)

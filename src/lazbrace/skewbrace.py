@@ -36,7 +36,7 @@ from .liering import (
     _row_masks,
     _schreier,
 )
-from .modarith import ModArithError, _pair_take, _row_blocks, prime_power
+from .modarith import ModArithError, _mask, _pair_take, _row_blocks, prime_power
 
 __all__ = [
     "SkewBrace",
@@ -97,6 +97,13 @@ class SkewBrace:
         return _pair_take(self.dot.table, self.dot.inv[:, None], self.circ.table)
 
     @cached_property
+    def _circ_lam(self) -> np.ndarray:
+        """The rows lambda_g = dot[g^-1][circ[g]] of lam for the circ
+        generators g (circ.gens), without the n x n lam."""
+        cg = np.asarray(self.circ.gens, dtype=np.int64)
+        return self.dot.table[self.dot.inv[cg][:, None], self.circ.table[cg]]
+
+    @cached_property
     def verdict(self) -> CheckReport:
         """verify_skew_brace(self), computed once per brace and cached.
 
@@ -109,20 +116,22 @@ class SkewBrace:
         """l_series_brace(self), computed once per brace and cached.
 
         L^(i+1) is the normal closure in (A, .) of g*h for circ generators
-        g and [g', h] for dot generators g', with h over generators of L^i.
+        g and [g', h] for dot generators g', with h over generators of L^i;
+        g*h = lambda_g(h) h^-1 is read from the rows _circ_lam, so the
+        n x n lam is not built.
         This is exact: L^(i+1) lies in L^i and holds [A, L^i], so it is
         normal; the rest is the proof of left_series_brace, with N normal,
         and for the commutators as for groups (Robinson, 5.1.7).
         """
         dot = self.dot
         dg = np.asarray(dot.gens, dtype=np.int64)
-        cg = np.asarray(self.circ.gens, dtype=np.int64)
+        lam = self._circ_lam
         maps = _conjugations(dot, dg)
 
         def next_term(cur: np.ndarray) -> np.ndarray:
             h = np.asarray(_group_gens(dot, cur), dtype=np.int64)
             return _invariant_closure(dot, np.concatenate(
-                [_star(self, cg[:, None], h).ravel(), dot.comm_batch(dg[:, None], h).ravel()]), maps)
+                [dot.table[lam[:, h], dot.inv[h]].ravel(), dot.comm_batch(dg[:, None], h).ravel()]), maps)
 
         return descending_series(self.order, next_term)
 
@@ -155,7 +164,7 @@ def _compatibility_failure(B: SkewBrace) -> tuple[int, int, int] | None:
     ((a o a') o b) (a o a')^-1 ((a o a') o c).  So circ generators a suffice.
     """
     dot, cg, dg = B.dot.table, list(B.circ.gens), list(B.dot.gens)
-    lam = dot[B.dot.inv[cg][:, None], B.circ.table[cg]]
+    lam = B._circ_lam
     bad = _hom_failure(lam, dot[dg], dot[lam[:, dg]])
     return None if bad is None else (cg[bad[0]], dg[bad[1]], bad[2])
 
@@ -295,7 +304,7 @@ def _classify_batch_brace(B: SkewBrace, members: np.ndarray) -> np.ndarray:
     (A, .) or in (A, o) is a subgroup, so dot or circ generators suffice.
     """
     dot, circ = B.dot, B.circ
-    maps = [B.lam[list(circ.gens)], _conjugations(dot, dot.gens), _conjugations(circ, circ.gens)]
+    maps = [B._circ_lam, _conjugations(dot, dot.gens), _conjugations(circ, circ.gens)]
     k, m = members.shape
     levels = np.empty(k, dtype=np.int64)
     for blk in _row_blocks(k, m * max(m, *(len(f) for f in maps))):
@@ -379,21 +388,29 @@ def _automorphisms_into(G: FinGroup, gens: list[int], cands: list[list[int]]) ->
     """The automorphisms of G sending each gens[k] into cands[k].
 
     Each choice of images is extended along one Schreier tree of the rows
-    x -> g x, as phi(g z) = phi(g) phi(z) on each edge, and kept when it is
-    a bijection and a homomorphism on the generators (_hom_failure, which
-    proves it one on G).  An automorphism satisfies every edge, those of the
-    generators the tree adds itself included, so none is missed.
+    x -> g x, as phi(g z) = phi(g) phi(z) on each edge, after phi(g^p) =
+    phi(g)^p for each power generator g^p of the tree that is not in gens,
+    and kept when it is a bijection and a homomorphism on the generators
+    (_hom_failure, which proves it one on G).  An automorphism satisfies
+    every edge and every power, those of the generators the tree adds
+    itself included, so none is missed.
     """
     tree = _schreier(G.order, G.identity, lambda g: G.table[g], gens)
-    runs = [(ys, zs, tree.gens[i]) for level in tree.levels for ys, zs, i in level]
+    pending = [k for k, power in enumerate(tree.powers) if power and tree.gens[k] not in gens]
+    steps = []  # runs (ys, zs, g, 0), and (g^p, g, None, p) before the first run of g or a later generator
+    for ys, zs, i in (run for level in tree.levels for run in level):
+        while pending and pending[0] <= i + 1:
+            k = pending.pop(0)
+            steps.append((tree.gens[k], tree.gens[k - 1], None, tree.powers[k]))
+        steps.append((ys, zs, tree.gens[i], 0))
     rows = G.table[gens]
     out = []
     for combo in product(*cands):
         phi = np.full(G.order, G.identity, dtype=np.int64)
         phi[gens] = combo
-        for ys, zs, g in runs:
-            phi[ys] = G.table[phi[g]][phi[zs]]
-        if np.unique(phi).size == G.order and _hom_failure(phi, rows, G.table[phi[gens]][None]) is None:
+        for ys, zs, g, power in steps:
+            phi[ys] = G.power(phi[zs], power) if power else G.table[phi[g]][phi[zs]]
+        if _mask(G.order, phi).all() and _hom_failure(phi, rows, G.table[phi[gens]][None]) is None:
             out.append(phi)
     return out
 

@@ -1080,15 +1080,37 @@ def test_ill_defined_bracket_constants_are_refused():
 # ---------------------------------------------------------------------------
 # Schreier trees and the run fill against the level-wise tree and fill they
 # replace: the same generators and edges at each depth, and one 2-D gather
-# per level.
+# per level.  The oracle tree takes each level's first edges with np.unique;
+# with powers=False it has no power generators, as the trees before them,
+# and the tables filled along it must not change.
 
 
-def oracle_schreier(n: int, identity: int, row_of, gens) -> tuple[list[int], np.ndarray, list]:
+def oracle_schreier(n: int, identity: int, row_of, gens, powers: bool = True) -> tuple[list[int], np.ndarray, list]:
     """(gens, int64 rows, levels), each level (ys, zs, gi) in increasing
     ys, with ys = gens[gi] zs; the least unreached element joins the
-    generators where the tree stops short."""
-    gens = [int(g) for g in gens]
-    rows = [row_of(g) for g in gens]
+    generators where the tree stops short.  With powers, each generator
+    joining is followed by g^p, g^(p^2), ... (p the least prime dividing
+    n) while p^j < n and g^(p^j) is not the identity, each row the one
+    before it applied p times."""
+    p = min(d for d in range(2, n + 1) if n % d == 0) if n > 1 else 2
+    gens_in, gens, rows = [int(g) for g in gens], [], []
+
+    def join(g):
+        gens.append(g)
+        rows.append(np.asarray(row_of(g), dtype=np.int64))
+        for j in range(1, n.bit_length() if powers else 0):
+            if p ** j >= n:
+                break
+            acc = np.arange(n)
+            for _ in range(p):
+                acc = rows[-1][acc]
+            if acc[identity] == identity:
+                break
+            gens.append(int(acc[identity]))
+            rows.append(acc)
+
+    for g in gens_in:
+        join(g)
     reached = np.zeros(n, dtype=bool)
     reached[identity] = True
     levels = []
@@ -1097,9 +1119,9 @@ def oracle_schreier(n: int, identity: int, row_of, gens) -> tuple[list[int], np.
     while not reached.all():
         blocks = [(frontier, i) for i in range(len(gens))] if frontier.size else []
         if not blocks or len(levels) % deep == deep - 1:
-            gens.append(int(frontier[0]) if blocks else int(np.argmin(reached)))
-            rows.append(row_of(gens[-1]))
-            blocks.append((np.flatnonzero(reached), len(gens) - 1))
+            start = len(gens)
+            join(int(frontier[0]) if blocks else int(np.argmin(reached)))
+            blocks += [(np.flatnonzero(reached), i) for i in range(start, len(gens))]
         cand = np.concatenate([rows[i][zs] for zs, i in blocks])
         fresh = np.flatnonzero(~reached[cand])
         ys, first = np.unique(cand[fresh], return_index=True)
@@ -1132,25 +1154,32 @@ def _word_row(G: FinGroup, word):
     return lambda g: _eval_word_batch(G, word, np.full(G.order, g), idx)
 
 
-def oracle_laz_inv_fill(G: FinGroup, k: int):
+def _stacked(row_of):
+    """The stacked rows_of of _schreier, from one row at a time."""
+    return lambda X: np.asarray([row_of(int(g)) for g in X])
+
+
+def oracle_laz_inv_fill(G: FinGroup, k: int, powers: bool = True):
     """laz_inv's tree of the rows P(g, .), and its addition and bracket
-    filled level by level."""
+    filled level by level, with Q evaluated on every tree generator."""
     p_word, q_word = freelie.inverse_words(k)
     n = G.order
-    tree = oracle_schreier(n, G.identity, _word_row(G, p_word), [])
+    tree = oracle_schreier(n, G.identity, _word_row(G, p_word), [], powers)
     add = oracle_fill_group(tree, G.identity)
     q_rows = np.asarray([_word_row(G, q_word)(g) for g in tree[0]], dtype=np.int64)
     return tree, add, oracle_fill(tree, G.identity, np.full(n, G.identity), lambda gi, Z: add[Z, q_rows[gi]])
 
 
 def oracle_additive_table(basis: AbelianBasis, images):
-    """The carrier's additive tree from the elements p^j gens[i], and the
-    (m, n) table of additive maps filled level by level along it."""
+    """The carrier's additive tree from the elements p^j gens[i], j < e_i,
+    given explicitly and without power generators, and the (m, n) table
+    of additive maps filled level by level along it."""
     s, coords = basis.shape, basis.coords
     steps = np.concatenate([np.multiply.outer(s.p ** np.arange(e), np.eye(s.rank, dtype=np.int64)[i])
                             for i, e in enumerate(s.exps)])
     root = int(basis.elem_of[0])
-    tree = oracle_schreier(len(coords), root, lambda g: basis.elems(coords + coords[g]), basis.elems(steps))
+    tree = oracle_schreier(len(coords), root, lambda g: basis.elems(coords + coords[g]), basis.elems(steps),
+                           powers=False)
     add = oracle_fill_group(tree, root)
     cols = basis.elems(images(coords[tree[0]])).T
     return tree, add, oracle_fill(tree, root, np.full(cols.shape[1], root), lambda gi, Z: add[cols[gi], Z]).T
@@ -1169,10 +1198,16 @@ def _assert_same_tree(tree, oracle, name) -> None:
         assert edges == set(zip(ys.tolist(), zs.tolist(), gi.tolist())), name
 
 
+def _assert_rows_are_elements(tree, row_of, name) -> None:
+    """Each power generator's composed row is the row of its element."""
+    assert np.array_equal(tree.rows, np.asarray([row_of(g) for g in tree.gens])), name
+
+
 def test_run_fills_match_the_level_oracle(lazard_tables, brace_logs):
     # every fill on the Lazard tables (uint8 and uint16, up to order 2401)
     # and on the brace corpus: the Laz table, laz_inv's addition and
-    # bracket, the group tables of both braces, and additive_table
+    # bracket, the group tables of both braces, and additive_table, along
+    # the trees with power generators and, unchanged, along the old trees
     orders = set()
     for name, L, G, T in lazard_tables:
         n = G.order
@@ -1180,13 +1215,18 @@ def test_run_fills_match_the_level_oracle(lazard_tables, brace_logs):
         degree = _lazard_degree(L, None)
         row_of = lambda g: _laz_rows(L, degree, L.shape.carrier, [g])[0]
         units = [u.index for u in L.shape.units()]
-        tree, oracle = _schreier(n, 0, row_of, units), oracle_schreier(n, 0, row_of, units)
+        tree, oracle = _schreier(n, 0, _stacked(row_of), units), oracle_schreier(n, 0, row_of, units)
         _assert_same_tree(tree, oracle, name)
+        _assert_rows_are_elements(tree, row_of, name)
         assert np.array_equal(_fill_group(tree), oracle_fill_group(oracle, 0)), name
+        assert np.array_equal(G.table, oracle_fill_group(oracle_schreier(n, 0, row_of, units, powers=False), 0)), name
         k = canonical_group_filtration(G).filtration.length
         oracle, add, br = oracle_laz_inv_fill(G, k)
-        _assert_same_tree(_schreier(n, G.identity, _word_row(G, freelie.inverse_words(k)[0]), [], grow=True),
-                          oracle, name)
+        tree = _schreier(n, G.identity, _stacked(_word_row(G, freelie.inverse_words(k)[0])), [], grow=True)
+        _assert_same_tree(tree, oracle, name)
+        _assert_rows_are_elements(tree, _word_row(G, freelie.inverse_words(k)[0]), name)
+        assert np.array_equal(T.add, add) and np.array_equal(T.bracket, br), name
+        _, add, br = oracle_laz_inv_fill(G, k, powers=False)
         assert np.array_equal(T.add, add) and np.array_equal(T.bracket, br), name
         L_sc, basis = table_to_sc(T)
         images = lambda X: L_sc.bracket_batch(basis.coords[:, None, :], X)
@@ -1198,16 +1238,33 @@ def test_run_fills_match_the_level_oracle(lazard_tables, brace_logs):
     for name, B, log in brace_logs:
         for G in (B.dot, B.circ):
             row_of = lambda g: G.table[g]
-            tree = _schreier(G.order, G.identity, row_of, G.gens)
+            tree = _schreier(G.order, G.identity, _stacked(row_of), G.gens)
             oracle = oracle_schreier(G.order, G.identity, row_of, G.gens)
             _assert_same_tree(tree, oracle, name)
+            _assert_rows_are_elements(tree, row_of, name)
             assert np.array_equal(_fill_group(tree), oracle_fill_group(oracle, G.identity)), name
             assert np.array_equal(_fill_group(tree), G.table), name
+            old = oracle_schreier(G.order, G.identity, row_of, G.gens, powers=False)
+            assert np.array_equal(oracle_fill_group(old, G.identity), G.table), name
         basis, DW = log.basis, log.post_lie.l_mats(log.basis.coords)
         oracle, add, table = oracle_additive_table(basis, lambda X: X @ DW)
         _assert_same_tree(basis.tree, oracle, name)
         assert np.array_equal(basis.add, add) and np.array_equal(log.tri_table, table), name
         assert np.array_equal(basis.additive_table(lambda X: X @ DW), table), name
+
+
+def test_trees_on_rows_that_are_no_permutations_match_the_level_oracle():
+    # random maps with g 0 = g repeat candidates inside one generator's
+    # block, and the tree keeps each element's first edge as the np.unique
+    # levels do
+    rng = np.random.default_rng(21)
+    for n, trial in product((8, 9, 25, 27, 49), range(6)):
+        R = rng.integers(0, n, (n, n))
+        R[:, 0] = np.arange(n)
+        gens = rng.choice(n, 2, replace=False).tolist()
+        tree = _schreier(n, 0, lambda X: R[X], gens, grow=True)
+        oracle = oracle_schreier(n, 0, lambda g: R[g], gens)
+        _assert_same_tree(tree, oracle, (n, trial))
 
 
 # ---------------------------------------------------------------------------
@@ -1535,8 +1592,9 @@ def oracle_automorphisms_into(G: FinGroup, gens: list[int], cands) -> list[np.nd
 
 
 def test_automorphisms_match_the_factorization_oracle(order9_braces):
-    # cyclic groups make the tree add generators of its own (Z/27, Z/64 and
-    # Z/81 with one generator); the others cover ranks 2-4 and p = 2, 3, 5
+    # the trees add power generators of their own (3 and 9 for Z/27 from 1),
+    # whose images phi(g)^p are set before the runs; the groups cover
+    # ranks 1-4 and p = 2, 3, 5
     groups = [(f"Z{p}{exps}", catalogs.shape_group(PShape(p, exps)))
               for p, exps in ((3, (3,)), (2, (6,)), (3, (4,)), (5, (2,)), (2, (2, 1)), (2, (1, 1, 1)),
                               (3, (2, 1)), (2, (2, 1, 1)), (5, (1, 1)), (3, (2, 2)))]

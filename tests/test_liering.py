@@ -5,10 +5,14 @@ import pytest
 
 import catalogs
 from catalogs import ad_endo, verify_lie_table
+from lazbrace import freelie
 from lazbrace.common import FailedTheoremError, NotLazardError
 from lazbrace.liering import (
     LieRingTable,
+    _eval_word_batch,
     _fill_group,
+    _laz_rows,
+    _lazard_degree,
     _schreier,
     FinGroup,
     Filtration,
@@ -300,21 +304,44 @@ def test_group_closure_utility(heis5):
     assert len(g3) == 5
 
 
+def _cyclic_rows(n: int):
+    return lambda X: (np.asarray(X)[:, None] + np.arange(n)) % n
+
+
 def test_schreier_tree_names_the_first_unreached_element():
     n = 9  # Z/9 under addition: 3 generates only {0, 3, 6}
-    row_of = lambda g: (g + np.arange(n)) % n
     with pytest.raises(FailedTheoremError, match="misses element 1$"):
-        _schreier(n, 0, row_of, [3])
-    tree = _schreier(n, 0, row_of, [3], grow=True)
-    assert tree.gens == [3, 1]
+        _schreier(n, 0, _cyclic_rows(n), [3])
+    tree = _schreier(n, 0, _cyclic_rows(n), [3], grow=True)
+    assert tree.gens == [3, 1, 3] and tree.powers == [0, 0, 3]  # 1 joins with its power 3 * 1
     assert np.array_equal(_fill_group(tree), np.add.outer(np.arange(n), np.arange(n)) % n)
 
 
 def test_schreier_tree_of_a_cyclic_group_stays_shallow():
-    n = 625
-    tree = _schreier(n, 0, lambda g: (g + np.arange(n)) % n, [1])
-    assert len(tree.levels) == 61 and tree.gens == [1, 49]  # 624 levels with the one generator
+    n = 625  # the power generators 5, 25 and 125 of 1: four base-5 digits, 624 levels with 1 alone
+    tree = _schreier(n, 0, _cyclic_rows(n), [1])
+    assert len(tree.levels) == 16 and tree.gens == [1, 5, 25, 125] and tree.powers == [0, 5, 5, 5]
+    assert np.array_equal(tree.rows, _cyclic_rows(n)(tree.gens))
     assert np.array_equal(_fill_group(tree), np.add.outer(np.arange(n), np.arange(n)) % n)
+
+
+def test_lazard_trees_of_a_7_2_2_ring_stay_shallow():
+    # [e0, e1] = 7 e1 on Z/49 + Z/49, class 2: with the power generators 7 u
+    # of the unit vectors u, laz's tree has 18 levels (55 without them) and
+    # laz_inv's grown tree 25 (97 without them)
+    L = LieRingSC.from_brackets(PShape(7, (2, 2)), {(0, 1): (0, 7)})
+    units = [u.index for u in L.shape.units()]
+    tree = _schreier(2401, 0, lambda X: _laz_rows(L, _lazard_degree(L), L.shape.carrier, X), units)
+    assert tree.gens == [1, 7, 49, 343] and tree.powers == [0, 7, 0, 7] and len(tree.levels) == 18
+    G = laz(L)
+    assert np.array_equal(_fill_group(tree), G.table)
+    T = laz_inv(G)
+    p_word = freelie.inverse_words(canonical_group_filtration(G).filtration.length)[0]
+    P = lambda X: [_eval_word_batch(G, p_word, np.full(2401, g), np.arange(2401)) for g in X]
+    tree = _schreier(2401, G.identity, P, [], grow=True)
+    assert tree.gens == [1, 7, 49, 343] and len(tree.levels) == 25
+    assert np.array_equal(_fill_group(tree), T.add)
+    assert np.array_equal(laz_of_table(T).table, G.table)
 
 
 def test_table_to_sc_names_the_first_non_biadditive_pair(heis5):

@@ -18,8 +18,19 @@ prints `roundtrip: exact`.  The time of either is that of the whole
 process, import included; a failed step shows its exit code, its last
 stderr line and how many stderr lines it wrote.
 
+A step `flow:p^e` builds that post-Lie ring and times
+`lazcorr.post_lie_to_brace(P, check=True)` in-library.  A step `log:p^e`
+times `lazcorr.brace_to_post_lie(B, check=True)` on the ring's brace,
+whose two group tables the measuring process computes (with
+check=False) and saves as one `.npz` file before the measured process
+starts; it passes when the ring it returns is written as the ring it
+came from.  So the peak RSS of either holds one direction of the
+correspondence and its checks, with the import and, for `log`, the two
+tables it reads.
+
 The default steps are 3^6, 7^4, 5^5 and 5^6 (the soft cap), then the
-convert and roundtrip steps at 5^5 and 5^6.
+convert and roundtrip steps at 5^5 and 5^6; the flow and log steps run
+when named.
 
 Every step runs in a fresh process under its own `ulimit -v`, so the limit
 binds that process only.  A measuring process starts the step as its one
@@ -32,6 +43,7 @@ from the checkout named by --root, this one by default):
 
     python3 tools/ladder.py
     python3 tools/ladder.py --limit-kb 6000000 3^6 5^5 convert:5^5 roundtrip:5^5
+    python3 tools/ladder.py flow:5^5 log:5^5
     python3 tools/ladder.py --root ../other-checkout
 
 It prints one Markdown table row per step.
@@ -54,28 +66,60 @@ ROOT = Path(__file__).resolve().parents[1]
 STEPS = ("3^6", "7^4", "5^5", "5^6", "convert:5^5", "convert:5^6", "roundtrip:5^5", "roundtrip:5^6")
 
 
-def _round_trip(root: Path, p: int, e: int) -> dict:
-    """The step itself, in the process whose peak RSS is measured."""
+def _post_lie(root: Path, p: int, e: int):
+    """A CLI, flow or log step's post-Lie ring, built from the checkout."""
     sys.path[:0] = [str(root / "src"), str(root / "lazbench")]
     import generate
-    from lazbrace import liering
 
-    L = generate.lie_instance("x", 3, p, (1,) * e, "graded", 2).build()
+    return generate.triangle_instance("x", 3, p, (1,) * e, "zero", 2).build()
+
+
+def _run(root: Path, step: str, tables: Path | None) -> dict:
+    """The step itself, in the process whose peak RSS is measured."""
+    kind, _, size = step.rpartition(":")
+    p, e = map(int, size.split("^"))
+    sys.path[:0] = [str(root / "src"), str(root / "lazbench")]
+    import generate
+    import numpy as np
+    from lazbrace import formats, lazcorr, liering
+    from lazbrace.skewbrace import SkewBrace
+
+    if kind:
+        P = _post_lie(root, p, e)
+    else:
+        L = generate.lie_instance("x", 3, p, (1,) * e, "graded", 2).build()
+    if kind == "log":
+        with np.load(tables) as npz:
+            B = SkewBrace(*(liering.FinGroup(npz[part], int(npz["identity"])) for part in ("dot", "circ")))
     start = time.perf_counter()
-    G = liering.laz(L)
-    T = liering.laz_inv(G)
-    ok = liering.laz_of_table(T) == G
+    if kind == "flow":
+        ok = lazcorr.post_lie_to_brace(P, check=True) is not None  # a failed check raises
+    elif kind == "log":
+        ok = formats.write_text(lazcorr.brace_to_post_lie(B, check=True).post_lie) == formats.write_text(P)
+    else:
+        G = liering.laz(L)
+        T = liering.laz_inv(G)
+        ok = liering.laz_of_table(T) == G
     return {"wall_s": time.perf_counter() - start, "ok": bool(ok)}
 
 
 def _post_lie_file(root: Path, p: int, e: int, path: Path) -> None:
     """Write a CLI step's post-Lie ring to `path`, in the measuring
     process, whose own memory the child's peak does not include."""
-    sys.path[:0] = [str(root / "src"), str(root / "lazbench")]
-    import generate
     from lazbrace import formats
 
-    path.write_text(formats.write_text(generate.triangle_instance("x", 3, p, (1,) * e, "zero", 2).build()))
+    path.write_text(formats.write_text(_post_lie(root, p, e)))
+
+
+def _brace_tables(root: Path, p: int, e: int, tables: Path) -> None:
+    """Save the ring's brace tables for a log step to `tables` (.npz), in
+    the measuring process."""
+    P = _post_lie(root, p, e)
+    import numpy as np
+    from lazbrace import lazcorr
+
+    B = lazcorr.post_lie_to_brace(P, check=False).brace
+    np.savez(tables, dot=B.dot.table, circ=B.circ.table, identity=B.dot.identity)
 
 
 def _measure(root: Path, step: str, limit_kb: int) -> dict:
@@ -83,15 +127,18 @@ def _measure(root: Path, step: str, limit_kb: int) -> dict:
     kind, _, size = step.rpartition(":")
     p, e = map(int, size.split("^"))
     with tempfile.TemporaryDirectory() as tmp:
-        plie, out = Path(tmp) / "ring.plie", Path(tmp) / "brace.skb"
-        if kind:
+        plie, out, tables = Path(tmp) / "ring.plie", Path(tmp) / "brace.skb", Path(tmp) / "brace.npz"
+        if kind in ("convert", "roundtrip"):
             _post_lie_file(root, p, e, plie)
+        elif kind == "log":
+            _brace_tables(root, p, e, tables)
         if kind == "convert":
             cmd = [sys.executable, "-m", "lazbrace", "convert", str(plie), "--to", "brace", "-o", str(out)]
         elif kind == "roundtrip":
             cmd = [sys.executable, "-m", "lazbrace", "roundtrip", str(plie)]
         else:
-            cmd = [sys.executable, str(Path(__file__).resolve()), "--root", str(root), "--run", step]
+            cmd = [sys.executable, str(Path(__file__).resolve()), "--root", str(root), "--run", step,
+                   "--tables", str(tables)]
         start = time.perf_counter()
         proc = subprocess.run(["sh", "-c", f"ulimit -v {limit_kb} && exec {shlex.join(cmd)}"],
                               capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(root / "src")})
@@ -115,14 +162,15 @@ def _measure(root: Path, step: str, limit_kb: int) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("steps", nargs="*", default=list(STEPS),
-                    help="p^e, convert:p^e or roundtrip:p^e steps (default: %(default)s)")
+                    help="p^e, convert:p^e, roundtrip:p^e, flow:p^e or log:p^e steps (default: %(default)s)")
     ap.add_argument("--limit-kb", type=int, default=6_000_000, help="ulimit -v of each step, in KiB")
     ap.add_argument("--root", type=Path, default=ROOT, help="the checkout whose src/ is measured")
     ap.add_argument("--run", help=argparse.SUPPRESS)  # one step, in the measured process
     ap.add_argument("--measure", help=argparse.SUPPRESS)  # one step, as the measuring process
+    ap.add_argument("--tables", type=Path, help=argparse.SUPPRESS)  # a log step's brace tables
     args = ap.parse_args(argv)
     if args.run:
-        print(json.dumps(_round_trip(args.root.resolve(), *map(int, args.run.split("^")))))
+        print(json.dumps(_run(args.root.resolve(), args.run, args.tables)))
         return 0
     if args.measure:
         print(json.dumps(_measure(args.root.resolve(), args.measure, args.limit_kb)))
