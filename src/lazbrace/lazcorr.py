@@ -33,8 +33,8 @@ from .liering import (
     table_to_sc,
     validate_group_filtration,
 )
-from .modarith import (AbelianBasis, Endo, ModArithError, PShape, PVec, _pair_take, _require_none, endo_exp,
-                       endo_log, index_dtype, root_of_unity)
+from .modarith import (AbelianBasis, Endo, ModArithError, PShape, PVec, _first_in_blocks, _pair_take, _raise_at,
+                       _require_none, _take_transposed, endo_exp, endo_log, index_dtype, root_of_unity)
 from .postlie import (
     PostLieRing,
     _classify_batch,
@@ -208,7 +208,17 @@ def post_lie_to_brace(P: PostLieRing, check: bool = True) -> FlowResult:
 
     P is verified first.  The maps exp(L_{Omega(a)}) are validated
     matrices, so their table is filled along the shape's additive tree
-    (AbelianBasis.additive_table)."""
+    (AbelianBasis.additive_table).  The fill's own (n, n) buffer, with
+    exp(L_{Omega(a)})(b) at [b, a], becomes circ in place, one mirrored
+    pair of blocks at a time (_take_transposed): no transposed copy and
+    no second table is held beside it.
+
+    The fill reads the carrier's addition table: the one held on
+    P.shape's carrier (for an abelian base, the dot table itself), or else
+    one filled for the fill alone (AbelianBasis.additive_table).  So the
+    flow leaves no n x n addition table on P.shape, and a roundtrip holds
+    one addition table per carrier: the log direction's Laz^-1 of the dot
+    group, the only one it can check against that group."""
     rep = verify_post_lie(P)
     if not rep.ok:
         raise ModArithError(f"not a post-Lie ring: {rep.failures}")
@@ -221,8 +231,8 @@ def post_lie_to_brace(P: PostLieRing, check: bool = True) -> FlowResult:
     Omega = np.empty(n, dtype=np.int64)
     Omega[W] = np.arange(n)
     exp_mats = endo_exp(Endo(s, P.l_mats(s.all_coords()[Omega])), max(k, 1)).mat
-    images = np.ascontiguousarray(s.carrier.additive_table(lambda X: X @ exp_mats))  # exp(L_Omega(a))(b)
-    circ = _pair_take(dot.table, np.arange(n)[:, None], images)
+    images = s.carrier.additive_table(lambda X: X @ exp_mats).T  # [b, a]: exp(L_Omega(a))(b)
+    circ = _take_transposed(dot.table, images)
     brace = SkewBrace(dot, FinGroup(circ, 0))
     if check:
         rep = brace.verdict
@@ -262,23 +272,48 @@ def _dot_log(dot: FinGroup) -> tuple[LieRingSC, AbelianBasis]:
     return table_to_sc(laz_inv(dot, ser.filtration))
 
 
-def _additive_log(basis: AbelianBasis, alpha: np.ndarray, k: int, name: str, exc, elements=None) -> np.ndarray:
+def _stack_rows(alpha: np.ndarray):
+    """The rows(A, cols) of _additive_log for an (m, n) array of maps."""
+    return lambda A, cols=None: alpha[A] if cols is None else alpha[A][:, cols]
+
+
+def _raising_test(dot: FinGroup, F: Filtration):
+    """The _first_in_blocks test for rows R of maps alpha of (A, .): where
+    alpha(g) g^-1 is not in X_(level g + 1) (the last term at the bottom)."""
+    floor = np.minimum(F.level + 1, F.depth)
+    level = F.level.astype(index_dtype(F.depth + 1))  # a block of the gather below is held in that dtype
+    return lambda blk, R: level[_pair_take(dot.table, R, dot.inv)] < floor
+
+
+def _additive_log(basis: AbelianBasis, rows, k: int, name: str, exc, elements=None, also=()):
     """The (m, r, r) stack of log alpha[i] over basis.shape, for maps alpha[i]
-    given by their rows of carrier images, row i standing for the element
-    elements[i] (default i).  The matrices are read off the generators (Endo
-    checks them well defined); exc names the first (a, b) where alpha[i, b]
-    is not the matrix image, a = elements[i].  The matrix images are filled
+    given by their rows of carrier images, rows(A, cols) = alpha[A] (or its
+    columns cols) for a slice A, row i standing for the element elements[i]
+    (default i); and, for each test in `also`, its first failure (i, b) in
+    the same pass, or None.  The matrices are read off the generator
+    columns (Endo checks them well defined); exc names the first (a, b)
+    where alpha[i, b] is not the matrix image, a = elements[i], before log
+    raises for a map that is not unipotent.  The matrix images are filled
     along the additive tree, every tree generator's image computed from its
     coordinates and none read from alpha, so the table compared with alpha
-    is the matrix maps themselves."""
-    mats = Endo(basis.shape, basis.coords[alpha[:, list(basis.gens)]])
-    images = basis.additive_table(lambda X: X @ mats.mat)
-    _require_none(images != alpha, f"{name} is not additive over Laz^-1 of the dot group", exc, elements)
-    return endo_log(mats, max(k, 1)).mat
+    is the matrix maps themselves.  Images and alpha are both read a block
+    of maps at a time (_first_in_blocks): neither is held as an (m, n)
+    array, and lambda can be passed as SkewBrace._lam_rows."""
+    mats = Endo(basis.shape, basis.coords[rows(slice(None), list(basis.gens))])
+    additive = lambda blk, R: R != basis.additive_table(lambda X: X @ mats.mat[blk])
+    bad, *found = _first_in_blocks(len(mats.mat), len(basis.coords), rows, [additive, *also])
+    _raise_at(bad, f"{name} is not additive over Laz^-1 of the dot group", exc, elements)
+    return endo_log(mats, max(k, 1)).mat, found
 
 
-def u_eval(B: SkewBrace, a, alpha: np.ndarray, F: Filtration | None = None, *,
-           dot_log: tuple[LieRingSC, AbelianBasis] | None = None, log: np.ndarray | None = None):
+def _u_batch(L: LieRingSC, basis: AbelianBasis, k: int, a, log: np.ndarray) -> np.ndarray:
+    """The carrier parts of BCH((a, 0), (0, log[i])) in T (+) End(T), on the
+    table elements of basis, for the entries of a."""
+    A = basis.coords[np.atleast_1d(a)]
+    return basis.elems(_sd_bch(L, k, (A, np.zeros_like(log)), (np.zeros_like(A), log)))
+
+
+def u_eval(B: SkewBrace, a, alpha: np.ndarray, F: Filtration | None = None):
     """U(a, alpha): carrier part of P((a, alpha), (1, alpha^-1)) in A x| Aut(A).
 
     With T = Laz^-1(A, .), that is the carrier part of BCH((a, 0), (0, log
@@ -288,32 +323,25 @@ def u_eval(B: SkewBrace, a, alpha: np.ndarray, F: Filtration | None = None, *,
     group filtration of (A, .) shorter than p; each alpha must raise F,
     alpha(g) g^-1 in X_(level[g] + 1), and be additive over T
     (ModArithError naming the first (a, g) otherwise, a the entry of `a`
-    the failing map is paired with).  A caller may pass dot_log =
-    _dot_log(B.dot) and log = the log alpha stack over it; alpha is then
-    read only for the raising check.
+    the failing map is paired with).  Each check reads alpha one block of
+    rows at a time (_first_in_blocks), the raising check first.
     """
-    L, basis = dot_log or _dot_log(B.dot)
+    L, basis = _dot_log(B.dot)
     F = _lazard_brace_filtration(B, F)
-    k = F.length
     alpha = np.atleast_2d(np.asarray(alpha))
     elements = np.broadcast_to(np.atleast_1d(a), (max(np.size(a), len(alpha)),))
-    level = F.level.astype(index_dtype(F.depth + 1))  # the n^2 gather below is held in that dtype
-    _require_none(level[_pair_take(B.dot.table, alpha, B.dot.inv)] < np.minimum(F.level + 1, F.depth),
-                  "alpha does not raise the filtration", ModArithError, elements)
-    if log is None:
-        log = _additive_log(basis, alpha, k, "alpha", ModArithError, elements)
-    A = basis.coords[np.atleast_1d(a)]
-    out = basis.elems(_sd_bch(L, k, (A, np.zeros_like(log)), (np.zeros_like(A), log)))
+    rows = _stack_rows(alpha)
+    unraised, = _first_in_blocks(len(alpha), B.order, rows, [_raising_test(B.dot, F)])
+    _raise_at(unraised, "alpha does not raise the filtration", ModArithError, elements)
+    log, _ = _additive_log(basis, rows, F.length, "alpha", ModArithError, elements)
+    out = _u_batch(L, basis, F.length, a, log)
     return int(out[0]) if np.ndim(a) == 0 else out
 
 
-def omega_map(B: SkewBrace, F: Filtration | None = None, *,
-              dot_log: tuple[LieRingSC, AbelianBasis] | None = None,
-              log: np.ndarray | None = None) -> np.ndarray:
+def omega_map(B: SkewBrace, F: Filtration | None = None) -> np.ndarray:
     """Omega(a) = U(a, lambda_a) over the carrier, verified bijective: one
-    u_eval on the whole carrier, which checks F and that lambda raises it.
-    dot_log and log are passed on to it."""
-    out = u_eval(B, np.arange(B.order), B.lam, F, dot_log=dot_log, log=log)
+    u_eval on the whole carrier, which checks F and that lambda raises it."""
+    out = u_eval(B, np.arange(B.order), B.lam, F)
     _require_bijective(out, "omega map", "Omega")
     return out
 
@@ -338,7 +366,14 @@ class LogResult:
 
 def brace_to_post_lie(B: SkewBrace, check: bool = True) -> LogResult:
     """Construction L: base = Laz^-1(dot), a > b = log(lambda_{W(a)})(b); one
-    stack of logged lambda maps gives both Omega (through u_eval) and >.
+    stack of logged lambda maps gives both Omega (as u_eval does) and >.
+
+    Both of u_eval's checks, that each lambda_a is additive over Laz^-1 of
+    the dot group (FailedTheoremError) and that it raises the L-filtration
+    (ModArithError, after the log, as before), read the rows
+    dot[a^-1][circ[a]] in one pass a block at a time, so no n x n lambda
+    table is built.  They run with check=False too: there they are the
+    only guard.
 
     With check, B is verified first (ModArithError when it is not a skew
     brace).  The triangle table is filled along the additive tree from the
@@ -350,11 +385,15 @@ def brace_to_post_lie(B: SkewBrace, check: bool = True) -> LogResult:
         rep = B.verdict
         if not rep.ok:
             raise ModArithError(f"not a skew brace: {rep.failures}")
-    k = _lazard_brace_filtration(B).length
+    F = _lazard_brace_filtration(B)
+    k = F.length
     n = B.order
     L_sc, basis = _dot_log(B.dot)
-    D = _additive_log(basis, B.lam, k, "lambda", FailedTheoremError)
-    Omega = omega_map(B, dot_log=(L_sc, basis), log=D)
+    D, (unraised,) = _additive_log(basis, B._lam_rows, k, "lambda", FailedTheoremError,
+                                   also=[_raising_test(B.dot, F)])
+    _raise_at(unraised, "alpha does not raise the filtration", ModArithError)
+    Omega = _u_batch(L_sc, basis, k, np.arange(n), D)
+    _require_bijective(Omega, "omega map", "Omega")
     W = np.empty(n, dtype=np.int64)
     W[Omega] = np.arange(n)
     DW = D[W]

@@ -20,8 +20,8 @@ import numpy as np
 from . import freelie
 from .common import CapExceededError, FailedTheoremError, NotLazardError
 from .modarith import (AbelianBasis, ModArithError, PShape, PVec, abelian_decompose, index_dtype, prime_power,
-                       _fill, _fill_group, _index_table, _left_identities, _mask, _require_none,
-                       _row_blocks, _schreier, _table_orders, _table_times)
+                       _fill, _fill_group, _first_in_blocks, _index_table, _left_identities, _mask,
+                       _raise_at, _row_blocks, _schreier, _table_orders, _table_times)
 
 __all__ = [
     "LieRingSC",
@@ -540,8 +540,14 @@ class FinGroup:
 
     @cached_property
     def inv(self) -> np.ndarray:
-        """inv[a]: the first b with a b = identity, or 0 in a row without one."""
-        return (self.table == self.identity).argmax(axis=1)
+        """inv[a]: the first b with a b = identity, or 0 in a row without one;
+        found a _row_blocks block of rows at a time, so the n x n mask of
+        identity entries is never held whole."""
+        n = self.order
+        inv = np.empty(n, dtype=np.intp)
+        for blk in _row_blocks(n, n):
+            inv[blk] = (self.table[blk] == self.identity).argmax(axis=1)
+        return inv
 
     def mul(self, a: int, b: int) -> int:
         return int(self.table[a, b])
@@ -696,11 +702,17 @@ def _lazard_degree(L: LieRingSC, F: Filtration | None = None) -> int:
 def _laz_rows(L: LieRingSC, degree: int, basis: AbelianBasis, elems) -> np.ndarray:
     """The rows x -> BCH(a, x) of Laz(L) for the table elements a in elems,
     one (len(elems), n) array over the table elements of basis, a carrier
-    of L.shape; BCH is truncated at degree (_lazard_degree)."""
+    of L.shape; BCH is truncated at degree (_lazard_degree).  BCH is folded
+    over a block of rows at a time, sized so that the (pairs, r, r) bracket
+    matrices of the fold stay near _row_blocks' chunk."""
     X = basis.coords
+    n, r = X.shape
     A = X[np.asarray(elems, dtype=np.int64)]
-    out = _bch_batch(L, degree, np.repeat(A, len(X), axis=0), np.tile(X, (len(A), 1)))
-    return basis.elems(out).reshape(len(A), len(X))
+    out = np.empty((len(A), n), dtype=np.int64)
+    for blk in _row_blocks(len(A), n * r * r):
+        a = A[blk]
+        out[blk] = basis.elems(_bch_batch(L, degree, np.repeat(a, n, axis=0), np.tile(X, (len(a), 1)))).reshape(-1, n)
+    return out
 
 
 def laz(L: LieRingSC, F: Filtration | None = None, force: bool = False) -> FinGroup:
@@ -893,7 +905,10 @@ def laz_inv(G: FinGroup, F: Filtration | None = None, force: bool = False) -> Li
     filled along their Schreier tree, and the bracket on the same edges,
     since P and Q give a Lie ring for class < p (Lazard): [g + z, x] =
     [z, x] + [g, x], a copy run where the row Q(g, .) is all zero.  At
-    length 1 the group is abelian, P = a b and Q = 1: no tree is grown.
+    length 1 the group is abelian, P = a b and Q = 1: no tree is grown,
+    and the zero bracket is a read-only broadcast of the identity (a
+    zero-stride view, which _index_rows keeps), so no n x n array is
+    allocated for it.
     """
     _check_order_cap(G.order, force)
     if F is None:
@@ -911,8 +926,8 @@ def laz_inv(G: FinGroup, F: Filtration | None = None, force: bool = False) -> Li
     if k >= p:
         raise NotLazardError(f"not Lazard: filtration length {k} >= p = {p}")
     n = G.order
-    if k == 1:  # abelian: P(a, b) = a b and Q(a, b) = 1
-        return LieRingTable(G.table, np.full((n, n), G.identity, dtype=G.table.dtype), G.identity)
+    if k == 1:  # abelian: P(a, b) = a b and Q(a, b) = 1, a constant bracket held as a view
+        return LieRingTable(G.table, np.broadcast_to(np.asarray(G.identity, dtype=G.table.dtype), (n, n)), G.identity)
     p_word, q_word = freelie.inverse_words(k)
     idx = np.arange(n, dtype=np.int64)
     word_row = lambda word, g: _eval_word_batch(G, word, np.full(n, g), idx)  # x -> word(g, x)
@@ -945,7 +960,9 @@ def table_to_sc(T: LieRingTable) -> tuple[LieRingSC, AbelianBasis]:
     a, and its table is filled along the additive tree from the brackets
     of the tree generators, computed in coordinates: that is the bilinear
     extension itself, compared with the bracket table on all pairs, which
-    names the first failing (a, b).
+    names the first failing (a, b).  The extension is filled and compared
+    a block of rows a at a time (_first_in_blocks), so neither it nor the
+    mask of differences is held whole.
     """
     basis = abelian_decompose(T.add)
     coords = basis.coords
@@ -955,8 +972,9 @@ def table_to_sc(T: LieRingTable) -> tuple[LieRingSC, AbelianBasis]:
     bad = _ill_defined_pairs(basis.shape, L.sc)
     if bad:
         raise FailedTheoremError(f"{what} at (a,b)=({gens[bad[0][0]]},{gens[bad[0][1]]})")
-    rebuilt = basis.additive_table(lambda X: L.bracket_batch(coords[:, None, :], X))
-    _require_none(rebuilt != T.bracket, what)
+    rebuilt = lambda blk, R: R != basis.additive_table(lambda X: L.bracket_batch(coords[blk, None, :], X))
+    at, = _first_in_blocks(T.order, T.order, lambda blk: T.bracket[blk], [rebuilt])
+    _raise_at(at, what)
     return L, basis
 
 

@@ -57,7 +57,9 @@ def _pair_take(table: np.ndarray, rows, cols) -> np.ndarray:
     flat take of rows * n + cols, n the row length: the index is formed in
     intp for a block of _row_blocks rows of the result at a time, so it
     stays near _CHUNK entries (a take converts its whole index to intp
-    first).  A lookup arr[index] is _pair_take(arr[None], 0, index)."""
+    first).  A lookup arr[index] is _pair_take(arr[None], 0, index).  The
+    table must be C-contiguous: ravel() would copy a strided one, such as
+    a constant table held as a zero-stride view, whole on every call."""
     rows, cols = np.broadcast_arrays(rows, cols)
     flat, n = table.ravel(), table.shape[1]
     out = np.empty(rows.shape, dtype=table.dtype)
@@ -66,6 +68,28 @@ def _pair_take(table: np.ndarray, rows, cols) -> np.ndarray:
         index += cols[blk]
         out[blk] = flat.take(index)
     return out
+
+
+def _square_blocks(n: int):
+    """The pairs (I, J) of slices of range(n), I at or before J, that tile
+    the upper triangle of an n x n table with square blocks of about
+    _CHUNK entries; (J, I) is the mirror block.  A block and its mirror are
+    read along rows, where a column block would be read across them."""
+    side = max(1, math.isqrt(_CHUNK))
+    cuts = [slice(i, min(n, i + side)) for i in range(0, n, side)]
+    return ((I, J) for k, I in enumerate(cuts) for J in cuts[k:])
+
+
+def _take_transposed(table: np.ndarray, buf: np.ndarray) -> np.ndarray:
+    """buf[a, b] = table[a, buf[b, a]] for a square buf, in place, and buf:
+    a block and its mirror (_square_blocks) at a time, both read before
+    either is written, so no second n x n array is held."""
+    for I, J in _square_blocks(len(buf)):
+        upper = _pair_take(table, np.arange(I.start, I.stop)[:, None], buf[J, I].T)
+        if I != J:
+            buf[J, I] = _pair_take(table, np.arange(J.start, J.stop)[:, None], buf[I, J].T)
+        buf[I, J] = upper
+    return buf
 
 
 def index_dtype(n: int) -> np.dtype:
@@ -78,7 +102,8 @@ def index_dtype(n: int) -> np.dtype:
 
 def _index_table(table, n: int | None = None) -> np.ndarray:
     """An n x n element-index table (n defaults to its row count) as a
-    read-only C-contiguous array in index_dtype(n).
+    read-only C-contiguous array in index_dtype(n), or, for a constant
+    table given as a zero-stride view, a read-only view (_index_rows).
 
     The range 0 <= v < n is checked on the given array, before the cast,
     so no entry wraps into range; ModArithError names the first (row,
@@ -93,7 +118,15 @@ def _index_table(table, n: int | None = None) -> np.ndarray:
 
 def _index_rows(arr: np.ndarray, n: int) -> np.ndarray:
     """_index_table for any 2-D array of element indices below n; an
-    unsigned array needs no test from below."""
+    unsigned array needs no test from below.
+
+    A constant table held as a zero-stride view (np.broadcast_to of one
+    value) stays a view: its one value is checked as the 1 x 1 table it
+    repeats, so an out-of-range value is named at (0, 0) with the message
+    of the materialised table, and the result is a read-only broadcast of
+    that value in index_dtype(n), holding no n x n array."""
+    if arr.size > 1 and not any(arr.strides):
+        return np.broadcast_to(_index_rows(arr[:1, :1], n), arr.shape)
     if arr.size and ((arr.dtype.kind != "u" and arr.min() < 0) or arr.max() >= n):
         x, y = np.argwhere((arr < 0) | (arr >= n))[0]
         raise ModArithError(f"table entry out of range 0..{n - 1} at (row,column,value)=({x},{y},{arr[x, y]})")
@@ -104,9 +137,42 @@ def _require_none(bad: np.ndarray, what: str, exc=FailedTheoremError, rows=None,
     """Raise exc(what) naming the first (a, b) where bad holds; a is the
     row, or rows[row] when the rows stand for the elements `rows`, and b
     likewise the column or cols[column]."""
-    if bad.any():
-        x, y = np.argwhere(bad)[0]
+    _raise_at(_first(bad), what, exc, rows, cols)
+
+
+def _first(bad: np.ndarray) -> tuple[int, int] | None:
+    """The first (row, column) where the 2-D mask bad holds, or None."""
+    if not bad.any():
+        return None
+    x, y = np.argwhere(bad)[0]
+    return int(x), int(y)
+
+
+def _raise_at(at, what: str, exc=FailedTheoremError, rows=None, cols=None) -> None:
+    """_require_none for the (row, column) `at` already found, if any."""
+    if at is not None:
+        x, y = at
         raise exc(f"{what} at (a,b)=({int(x if rows is None else rows[x])},{int(y if cols is None else cols[y])})")
+
+
+def _first_in_blocks(m: int, n: int, rows, tests) -> list:
+    """One pass over blocks of rows of an (m, n) stack, none of it held
+    whole: for each block slice blk, R = rows(blk) and every test(blk, R)
+    is a boolean (len(blk), n) block.  Returns, per test, the first (i, b)
+    where it holds in row-major order, or None; a test that has found its
+    failure is not run again, and the pass ends once every test has one.
+    A block holds about 8 _CHUNK entries, the _row_blocks of an n // 8
+    row: a test that fills its block along a Schreier tree pays the
+    tree's per-run cost once per block."""
+    found = [None] * len(tests)
+    for blk in _row_blocks(m, max(1, n // 8)):
+        R = rows(blk)
+        for j, test in enumerate(tests):
+            if found[j] is None and (at := _first(test(blk, R))) is not None:
+                found[j] = (blk.start + at[0], at[1])
+        if None not in found:
+            break
+    return found
 
 
 def _mask(n: int, values) -> np.ndarray:
@@ -226,6 +292,18 @@ def _fill_group(tree: _Tree) -> np.ndarray:
     """The Cayley table of an associative product fixed by the tree's
     generator rows: row y = g z is row_g[row z], one 1-D take per run."""
     return _fill(tree, np.arange(tree.rows.shape[1]), lambda i, Z: tree.rows[i].take(Z))
+
+
+def _is_group_fill(tree: _Tree, table: np.ndarray) -> bool:
+    """table == _fill_group(tree), compared run by run where the fill would
+    write, without building the fill: when the rows of the zs match the
+    fill, rows of the ys that pass are the fill's rows too, and every
+    element is the root or the y of one edge."""
+    n = tree.rows.shape[1]
+    chunk = max(1, _CHUNK // n)
+    return np.array_equal(table[tree.root], np.arange(n)) and all(
+        np.array_equal(table[ys[a:a + chunk]], tree.rows[i].take(table[zs[a:a + chunk]]))
+        for level in tree.levels for ys, zs, i in level for a in range(0, ys.size, chunk))
 
 
 def is_prime(n: int) -> bool:
@@ -359,7 +437,8 @@ class PShape:
     @cached_property
     def carrier(self) -> "AbelianBasis":
         """The shape's own carrier: the identity-labelled basis, whose tree
-        and addition table live as long as this shape."""
+        lives as long as this shape, and its addition table too once asked
+        for as add (AbelianBasis.additive_table does not ask for it)."""
         idx = _read_only(np.arange(self.order, dtype=np.int64))
         return AbelianBasis(self, tuple(int(u) for u in self._strides), idx, idx)
 
@@ -565,8 +644,11 @@ class AbelianBasis:
     index_of_elem is its inverse permutation.  gens[i] is the element of the
     i-th unit vector.  The relabelling between table elements and shape
     coordinates goes through coords, elems and relabel.  The carrier's
-    additive Schreier tree and addition table are built once, on first use,
-    and additive_table fills every table of additive maps along that tree.
+    additive Schreier tree is built once, on first use, and additive_table
+    fills every table of additive maps along that tree.  The addition table
+    add is held only once asked for (abelian_decompose holds the table it
+    was given); additive_table reads it when held and otherwise fills one
+    for that call alone.
     """
 
     shape: PShape
@@ -616,11 +698,15 @@ class AbelianBasis:
         generator image, those of the generators the tree adds itself
         included, comes from images(), never from a table under test; so
         for well-defined matrix or bilinear maps the table is the maps
-        themselves, entry for entry.
+        themselves, entry for entry.  The fill reads add when it is held,
+        and otherwise an addition table filled along the tree for this call
+        and freed after it, so a fill leaves no n x n table on the basis.
         """
         tree = self.tree
+        add = vars(self).get("add")
         cols = np.ascontiguousarray(self.elems(images(self.coords[tree.gens])).T)  # (k, m)
-        flat, base = self.add.ravel(), cols.astype(np.intp) * len(self.coords)  # add[c, z] = flat[c n + z]
+        flat = (_fill_group(tree) if add is None else add).ravel()
+        base = cols.astype(np.intp) * len(self.coords)  # add[c, z] = flat[c n + z]
         return _fill(tree, np.full(cols.shape[1], self.elem_of[0]), lambda i, Z: flat.take(base[i] + Z)).T
 
     def vec_of(self, t: int) -> PVec:
@@ -728,23 +814,26 @@ def abelian_decompose(table) -> AbelianBasis:
     table, the shape's addition moved through it, equals the table on all
     pairs.  That equality makes the table a group table, so its rows are
     scanned for permutations only when the decomposition or the
-    reconstruction fails, to name that failure.
+    reconstruction fails, to name that failure.  The symmetry and the
+    reconstruction are compared a block of rows or a tree run at a time
+    (_is_group_fill), so the table becomes the basis's addition table with
+    no second n x n table or mask built beside it.
     """
     table = _index_table(table)
     n = table.shape[0]
     if n < 2:
         raise ModArithError("trivial table carries no p-group shape")
-    if not np.array_equal(table, table.T):
+    if not all(np.array_equal(table[I, J], table[J, I].T) for I, J in _square_blocks(n)):
         raise ModArithError("table is not abelian")
     try:
         basis = _decomposed_basis(table)
-        if not np.array_equal(basis.add, table):
+        if not _is_group_fill(basis.tree, table):
             raise ModArithError("table does not match abelian reconstruction")
     except ModArithError:
         if (np.sort(table, axis=1) != np.arange(n)).any():
             raise ModArithError("table rows are not permutations") from None
         raise
-    object.__setattr__(basis, "add", table)  # the same table: keep one copy
+    object.__setattr__(basis, "add", table)
     return basis
 
 

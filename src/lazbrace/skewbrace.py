@@ -96,12 +96,17 @@ class SkewBrace:
         """lam[a, b] = a^-1 . (a o b), an automorphism of dot for each a."""
         return _pair_take(self.dot.table, self.dot.inv[:, None], self.circ.table)
 
+    def _lam_rows(self, A, cols=None) -> np.ndarray:
+        """lam[A] (or its columns cols) for an index array or a slice A, as
+        the rows lambda_a = dot[a^-1][circ[a]], without the n x n lam."""
+        A = np.arange(self.order)[A]
+        circ = self.circ.table[A] if cols is None else self.circ.table[A[:, None], cols]
+        return self.dot.table[self.dot.inv[A][:, None], circ]
+
     @cached_property
     def _circ_lam(self) -> np.ndarray:
-        """The rows lambda_g = dot[g^-1][circ[g]] of lam for the circ
-        generators g (circ.gens), without the n x n lam."""
-        cg = np.asarray(self.circ.gens, dtype=np.int64)
-        return self.dot.table[self.dot.inv[cg][:, None], self.circ.table[cg]]
+        """The rows lambda_g of lam for the circ generators g (circ.gens)."""
+        return self._lam_rows(list(self.circ.gens))
 
     @cached_property
     def verdict(self) -> CheckReport:

@@ -35,8 +35,8 @@ import pytest
 import catalogs
 from catalogs import (_bracket_set, _comm_set, _index_set, _star_set, _tri_set, descending_series, mask, sets,
                       trivial_brace)
-from lazbrace import formats, freelie
-from lazbrace.common import FailedTheoremError, IdealLevel
+from lazbrace import formats, freelie, modarith
+from lazbrace.common import FailedTheoremError, IdealLevel, LazbraceError
 from lazbrace.liering import (
     CheckReport,
     Filtration,
@@ -71,8 +71,9 @@ from lazbrace.liering import (
     verify_group_table,
     verify_lie,
 )
-from lazbrace.lazcorr import (_additive_log, _require_omega_hom, _require_w_hom, _sweep, brace_to_post_lie,
-                              lambda_derivative, omega_map, post_lie_to_brace, transfer_report, u_eval)
+from lazbrace.lazcorr import (_additive_log, _dot_log, _lazard_brace_filtration, _require_omega_hom, _require_w_hom,
+                              _stack_rows, _sweep, brace_to_post_lie, lambda_derivative, omega_map, post_lie_to_brace,
+                              transfer_report, u_eval)
 from lazbrace.modarith import (
     _CHUNK,
     AbelianBasis,
@@ -81,6 +82,7 @@ from lazbrace.modarith import (
     PShape,
     _fill_group,
     _find_identity,
+    _index_table,
     _require_none,
     index_dtype,
     _row_blocks,
@@ -987,13 +989,16 @@ def brace_logs(brace_corpus):
 def test_additive_fills_match_the_all_pairs_oracles(postlie_cat, brace_logs, lazard_tables):
     for name, P in postlie_cat:
         flow = post_lie_to_brace(P, check=False)
+        add = vars(P.shape.carrier).get("add")  # held only where it is the dot table (an abelian base)
+        assert add is None or np.shares_memory(add, flow.brace.dot.table), name
         assert np.array_equal(flow.brace.circ.table, oracle_circ(P, flow.omega, flow.l_class)), name
         assert np.array_equal(P.shape.carrier.add, catalogs.shape_group(P.shape).table), name
         assert adjoint_filtration(P).terms == oracle_adjoint_terms(P), name
     for name, B, log in brace_logs:
         basis, k = log.basis, log.l_class
         D = oracle_additive_log(basis, B.lam, k, "lambda", FailedTheoremError)
-        assert np.array_equal(_additive_log(basis, B.lam, k, "lambda", FailedTheoremError), D), name
+        for rows in (_stack_rows(B.lam), B._lam_rows):  # the table, and rows built a block at a time
+            assert np.array_equal(_additive_log(basis, rows, k, "lambda", FailedTheoremError)[0], D), name
         assert np.array_equal(log.tri_table, oracle_tri_table(basis, D, log.w)), name
         assert np.array_equal(oracle_tri_rebuild(basis, log.post_lie), log.tri_table), name
         assert np.array_equal(lambda_derivative(B, log), oracle_lambda_derivative_blocks(B, log)), name
@@ -1029,7 +1034,7 @@ def test_non_additive_maps_are_named_as_before(brace_logs):
             elements = rng.permutation(B.order)
             want = _failure(lambda: oracle_additive_log(basis, alpha, k, "alpha", ModArithError, elements))
             assert want is not None, (name, a, b)
-            assert _failure(lambda: _additive_log(basis, alpha, k, "alpha", ModArithError, elements)) == want
+            assert _failure(lambda: _additive_log(basis, _stack_rows(alpha), k, "alpha", ModArithError, elements)) == want
     assert deep >= 6
 
 
@@ -1251,6 +1256,9 @@ def test_run_fills_match_the_level_oracle(lazard_tables, brace_logs):
         _assert_same_tree(basis.tree, oracle, name)
         assert np.array_equal(basis.add, add) and np.array_equal(log.tri_table, table), name
         assert np.array_equal(basis.additive_table(lambda X: X @ DW), table), name
+        bare = AbelianBasis(basis.shape, basis.gens, basis.elem_of, basis.index_of_elem)  # holds no add
+        assert np.array_equal(bare.additive_table(lambda X: X @ DW), table), name
+        assert "add" not in vars(bare) and "tree" in vars(bare), name  # a transient addition table, the tree kept
 
 
 def test_trees_on_rows_that_are_no_permutations_match_the_level_oracle():
@@ -1905,3 +1913,146 @@ def test_post_lie_axioms_match_the_triple_loops(postlie_cat):
         passing += rep.ok
     assert ranks == {1, 2, 3, 4}
     assert failing >= 200 and passing >= 50
+
+
+# ---------------------------------------------------------------------------
+# Tables held as views or read by blocks of rows.
+
+
+def _relabelled_group(G: FinGroup, rng) -> FinGroup:
+    """G on a randomly permuted carrier, so that its identity is moved too."""
+    perm = rng.permutation(G.order)
+    table = np.empty_like(G.table)
+    table[np.ix_(perm, perm)] = perm[G.table]
+    return FinGroup(table, int(perm[G.identity]))
+
+
+def test_abelian_brackets_are_constant_views(lazard_tables):
+    # the zero bracket of an abelian group is the identity everywhere, held
+    # as a read-only zero-stride view in the table dtype: on every abelian
+    # catalog ring, and on relabelled carriers whose identity is not 0
+    rng = np.random.default_rng(24)
+    groups = [G for _, L, G, _ in lazard_tables if not L.sc.any() and G.order > 1]
+    assert len(groups) >= 30
+    groups += [_relabelled_group(G, rng) for G in groups[::6]]
+    for G in groups:
+        T = laz_inv(G)
+        n = G.order
+        assert np.array_equal(T.bracket, np.full((n, n), G.identity)), n
+        assert T.bracket.strides == (0, 0) and T.bracket.dtype == index_dtype(n)
+        assert not T.bracket.flags.writeable
+    assert any(G.identity != 0 for G in groups)
+
+
+def test_abelian_laz_inv_allocates_no_table():
+    import tracemalloc
+
+    G = laz(catalogs.abelian(7, (2, 2)))  # order 2401: one uint16 table is 11.5 MB
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        T = laz_inv(G)  # the group's inverses and its series included
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert T.bracket.shape == (2401, 2401)
+    assert peak < 2 ** 20, peak
+
+
+def test_constant_views_are_checked_as_their_tables():
+    for n, v in ((5, 5), (5, -1), (300, 300), (300, 7), (1, 0)):
+        for dtype in (np.int64, np.uint16):
+            if v < 0 and dtype == np.uint16:
+                continue
+            got = _failure(lambda: _index_table(np.broadcast_to(np.asarray(v, dtype=dtype), (n, n))))
+            want = _failure(lambda: _index_table(np.full((n, n), v, dtype=dtype)))
+            assert got == want, (n, v, dtype)
+            if want is None:
+                view = _index_table(np.broadcast_to(np.asarray(v, dtype=dtype), (n, n)))
+                assert np.array_equal(view, np.full((n, n), v)) and view.dtype == index_dtype(n)
+    with pytest.raises(ModArithError, match=r"^table entry out of range 0\.\.3 at \(row,column,value\)=\(0,0,4\)$"):
+        LieRingTable(np.zeros((4, 4), dtype=np.int64), np.broadcast_to(np.int64(4), (4, 4)), 0)
+
+
+def test_inverses_by_blocks_match_the_whole_table_argmax(monkeypatch):
+    # small blocks, and rows with no identity entry or with several
+    monkeypatch.setattr(modarith, "_CHUNK", 40)
+    rng = np.random.default_rng(25)
+    for n in (1, 2, 7, 13, 30):
+        for _ in range(4):
+            table = rng.integers(0, n, (n, n))
+            identity = int(rng.integers(n))
+            assert np.array_equal(FinGroup(table, identity).inv, (table == identity).argmax(axis=1))
+
+
+def oracle_lambda_checks(B: SkewBrace, brace_order: bool) -> None:
+    """The lambda checks of the log direction on the whole n x n lam, all
+    pairs at once: brace_to_post_lie's order (additive, the log, raising)
+    or omega_map's (raising, then additive and the log)."""
+    F = _lazard_brace_filtration(B)
+    _, basis = _dot_log(B.dot)
+    unraised = F.level[B.dot.table[B.lam, B.dot.inv]] < np.minimum(F.level + 1, F.depth)
+    if brace_order:
+        oracle_additive_log(basis, B.lam, F.length, "lambda", FailedTheoremError)
+        _require_none(unraised, "alpha does not raise the filtration", ModArithError)
+    else:
+        _require_none(unraised, "alpha does not raise the filtration", ModArithError)
+        oracle_additive_log(basis, B.lam, F.length, "alpha", ModArithError)
+
+
+def _check_failure(fn) -> str | None:
+    """_failure, restricted to the lambda checks' own messages; a series
+    that refuses the perturbed brace before them counts as none."""
+    try:
+        got = _failure(fn)
+    except LazbraceError:
+        return None
+    return got if got and re.search("not additive|does not raise|not nilpotent", got) else None
+
+
+def test_lambda_checks_by_row_blocks_name_what_the_whole_table_named(brace_logs, monkeypatch):
+    # one lambda_a replaced, for a random a and the last one: an entry
+    # moved (not additive), one moved inside its term, 2 lambda_a
+    # (additive, no log), and id + E_ij
+    # (additive and unipotent, not raising when g_i lies no higher than
+    # g_j); blocks of one row, so a witness in a later block is named by
+    # its own row
+    monkeypatch.setattr(modarith, "_CHUNK", 64)
+    rng = np.random.default_rng(26)
+    logs = [(name, B, log) for name, B, log in brace_logs if log.l_class >= 2 and B.order <= 125]
+    kinds = {}
+    for name, B, log in logs[::max(1, len(logs) // 8)]:
+        basis, n, r = log.basis, B.order, log.basis.shape.rank
+        F = _lazard_brace_filtration(B)
+        coords = basis.coords
+        mats = coords[B.lam[:, list(basis.gens)]]
+        lifts = [(i, j) for i in range(r) for j in range(r) if i != j and basis.shape.exps[i] >= basis.shape.exps[j]
+                 and F.level[basis.gens[i]] >= F.level[basis.gens[j]]]
+        for a in (int(rng.integers(1, n)), n - 1):
+            moved = B.lam[a].copy()
+            b = int(rng.integers(1, n))
+            moved[b] = B.dot.table[moved[b], basis.gens[0]]
+            inside = B.lam[a].copy()  # an entry moved by a deepest element: not additive, still raising
+            b = int(rng.choice(np.flatnonzero(F.level <= F.depth - 2)))
+            inside[b] = B.dot.table[inside[b], int(rng.choice(np.flatnonzero(F.level == F.depth - 1)))]
+            rows = [moved, inside, basis.elems(coords @ (2 * mats[a]))]
+            if lifts:
+                i, j = lifts[int(rng.integers(len(lifts)))]
+                lift = np.eye(r, dtype=np.int64)
+                lift[i, j] = 1
+                rows.append(basis.elems(coords @ lift))
+            for row in rows:
+                circ = B.circ.table.copy()
+                circ[a] = B.dot.table[a, row]
+                C = SkewBrace(B.dot, FinGroup(circ, B.circ.identity))
+                for brace_order, fn in ((True, lambda: brace_to_post_lie(C, check=False)),
+                                        (False, lambda: omega_map(C))):
+                    want = _check_failure(lambda: oracle_lambda_checks(C, brace_order))
+                    assert _check_failure(fn) == want, (name, a, want)
+                    if want:
+                        kinds[re.sub(r" at .*", "", want)] = kinds.get(re.sub(r" at .*", "", want), 0) + 1
+        assert np.array_equal(brace_to_post_lie(B, check=False).post_lie.tri, log.post_lie.tri), name
+    assert {"FailedTheoremError: lambda is not additive over Laz^-1 of the dot group",
+            "ModArithError: alpha is not additive over Laz^-1 of the dot group",
+            "ModArithError: alpha does not raise the filtration",
+            "ModArithError: endomorphism is not nilpotent within the stated bound"} <= set(kinds), kinds

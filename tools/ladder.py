@@ -18,6 +18,13 @@ prints `roundtrip: exact`.  The time of either is that of the whole
 process, import included; a failed step shows its exit code, its last
 stderr line and how many stderr lines it wrote.
 
+A step `check:p^e` runs `python -m lazbrace check <file>` on that ring's
+brace file, which the measuring process computes (with check=False) and
+writes before the measured process starts: the parse of the brace file
+and its verification.  It passes when the process exits 0.  The output
+column shows the size of the brace file that a convert step writes or a
+check step reads.
+
 A step `flow:p^e` builds that post-Lie ring and times
 `lazcorr.post_lie_to_brace(P, check=True)` in-library.  A step `log:p^e`
 times `lazcorr.brace_to_post_lie(B, check=True)` on the ring's brace,
@@ -29,8 +36,8 @@ correspondence and its checks, with the import and, for `log`, the two
 tables it reads.
 
 The default steps are 3^6, 7^4, 5^5 and 5^6 (the soft cap), then the
-convert and roundtrip steps at 5^5 and 5^6; the flow and log steps run
-when named.
+convert, roundtrip and check steps at 5^5 and 5^6; the flow and log steps
+run when named.
 
 Every step runs in a fresh process under its own `ulimit -v`, so the limit
 binds that process only.  A measuring process starts the step as its one
@@ -43,7 +50,7 @@ from the checkout named by --root, this one by default):
 
     python3 tools/ladder.py
     python3 tools/ladder.py --limit-kb 6000000 3^6 5^5 convert:5^5 roundtrip:5^5
-    python3 tools/ladder.py flow:5^5 log:5^5
+    python3 tools/ladder.py flow:5^5 log:5^5 check:5^5
     python3 tools/ladder.py --root ../other-checkout
 
 It prints one Markdown table row per step.
@@ -63,29 +70,34 @@ import time
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
-STEPS = ("3^6", "7^4", "5^5", "5^6", "convert:5^5", "convert:5^6", "roundtrip:5^5", "roundtrip:5^6")
+STEPS = ("3^6", "7^4", "5^5", "5^6", "convert:5^5", "convert:5^6", "roundtrip:5^5", "roundtrip:5^6",
+         "check:5^5", "check:5^6")
 
 
-def _post_lie(root: Path, p: int, e: int):
-    """A CLI, flow or log step's post-Lie ring, built from the checkout."""
+def _use_checkout(root: Path) -> None:
+    """Import lazbrace and lazbench's generator from the checkout `root`,
+    before any other copy on the path."""
     sys.path[:0] = [str(root / "src"), str(root / "lazbench")]
+
+
+def _post_lie(p: int, e: int):
+    """A CLI, flow or log step's post-Lie ring, built from the checkout."""
     import generate
 
     return generate.triangle_instance("x", 3, p, (1,) * e, "zero", 2).build()
 
 
-def _run(root: Path, step: str, tables: Path | None) -> dict:
+def _run(step: str, tables: Path | None) -> dict:
     """The step itself, in the process whose peak RSS is measured."""
     kind, _, size = step.rpartition(":")
     p, e = map(int, size.split("^"))
-    sys.path[:0] = [str(root / "src"), str(root / "lazbench")]
     import generate
     import numpy as np
     from lazbrace import formats, lazcorr, liering
     from lazbrace.skewbrace import SkewBrace
 
     if kind:
-        P = _post_lie(root, p, e)
+        P = _post_lie(p, e)
     else:
         L = generate.lie_instance("x", 3, p, (1,) * e, "graded", 2).build()
     if kind == "log":
@@ -103,23 +115,37 @@ def _run(root: Path, step: str, tables: Path | None) -> dict:
     return {"wall_s": time.perf_counter() - start, "ok": bool(ok)}
 
 
-def _post_lie_file(root: Path, p: int, e: int, path: Path) -> None:
+def _post_lie_file(p: int, e: int, path: Path) -> None:
     """Write a CLI step's post-Lie ring to `path`, in the measuring
     process, whose own memory the child's peak does not include."""
     from lazbrace import formats
 
-    path.write_text(formats.write_text(_post_lie(root, p, e)))
+    path.write_text(formats.write_text(_post_lie(p, e)))
 
 
-def _brace_tables(root: Path, p: int, e: int, tables: Path) -> None:
-    """Save the ring's brace tables for a log step to `tables` (.npz), in
-    the measuring process."""
-    P = _post_lie(root, p, e)
-    import numpy as np
+def _brace(p: int, e: int):
+    """The ring's brace, computed with check=False in the measuring process."""
     from lazbrace import lazcorr
 
-    B = lazcorr.post_lie_to_brace(P, check=False).brace
+    return lazcorr.post_lie_to_brace(_post_lie(p, e), check=False).brace
+
+
+def _brace_tables(p: int, e: int, tables: Path) -> None:
+    """Save the ring's brace tables for a log step to `tables` (.npz)."""
+    import numpy as np
+
+    B = _brace(p, e)
     np.savez(tables, dot=B.dot.table, circ=B.circ.table, identity=B.dot.identity)
+
+
+def _brace_file(p: int, e: int, path: Path) -> None:
+    """Write the ring's brace file for a check step to `path`, as
+    `lazbrace convert -o` writes it; the brace is freed on return, before
+    the measured process starts."""
+    from lazbrace import formats
+
+    with path.open("w", encoding="ascii") as fh:
+        fh.writelines(formats.text_blocks(_brace(p, e)))
 
 
 def _measure(root: Path, step: str, limit_kb: int) -> dict:
@@ -129,13 +155,17 @@ def _measure(root: Path, step: str, limit_kb: int) -> dict:
     with tempfile.TemporaryDirectory() as tmp:
         plie, out, tables = Path(tmp) / "ring.plie", Path(tmp) / "brace.skb", Path(tmp) / "brace.npz"
         if kind in ("convert", "roundtrip"):
-            _post_lie_file(root, p, e, plie)
+            _post_lie_file(p, e, plie)
         elif kind == "log":
-            _brace_tables(root, p, e, tables)
+            _brace_tables(p, e, tables)
+        elif kind == "check":
+            _brace_file(p, e, out)
         if kind == "convert":
             cmd = [sys.executable, "-m", "lazbrace", "convert", str(plie), "--to", "brace", "-o", str(out)]
         elif kind == "roundtrip":
             cmd = [sys.executable, "-m", "lazbrace", "roundtrip", str(plie)]
+        elif kind == "check":
+            cmd = [sys.executable, "-m", "lazbrace", "check", str(out)]
         else:
             cmd = [sys.executable, str(Path(__file__).resolve()), "--root", str(root), "--run", step,
                    "--tables", str(tables)]
@@ -143,11 +173,11 @@ def _measure(root: Path, step: str, limit_kb: int) -> dict:
         proc = subprocess.run(["sh", "-c", f"ulimit -v {limit_kb} && exec {shlex.join(cmd)}"],
                               capture_output=True, text=True, env={**os.environ, "PYTHONPATH": str(root / "src")})
         wall = time.perf_counter() - start
-        out_mb = out.stat().st_size / 2 ** 20 if kind == "convert" and out.exists() else None
+        out_mb = out.stat().st_size / 2 ** 20 if kind in ("convert", "check") and out.exists() else None
     res = {"step": step, "n": p ** e, "exit": proc.returncode, "proc_s": wall,
            "peak_rss_mb": resource.getrusage(resource.RUSAGE_CHILDREN).ru_maxrss / 1024}
     errors = proc.stderr.strip().splitlines()
-    if kind == "convert":
+    if kind in ("convert", "check"):
         res.update(wall_s=wall, ok=proc.returncode == 0, out_mb=out_mb, stderr_lines=len(errors))
     elif kind == "roundtrip":
         res.update(wall_s=wall, ok=proc.returncode == 0 and proc.stdout.strip() == "roundtrip: exact",
@@ -162,15 +192,18 @@ def _measure(root: Path, step: str, limit_kb: int) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("steps", nargs="*", default=list(STEPS),
-                    help="p^e, convert:p^e, roundtrip:p^e, flow:p^e or log:p^e steps (default: %(default)s)")
+                    help="p^e, convert:p^e, roundtrip:p^e, check:p^e, flow:p^e or log:p^e steps"
+                         " (default: %(default)s)")
     ap.add_argument("--limit-kb", type=int, default=6_000_000, help="ulimit -v of each step, in KiB")
     ap.add_argument("--root", type=Path, default=ROOT, help="the checkout whose src/ is measured")
     ap.add_argument("--run", help=argparse.SUPPRESS)  # one step, in the measured process
     ap.add_argument("--measure", help=argparse.SUPPRESS)  # one step, as the measuring process
     ap.add_argument("--tables", type=Path, help=argparse.SUPPRESS)  # a log step's brace tables
     args = ap.parse_args(argv)
+    if args.run or args.measure:
+        _use_checkout(args.root.resolve())
     if args.run:
-        print(json.dumps(_run(args.root.resolve(), args.run, args.tables)))
+        print(json.dumps(_run(args.run, args.tables)))
         return 0
     if args.measure:
         print(json.dumps(_measure(args.root.resolve(), args.measure, args.limit_kb)))
