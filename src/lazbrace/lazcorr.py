@@ -339,9 +339,9 @@ def u_eval(B: SkewBrace, a, alpha: np.ndarray, F: Filtration | None = None):
 
 
 def omega_map(B: SkewBrace, F: Filtration | None = None) -> np.ndarray:
-    """Omega(a) = U(a, lambda_a) over the carrier, verified bijective: one
-    u_eval on the whole carrier, which checks F and that lambda raises it."""
-    out = u_eval(B, np.arange(B.order), B.lam, F)
+    """Omega(a) = U(a, lambda_a), verified bijective: one u_eval on the whole
+    carrier (lambda built per call), which checks F and that lambda raises it."""
+    out = u_eval(B, np.arange(B.order), B._lam_rows(slice(None)), F)
     _require_bijective(out, "omega map", "Omega")
     return out
 
@@ -498,10 +498,11 @@ def lambda_derivative(B: SkewBrace, log: LogResult | None = None) -> np.ndarray:
     the sum taken in Laz^-1 of the dot group.  Requires the strong series
     to vanish at index p; the result must match the logged triangle table.
 
-    Each lambda_x is the matrix M_x of its generator images: log.brace is
-    B, whose lambda brace_to_post_lie checked additive on all pairs (a log
-    of another brace is recomputed for B).  So row a is the matrix map of
-    1/(p-1) sum_i xi^i M_(xi^-i a), filled along the additive tree.
+    Each lambda_x is the matrix M_x of its generator images, n r entries
+    read as rows (SkewBrace._lam_rows): log.brace is B, whose lambda
+    brace_to_post_lie checked additive on all pairs (a log of another brace
+    is recomputed for B).  So row a is the matrix map of 1/(p-1) sum_i xi^i
+    M_(xi^-i a), filled along the additive tree.
     """
     p = B.p
     ss = strong_series_brace(B, cap=p + 1)
@@ -514,7 +515,7 @@ def lambda_derivative(B: SkewBrace, log: LogResult | None = None) -> np.ndarray:
     m = s.max_modulus
     xi = root_of_unity(p, s.exps[0])
     coords = basis.coords
-    mats = coords[B.lam[:, list(basis.gens)]]
+    mats = coords[B._lam_rows(slice(None), list(basis.gens))]
     acc = 0
     for i in range(p - 1):
         acc = s.reduce(acc + pow(xi, i, m) * mats[basis.elems(coords * pow(xi, -i, m))])  # M_(xi^-i a)

@@ -787,9 +787,11 @@ def _greedy_decompose(table: np.ndarray, identity: int, p: int) -> list[tuple[in
     qn = reps.size
     if qn * maxo != n:
         raise ModArithError("table is not a group (coset sizes are uneven)")
-    qindex = np.empty(n, dtype=np.int64)
+    qindex = np.empty(n, dtype=index_dtype(qn))
     qindex[reps] = np.arange(qn)
-    qtable = qindex[reps_of[table[np.ix_(reps, reps)]]]
+    qtable = np.empty((qn, qn), dtype=qindex.dtype)  # gathered a block of rows at a time
+    for blk in _row_blocks(qn, qn):
+        qtable[blk] = qindex[reps_of[table[reps[blk, None], reps]]]
     sub = _greedy_decompose(qtable, int(qindex[reps_of[identity]]), p)
     out = [(g, e1)]
     for qgen, f in sub:

@@ -91,21 +91,15 @@ class SkewBrace:
     def p(self) -> int:
         return prime_power(self.order)[0]
 
-    @cached_property
-    def lam(self) -> np.ndarray:
-        """lam[a, b] = a^-1 . (a o b), an automorphism of dot for each a."""
-        return _pair_take(self.dot.table, self.dot.inv[:, None], self.circ.table)
-
     def _lam_rows(self, A, cols=None) -> np.ndarray:
-        """lam[A] (or its columns cols) for an index array or a slice A, as
-        the rows lambda_a = dot[a^-1][circ[a]], without the n x n lam."""
-        A = np.arange(self.order)[A]
-        circ = self.circ.table[A] if cols is None else self.circ.table[A[:, None], cols]
+        """The rows lambda_a(b) = a^-1 . (a o b), dot[a^-1][circ[a]], for an
+        index array or a slice A (or their columns cols), built per call."""
+        circ = self.circ.table[A] if cols is None else self.circ.table[A][:, cols]  # a slice copies no rows
         return self.dot.table[self.dot.inv[A][:, None], circ]
 
     @cached_property
     def _circ_lam(self) -> np.ndarray:
-        """The rows lambda_g of lam for the circ generators g (circ.gens)."""
+        """The rows lambda_g for the circ generators g (circ.gens)."""
         return self._lam_rows(list(self.circ.gens))
 
     @cached_property
@@ -122,8 +116,7 @@ class SkewBrace:
 
         L^(i+1) is the normal closure in (A, .) of g*h for circ generators
         g and [g', h] for dot generators g', with h over generators of L^i;
-        g*h = lambda_g(h) h^-1 is read from the rows _circ_lam, so the
-        n x n lam is not built.
+        g*h = lambda_g(h) h^-1 is read from the rows _circ_lam.
         This is exact: L^(i+1) lies in L^i and holds [A, L^i], so it is
         normal; the rest is the proof of left_series_brace, with N normal,
         and for the commutators as for groups (Robinson, 5.1.7).
@@ -195,21 +188,21 @@ def verify_skew_brace(B: SkewBrace) -> CheckReport:
 
 
 def lambda_and_star(B: SkewBrace) -> tuple[np.ndarray, np.ndarray]:
-    """The lambda table and star table, with compatibility checked on
-    generators (_compatibility_failure), which is exact once both group
-    tables are (verify_skew_brace).  B is then a skew brace, so each
-    lambda_a is an automorphism of dot and lambda: (A, o) -> Aut(A, .) is a
-    homomorphism (Guarnieri & Vendramin, Math. Comp. 86, 2017)."""
+    """The lambda and star tables, built per call (star from lambda), with
+    compatibility checked on generators (_compatibility_failure), which is
+    exact once both group tables are (verify_skew_brace).  B is then a skew
+    brace, so each lambda_a is an automorphism of dot and lambda: (A, o) ->
+    Aut(A, .) is a homomorphism (Guarnieri & Vendramin, Math. Comp. 86, 2017)."""
     bad = _compatibility_failure(B)
     if bad is not None:
         raise FailedTheoremError(f"lambda_{bad[0]} is not an automorphism of dot")
-    idx = np.arange(B.order)
-    return B.lam, _star(B, idx[:, None], idx)
+    lam = _pair_take(B.dot.table, B.dot.inv[:, None], B.circ.table)
+    return lam, _pair_take(B.dot.table, lam, B.dot.inv)
 
 
 def _star(B: SkewBrace, A, H) -> np.ndarray:
-    """a*h = lambda_a(h) h^-1 on broadcast index arrays A and H."""
-    return B.dot.table[B.lam[A, H], B.dot.inv[H]]
+    """a*h = lambda_a(h) h^-1 = a^-1 (a o h) h^-1 on broadcast index arrays A and H."""
+    return B.dot.table[B.dot.table[B.dot.inv[A], B.circ.table[A, H]], B.dot.inv[H]]
 
 
 def l_series_brace(B: SkewBrace) -> SeriesResult:
@@ -279,8 +272,9 @@ def circ_nilpotency_bound(B: SkewBrace) -> tuple[int, int]:
 def substructures_brace(B: SkewBrace) -> tuple[frozenset, frozenset, frozenset]:
     """(Fix, Soc, Ann); verifies Fix is a left ideal and Soc, Ann are ideals."""
     dot, circ = B.dot.table, B.circ.table
-    fix_mask = (circ == dot).all(axis=0)
-    soc_mask = (circ == dot).all(axis=1) & (dot == dot.T).all(axis=1)
+    same = circ == dot  # built once, then reduced to its rows before the next mask
+    fix_mask, same = same.all(axis=0), same.all(axis=1)
+    soc_mask = same & (dot == dot.T).all(axis=1)
     ann_mask = soc_mask & fix_mask & (circ == circ.T).all(axis=1)
     fix, soc, ann = (frozenset(np.flatnonzero(mask).tolist()) for mask in (fix_mask, soc_mask, ann_mask))
     if classify_subset_brace(B, fix) < IdealLevel.LEFT_IDEAL:
@@ -477,8 +471,9 @@ def holomorph_plus(A: FinGroup, F: Filtration, force: bool = False) -> tuple[Fin
 def adjoint_group_filtration(B: SkewBrace, F: Filtration | None = None) -> Filtration:
     """Filtration of the circle group: (A, o)_i = A_i meet {a : lambda_a in Aut(A)_i}.
 
-    F defaults to the canonical L-series.  The result is validated as a
-    group filtration of (A, o)."""
+    F defaults to the canonical L-series, and the margin of a*g is taken
+    a block of rows a at a time.  The result is validated as a group
+    filtration of (A, o)."""
     if F is None:
         ser = l_series_brace(B)
         if not ser.is_nilpotent:
@@ -489,7 +484,8 @@ def adjoint_group_filtration(B: SkewBrace, F: Filtration | None = None) -> Filtr
     # a is in (A, o)_i when a*g = lambda_a(g) g^-1 lies in X_(level[g] + i)
     # for all g; the identity alone stays in the last term
     idx = np.arange(B.order)
-    out = Filtration._of(np.maximum(np.minimum(F.level, F.margin(_star(B, idx[:, None], idx))), 0), F.depth)
+    margin = np.concatenate([F.margin(_star(B, idx[blk, None], idx)) for blk in _row_blocks(B.order, B.order)])
+    out = Filtration._of(np.maximum(np.minimum(F.level, margin), 0), F.depth)
     # must be a filtration of the circle group
     validate_group_filtration(B.circ, out)
     return out

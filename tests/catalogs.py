@@ -314,9 +314,17 @@ def _tri_set(P: PostLieRing, A, B) -> set[int]:
     return _index_set(_on_indices(P.shape, P.tri_batch), A, B)
 
 
+def lam_table(B: SkewBrace) -> np.ndarray:
+    """The n x n lambda table lam[a, b] = lambda_a(b) = a^-1 . (a o b), by
+    its definition, in the dtype of the tables: the library holds lambda
+    only as rows, built where they are read."""
+    return B.dot.table[B.dot.inv[:, None], B.circ.table]
+
+
 def _star_set(B: SkewBrace, A, C) -> set[int]:
     """{a*c : a in A, c in C}, a*c = lambda_a(c) c^-1 by its definition."""
-    return _index_set(lambda x, y: B.dot.table[B.lam[x, y], B.dot.inv[y]], A, C)
+    lam = lam_table(B)
+    return _index_set(lambda x, y: B.dot.table[lam[x, y], B.dot.inv[y]], A, C)
 
 
 def _comm_set(G: FinGroup, A, B) -> set[int]:

@@ -12,7 +12,7 @@ from lazbrace.common import FailedTheoremError
 from lazbrace.lazcorr import _require_w_hom, post_lie_to_brace
 from lazbrace.liering import Filtration, FinGroup, LieRingTable, laz, laz_inv, laz_of_table, verify_group_table
 from lazbrace.modarith import ModArithError, abelian_decompose
-from lazbrace.skewbrace import SkewBrace, aut_plus, holomorph_plus
+from lazbrace.skewbrace import SkewBrace, aut_plus, holomorph_plus, lambda_and_star
 
 
 def _compact(n: int):
@@ -59,18 +59,20 @@ def test_tables_must_be_square():
 def _public_tables(L, P, files=None):
     """Every table the public API returns for a Lie ring L and a post-Lie
     ring P on the same order: the Lazard round trip, the flow brace with
-    its lambda table, and the .grp and .skb texts `files` (default: those
-    of the group and the brace) parsed back."""
+    its lambda and star tables, and the .grp and .skb texts `files`
+    (default: those of the group and the brace) parsed back, the brace with
+    its lambda and star tables."""
     G = laz(L)
     T = laz_inv(G)
     B = post_lie_to_brace(P).brace
     files = files or [formats.write_text(G), formats.write_text(B)]
     _, G_file = formats.parse_text(files[0])
     _, B_file = formats.parse_text(files[1])
+    (lam, star), (lam_file, star_file) = lambda_and_star(B), lambda_and_star(B_file)
     return files, {"laz": G.table, "laz_inv.add": T.add, "laz_inv.bracket": T.bracket,
             "laz_of_table": laz_of_table(T).table, "brace.dot": B.dot.table, "brace.circ": B.circ.table,
-            "brace.lam": B.lam, ".grp": G_file.table, ".skb dot": B_file.dot.table,
-            ".skb circ": B_file.circ.table, ".skb lam": B_file.lam}
+            "brace.lambda": lam, "brace.star": star, ".grp": G_file.table, ".skb dot": B_file.dot.table,
+            ".skb circ": B_file.circ.table, ".skb lambda": lam_file, ".skb star": star_file}
 
 
 @pytest.mark.parametrize("p", [3, 5, 7])  # orders 81, 625 and 2401
@@ -134,13 +136,14 @@ def test_an_isomorphism_check_on_compact_tables_names_its_witness():
 
 def test_table_gathers_form_their_intp_index_a_block_at_a_time():
     """At order 3125 a whole n x n intp index is 74.5 MiB, four times a
-    uint16 table.  The group check, the lambda table and relabel each
-    form theirs in blocks of rows, so none holds one."""
+    uint16 table.  The group check, the lambda and star tables and relabel
+    each form theirs in blocks of rows, so none holds one."""
     G = FinGroup(_cyclic_table(3125), 0)
     B, basis = SkewBrace(G, G), abelian_decompose(G.table)
     whole = G.order ** 2 * np.dtype(np.intp).itemsize
-    # the two tables relabel holds make half of it; the check holds no table
-    for fn, share in ((lambda: verify_group_table(G), 0.25), (lambda: B.lam, 0.4),
+    # the two tables relabel holds make half of it, as do the two that
+    # lambda_and_star returns; the check holds no table
+    for fn, share in ((lambda: verify_group_table(G), 0.25), (lambda: lambda_and_star(B), 0.6),
                       (lambda: basis.relabel(G.table), 0.65)):
         tracemalloc.start()
         try:

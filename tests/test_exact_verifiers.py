@@ -33,10 +33,10 @@ import numpy as np
 import pytest
 
 import catalogs
-from catalogs import (_bracket_set, _comm_set, _index_set, _star_set, _tri_set, descending_series, mask, sets,
+from catalogs import (_bracket_set, _comm_set, _index_set, _star_set, _tri_set, descending_series, lam_table, mask, sets,
                       trivial_brace)
-from lazbrace import formats, freelie, modarith
-from lazbrace.common import FailedTheoremError, IdealLevel, LazbraceError
+from lazbrace import formats, freelie, modarith, skewbrace
+from lazbrace.common import FailedTheoremError, IdealLevel, LazbraceError, NotLazardError
 from lazbrace.liering import (
     CheckReport,
     Filtration,
@@ -100,6 +100,8 @@ from lazbrace.skewbrace import (
     SkewBrace,
     _all_subgroups_group,
     _automorphisms_into,
+    _compatibility_failure,
+    adjoint_group_filtration,
     all_group_chains,
     aut_plus,
     automorphisms,
@@ -111,6 +113,7 @@ from lazbrace.skewbrace import (
     minimal_generators,
     right_series_brace,
     strong_series_brace,
+    substructures_brace,
     verify_skew_brace,
 )
 
@@ -425,13 +428,21 @@ def test_group_tables_match_the_row_oracle(rng):
     assert True in verdicts and False in verdicts
 
 
-def test_braces_match_the_compatibility_oracle(rng):
+def _perturbed_braces(rng) -> list[SkewBrace]:
+    """The braces of order 9, two of order 25, their circ groups relabelled
+    (not compatible in general), six with one circ entry moved (no group)
+    and products of the first with 20 of these."""
     braces = [B for _, B in catalogs.order9_braces()] + [catalogs.radical_brace(5, 2), catalogs.twisted_sum(5)]
     braces += [_relabelled(B, rng) for B in braces for _ in range(2)]
     braces += [SkewBrace(B.dot, FinGroup(_perturbed(B.circ.table, rng), 0)) for B in braces[:6]]
     first = braces[0]
     braces += [SkewBrace(FinGroup(_product(first.dot.table, B.dot.table), 0),
                          FinGroup(_product(first.circ.table, B.circ.table), 0)) for B in braces[:20]]
+    return braces
+
+
+def test_braces_match_the_compatibility_oracle(rng):
+    braces = _perturbed_braces(rng)
     reports = [verify_skew_brace(B) for B in braces]
     verdicts = [bool(rep.ok) for rep in reports]
     assert verdicts == [oracle_brace(B) for B in braces]
@@ -596,7 +607,7 @@ def oracle_classify_subset_brace(B: SkewBrace, members: frozenset) -> IdealLevel
     inside = lambda vals: set(int(v) for v in np.unique(vals)) <= members
     if not inside(B.circ.table[arr[:, None], arr[None, :]]):
         return IdealLevel.NOT_CLOSED
-    if not inside(B.lam[:, arr]):
+    if not inside(lam_table(B)[:, arr]):
         return IdealLevel.SUB
     n = B.order
     allidx = np.arange(n, dtype=np.int64)
@@ -812,12 +823,13 @@ def oracle_lambda_derivative(B: SkewBrace, log) -> np.ndarray:
     coords_of_elem = s.all_coords()[basis.index_of_elem]
     inv_pm1 = s.scale_multiplier(Fraction(1, p - 1))
     out = np.empty((B.order, B.order), dtype=np.int64)
+    lam = lam_table(B)
     for a in range(B.order):
         acc = np.zeros((B.order, s.rank), dtype=np.int64)
         for i in range(p - 1):
             scal = pow(xi_inv, i, s.max_modulus)
             a_i = int(basis.elem_of[s.index_batch(s.reduce(coords_of_elem[a] * scal))])
-            acc = s.reduce(acc + pow(xi, i, s.max_modulus) * coords_of_elem[B.lam[a_i]])
+            acc = s.reduce(acc + pow(xi, i, s.max_modulus) * coords_of_elem[lam[a_i]])
         out[a] = basis.elem_of[s.index_batch(s.reduce(acc * inv_pm1))]
     return out
 
@@ -851,12 +863,13 @@ def test_omega_and_u_match_the_holomorph_oracle(brace_corpus):
     for name, B in brace_corpus:
         k = l_series_brace(B).nilpotency_class
         Om = omega_map(B)
-        assert np.array_equal(Om, [oracle_u_eval(B, a, B.lam[a], k) for a in range(B.order)]), name
+        lam = lam_table(B)
+        assert np.array_equal(Om, [oracle_u_eval(B, a, lam[a], k) for a in range(B.order)]), name
         # off the diagonal: U(a, lambda_b) for sampled pairs, as one stacked call
         a, b = rng.integers(0, B.order, size=(2, 6))
-        expected = [oracle_u_eval(B, x, B.lam[y], k) for x, y in zip(a, b)]
-        assert np.array_equal(u_eval(B, a, B.lam[b]), expected), name
-        assert u_eval(B, int(a[0]), B.lam[b[0]]) == expected[0], name
+        expected = [oracle_u_eval(B, x, lam[y], k) for x, y in zip(a, b)]
+        assert np.array_equal(u_eval(B, a, lam[b]), expected), name
+        assert u_eval(B, int(a[0]), lam[b[0]]) == expected[0], name
 
 
 def test_lambda_derivative_matches_the_per_element_loop(brace_corpus):
@@ -962,12 +975,13 @@ def oracle_lambda_derivative_blocks(B: SkewBrace, log) -> np.ndarray:
     m = s.max_modulus
     xi = root_of_unity(p, s.exps[0])
     coords = basis.coords
+    lam = lam_table(B)
 
     def block(rows):
         acc = 0
         for i in range(p - 1):
             a_i = basis.elems(coords[rows] * pow(xi, -i, m))  # xi^(-i) a
-            acc = s.reduce(acc + pow(xi, i, m) * coords[B.lam[a_i]])
+            acc = s.reduce(acc + pow(xi, i, m) * coords[lam[a_i]])
         return basis.elems(acc * s.scale_multiplier(Fraction(1, p - 1)))
 
     return oracle_block_table(B.order, B.order, block)
@@ -996,8 +1010,9 @@ def test_additive_fills_match_the_all_pairs_oracles(postlie_cat, brace_logs, laz
         assert adjoint_filtration(P).terms == oracle_adjoint_terms(P), name
     for name, B, log in brace_logs:
         basis, k = log.basis, log.l_class
-        D = oracle_additive_log(basis, B.lam, k, "lambda", FailedTheoremError)
-        for rows in (_stack_rows(B.lam), B._lam_rows):  # the table, and rows built a block at a time
+        lam = lam_table(B)
+        D = oracle_additive_log(basis, lam, k, "lambda", FailedTheoremError)
+        for rows in (_stack_rows(lam), B._lam_rows):  # the table, and rows built a block at a time
             assert np.array_equal(_additive_log(basis, rows, k, "lambda", FailedTheoremError)[0], D), name
         assert np.array_equal(log.tri_table, oracle_tri_table(basis, D, log.w)), name
         assert np.array_equal(oracle_tri_rebuild(basis, log.post_lie), log.tri_table), name
@@ -1027,9 +1042,10 @@ def test_non_additive_maps_are_named_as_before(brace_logs):
     for name, B, log in brace_logs:
         basis, k = log.basis, log.l_class
         deep += len(basis.tree.gens) > len(basis.gens)
+        lam = lam_table(B)
         for b in list(basis.tree.gens) + rng.integers(0, B.order, 2).tolist():
             a = int(rng.integers(0, B.order))
-            alpha = B.lam.copy()
+            alpha = lam.copy()
             alpha[a, b] = B.dot.table[alpha[a, b], basis.gens[0]]
             elements = rng.permutation(B.order)
             want = _failure(lambda: oracle_additive_log(basis, alpha, k, "alpha", ModArithError, elements))
@@ -1649,13 +1665,13 @@ def oracle_verify_skew_brace(B: SkewBrace) -> bool:
     endomorphism on the dot generators, on columns."""
     if not (oracle_group_table(B.dot.table) and oracle_group_table(B.circ.table)):
         return False
-    return B.dot.identity == B.circ.identity and oracle_hom_failure(B.dot.table, B.lam, B.dot.gens) is None
+    return B.dot.identity == B.circ.identity and oracle_hom_failure(B.dot.table, lam_table(B), B.dot.gens) is None
 
 
 def oracle_lambda_and_star(B: SkewBrace) -> tuple[np.ndarray, np.ndarray]:
     """Each lambda_a a bijection (sorted rows) and a dot endomorphism on
     columns, and lambda_(a o g) = lambda_a lambda_g for circ generators g."""
-    lam = B.lam
+    lam = lam_table(B)
     bijective = (np.sort(lam, axis=1) == np.arange(B.order)).all(axis=1)
     if not bijective.all():
         raise FailedTheoremError(f"lambda_{int(np.argmin(bijective))} is not a bijection")
@@ -1725,7 +1741,7 @@ def test_isomorphism_checks_match_the_all_pairs_oracles(postlie_cat, brace_logs)
         assert got[0]
         failed += got.count(False)
     for name, B, log in brace_logs:  # the flows of the catalog among them
-        assert verify_skew_brace(B).ok and oracle_hom_failure(B.dot.table, B.lam, B.dot.gens) is None, name
+        assert verify_skew_brace(B).ok and oracle_hom_failure(B.dot.table, lam_table(B), B.dot.gens) is None, name
         P, basis, Omega = log.post_lie, log.basis, log.omega
         psi = _coset_swap(B.circ.table[B.circ.gens[0]], B.circ.identity)
         maps = [Omega, Omega[::-1]] + ([] if psi is None else [Omega[psi]])
@@ -1991,13 +2007,14 @@ def oracle_lambda_checks(B: SkewBrace, brace_order: bool) -> None:
     or omega_map's (raising, then additive and the log)."""
     F = _lazard_brace_filtration(B)
     _, basis = _dot_log(B.dot)
-    unraised = F.level[B.dot.table[B.lam, B.dot.inv]] < np.minimum(F.level + 1, F.depth)
+    lam = lam_table(B)
+    unraised = F.level[B.dot.table[lam, B.dot.inv]] < np.minimum(F.level + 1, F.depth)
     if brace_order:
-        oracle_additive_log(basis, B.lam, F.length, "lambda", FailedTheoremError)
+        oracle_additive_log(basis, lam, F.length, "lambda", FailedTheoremError)
         _require_none(unraised, "alpha does not raise the filtration", ModArithError)
     else:
         _require_none(unraised, "alpha does not raise the filtration", ModArithError)
-        oracle_additive_log(basis, B.lam, F.length, "alpha", ModArithError)
+        oracle_additive_log(basis, lam, F.length, "alpha", ModArithError)
 
 
 def _check_failure(fn) -> str | None:
@@ -2024,15 +2041,15 @@ def test_lambda_checks_by_row_blocks_name_what_the_whole_table_named(brace_logs,
     for name, B, log in logs[::max(1, len(logs) // 8)]:
         basis, n, r = log.basis, B.order, log.basis.shape.rank
         F = _lazard_brace_filtration(B)
-        coords = basis.coords
-        mats = coords[B.lam[:, list(basis.gens)]]
+        coords, lam = basis.coords, lam_table(B)
+        mats = coords[lam[:, list(basis.gens)]]
         lifts = [(i, j) for i in range(r) for j in range(r) if i != j and basis.shape.exps[i] >= basis.shape.exps[j]
                  and F.level[basis.gens[i]] >= F.level[basis.gens[j]]]
         for a in (int(rng.integers(1, n)), n - 1):
-            moved = B.lam[a].copy()
+            moved = lam[a].copy()
             b = int(rng.integers(1, n))
             moved[b] = B.dot.table[moved[b], basis.gens[0]]
-            inside = B.lam[a].copy()  # an entry moved by a deepest element: not additive, still raising
+            inside = lam[a].copy()  # an entry moved by a deepest element: not additive, still raising
             b = int(rng.choice(np.flatnonzero(F.level <= F.depth - 2)))
             inside[b] = B.dot.table[inside[b], int(rng.choice(np.flatnonzero(F.level == F.depth - 1)))]
             rows = [moved, inside, basis.elems(coords @ (2 * mats[a]))]
@@ -2056,3 +2073,149 @@ def test_lambda_checks_by_row_blocks_name_what_the_whole_table_named(brace_logs,
             "ModArithError: alpha is not additive over Laz^-1 of the dot group",
             "ModArithError: alpha does not raise the filtration",
             "ModArithError: endomorphism is not nilpotent within the stated bound"} <= set(kinds), kinds
+
+
+# ---------------------------------------------------------------------------
+# Lambda held only as rows: the star products, the adjoint margin, the
+# lambda and star tables and the root-of-unity triangle against the forms
+# that read the whole n x n lambda table SkewBrace once cached.
+
+
+def oracle_star(B: SkewBrace, A, H) -> np.ndarray:
+    """a*h on broadcast index arrays, read from the whole lambda table."""
+    return B.dot.table[lam_table(B)[A, H], B.dot.inv[H]]
+
+
+def oracle_adjoint_group_filtration(B: SkewBrace, F: Filtration | None = None) -> Filtration:
+    """adjoint_group_filtration with the margin of the whole n x n star table."""
+    if F is None:
+        ser = l_series_brace(B)
+        if not ser.is_nilpotent:
+            raise ModArithError("no canonical filtration: brace is not L-nilpotent")
+        F = ser.filtration
+    else:
+        validate_group_filtration(B.dot, F)
+    idx = np.arange(B.order)
+    out = Filtration._of(np.maximum(np.minimum(F.level, F.margin(oracle_star(B, idx[:, None], idx))), 0), F.depth)
+    validate_group_filtration(B.circ, out)
+    return out
+
+
+def oracle_lambda_and_star_tables(B: SkewBrace) -> tuple[np.ndarray, np.ndarray]:
+    """lambda_and_star with both tables read from the whole lambda table."""
+    bad = _compatibility_failure(B)
+    if bad is not None:
+        raise FailedTheoremError(f"lambda_{bad[0]} is not an automorphism of dot")
+    idx = np.arange(B.order)
+    return lam_table(B), oracle_star(B, idx[:, None], idx)
+
+
+def oracle_lambda_derivative_table(B: SkewBrace, log=None) -> np.ndarray:
+    """lambda_derivative with the matrices M_x read from the generator
+    columns of the whole lambda table."""
+    p = B.p
+    ss = strong_series_brace(B, cap=p + 1)
+    if not (ss.nilpotency_class is not None and ss.nilpotency_class < p):
+        raise NotLazardError("strong series too long: A^{p} != 1")
+    if log is None or log.brace is not B:
+        log = brace_to_post_lie(B)
+    basis = log.basis
+    s = basis.shape
+    m = s.max_modulus
+    xi = root_of_unity(p, s.exps[0])
+    coords = basis.coords
+    mats = coords[lam_table(B)[:, list(basis.gens)]]
+    acc = 0
+    for i in range(p - 1):
+        acc = s.reduce(acc + pow(xi, i, m) * mats[basis.elems(coords * pow(xi, -i, m))])
+    out = basis.additive_table(lambda X: X @ (acc * s.scale_multiplier(Fraction(1, p - 1))))
+    if not np.array_equal(out, log.tri_table):
+        raise FailedTheoremError("root-of-unity triangle differs from the logged triangle")
+    return out
+
+
+def oracle_substructures_brace(B: SkewBrace) -> tuple[frozenset, frozenset, frozenset]:
+    """substructures_brace with the mask circ == dot built twice, once for
+    Fix (columns) and once for Soc (rows)."""
+    dot, circ = B.dot.table, B.circ.table
+    fix_mask = (circ == dot).all(axis=0)
+    soc_mask = (circ == dot).all(axis=1) & (dot == dot.T).all(axis=1)
+    ann_mask = soc_mask & fix_mask & (circ == circ.T).all(axis=1)
+    fix, soc, ann = (frozenset(np.flatnonzero(mask).tolist()) for mask in (fix_mask, soc_mask, ann_mask))
+    if classify_subset_brace(B, fix) < IdealLevel.LEFT_IDEAL:
+        raise FailedTheoremError("fix is not a left ideal")
+    for name, sub in (("socle", soc), ("annihilator", ann)):
+        if classify_subset_brace(B, sub) < IdealLevel.IDEAL:
+            raise FailedTheoremError(f"{name} is not an ideal")
+    return fix, soc, ann
+
+
+def _outcome(fn):
+    """fn()'s value, arrays as (dtype, shape, bytes), or its failure."""
+    try:
+        out = fn()
+    except (LazbraceError, ModArithError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+    arrays = out if isinstance(out, tuple) else (out,)
+    if not all(isinstance(a, np.ndarray) for a in arrays):
+        return out
+    return [(a.dtype.str, a.shape, a.tobytes()) for a in arrays]
+
+
+def _lambda_outcomes(B: SkewBrace, log=None, oracle=False) -> dict:
+    """Every result that reads lambda a star product or a column at a
+    time, and Fix, Soc and Ann: from the library, or (oracle) from the
+    whole lambda table and the old masks.  The series read _star, so the
+    caller takes their oracle forms with oracle_star in its place."""
+    adjoint, tables, root_diff, subs = ((oracle_adjoint_group_filtration, oracle_lambda_and_star_tables,
+                                         oracle_lambda_derivative_table, oracle_substructures_brace) if oracle else
+                                        (adjoint_group_filtration, lambda_and_star, lambda_derivative,
+                                         substructures_brace))
+    return {"left": _outcome(lambda: left_series_brace(B)),
+            "right": _outcome(lambda: right_series_brace(B)),
+            "strong": _outcome(lambda: strong_series_brace(B)),
+            "strong_cap2": _outcome(lambda: strong_series_brace(B, cap=2)),
+            "adjoint": _outcome(lambda: adjoint(B)),
+            "lambda_and_star": _outcome(lambda: tables(B)),
+            "root_diff": _outcome(lambda: root_diff(B, log)),
+            "substructures": _outcome(lambda: subs(B))}
+
+
+def test_lambda_rows_match_the_lambda_table_forms(series_braces, brace_logs, monkeypatch):
+    logs = {id(B): log for _, B, log in brace_logs}
+    braces = list(series_braces) + [(f"perturbed_{i}", B)
+                                    for i, B in enumerate(_perturbed_braces(np.random.default_rng(28)))]
+    assert len(braces) == 118 + 68
+    failed = {}
+    for name, B in braces:
+        log = logs.get(id(B))
+        got = _lambda_outcomes(B, log)
+        with monkeypatch.context() as m:
+            m.setattr(skewbrace, "_star", oracle_star)
+            want = _lambda_outcomes(B, log, oracle=True)
+        assert got == want, name
+        for key, value in got.items():
+            failed[key] = failed.get(key, 0) + isinstance(value, str)
+        assert "lam" not in vars(B), name
+    # the perturbed braces reach the failures, the catalog the values
+    assert 0 < failed["adjoint"] < len(braces) and 0 < failed["lambda_and_star"] < len(braces), failed
+    assert 0 < failed["root_diff"] < len(braces), failed
+
+
+def test_no_library_path_leaves_a_table_on_the_brace():
+    """After every path that reads lambda, the brace holds no n x n array
+    (lambda is held only as rows, built where they are read); the brace is
+    the flow's and the log reads it, so both directions run on it."""
+    for P in (catalogs.postlie_heis_negbracket(5), catalogs.prelie_radical(5, 2)):
+        flow = post_lie_to_brace(P)
+        B, n = flow.brace, flow.brace.order
+        log = brace_to_post_lie(B)
+        for path in (lambda: l_series_brace(B), lambda: left_series_brace(B), lambda: right_series_brace(B),
+                     lambda: strong_series_brace(B), lambda: adjoint_group_filtration(B),
+                     lambda: substructures_brace(B), lambda: transfer_report(P, flow),
+                     lambda: lambda_derivative(B, log), lambda: lambda_derivative(B), lambda: omega_map(B),
+                     lambda: lambda_and_star(B)):
+            path()
+        tables = [key for key, value in vars(B).items() if isinstance(value, np.ndarray) and value.size >= n * n]
+        assert tables == [], tables
+        assert not hasattr(B, "lam")

@@ -33,11 +33,17 @@ check=False) and saves as one `.npz` file before the measured process
 starts; it passes when the ring it returns is written as the ring it
 came from.  So the peak RSS of either holds one direction of the
 correspondence and its checks, with the import and, for `log`, the two
-tables it reads.
+tables it reads.  A step `root-diff:p^e` reads the tables of the brace of
+the negated-bracket triangle on the same Lie ring (a > b = -[a, b], so
+circ != dot and no lambda_a is the identity), saved in the same way, and
+times `lazcorr.lambda_derivative(B, lazcorr.brace_to_post_lie(B,
+check=True))`: the log, then the triangle recovered from lambda by
+averaging against a root of unity; it passes when that triangle is the
+logged one.
 
 The default steps are 3^6, 7^4, 5^5 and 5^6 (the soft cap), then the
-convert, roundtrip and check steps at 5^5 and 5^6; the flow and log steps
-run when named.
+convert, roundtrip and check steps at 5^5 and 5^6; the flow, log and
+root-diff steps run when named.
 
 Every step runs in a fresh process under its own `ulimit -v`, so the limit
 binds that process only.  A measuring process starts the step as its one
@@ -50,7 +56,7 @@ from the checkout named by --root, this one by default):
 
     python3 tools/ladder.py
     python3 tools/ladder.py --limit-kb 6000000 3^6 5^5 convert:5^5 roundtrip:5^5
-    python3 tools/ladder.py flow:5^5 log:5^5 check:5^5
+    python3 tools/ladder.py flow:5^5 log:5^5 check:5^5 root-diff:5^5
     python3 tools/ladder.py --root ../other-checkout
 
 It prints one Markdown table row per step.
@@ -80,11 +86,12 @@ def _use_checkout(root: Path) -> None:
     sys.path[:0] = [str(root / "src"), str(root / "lazbench")]
 
 
-def _post_lie(p: int, e: int):
-    """A CLI, flow or log step's post-Lie ring, built from the checkout."""
+def _post_lie(p: int, e: int, triangle: str = "zero"):
+    """A CLI, flow or log step's post-Lie ring (a root-diff step's with the
+    triangle "neg"), built from the checkout."""
     import generate
 
-    return generate.triangle_instance("x", 3, p, (1,) * e, "zero", 2).build()
+    return generate.triangle_instance("x", 3, p, (1,) * e, triangle, 2).build()
 
 
 def _run(step: str, tables: Path | None) -> dict:
@@ -100,7 +107,7 @@ def _run(step: str, tables: Path | None) -> dict:
         P = _post_lie(p, e)
     else:
         L = generate.lie_instance("x", 3, p, (1,) * e, "graded", 2).build()
-    if kind == "log":
+    if kind in ("log", "root-diff"):
         with np.load(tables) as npz:
             B = SkewBrace(*(liering.FinGroup(npz[part], int(npz["identity"])) for part in ("dot", "circ")))
     start = time.perf_counter()
@@ -108,6 +115,9 @@ def _run(step: str, tables: Path | None) -> dict:
         ok = lazcorr.post_lie_to_brace(P, check=True) is not None  # a failed check raises
     elif kind == "log":
         ok = formats.write_text(lazcorr.brace_to_post_lie(B, check=True).post_lie) == formats.write_text(P)
+    elif kind == "root-diff":
+        log = lazcorr.brace_to_post_lie(B, check=True)
+        ok = np.array_equal(lazcorr.lambda_derivative(B, log), log.tri_table)
     else:
         G = liering.laz(L)
         T = liering.laz_inv(G)
@@ -123,18 +133,18 @@ def _post_lie_file(p: int, e: int, path: Path) -> None:
     path.write_text(formats.write_text(_post_lie(p, e)))
 
 
-def _brace(p: int, e: int):
+def _brace(p: int, e: int, triangle: str = "zero"):
     """The ring's brace, computed with check=False in the measuring process."""
     from lazbrace import lazcorr
 
-    return lazcorr.post_lie_to_brace(_post_lie(p, e), check=False).brace
+    return lazcorr.post_lie_to_brace(_post_lie(p, e, triangle), check=False).brace
 
 
-def _brace_tables(p: int, e: int, tables: Path) -> None:
-    """Save the ring's brace tables for a log step to `tables` (.npz)."""
+def _brace_tables(p: int, e: int, tables: Path, triangle: str) -> None:
+    """Save the ring's brace tables for a log or root-diff step to `tables` (.npz)."""
     import numpy as np
 
-    B = _brace(p, e)
+    B = _brace(p, e, triangle)
     np.savez(tables, dot=B.dot.table, circ=B.circ.table, identity=B.dot.identity)
 
 
@@ -156,8 +166,8 @@ def _measure(root: Path, step: str, limit_kb: int) -> dict:
         plie, out, tables = Path(tmp) / "ring.plie", Path(tmp) / "brace.skb", Path(tmp) / "brace.npz"
         if kind in ("convert", "roundtrip"):
             _post_lie_file(p, e, plie)
-        elif kind == "log":
-            _brace_tables(p, e, tables)
+        elif kind in ("log", "root-diff"):
+            _brace_tables(p, e, tables, "neg" if kind == "root-diff" else "zero")
         elif kind == "check":
             _brace_file(p, e, out)
         if kind == "convert":
@@ -192,13 +202,13 @@ def _measure(root: Path, step: str, limit_kb: int) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("steps", nargs="*", default=list(STEPS),
-                    help="p^e, convert:p^e, roundtrip:p^e, check:p^e, flow:p^e or log:p^e steps"
+                    help="p^e, convert:p^e, roundtrip:p^e, check:p^e, flow:p^e, log:p^e or root-diff:p^e steps"
                          " (default: %(default)s)")
     ap.add_argument("--limit-kb", type=int, default=6_000_000, help="ulimit -v of each step, in KiB")
     ap.add_argument("--root", type=Path, default=ROOT, help="the checkout whose src/ is measured")
     ap.add_argument("--run", help=argparse.SUPPRESS)  # one step, in the measured process
     ap.add_argument("--measure", help=argparse.SUPPRESS)  # one step, as the measuring process
-    ap.add_argument("--tables", type=Path, help=argparse.SUPPRESS)  # a log step's brace tables
+    ap.add_argument("--tables", type=Path, help=argparse.SUPPRESS)  # a log or root-diff step's brace tables
     args = ap.parse_args(argv)
     if args.run or args.measure:
         _use_checkout(args.root.resolve())
