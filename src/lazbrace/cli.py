@@ -13,8 +13,6 @@ import functools
 import os
 import sys
 
-import numpy as np
-
 from . import formats, freelie
 from .common import CapabilityError, CapExceededError, FailedTheoremError, NotLazardError, ParseError
 from .liering import (
@@ -160,9 +158,8 @@ def cmd_roundtrip(args) -> int:
     elif kind == "skewbrace":
         log = brace_to_post_lie(value)
         flow = post_lie_to_brace(log.post_lie)
-        same = np.array_equal(log.basis.relabel(flow.brace.dot.table), value.dot.table) and np.array_equal(
-            log.basis.relabel(flow.brace.circ.table), value.circ.table
-        )
+        same = all(log.basis.relabels_to(mine.table, theirs.table)
+                   for mine, theirs in ((flow.brace.dot, value.dot), (flow.brace.circ, value.circ)))
     else:
         raise ParseError(f"roundtrip needs a postlie or skewbrace file, got {kind}")
     print("roundtrip: " + ("exact" if same else "MISMATCH"))

@@ -11,7 +11,7 @@ import numpy as np
 
 from .common import ParseError
 from .liering import _check_shape_cap, FinGroup, LieRingSC
-from .modarith import ModArithError, PShape, _row_blocks, index_dtype
+from .modarith import ModArithError, PShape, _left_identities, _walk, index_dtype
 from .postlie import PostLieRing
 from .skewbrace import SkewBrace
 
@@ -30,7 +30,7 @@ def _intline(tokens, what, line_no):
 def _parse_table(lines, start, n, what):
     """The n x n table on lines[start:start + n], in index_dtype(n).
 
-    Rows are converted in _row_blocks blocks.  A block of plain rows (see
+    Rows are converted a _walk block at a time.  A block of plain rows (see
     _plain_values) is decoded from its bytes; any other block goes row by
     row through int(), which names its first bad line.  The range error is
     raised only after every block has passed its format check, so a format
@@ -40,7 +40,7 @@ def _parse_table(lines, start, n, what):
     width = len(str(n - 1))
     table = np.empty((n, n), dtype=index_dtype(n))
     in_range = True
-    for blk in _row_blocks(n, n * (width + 1)):
+    for blk in _walk(n, n * (width + 1)):
         values = _plain_values(rows[blk], n, width)
         if values is None:
             values = []
@@ -173,7 +173,7 @@ def parse_text(text: str):
             raise ParseError("skewbrace file needs 'dot:' and 'circ:' sections")
         dot = _parse_table(body, 1, n, "dot table")
         circ = _parse_table(body, n + 2, n, "circ table")
-        hits = np.nonzero((dot == np.arange(n)).all(axis=1))[0]
+        hits = _left_identities(dot)  # compares only the rows with e . 0 = 0
         if hits.size != 1:
             raise ParseError("dot table has no unique identity")
         e = int(hits[0])
@@ -193,7 +193,7 @@ def parse_file(path):
 
 
 def _table_lines(table):
-    """The text of an n x n element table in _row_blocks blocks of whole
+    """The text of an n x n element table in _walk blocks of whole
     lines: each row its entries in decimal, one blank apart, then "\n".
 
     Each value's cell is its digits and a blank, padded with zero bytes to
@@ -205,7 +205,7 @@ def _table_lines(table):
     width = len(str(n - 1)) + 1
     cells = "".join(f"{v} ".ljust(width, "\0") for v in range(n)).encode("ascii")
     cells = np.frombuffer(cells, dtype=f"V{width}")
-    for blk in _row_blocks(n, n * width):
+    for blk in _walk(n, n * width):
         text = cells.take(table[blk]).view(np.uint8).reshape(-1, n, width)
         last = text[:, -1]
         last[last == ord(" ")] = ord("\n")

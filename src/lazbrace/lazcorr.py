@@ -33,8 +33,8 @@ from .liering import (
     table_to_sc,
     validate_group_filtration,
 )
-from .modarith import (AbelianBasis, Endo, ModArithError, PShape, PVec, _first_in_blocks, _pair_take, _raise_at,
-                       _require_none, _take_transposed, endo_exp, endo_log, index_dtype, root_of_unity)
+from .modarith import (AbelianBasis, Endo, ModArithError, PShape, PVec, _raise_at, _walk, endo_exp, endo_log,
+                       index_dtype, root_of_unity)
 from .postlie import (
     PostLieRing,
     _classify_batch,
@@ -209,9 +209,9 @@ def post_lie_to_brace(P: PostLieRing, check: bool = True) -> FlowResult:
     P is verified first.  The maps exp(L_{Omega(a)}) are validated
     matrices, so their table is filled along the shape's additive tree
     (AbelianBasis.additive_table).  The fill's own (n, n) buffer, with
-    exp(L_{Omega(a)})(b) at [b, a], becomes circ in place, one mirrored
-    pair of blocks at a time (_take_transposed): no transposed copy and
-    no second table is held beside it.
+    exp(L_{Omega(a)})(b) at [b, a], becomes circ in place, a block and its
+    mirror at a time (_walk), both read before either is written: no
+    transposed copy and no second table is held beside it.
 
     The fill reads the carrier's addition table: the one held on
     P.shape's carrier (for an abelian base, the dot table itself), or else
@@ -231,8 +231,19 @@ def post_lie_to_brace(P: PostLieRing, check: bool = True) -> FlowResult:
     Omega = np.empty(n, dtype=np.int64)
     Omega[W] = np.arange(n)
     exp_mats = endo_exp(Endo(s, P.l_mats(s.all_coords()[Omega])), max(k, 1)).mat
-    images = s.carrier.additive_table(lambda X: X @ exp_mats).T  # [b, a]: exp(L_Omega(a))(b)
-    circ = _take_transposed(dot.table, images)
+    circ = s.carrier.additive_table(lambda X: X @ exp_mats).T  # [b, a]: exp(L_Omega(a))(b)
+    flat = dot.table.ravel()  # a view: an index table is C-contiguous
+
+    def take(I, J):  # dot[a, circ[b, a]] at the flat index a n + circ[b, a], formed in row order
+        return flat.take(np.add(np.arange(I.start, I.stop)[:, None] * n, circ[J, I].T, order="C"))
+
+    def transpose_take(I, J):  # circ[a, b] = dot[a, circ[b, a]]: both blocks read before either is written
+        upper = take(I, J)
+        if I != J:
+            circ[J, I] = take(J, I)
+        circ[I, J] = upper
+
+    _walk(n, n, transpose_take, mirror=True)
     brace = SkewBrace(dot, FinGroup(circ, 0))
     if check:
         rep = brace.verdict
@@ -278,11 +289,11 @@ def _stack_rows(alpha: np.ndarray):
 
 
 def _raising_test(dot: FinGroup, F: Filtration):
-    """The _first_in_blocks test for rows R of maps alpha of (A, .): where
-    alpha(g) g^-1 is not in X_(level g + 1) (the last term at the bottom)."""
+    """The _walk test for rows R of maps alpha of (A, .): where alpha(g)
+    g^-1 is not in X_(level g + 1) (the last term at the bottom)."""
     floor = np.minimum(F.level + 1, F.depth)
     level = F.level.astype(index_dtype(F.depth + 1))  # a block of the gather below is held in that dtype
-    return lambda blk, R: level[_pair_take(dot.table, R, dot.inv)] < floor
+    return lambda blk, R: level[dot.table[R, dot.inv]] < floor
 
 
 def _additive_log(basis: AbelianBasis, rows, k: int, name: str, exc, elements=None, also=()):
@@ -296,12 +307,12 @@ def _additive_log(basis: AbelianBasis, rows, k: int, name: str, exc, elements=No
     raises for a map that is not unipotent.  The matrix images are filled
     along the additive tree, every tree generator's image computed from its
     coordinates and none read from alpha, so the table compared with alpha
-    is the matrix maps themselves.  Images and alpha are both read a block
-    of maps at a time (_first_in_blocks): neither is held as an (m, n)
-    array, and lambda can be passed as SkewBrace._lam_rows."""
+    is the matrix maps themselves.  Images and alpha are both read in one
+    _walk, by blocks of n / 8 entries (a fill pays its per-run cost per
+    block), and lambda can be passed as SkewBrace._lam_rows."""
     mats = Endo(basis.shape, basis.coords[rows(slice(None), list(basis.gens))])
     additive = lambda blk, R: R != basis.additive_table(lambda X: X @ mats.mat[blk])
-    bad, *found = _first_in_blocks(len(mats.mat), len(basis.coords), rows, [additive, *also])
+    bad, *found = _walk(len(mats.mat), len(basis.coords) // 8, additive, *also, rows=rows)
     _raise_at(bad, f"{name} is not additive over Laz^-1 of the dot group", exc, elements)
     return endo_log(mats, max(k, 1)).mat, found
 
@@ -323,15 +334,15 @@ def u_eval(B: SkewBrace, a, alpha: np.ndarray, F: Filtration | None = None):
     group filtration of (A, .) shorter than p; each alpha must raise F,
     alpha(g) g^-1 in X_(level[g] + 1), and be additive over T
     (ModArithError naming the first (a, g) otherwise, a the entry of `a`
-    the failing map is paired with).  Each check reads alpha one block of
-    rows at a time (_first_in_blocks), the raising check first.
+    the failing map is paired with).  Each check reads alpha in one _walk, a
+    block of rows at a time, the raising check first.
     """
     L, basis = _dot_log(B.dot)
     F = _lazard_brace_filtration(B, F)
     alpha = np.atleast_2d(np.asarray(alpha))
     elements = np.broadcast_to(np.atleast_1d(a), (max(np.size(a), len(alpha)),))
     rows = _stack_rows(alpha)
-    unraised, = _first_in_blocks(len(alpha), B.order, rows, [_raising_test(B.dot, F)])
+    unraised, = _walk(len(alpha), B.order // 8, _raising_test(B.dot, F), rows=rows)
     _raise_at(unraised, "alpha does not raise the filtration", ModArithError, elements)
     log, _ = _additive_log(basis, rows, F.length, "alpha", ModArithError, elements)
     out = _u_batch(L, basis, F.length, a, log)
@@ -380,7 +391,7 @@ def brace_to_post_lie(B: SkewBrace, check: bool = True) -> LogResult:
     matrices D[W(a)].  Its rows and those of the bilinear extension of the
     triangle constants are both additive in b, so the biadditivity check
     compares their generator columns, the n r matrix rows of D[W(a)] and
-    L_a, and names the first a with a generator b."""
+    L_a, by _walk blocks, and names the first a with a generator b."""
     if check:
         rep = B.verdict
         if not rep.ok:
@@ -405,8 +416,9 @@ def brace_to_post_lie(B: SkewBrace, check: bool = True) -> LogResult:
         if not rep.ok:
             raise FailedTheoremError(f"logged structure is not post-Lie: {rep.failures}")
         # the bilinear extension must reproduce the pointwise table
-        _require_none((P.l_mats(basis.coords) != DW).any(axis=-1), "triangle product is not biadditive",
-                      cols=basis.gens)
+        r = len(basis.gens)
+        _raise_at(_walk(n, r * r, lambda blk: (P.l_mats(basis.coords[blk]) != DW[blk]).any(axis=-1))[0],
+                  "triangle product is not biadditive", cols=basis.gens)
         pser = l_series(P)
         if pser.nilpotency_class != k:
             raise FailedTheoremError("L-class changed across the logarithm construction")
@@ -502,7 +514,7 @@ def lambda_derivative(B: SkewBrace, log: LogResult | None = None) -> np.ndarray:
     read as rows (SkewBrace._lam_rows): log.brace is B, whose lambda
     brace_to_post_lie checked additive on all pairs (a log of another brace
     is recomputed for B).  So row a is the matrix map of 1/(p-1) sum_i xi^i
-    M_(xi^-i a), filled along the additive tree.
+    M_(xi^-i a), filled along the additive tree; _walk compares it.
     """
     p = B.p
     ss = strong_series_brace(B, cap=p + 1)
@@ -520,7 +532,7 @@ def lambda_derivative(B: SkewBrace, log: LogResult | None = None) -> np.ndarray:
     for i in range(p - 1):
         acc = s.reduce(acc + pow(xi, i, m) * mats[basis.elems(coords * pow(xi, -i, m))])  # M_(xi^-i a)
     out = basis.additive_table(lambda X: X @ (acc * s.scale_multiplier(Fraction(1, p - 1))))
-    if not np.array_equal(out, log.tri_table):
+    if _walk(len(out), len(out), lambda blk: out[blk] != log.tri_table[blk])[0] is not None:
         raise FailedTheoremError("root-of-unity triangle differs from the logged triangle")
     return out
 

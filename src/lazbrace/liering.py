@@ -20,8 +20,8 @@ import numpy as np
 from . import freelie
 from .common import CapExceededError, FailedTheoremError, NotLazardError
 from .modarith import (AbelianBasis, ModArithError, PShape, PVec, abelian_decompose, index_dtype, prime_power,
-                       _fill, _fill_group, _first_in_blocks, _index_table, _left_identities, _mask,
-                       _raise_at, _row_blocks, _schreier, _table_orders, _table_times)
+                       _fill, _fill_group, _index_table, _left_identities, _mask, _raise_at, _schreier,
+                       _table_orders, _table_times, _walk)
 
 __all__ = [
     "LieRingSC",
@@ -541,11 +541,11 @@ class FinGroup:
     @cached_property
     def inv(self) -> np.ndarray:
         """inv[a]: the first b with a b = identity, or 0 in a row without one;
-        found a _row_blocks block of rows at a time, so the n x n mask of
-        identity entries is never held whole."""
+        found a _walk block of rows at a time, so the n x n mask of identity
+        entries is never held whole."""
         n = self.order
         inv = np.empty(n, dtype=np.intp)
-        for blk in _row_blocks(n, n):
+        for blk in _walk(n, n):
             inv[blk] = (self.table[blk] == self.identity).argmax(axis=1)
         return inv
 
@@ -584,11 +584,8 @@ class FinGroup:
         return int(self.element_orders.max()) if self.order > 1 else 1
 
     def __eq__(self, other):
-        return (
-            isinstance(other, FinGroup)
-            and self.identity == other.identity
-            and np.array_equal(self.table, other.table)
-        )
+        return (isinstance(other, FinGroup) and self.identity == other.identity and self.order == other.order
+                and _walk(self.order, self.order, lambda blk: self.table[blk] != other.table[blk])[0] is None)
 
     def __hash__(self):
         return hash((self.identity, self.table.tobytes()))
@@ -651,17 +648,15 @@ def verify_group_table(table) -> CheckReport:
 def _light_failure(table: np.ndarray, gens) -> str | None:
     """Light's test on the generators `gens` of the table as a magma: the
     first (g, x, y) with (g x) y != g (x y), named, or None.  Each row of g
-    is compared a block of x at a time, so no n x n temporary is held.
-    The generator walk presumes no associativity: every product it takes
-    stays inside the submagma its generators generate."""
+    is compared in one _walk, a block of x at a time, so no n x n temporary
+    is held.  The generator walk presumes no associativity: every product
+    it takes stays inside the submagma its generators generate."""
     n = table.shape[0]
     for g in gens:
         row = table[g]
-        for blk in _row_blocks(n, n):
-            bad = table[row[blk]] != row.take(table[blk])  # (g x) y vs g (x y), x in blk
-            if bad.any():
-                x, y = np.argwhere(bad)[0]
-                return f"associativity fails at (g,x,y)=({g},{blk.start + int(x)},{int(y)})"
+        at, = _walk(n, n, lambda blk: table[row[blk]] != row.take(table[blk]))  # (g x) y vs g (x y), x in blk
+        if at is not None:
+            return "associativity fails at (g,x,y)=({},{},{})".format(g, *at)
     return None
 
 
@@ -703,13 +698,13 @@ def _laz_rows(L: LieRingSC, degree: int, basis: AbelianBasis, elems) -> np.ndarr
     """The rows x -> BCH(a, x) of Laz(L) for the table elements a in elems,
     one (len(elems), n) array over the table elements of basis, a carrier
     of L.shape; BCH is truncated at degree (_lazard_degree).  BCH is folded
-    over a block of rows at a time, sized so that the (pairs, r, r) bracket
-    matrices of the fold stay near _row_blocks' chunk."""
+    over a _walk block of rows at a time, sized so that the (pairs, r, r)
+    bracket matrices of the fold stay near its block size."""
     X = basis.coords
     n, r = X.shape
     A = X[np.asarray(elems, dtype=np.int64)]
     out = np.empty((len(A), n), dtype=np.int64)
-    for blk in _row_blocks(len(A), n * r * r):
+    for blk in _walk(len(A), n * r * r):
         a = A[blk]
         out[blk] = basis.elems(_bch_batch(L, degree, np.repeat(a, n, axis=0), np.tile(X, (len(a), 1)))).reshape(-1, n)
     return out
@@ -961,8 +956,8 @@ def table_to_sc(T: LieRingTable) -> tuple[LieRingSC, AbelianBasis]:
     of the tree generators, computed in coordinates: that is the bilinear
     extension itself, compared with the bracket table on all pairs, which
     names the first failing (a, b).  The extension is filled and compared
-    a block of rows a at a time (_first_in_blocks), so neither it nor the
-    mask of differences is held whole.
+    in one _walk, by blocks of rows a (of n / 8 entries: a fill pays its
+    per-run cost per block), so neither it nor the mask is held whole.
     """
     basis = abelian_decompose(T.add)
     coords = basis.coords
@@ -972,9 +967,8 @@ def table_to_sc(T: LieRingTable) -> tuple[LieRingSC, AbelianBasis]:
     bad = _ill_defined_pairs(basis.shape, L.sc)
     if bad:
         raise FailedTheoremError(f"{what} at (a,b)=({gens[bad[0][0]]},{gens[bad[0][1]]})")
-    rebuilt = lambda blk, R: R != basis.additive_table(lambda X: L.bracket_batch(coords[blk, None, :], X))
-    at, = _first_in_blocks(T.order, T.order, lambda blk: T.bracket[blk], [rebuilt])
-    _raise_at(at, what)
+    rebuilt = lambda blk: T.bracket[blk] != basis.additive_table(lambda X: L.bracket_batch(coords[blk, None, :], X))
+    _raise_at(_walk(T.order, T.order // 8, rebuilt)[0], what)
     return L, basis
 
 

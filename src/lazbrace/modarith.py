@@ -38,58 +38,57 @@ __all__ = [
 ]
 
 
-_CHUNK = 1 << 18  # pairs handled per vectorized block
+_CHUNK = 1 << 18  # entries in one block of a whole-table walk (_walk)
 
 
 class ModArithError(ValueError):
     """Raised when a modarith precondition fails."""
 
 
-def _row_blocks(m: int, n: int):
-    """Slices covering range(m), each a block of rows of an (m, n) table
-    small enough for one vectorised pass."""
-    step = max(1, _CHUNK // max(1, n))
-    return (slice(start, min(m, start + step)) for start in range(0, m, step))
+def _block_rows(width: int | None = None) -> int:
+    """The block-size rule: rows of `width` entries in a block of about
+    _CHUNK entries, or, with no width, the side of a square block."""
+    return max(1, math.isqrt(_CHUNK) if width is None else _CHUNK // max(1, width))
 
 
-def _pair_take(table: np.ndarray, rows, cols) -> np.ndarray:
-    """table[rows, cols] for broadcast index arrays (at least 1-D), as one
-    flat take of rows * n + cols, n the row length: the index is formed in
-    intp for a block of _row_blocks rows of the result at a time, so it
-    stays near _CHUNK entries (a take converts its whole index to intp
-    first).  A lookup arr[index] is _pair_take(arr[None], 0, index).  The
-    table must be C-contiguous: ravel() would copy a strided one, such as
-    a constant table held as a zero-stride view, whole on every call."""
-    rows, cols = np.broadcast_arrays(rows, cols)
-    flat, n = table.ravel(), table.shape[1]
-    out = np.empty(rows.shape, dtype=table.dtype)
-    for blk in _row_blocks(len(out), out.size // max(len(out), 1)):
-        index = rows[blk].astype(np.intp) * n
-        index += cols[blk]
-        out[blk] = flat.take(index)
-    return out
+def _walk(m: int, width: int, *tests, rows=None, mirror: bool = False):
+    """The one block walk: every whole-table read in lazbrace is one call,
+    so what a read holds, and any intp index a gather forms, is one block.
+    Blocks are slices blk of range(m) of _block_rows(width) rows, width the
+    entries read per row; or, with mirror, the pairs (I, J), I at or before
+    J, of square slices (_block_rows()) tiling the upper triangle of an
+    m x m table, read along rows with the mirror block (J, I).
 
+    With no tests it returns the row blocks, for a caller that writes or
+    yields per block.  Otherwise each test(blk), test(blk, rows(blk)) (one
+    rows call per block) or test(I, J) returns a boolean block, or None if
+    it only writes; the walk returns each test's first (row, column) where
+    it holds, in row-major order, or None, and stops once all have one.  A
+    mirror test must hold at (a, b) exactly when at (b, a).
 
-def _square_blocks(n: int):
-    """The pairs (I, J) of slices of range(n), I at or before J, that tile
-    the upper triangle of an n x n table with square blocks of about
-    _CHUNK entries; (J, I) is the mirror block.  A block and its mirror are
-    read along rows, where a column block would be read across them."""
-    side = max(1, math.isqrt(_CHUNK))
-    cuts = [slice(i, min(n, i + side)) for i in range(0, n, side)]
-    return ((I, J) for k, I in enumerate(cuts) for J in cuts[k:])
-
-
-def _take_transposed(table: np.ndarray, buf: np.ndarray) -> np.ndarray:
-    """buf[a, b] = table[a, buf[b, a]] for a square buf, in place, and buf:
-    a block and its mirror (_square_blocks) at a time, both read before
-    either is written, so no second n x n array is held."""
-    for I, J in _square_blocks(len(buf)):
-        upper = _pair_take(table, np.arange(I.start, I.stop)[:, None], buf[J, I].T)
-        if I != J:
-            buf[J, I] = _pair_take(table, np.arange(J.start, J.stop)[:, None], buf[I, J].T)
-        buf[I, J] = upper
-    return buf
+    Outside it: the fills along tree runs (_fill, _is_group_fill, sized by
+    _block_rows), and three reads that only name a failure already found
+    (verify_group_table's Latin-square scatters, _index_rows' argwhere and
+    abelian_decompose's row sort)."""
+    step = _block_rows(None if mirror else width)
+    cuts = [slice(i, min(m, i + step)) for i in range(0, m, step)]
+    if not tests:
+        return iter(cuts)
+    lines = [[(I, J) for J in cuts[k:]] if mirror else [(I,)] for k, I in enumerate(cuts)]
+    found = [None] * len(tests)
+    for line in lines:
+        hits = [[] for _ in tests]
+        for blk in line:
+            args = blk if rows is None else (*blk, rows(*blk))
+            for j, test in enumerate(tests):
+                if found[j] is None and (bad := test(*args)) is not None and bad.any():
+                    x, y = np.unravel_index(bad.argmax(), bad.shape)  # the first True, with no index of all
+                    hits[j].append((blk[0].start + int(x), (blk[1].start if mirror else 0) + int(y)))
+                bad = None  # freed before the next block is read
+        found = [at if at is not None else min(hit, default=None) for at, hit in zip(found, hits)]
+        if None not in found:
+            break
+    return found
 
 
 def index_dtype(n: int) -> np.dtype:
@@ -133,46 +132,12 @@ def _index_rows(arr: np.ndarray, n: int) -> np.ndarray:
     return _read_only(np.ascontiguousarray(arr, dtype=index_dtype(n)))
 
 
-def _require_none(bad: np.ndarray, what: str, exc=FailedTheoremError, rows=None, cols=None) -> None:
-    """Raise exc(what) naming the first (a, b) where bad holds; a is the
-    row, or rows[row] when the rows stand for the elements `rows`, and b
-    likewise the column or cols[column]."""
-    _raise_at(_first(bad), what, exc, rows, cols)
-
-
-def _first(bad: np.ndarray) -> tuple[int, int] | None:
-    """The first (row, column) where the 2-D mask bad holds, or None."""
-    if not bad.any():
-        return None
-    x, y = np.argwhere(bad)[0]
-    return int(x), int(y)
-
-
 def _raise_at(at, what: str, exc=FailedTheoremError, rows=None, cols=None) -> None:
-    """_require_none for the (row, column) `at` already found, if any."""
+    """Raise exc(what) naming a _walk witness `at`, if any, as (a, b): the
+    (row, column), or rows[row] and cols[column] when given."""
     if at is not None:
         x, y = at
         raise exc(f"{what} at (a,b)=({int(x if rows is None else rows[x])},{int(y if cols is None else cols[y])})")
-
-
-def _first_in_blocks(m: int, n: int, rows, tests) -> list:
-    """One pass over blocks of rows of an (m, n) stack, none of it held
-    whole: for each block slice blk, R = rows(blk) and every test(blk, R)
-    is a boolean (len(blk), n) block.  Returns, per test, the first (i, b)
-    where it holds in row-major order, or None; a test that has found its
-    failure is not run again, and the pass ends once every test has one.
-    A block holds about 8 _CHUNK entries, the _row_blocks of an n // 8
-    row: a test that fills its block along a Schreier tree pays the
-    tree's per-run cost once per block."""
-    found = [None] * len(tests)
-    for blk in _row_blocks(m, max(1, n // 8)):
-        R = rows(blk)
-        for j, test in enumerate(tests):
-            if found[j] is None and (at := _first(test(blk, R))) is not None:
-                found[j] = (blk.start + at[0], at[1])
-        if None not in found:
-            break
-    return found
 
 
 def _mask(n: int, values) -> np.ndarray:
@@ -280,7 +245,7 @@ def _fill(tree: _Tree, first, step) -> np.ndarray:
     n, m = tree.rows.shape[1], len(first)
     table = np.empty((n, m), dtype=index_dtype(n))
     table[tree.root] = first
-    chunk = max(1, _CHUNK // max(1, m))
+    chunk = _block_rows(m)
     for level in tree.levels:
         for ys, zs, i in level:
             for a in range(0, ys.size, chunk):
@@ -300,7 +265,7 @@ def _is_group_fill(tree: _Tree, table: np.ndarray) -> bool:
     fill, rows of the ys that pass are the fill's rows too, and every
     element is the root or the y of one edge."""
     n = tree.rows.shape[1]
-    chunk = max(1, _CHUNK // n)
+    chunk = _block_rows(n)
     return np.array_equal(table[tree.root], np.arange(n)) and all(
         np.array_equal(table[ys[a:a + chunk]], tree.rows[i].take(table[zs[a:a + chunk]]))
         for level in tree.levels for ys, zs, i in level for a in range(0, ys.size, chunk))
@@ -665,11 +630,20 @@ class AbelianBasis:
         """The table elements of coordinate rows (..., r), reduced first."""
         return self.elem_of[self.shape.index_batch(coords)]
 
-    def relabel(self, table: np.ndarray) -> np.ndarray:
+    def relabel(self, table: np.ndarray, blk: slice | None = None) -> np.ndarray:
         """A table on shape indices, moved onto the table elements, in
-        index_dtype(n)."""
+        index_dtype(n), a _walk block of rows at a time; or its rows blk."""
         ie = self.index_of_elem
-        return _pair_take(self.elem_of.astype(index_dtype(ie.size))[None], 0, _pair_take(table, ie[:, None], ie))
+        if blk is not None:
+            return self.elem_of.take(table[ie[blk, None], ie])
+        out = np.empty(table.shape, dtype=index_dtype(len(ie)))
+        for blk in _walk(len(ie), len(ie)):
+            out[blk] = self.relabel(table, blk)
+        return out
+
+    def relabels_to(self, table: np.ndarray, target: np.ndarray) -> bool:
+        """relabel(table) == target, with no relabelled table built."""
+        return _walk(len(target), len(target), lambda blk: self.relabel(table, blk) != target[blk])[0] is None
 
     @cached_property
     def tree(self) -> _Tree:
@@ -790,7 +764,7 @@ def _greedy_decompose(table: np.ndarray, identity: int, p: int) -> list[tuple[in
     qindex = np.empty(n, dtype=index_dtype(qn))
     qindex[reps] = np.arange(qn)
     qtable = np.empty((qn, qn), dtype=qindex.dtype)  # gathered a block of rows at a time
-    for blk in _row_blocks(qn, qn):
+    for blk in _walk(qn, qn):
         qtable[blk] = qindex[reps_of[table[reps[blk, None], reps]]]
     sub = _greedy_decompose(qtable, int(qindex[reps_of[identity]]), p)
     out = [(g, e1)]
@@ -817,15 +791,15 @@ def abelian_decompose(table) -> AbelianBasis:
     pairs.  That equality makes the table a group table, so its rows are
     scanned for permutations only when the decomposition or the
     reconstruction fails, to name that failure.  The symmetry and the
-    reconstruction are compared a block of rows or a tree run at a time
-    (_is_group_fill), so the table becomes the basis's addition table with
-    no second n x n table or mask built beside it.
+    reconstruction are compared a block and its mirror (_walk) or a tree
+    run (_is_group_fill) at a time, so the table becomes the basis's
+    addition table with no second n x n table or mask built beside it.
     """
     table = _index_table(table)
     n = table.shape[0]
     if n < 2:
         raise ModArithError("trivial table carries no p-group shape")
-    if not all(np.array_equal(table[I, J], table[J, I].T) for I, J in _square_blocks(n)):
+    if _walk(n, n, lambda I, J: table[I, J] != table[J, I].T, mirror=True)[0] is not None:
         raise ModArithError("table is not abelian")
     try:
         basis = _decomposed_basis(table)

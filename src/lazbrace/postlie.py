@@ -37,7 +37,7 @@ from .liering import (
     lower_central_series,
     verify_lie,
 )
-from .modarith import Endo, ModArithError, PShape, PVec, _row_blocks
+from .modarith import Endo, ModArithError, PShape, PVec, _walk
 
 __all__ = [
     "PostLieRing",
@@ -223,7 +223,7 @@ def _classify_batch(P: PostLieRing, members: np.ndarray) -> np.ndarray:
     s = P.shape
     levels = np.empty(len(members), dtype=np.int64)
     # a fold step moves up to n members of a row by up to max_modulus steps
-    for blk in _row_blocks(len(members), s.order * s.rank * s.max_modulus):
+    for blk in _walk(len(members), s.order * s.rank * s.max_modulus):
         span, gens = _span_rows(s, members[blk])
         mask = _row_masks(s.order, members[blk])
         G = s.coords_batch(gens)

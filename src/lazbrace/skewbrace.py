@@ -36,7 +36,7 @@ from .liering import (
     _row_masks,
     _schreier,
 )
-from .modarith import ModArithError, _mask, _pair_take, _row_blocks, prime_power
+from .modarith import ModArithError, _mask, _walk, prime_power
 
 __all__ = [
     "SkewBrace",
@@ -135,7 +135,9 @@ class SkewBrace:
 
     @property
     def is_brace(self) -> bool:
-        return bool(np.array_equal(self.dot.table, self.dot.table.T))
+        """Whether dot equals its transpose, by mirrored blocks (_walk)."""
+        dot = self.dot.table
+        return _walk(self.order, self.order, lambda I, J: dot[I, J] != dot[J, I].T, mirror=True)[0] is None
 
     def __eq__(self, other):
         return (
@@ -188,16 +190,19 @@ def verify_skew_brace(B: SkewBrace) -> CheckReport:
 
 
 def lambda_and_star(B: SkewBrace) -> tuple[np.ndarray, np.ndarray]:
-    """The lambda and star tables, built per call (star from lambda), with
-    compatibility checked on generators (_compatibility_failure), which is
-    exact once both group tables are (verify_skew_brace).  B is then a skew
-    brace, so each lambda_a is an automorphism of dot and lambda: (A, o) ->
-    Aut(A, .) is a homomorphism (Guarnieri & Vendramin, Math. Comp. 86, 2017)."""
+    """The lambda and star tables, built per call by _walk blocks (star from
+    lambda), with compatibility checked on generators (_compatibility_failure),
+    which is exact once both group tables are (verify_skew_brace).  B is then
+    a skew brace, so each lambda_a is an automorphism of dot and lambda:
+    (A, o) -> Aut(A, .) is a homomorphism (Guarnieri & Vendramin, 2017)."""
     bad = _compatibility_failure(B)
     if bad is not None:
         raise FailedTheoremError(f"lambda_{bad[0]} is not an automorphism of dot")
-    lam = _pair_take(B.dot.table, B.dot.inv[:, None], B.circ.table)
-    return lam, _pair_take(B.dot.table, lam, B.dot.inv)
+    lam, star = np.empty_like(B.circ.table), np.empty_like(B.circ.table)
+    for blk in _walk(B.order, B.order):
+        lam[blk] = B._lam_rows(blk)
+        star[blk] = B.dot.table[lam[blk], B.dot.inv]
+    return lam, star
 
 
 def _star(B: SkewBrace, A, H) -> np.ndarray:
@@ -270,12 +275,23 @@ def circ_nilpotency_bound(B: SkewBrace) -> tuple[int, int]:
 
 
 def substructures_brace(B: SkewBrace) -> tuple[frozenset, frozenset, frozenset]:
-    """(Fix, Soc, Ann); verifies Fix is a left ideal and Soc, Ann are ideals."""
-    dot, circ = B.dot.table, B.circ.table
-    same = circ == dot  # built once, then reduced to its rows before the next mask
-    fix_mask, same = same.all(axis=0), same.all(axis=1)
-    soc_mask = same & (dot == dot.T).all(axis=1)
-    ann_mask = soc_mask & fix_mask & (circ == circ.T).all(axis=1)
+    """(Fix, Soc, Ann); verifies Fix is a left ideal and Soc, Ann are ideals.
+    Each mask is reduced a _walk block, or mirrored pair, at a time."""
+    dot, circ, n = B.dot.table, B.circ.table, B.order
+    fix_mask, soc_mask, ann_mask = np.ones(n, dtype=bool), np.empty(n, dtype=bool), np.ones(n, dtype=bool)
+    for blk in _walk(n, n):
+        same = circ[blk] == dot[blk]
+        fix_mask &= same.all(axis=0)
+        soc_mask[blk] = same.all(axis=1)
+
+    def symmetric_rows(I, J):  # rows I see the block, rows J its mirror
+        for table, mask in ((dot, soc_mask), (circ, ann_mask)):
+            same = table[I, J] == table[J, I].T
+            mask[I] &= same.all(axis=1)
+            mask[J] &= same.all(axis=0)
+
+    _walk(n, n, symmetric_rows, mirror=True)
+    ann_mask &= soc_mask & fix_mask
     fix, soc, ann = (frozenset(np.flatnonzero(mask).tolist()) for mask in (fix_mask, soc_mask, ann_mask))
     if classify_subset_brace(B, fix) < IdealLevel.LEFT_IDEAL:
         raise FailedTheoremError("fix is not a left ideal")
@@ -306,7 +322,7 @@ def _classify_batch_brace(B: SkewBrace, members: np.ndarray) -> np.ndarray:
     maps = [B._circ_lam, _conjugations(dot, dot.gens), _conjugations(circ, circ.gens)]
     k, m = members.shape
     levels = np.empty(k, dtype=np.int64)
-    for blk in _row_blocks(k, m * max(m, *(len(f) for f in maps))):
+    for blk in _walk(k, m * max(m, *(len(f) for f in maps))):
         M = members[blk]
         mask = _row_masks(B.order, M)
         rows = np.arange(len(M))[:, None]
@@ -472,7 +488,7 @@ def adjoint_group_filtration(B: SkewBrace, F: Filtration | None = None) -> Filtr
     """Filtration of the circle group: (A, o)_i = A_i meet {a : lambda_a in Aut(A)_i}.
 
     F defaults to the canonical L-series, and the margin of a*g is taken
-    a block of rows a at a time.  The result is validated as a group
+    a _walk block of rows a at a time.  The result is validated as a group
     filtration of (A, o)."""
     if F is None:
         ser = l_series_brace(B)
@@ -484,7 +500,7 @@ def adjoint_group_filtration(B: SkewBrace, F: Filtration | None = None) -> Filtr
     # a is in (A, o)_i when a*g = lambda_a(g) g^-1 lies in X_(level[g] + i)
     # for all g; the identity alone stays in the last term
     idx = np.arange(B.order)
-    margin = np.concatenate([F.margin(_star(B, idx[blk, None], idx)) for blk in _row_blocks(B.order, B.order)])
+    margin = np.concatenate([F.margin(_star(B, idx[blk, None], idx)) for blk in _walk(B.order, B.order)])
     out = Filtration._of(np.maximum(np.minimum(F.level, margin), 0), F.depth)
     # must be a filtration of the circle group
     validate_group_filtration(B.circ, out)

@@ -15,7 +15,7 @@ import numpy as np
 from lazbrace.common import FailedTheoremError
 from lazbrace.liering import (CheckReport, Filtration, FinGroup, LieRingSC, LieRingTable, SeriesResult, left_mats,
                               table_to_sc, verify_group_table, verify_lie)
-from lazbrace.modarith import Endo, ModArithError, PShape, PVec, _row_blocks
+from lazbrace.modarith import Endo, ModArithError, PShape, PVec
 from lazbrace.postlie import PostLieRing, verify_post_lie
 from lazbrace.skewbrace import SkewBrace, _brace_from_lambda, _lambda_backtrack, aut_plus, enumerate_braces
 
@@ -282,6 +282,27 @@ def regular_lambda_search(A: FinGroup, F: Filtration) -> list[SkewBrace]:
 
 
 # ---------------------------------------------------------------------------
+# Whole-table forms for oracles, independent of the library's block walk
+# (modarith._walk), so that a fault in the walk cannot hide in an oracle.
+
+
+def row_blocks(m: int, n: int, chunk: int = 1 << 18):
+    """Slices covering range(m), each a block of rows of an (m, n) table
+    of about `chunk` entries."""
+    step = max(1, chunk // max(1, n))
+    return (slice(start, min(m, start + step)) for start in range(0, m, step))
+
+
+def require_none(bad: np.ndarray, what: str, exc=FailedTheoremError, rows=None, cols=None) -> None:
+    """Raise exc(what) naming the first (a, b) where the whole mask bad
+    holds; a is the row, or rows[row] when the rows stand for the elements
+    `rows`, and b likewise the column or cols[column]."""
+    if bad.any():
+        x, y = np.argwhere(bad)[0]
+        raise exc(f"{what} at (a,b)=({int(x if rows is None else rows[x])},{int(y if cols is None else cols[y])})")
+
+
+# ---------------------------------------------------------------------------
 # Whole-set product oracles: every product over A x B as a Python set, as
 # the series and filtration builders once took them.
 
@@ -292,7 +313,7 @@ def _index_set(op, A, B) -> set[int]:
     ai = np.fromiter(A, dtype=np.int64)
     bi = np.fromiter(B, dtype=np.int64)
     hits = np.zeros(0, dtype=np.int64)
-    for rows in _row_blocks(len(ai), len(bi)):
+    for rows in row_blocks(len(ai), len(bi)):
         block = np.bincount(op(ai[rows, None], bi[None, :]).ravel(), minlength=hits.size)
         block[:hits.size] += hits
         hits = block

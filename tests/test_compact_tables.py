@@ -1,6 +1,7 @@
 """Element-index tables are stored in the smallest unsigned dtype that
 holds n - 1, with every entry range-checked before the cast."""
 
+import sys
 import tracemalloc
 
 import numpy as np
@@ -9,10 +10,13 @@ import pytest
 import catalogs
 from lazbrace import formats, liering, modarith
 from lazbrace.common import FailedTheoremError
-from lazbrace.lazcorr import _require_w_hom, post_lie_to_brace
-from lazbrace.liering import Filtration, FinGroup, LieRingTable, laz, laz_inv, laz_of_table, verify_group_table
-from lazbrace.modarith import ModArithError, abelian_decompose
-from lazbrace.skewbrace import SkewBrace, aut_plus, holomorph_plus, lambda_and_star
+from lazbrace.lazcorr import _require_w_hom, brace_to_post_lie, lambda_derivative, post_lie_to_brace
+from lazbrace.liering import (Filtration, FinGroup, LieRingSC, LieRingTable, laz, laz_inv, laz_of_table,
+                              verify_group_table)
+from lazbrace.modarith import AbelianBasis, ModArithError, PShape, abelian_decompose
+from lazbrace.postlie import PostLieRing
+from lazbrace.skewbrace import (SkewBrace, aut_plus, holomorph_plus, lambda_and_star, substructures_brace,
+                                verify_skew_brace)
 
 
 def _compact(n: int):
@@ -152,3 +156,84 @@ def test_table_gathers_form_their_intp_index_a_block_at_a_time():
         finally:
             tracemalloc.stop()
         assert peak < share * whole
+
+
+def _negated_bracket_flow(p: int, e: int):
+    """The flow of the negated-bracket triangle (a > b = -[a, b]) on the
+    class-2 ring of shape (p; 1^e) with [g1, g2] = [g3, g4] = g_e (the
+    second bracket from e = 5 on): its brace has circ != dot."""
+    s = PShape(p, (1,) * e)
+    top = tuple(int(i == e - 1) for i in range(e))
+    L = LieRingSC.from_brackets(s, {(0, 1): top, **({(2, 3): top} if e >= 5 else {})})
+    return post_lie_to_brace(PostLieRing(L, s.reduce(-L.sc)))
+
+
+def _traced_peak(fn) -> int:
+    """The bytes fn() allocates at its peak above what was held when it
+    started, under tracemalloc."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        fn()
+        return tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_whole_table_reads_build_no_n_by_n_temporary(monkeypatch):
+    """At order 3125 one uint16 table is 18.6 MiB.  The symmetry checks,
+    the substructure masks, the roundtrip compare and the root-of-unity
+    compare read their tables a _walk block at a time, and peak below a
+    quarter of one table (each held a whole n x n bool mask, half a
+    table, before; the roundtrip compare also its two relabelled tables);
+    the brace check holds none."""
+    flow = _negated_bracket_flow(5, 5)
+    B, table = flow.brace, 5 ** 10 * 2
+    assert B.order == 3125 and not np.array_equal(B.circ.table, B.dot.table)
+    B.dot.inv, B.circ.inv  # cached: the checks below read them
+    assert _traced_peak(lambda: verify_skew_brace(B)) <= 0.18 * table
+    assert B.verdict.ok
+    log = brace_to_post_lie(B)
+    back = post_lie_to_brace(log.post_lie).brace
+    out = lambda_derivative(B, log)
+    # the root-of-unity triangle's compare alone: the table it fills is given
+    monkeypatch.setattr(AbelianBasis, "additive_table", lambda self, images: out)
+    for fn in (lambda: B.is_brace, lambda: substructures_brace(B), lambda: lambda_derivative(B, log),
+               lambda: cli_roundtrip_compare(log.basis, back, B)):
+        assert _traced_peak(fn) < 0.25 * table
+    assert cli_roundtrip_compare(log.basis, back, B) and not B.is_brace
+
+
+def cli_roundtrip_compare(basis, back, B) -> bool:
+    """The brace branch of the CLI's roundtrip: both tables of `back`,
+    moved onto B's elements, equal B's."""
+    return all(basis.relabels_to(mine.table, theirs.table) for mine, theirs in ((back.dot, B.dot), (back.circ, B.circ)))
+
+
+def test_walker_passes_of_each_direction_are_pinned(monkeypatch):
+    """The whole-table passes (modarith._walk calls) of each direction of
+    the correspondence at 5^4, with check=True, on fresh objects.  A change
+    that adds or removes a pass changes these numbers, and says why."""
+    calls = []
+    walk = modarith._walk
+
+    def counted(*args, **kwargs):
+        calls.append(args[:2])
+        return walk(*args, **kwargs)
+
+    for module in list(sys.modules.values()):
+        if module.__name__.startswith("lazbrace") and getattr(module, "_walk", None) is walk:
+            monkeypatch.setattr(module, "_walk", counted)
+    flow = _negated_bracket_flow(5, 4)
+    flow_passes = len(calls)
+    B = SkewBrace(*(FinGroup(G.table, G.identity) for G in (flow.brace.dot, flow.brace.circ)))
+    calls.clear()
+    brace_to_post_lie(B, check=True)
+    # flow: Light's test on 3 generators of dot and of circ (6), both inverse
+    # tables (2), the BCH rows of Laz(base) and of the circ ring's units in
+    # the W check (2), circ transposed in place (1); log: Light (6),
+    # inverses (2), the symmetry of the Laz^-1 addition (1), its 4 quotient
+    # tables, the bracket compare of table_to_sc (1), lambda's additivity
+    # and raising in one pass (1), the triangle's biadditivity (1), the BCH
+    # rows of the Omega check (1)
+    assert (flow_passes, len(calls)) == (11, 17)

@@ -33,8 +33,8 @@ import numpy as np
 import pytest
 
 import catalogs
-from catalogs import (_bracket_set, _comm_set, _index_set, _star_set, _tri_set, descending_series, lam_table, mask, sets,
-                      trivial_brace)
+from catalogs import (_bracket_set, _comm_set, _index_set, _star_set, _tri_set, descending_series, lam_table, mask,
+                      require_none, row_blocks, sets, trivial_brace)
 from lazbrace import formats, freelie, modarith, skewbrace
 from lazbrace.common import FailedTheoremError, IdealLevel, LazbraceError, NotLazardError
 from lazbrace.liering import (
@@ -75,7 +75,6 @@ from lazbrace.lazcorr import (_additive_log, _dot_log, _lazard_brace_filtration,
                               _stack_rows, _sweep, brace_to_post_lie, lambda_derivative, omega_map, post_lie_to_brace,
                               transfer_report, u_eval)
 from lazbrace.modarith import (
-    _CHUNK,
     AbelianBasis,
     Endo,
     ModArithError,
@@ -83,11 +82,10 @@ from lazbrace.modarith import (
     _fill_group,
     _find_identity,
     _index_table,
-    _require_none,
     index_dtype,
-    _row_blocks,
     _table_orders,
     _table_times,
+    _walk,
     abelian_decompose,
     endo_exp,
     endo_log,
@@ -266,10 +264,8 @@ def _pair_table(n: int, rows) -> np.ndarray:
     pairs (A[i], B[i]), evaluated a block of rows at a time."""
     table = np.empty((n, n), dtype=np.int64)
     idx = np.arange(n, dtype=np.int64)
-    step = max(1, _CHUNK // n)
-    for start in range(0, n, step):
-        stop = min(n, start + step)
-        table[start:stop] = rows(np.repeat(idx[start:stop], n), np.tile(idx, stop - start)).reshape(-1, n)
+    for blk in row_blocks(n, n):
+        table[blk] = rows(np.repeat(idx[blk], n), np.tile(idx, blk.stop - blk.start)).reshape(-1, n)
     return table
 
 
@@ -891,10 +887,10 @@ def test_lambda_derivative_matches_the_per_element_loop(brace_corpus):
 
 
 def oracle_block_table(m: int, n: int, block) -> np.ndarray:
-    """The (m, n) table whose rows `rows`, one _row_blocks slice at a time,
+    """The (m, n) table whose rows `rows`, one row_blocks slice at a time,
     are block(rows)."""
     out = np.empty((m, n), dtype=np.int64)
-    for rows in _row_blocks(m, n):
+    for rows in row_blocks(m, n):
         out[rows] = block(rows)
     return out
 
@@ -915,7 +911,7 @@ def oracle_additive_log(basis: AbelianBasis, alpha, k: int, name: str, exc, elem
     coords = basis.coords
     mats = Endo(basis.shape, coords[alpha[:, list(basis.gens)]])
     images = oracle_block_table(len(alpha), len(coords), lambda rows: basis.elems(coords @ mats.mat[rows]))
-    _require_none(images != alpha, f"{name} is not additive over Laz^-1 of the dot group", exc, elements)
+    require_none(images != alpha, f"{name} is not additive over Laz^-1 of the dot group", exc, elements)
     return endo_log(mats, max(k, 1)).mat
 
 
@@ -964,7 +960,7 @@ def oracle_table_to_sc(T: LieRingTable) -> tuple[LieRingSC, AbelianBasis]:
         raise ModArithError("table does not match abelian reconstruction")
     gens = list(basis.gens)
     L = LieRingSC(basis.shape, basis.coords[T.bracket[np.ix_(gens, gens)]])
-    _require_none(oracle_bracket_rebuild(basis, L) != T.bracket, "bracket table is not biadditive over the decomposition")
+    require_none(oracle_bracket_rebuild(basis, L) != T.bracket, "bracket table is not biadditive over the decomposition")
     return L, basis
 
 
@@ -1075,7 +1071,7 @@ def test_non_biadditive_brackets_are_named_as_before(lazard_tables):
                 continue
             bracket = T.bracket.copy()
             bracket[a, b] = T.add[bracket[a, b], basis.gens[0]]
-            want = _failure(lambda: _require_none(T.bracket != bracket, what))
+            want = _failure(lambda: require_none(T.bracket != bracket, what))
             assert want == f"FailedTheoremError: {what} at (a,b)=({a},{b})"
             assert _failure(lambda: table_to_sc(LieRingTable(T.add, bracket, T.zero))) == want, name
     assert deep >= 3
@@ -1688,7 +1684,7 @@ def oracle_lambda_and_star(B: SkewBrace) -> tuple[np.ndarray, np.ndarray]:
 
 def oracle_require_isomorphism(phi: np.ndarray, src: np.ndarray, dst: np.ndarray, what: str) -> None:
     """phi(a b) = phi(a) phi(b) on all n^2 pairs of the tables src, dst."""
-    _require_none(phi.astype(index_dtype(phi.size))[src] != dst[phi[:, None], phi[None, :]], what)
+    require_none(phi.astype(index_dtype(phi.size))[src] != dst[phi[:, None], phi[None, :]], what)
 
 
 def oracle_w_hom(P: PostLieRing, W: np.ndarray, circ: np.ndarray) -> None:
@@ -2011,9 +2007,9 @@ def oracle_lambda_checks(B: SkewBrace, brace_order: bool) -> None:
     unraised = F.level[B.dot.table[lam, B.dot.inv]] < np.minimum(F.level + 1, F.depth)
     if brace_order:
         oracle_additive_log(basis, lam, F.length, "lambda", FailedTheoremError)
-        _require_none(unraised, "alpha does not raise the filtration", ModArithError)
+        require_none(unraised, "alpha does not raise the filtration", ModArithError)
     else:
-        _require_none(unraised, "alpha does not raise the filtration", ModArithError)
+        require_none(unraised, "alpha does not raise the filtration", ModArithError)
         oracle_additive_log(basis, lam, F.length, "alpha", ModArithError)
 
 
@@ -2134,14 +2130,19 @@ def oracle_lambda_derivative_table(B: SkewBrace, log=None) -> np.ndarray:
     return out
 
 
-def oracle_substructures_brace(B: SkewBrace) -> tuple[frozenset, frozenset, frozenset]:
-    """substructures_brace with the mask circ == dot built twice, once for
-    Fix (columns) and once for Soc (rows)."""
+def oracle_substructure_masks(B: SkewBrace) -> tuple[frozenset, frozenset, frozenset]:
+    """Fix, Soc and Ann from whole n x n masks, the mask circ == dot built
+    twice, once for Fix (columns) and once for Soc (rows)."""
     dot, circ = B.dot.table, B.circ.table
     fix_mask = (circ == dot).all(axis=0)
     soc_mask = (circ == dot).all(axis=1) & (dot == dot.T).all(axis=1)
     ann_mask = soc_mask & fix_mask & (circ == circ.T).all(axis=1)
-    fix, soc, ann = (frozenset(np.flatnonzero(mask).tolist()) for mask in (fix_mask, soc_mask, ann_mask))
+    return tuple(frozenset(np.flatnonzero(mask).tolist()) for mask in (fix_mask, soc_mask, ann_mask))
+
+
+def oracle_substructures_brace(B: SkewBrace) -> tuple[frozenset, frozenset, frozenset]:
+    """substructures_brace on the whole-mask Fix, Soc and Ann."""
+    fix, soc, ann = oracle_substructure_masks(B)
     if classify_subset_brace(B, fix) < IdealLevel.LEFT_IDEAL:
         raise FailedTheoremError("fix is not a left ideal")
     for name, sub in (("socle", soc), ("annihilator", ann)):
@@ -2219,3 +2220,92 @@ def test_no_library_path_leaves_a_table_on_the_brace():
         tables = [key for key, value in vars(B).items() if isinstance(value, np.ndarray) and value.size >= n * n]
         assert tables == [], tables
         assert not hasattr(B, "lam")
+
+
+# ---------------------------------------------------------------------------
+# The one block walk (modarith._walk) against whole-table forms: its
+# witnesses and its coverage on masks, and every whole-table read it took
+# over from an n x n mask, with blocks of a few rows or entries.
+
+
+def _first_true(mask: np.ndarray):
+    hits = np.argwhere(mask)
+    return None if not hits.size else (int(hits[0, 0]), int(hits[0, 1]))
+
+
+@pytest.mark.parametrize("chunk", [1, 7, 40, 1 << 18])
+def test_walk_names_each_tests_first_witness_and_covers_every_entry_once(chunk, monkeypatch):
+    monkeypatch.setattr(modarith, "_CHUNK", chunk)
+    rng = np.random.default_rng(29)
+    for m, n in ((1, 1), (5, 3), (13, 13), (30, 17), (40, 40)):
+        last = np.zeros((m, n), dtype=bool)
+        last[-1, -1] = True  # a witness only in the last block
+        masks = [rng.random((m, n)) < q for q in (0.0, 0.02, 0.3)] + [last]
+        assert _walk(m, n, *(lambda blk, M=M: M[blk] for M in masks)) == [_first_true(M) for M in masks]
+        seen = np.zeros(m, dtype=np.int64)
+        for blk in _walk(m, n):
+            seen[blk] += 1
+        assert (seen == 1).all(), (m, n)
+        # a test that has its witness is not called again; rows(blk) is formed once per block
+        calls, formed = [], []
+        _walk(m, n, lambda blk, R: calls.append(blk) or R, rows=lambda blk: formed.append(blk) or last[blk])
+        assert calls == formed == list(_walk(m, n))
+        if m == n:  # mirror blocks, on symmetric masks, and a visit that marks each block and its mirror
+            for M in masks:
+                S = M | M.T
+                assert _walk(n, n, lambda I, J: S[I, J], mirror=True) == [_first_true(S)]
+            cover = np.zeros((n, n), dtype=np.int64)
+
+            def mark(I, J):
+                cover[I, J] += 1
+                if I != J:
+                    cover[J, I] += 1
+
+            _walk(n, n, mark, mirror=True)
+            assert (cover == 1).all(), n
+
+
+def test_block_reads_match_the_whole_table_forms(series_braces, brace_logs, monkeypatch):
+    # blocks of a few rows (or square blocks of side 6), so that a table of
+    # order 25 and up spans several, and its last block is short
+    monkeypatch.setattr(modarith, "_CHUNK", 40)
+    rng = np.random.default_rng(30)
+    braces = [B for _, B in series_braces] + _perturbed_braces(np.random.default_rng(31))
+    for B in list(braces):
+        n = B.order
+        if n >= 25:  # circ != circ^T only in the last entries, and dot != dot^T in the last block pair
+            for a, b in ((n - 2, n - 1), (1, n - 1)):
+                circ, dot = B.circ.table.copy(), B.dot.table.copy()
+                circ[a, b], circ[a, b - 1] = circ[a, b - 1], circ[a, b]
+                dot[b, a], dot[b - 1, a] = dot[b - 1, a], dot[b, a]
+                braces += [SkewBrace(B.dot, FinGroup(circ, B.circ.identity)),
+                           SkewBrace(FinGroup(dot, B.dot.identity), B.circ)]
+    kinds = set()
+    for B in braces:
+        dot, circ = B.dot.table, B.circ.table
+        assert B.is_brace == np.array_equal(dot, dot.T)
+        got = oracle_substructure_masks(B)
+        with monkeypatch.context() as m:
+            m.setattr(skewbrace, "classify_subset_brace", lambda B, sub: IdealLevel.IDEAL)
+            assert substructures_brace(B) == got
+        kinds.add((B.is_brace, got[1] == frozenset(range(B.order))))
+        other = FinGroup(circ, B.circ.identity)
+        assert (B.dot == other) == (B.dot.identity == other.identity and np.array_equal(dot, circ))
+    assert {(True, True), (True, False), (False, False)} <= kinds, kinds
+    for name, B, log in brace_logs:  # relabel, and relabels_to on a target that differs in one late entry
+        basis, n = log.basis, B.order
+        flow = post_lie_to_brace(log.post_lie, check=False)
+        for mine, theirs in ((flow.brace.dot, B.dot), (flow.brace.circ, B.circ)):
+            whole = basis.relabel(mine.table)
+            assert np.array_equal(whole, oracle_relabel(basis, mine.table)), name
+            assert basis.relabels_to(mine.table, theirs.table) == np.array_equal(whole, theirs.table), name
+            moved = theirs.table.copy()
+            a, b = n - 1 - int(rng.integers(min(n, 3))), int(rng.integers(n))
+            moved[a, b] = (moved[a, b] + 1) % n
+            assert not basis.relabels_to(mine.table, moved), name
+
+
+def oracle_relabel(basis: AbelianBasis, table: np.ndarray) -> np.ndarray:
+    """relabel as one whole gather."""
+    ie = basis.index_of_elem
+    return basis.elem_of[table[ie[:, None], ie[None, :]]]

@@ -12,7 +12,7 @@ from catalogs import ad_endo, lam_table, trivial_brace
 from lazbrace import formats, freelie, lazcorr
 from lazbrace.common import FailedTheoremError, NotLazardError
 from lazbrace.liering import Filtration, FinGroup, add_closure, canonical_filtration, laz, laz_inv, laz_of_table
-from lazbrace.modarith import Endo, ModArithError, PShape, PVec, _require_none, endo_exp, endo_log
+from lazbrace.modarith import Endo, ModArithError, PShape, PVec, _raise_at, _walk, endo_exp, endo_log
 from lazbrace.postlie import PostLieRing, circ_ring, l_mul, l_series, verify_post_lie
 from lazbrace.skewbrace import (
     SkewBrace,
@@ -672,9 +672,10 @@ def test_witness_helpers():
     with pytest.raises(FailedTheoremError, match=r"^flow map W is not bijective: W\(1\) = W\(3\)$"):
         _require_bijective(np.array([2, 0, 1, 0]), "flow map W", "W")
     bad = np.zeros((3, 4), dtype=bool)
-    _require_none(bad, "triangle product is not biadditive")
+    first = lambda: _walk(3, 4, lambda blk: bad[blk])[0]
+    _raise_at(first(), "triangle product is not biadditive")
     bad[2, 0] = bad[1, 3] = True
     with pytest.raises(FailedTheoremError, match=r"^triangle product is not biadditive at \(a,b\)=\(1,3\)$"):
-        _require_none(bad, "triangle product is not biadditive")
+        _raise_at(first(), "triangle product is not biadditive")
     with pytest.raises(ModArithError, match=r"^W is not an isomorphism onto the circle group at \(a,b\)=\(1,3\)$"):
-        _require_none(bad, "W is not an isomorphism onto the circle group", ModArithError)
+        _raise_at(first(), "W is not an isomorphism onto the circle group", ModArithError)

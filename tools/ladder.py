@@ -41,6 +41,12 @@ check=True))`: the log, then the triangle recovered from lambda by
 averaging against a root of unity; it passes when that triangle is the
 logged one.
 
+A step `kind:neg:p^e` (for flow, log, roundtrip, check and convert) runs
+the step `kind:p^e` on the negated-bracket triangle of the same Lie ring
+in place of the zero triangle, whose brace has circ == dot and lambda_a =
+id for every a; the step names without `neg` keep the zero triangle, so
+both series stay comparable.
+
 The default steps are 3^6, 7^4, 5^5 and 5^6 (the soft cap), then the
 convert, roundtrip and check steps at 5^5 and 5^6; the flow, log and
 root-diff steps run when named.
@@ -57,6 +63,7 @@ from the checkout named by --root, this one by default):
     python3 tools/ladder.py
     python3 tools/ladder.py --limit-kb 6000000 3^6 5^5 convert:5^5 roundtrip:5^5
     python3 tools/ladder.py flow:5^5 log:5^5 check:5^5 root-diff:5^5
+    python3 tools/ladder.py flow:neg:5^5 log:neg:5^5 roundtrip:neg:5^5 check:neg:5^5
     python3 tools/ladder.py --root ../other-checkout
 
 It prints one Markdown table row per step.
@@ -87,24 +94,33 @@ def _use_checkout(root: Path) -> None:
 
 
 def _post_lie(p: int, e: int, triangle: str = "zero"):
-    """A CLI, flow or log step's post-Lie ring (a root-diff step's with the
-    triangle "neg"), built from the checkout."""
+    """A step's post-Lie ring with the triangle "zero" or "neg", built from
+    the checkout."""
     import generate
 
     return generate.triangle_instance("x", 3, p, (1,) * e, triangle, 2).build()
 
 
+def _parse_step(step: str) -> tuple[str, str, int, int]:
+    """(kind, triangle, p, e) of a step `[kind:[neg:]]p^e`; the triangle is
+    "neg" when named, and for root-diff, and "zero" otherwise."""
+    *head, size = step.split(":")
+    kind = head[0] if head else ""
+    triangle = head[1] if len(head) > 1 else "neg" if kind == "root-diff" else "zero"
+    p, e = map(int, size.split("^"))
+    return kind, triangle, p, e
+
+
 def _run(step: str, tables: Path | None) -> dict:
     """The step itself, in the process whose peak RSS is measured."""
-    kind, _, size = step.rpartition(":")
-    p, e = map(int, size.split("^"))
+    kind, triangle, p, e = _parse_step(step)
     import generate
     import numpy as np
     from lazbrace import formats, lazcorr, liering
     from lazbrace.skewbrace import SkewBrace
 
     if kind:
-        P = _post_lie(p, e)
+        P = _post_lie(p, e, triangle)
     else:
         L = generate.lie_instance("x", 3, p, (1,) * e, "graded", 2).build()
     if kind in ("log", "root-diff"):
@@ -125,12 +141,12 @@ def _run(step: str, tables: Path | None) -> dict:
     return {"wall_s": time.perf_counter() - start, "ok": bool(ok)}
 
 
-def _post_lie_file(p: int, e: int, path: Path) -> None:
+def _post_lie_file(p: int, e: int, path: Path, triangle: str) -> None:
     """Write a CLI step's post-Lie ring to `path`, in the measuring
     process, whose own memory the child's peak does not include."""
     from lazbrace import formats
 
-    path.write_text(formats.write_text(_post_lie(p, e)))
+    path.write_text(formats.write_text(_post_lie(p, e, triangle)))
 
 
 def _brace(p: int, e: int, triangle: str = "zero"):
@@ -148,28 +164,27 @@ def _brace_tables(p: int, e: int, tables: Path, triangle: str) -> None:
     np.savez(tables, dot=B.dot.table, circ=B.circ.table, identity=B.dot.identity)
 
 
-def _brace_file(p: int, e: int, path: Path) -> None:
+def _brace_file(p: int, e: int, path: Path, triangle: str) -> None:
     """Write the ring's brace file for a check step to `path`, as
     `lazbrace convert -o` writes it; the brace is freed on return, before
     the measured process starts."""
     from lazbrace import formats
 
     with path.open("w", encoding="ascii") as fh:
-        fh.writelines(formats.text_blocks(_brace(p, e)))
+        fh.writelines(formats.text_blocks(_brace(p, e, triangle)))
 
 
 def _measure(root: Path, step: str, limit_kb: int) -> dict:
     """Run one step as this process's only child, under ulimit -v."""
-    kind, _, size = step.rpartition(":")
-    p, e = map(int, size.split("^"))
+    kind, triangle, p, e = _parse_step(step)
     with tempfile.TemporaryDirectory() as tmp:
         plie, out, tables = Path(tmp) / "ring.plie", Path(tmp) / "brace.skb", Path(tmp) / "brace.npz"
         if kind in ("convert", "roundtrip"):
-            _post_lie_file(p, e, plie)
+            _post_lie_file(p, e, plie, triangle)
         elif kind in ("log", "root-diff"):
-            _brace_tables(p, e, tables, "neg" if kind == "root-diff" else "zero")
+            _brace_tables(p, e, tables, triangle)
         elif kind == "check":
-            _brace_file(p, e, out)
+            _brace_file(p, e, out, triangle)
         if kind == "convert":
             cmd = [sys.executable, "-m", "lazbrace", "convert", str(plie), "--to", "brace", "-o", str(out)]
         elif kind == "roundtrip":
@@ -202,8 +217,8 @@ def _measure(root: Path, step: str, limit_kb: int) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("steps", nargs="*", default=list(STEPS),
-                    help="p^e, convert:p^e, roundtrip:p^e, check:p^e, flow:p^e, log:p^e or root-diff:p^e steps"
-                         " (default: %(default)s)")
+                    help="p^e, convert:p^e, roundtrip:p^e, check:p^e, flow:p^e, log:p^e or root-diff:p^e steps,"
+                         " the CLI, flow and log steps also as kind:neg:p^e (default: %(default)s)")
     ap.add_argument("--limit-kb", type=int, default=6_000_000, help="ulimit -v of each step, in KiB")
     ap.add_argument("--root", type=Path, default=ROOT, help="the checkout whose src/ is measured")
     ap.add_argument("--run", help=argparse.SUPPRESS)  # one step, in the measured process
