@@ -41,14 +41,3 @@ class IdealLevel(enum.IntEnum):
     LEFT_IDEAL = 2
     STRONG_LEFT_IDEAL = 3
     IDEAL = 4
-
-    def label(self, kind: str) -> str:
-        if self is IdealLevel.NOT_CLOSED:
-            return "not closed"
-        if self is IdealLevel.SUB:
-            return f"sub {kind}"
-        if self is IdealLevel.LEFT_IDEAL:
-            return "left ideal"
-        if self is IdealLevel.STRONG_LEFT_IDEAL:
-            return "strong left ideal"
-        return "ideal"

@@ -259,9 +259,6 @@ class FreeLieElem:
     def degree_part(self, d: int) -> dict:
         return {w: c for w, c in self.coeffs.items() if len(w) == d}
 
-    def truncate(self, d: int) -> "FreeLieElem":
-        return FreeLieElem(self.basis, {w: c for w, c in self.coeffs.items() if len(w) <= d})
-
     def coefficient(self, word: tuple[int, ...]) -> Fraction:
         return self.coeffs.get(tuple(word), Fraction(0))
 
@@ -271,14 +268,6 @@ class FreeLieElem:
 
     def __eq__(self, other) -> bool:
         return isinstance(other, FreeLieElem) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        if not self.coeffs:
-            return "0"
-        bits = []
-        for w in sorted(self.coeffs, key=lambda u: (len(u), u)):
-            bits.append(f"{self.coeffs[w]}*{render_tree(self.basis.tree[w])}")
-        return " + ".join(bits)
 
 
 # ---------------------------------------------------------------------------
@@ -433,17 +422,6 @@ class GroupWord:
 
     def truncated(self, degree: int) -> "GroupWord":
         return GroupWord(tuple((t, q) for t, q in self.factors if tree_degree(t) <= degree))
-
-    @property
-    def max_degree(self) -> int:
-        return max((tree_degree(t) for t, _ in self.factors), default=0)
-
-    def render(self, letters=("g", "h")) -> str:
-        bits = []
-        for t, q in self.factors:
-            word = render_tree(t, letters)
-            bits.append(word if q == 1 else f"{word}^({q})")
-        return " ".join(bits) if bits else "1"
 
 
 def _prime_factors(n: int) -> set[int]:

@@ -137,9 +137,6 @@ class Filtration:
         return (isinstance(other, Filtration) and self.depth == other.depth
                 and np.array_equal(self.level, other.level))
 
-    def __hash__(self):
-        return hash((self.depth, self.level.tobytes()))
-
 
 @dataclass(frozen=True)
 class SeriesResult:
@@ -586,9 +583,6 @@ class FinGroup:
     def __eq__(self, other):
         return (isinstance(other, FinGroup) and self.identity == other.identity and self.order == other.order
                 and _walk(self.order, self.order, lambda blk: self.table[blk] != other.table[blk])[0] is None)
-
-    def __hash__(self):
-        return hash((self.identity, self.table.tobytes()))
 
 
 def verify_group_table(table) -> CheckReport:

@@ -445,10 +445,6 @@ class PVec:
         self._check(other)
         return PVec(self.shape, tuple(a + b for a, b in zip(self.coords, other.coords)))
 
-    def __sub__(self, other: "PVec") -> "PVec":
-        self._check(other)
-        return PVec(self.shape, tuple(a - b for a, b in zip(self.coords, other.coords)))
-
     def __neg__(self) -> "PVec":
         return PVec(self.shape, tuple(-a for a in self.coords))
 
@@ -470,9 +466,6 @@ class PVec:
 
     def np(self) -> np.ndarray:
         return np.array(self.coords, dtype=np.int64)
-
-    def __str__(self):
-        return "(" + ",".join(str(c) for c in self.coords) + ")"
 
 
 @dataclass(frozen=True, eq=False)
@@ -535,24 +528,10 @@ class Endo:
         self._check(other)
         return Endo(self.shape, self.mat - other.mat)
 
-    def __neg__(self) -> "Endo":
-        return Endo(self.shape, -self.mat)
-
     def after(self, other: "Endo") -> "Endo":
         """Composition self o other, (self.after(other))(x) = self(other(x))."""
         self._check(other)
         return Endo(self.shape, other.mat @ self.mat)
-
-    def __pow__(self, n: int) -> "Endo":
-        if n < 0:
-            raise ModArithError("negative endomorphism powers are not defined")
-        acc = Endo.identity(self.shape)
-        for _ in range(n):
-            acc = acc.after(self)
-        return acc
-
-    def scale(self, q: Fraction | int) -> "Endo":
-        return Endo(self.shape, self.mat * self.shape.scale_multiplier(q))
 
     @property
     def is_zero(self) -> bool:

@@ -100,9 +100,6 @@ class PostLieRing:
         """(..., r, r) matrices of L_a : b -> a > b for the rows a of A."""
         return left_mats(self.shape, self.tri, A)
 
-    def triangle(self, u: PVec, v: PVec) -> PVec:
-        return self.shape.vec(self.tri_batch(u.np(), v.np()))
-
     @cached_property
     def circ(self) -> LieRingSC:
         """circ_ring(self), built and verified once per ring."""
@@ -341,8 +338,8 @@ def _candidate_tuples(shape: PShape):
     yield from product(*[_left_mul_candidates(shape, i) for i in range(shape.rank)])
 
 
-def enumerate_prelie_ops(shape: PShape, left_nilpotent_only: bool = True) -> list[PostLieRing]:
-    """All pre-Lie products on the abelian Lie ring of `shape`.
+def enumerate_prelie_ops(shape: PShape) -> list[PostLieRing]:
+    """All left nilpotent pre-Lie products on the abelian Lie ring of `shape`.
 
     Direct structure-constant search: a candidate triangle passes iff the
     associator compatibility axiom holds on generator triples.
@@ -353,13 +350,13 @@ def enumerate_prelie_ops(shape: PShape, left_nilpotent_only: bool = True) -> lis
         P = PostLieRing(base, np.stack(mats))
         if not verify_post_lie(P).ok:
             continue
-        if left_nilpotent_only and not left_series(P).is_nilpotent:
+        if not left_series(P).is_nilpotent:
             continue
         out.append(P)
     return out
 
 
-def enumerate_prelie_ops_aff(shape: PShape, left_nilpotent_only: bool = True) -> list[PostLieRing]:
+def enumerate_prelie_ops_aff(shape: PShape) -> list[PostLieRing]:
     """Same catalog through the graph route: a candidate passes iff the graph
     {(a, L_a)} is closed under the semidirect bracket
     [(a,x),(b,y)] = (x(b) - y(a), [x,y]) inside a (+) End(a)."""
@@ -378,7 +375,7 @@ def enumerate_prelie_ops_aff(shape: PShape, left_nilpotent_only: bool = True) ->
         if not all(closed(mats, i, j) for i, j in combinations(range(s.rank), 2)):
             continue
         P = PostLieRing(base, np.stack(mats))
-        if left_nilpotent_only and not left_series(P).is_nilpotent:
+        if not left_series(P).is_nilpotent:
             continue
         out.append(P)
     return out

@@ -146,9 +146,6 @@ class SkewBrace:
             and self.circ == other.circ
         )
 
-    def __hash__(self):
-        return hash((self.dot, self.circ))
-
 
 def _compatibility_failure(B: SkewBrace) -> tuple[int, int, int] | None:
     """The first (a, b, c) with lambda_a(b c) != lambda_a(b) lambda_a(c),

@@ -2203,6 +2203,27 @@ def test_lambda_rows_match_the_lambda_table_forms(series_braces, brace_logs, mon
     assert 0 < failed["root_diff"] < len(braces), failed
 
 
+def test_adjoint_group_filtration_reads_a_callers_chain(series_braces):
+    """With F given, the circle filtration is taken against F, not the
+    L-series: on every chain of length <= 3 of the dot groups of order <= 16
+    the outcome is the oracle's, and some chains give a filtration other
+    than the canonical one.  A chain that is no group filtration is refused."""
+    kinds = {"refused": 0, "canonical": 0, "other": 0}
+    for name, B in series_braces:
+        if B.order > 16:
+            continue
+        canonical = _outcome(lambda: adjoint_group_filtration(B))
+        for F in all_group_chains(B.dot, 3):
+            got = _outcome(lambda: adjoint_group_filtration(B, F))
+            assert got == _outcome(lambda: oracle_adjoint_group_filtration(B, F)), name
+            kinds["refused" if isinstance(got, str) else "canonical" if got == canonical else "other"] += 1
+    assert min(kinds.values()) > 0, kinds
+    B = catalogs.radical_brace(5, 2)
+    for terms in ((range(25), {0, 1}, {0}), (range(25), {0, 5, 10, 15, 20})):
+        with pytest.raises(ModArithError):
+            adjoint_group_filtration(B, Filtration(tuple(frozenset(t) for t in terms)))
+
+
 def test_no_library_path_leaves_a_table_on_the_brace():
     """After every path that reads lambda, the brace holds no n x n array
     (lambda is held only as rows, built where they are read); the brace is

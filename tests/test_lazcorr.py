@@ -11,7 +11,8 @@ import catalogs
 from catalogs import ad_endo, lam_table, trivial_brace
 from lazbrace import formats, freelie, lazcorr
 from lazbrace.common import FailedTheoremError, NotLazardError
-from lazbrace.liering import Filtration, FinGroup, add_closure, canonical_filtration, laz, laz_inv, laz_of_table
+from lazbrace.liering import (Filtration, FinGroup, LieRingSC, add_closure, canonical_filtration, laz, laz_inv,
+                              laz_of_table)
 from lazbrace.modarith import Endo, ModArithError, PShape, PVec, _raise_at, _walk, endo_exp, endo_log
 from lazbrace.postlie import PostLieRing, circ_ring, l_mul, l_series, verify_post_lie
 from lazbrace.skewbrace import (
@@ -269,6 +270,19 @@ def test_mutual_inverse_on_samples():
         assert np.array_equal(back.post_lie.tri, P.tri)
         assert np.array_equal(back.post_lie.base.sc, P.base.sc)
         assert np.array_equal(back.basis.elem_of, np.arange(P.shape.order))
+
+
+def test_round_trips_at_lie_class_p_minus_1():
+    # the filiform ring [g1, gi] = g(i+1), i = 2..4, on (5; 1^5) has class
+    # 4 = p - 1, the edge of the theorem: a BCH fold cut at degree 3 breaks
+    # the flow's own checks
+    L = LieRingSC.from_brackets(PShape(5, (1, 1, 1, 1, 1)), {(0, 1): (0, 0, 1, 0, 0), (0, 2): (0, 0, 0, 1, 0),
+                                                             (0, 3): (0, 0, 0, 0, 1)})
+    for P in (catalogs.zero_triangle(L), PostLieRing(L, L.shape.reduce(-L.sc))):
+        flow = post_lie_to_brace(P, check=True)
+        log = brace_to_post_lie(flow.brace, check=True)
+        assert flow.l_class == log.l_class == 4
+        assert formats.write_text(log.post_lie) == formats.write_text(P)
 
 
 def test_functoriality_of_the_flow(selfsq5):

@@ -62,6 +62,19 @@ def test_verify_lie_rejects_bad_constants():
     assert not rep.ok and any("killed" in f for f in rep.failures)
 
 
+def test_a_check_report_is_true_exactly_when_it_passes(heis5):
+    assert bool(verify_lie(heis5)) is True
+    rep = verify_lie(LieRingSC.from_brackets(PShape(5, (2, 1)), {(0, 1): (1, 0)}))
+    assert rep.ok is False and bool(rep) is False
+
+
+def test_tables_and_filtrations_are_unhashable(heis5):
+    # equality reads whole tables; no hash copies one
+    for value in (laz(heis5), lower_central_series(heis5).filtration):
+        with pytest.raises(TypeError):
+            hash(value)
+
+
 def test_solvable_but_not_nilpotent_ring():
     # [g1,g2] = g1 over (5;[1,1]): a valid Lie ring, not nilpotent
     s = PShape(5, (1, 1))

@@ -46,6 +46,11 @@ def test_verify_trivial_brace():
     assert rep.ok and B.is_brace
 
 
+def test_a_brace_is_unhashable(radical25):
+    with pytest.raises(TypeError):
+        hash(radical25)
+
+
 def test_verify_radical_brace(radical25):
     rep = verify_skew_brace(radical25)
     assert rep.ok and radical25.is_brace

@@ -245,7 +245,7 @@ def main(argv=None) -> int:
         else:
             wall = f"{r['wall_s']:.2f} s" + ("" if r["ok"] else " (MISMATCH)")
         out = f"{r['out_mb']:.1f} MB" if r.get("out_mb") is not None else "-"
-        print(f"| {step} | {r['n']} | {wall} | {r['peak_rss_mb']:.0f} MB | {out} | {r['exit']} |", flush=True)
+        print(f"| {step} | {r['n']} | {wall} | {r['peak_rss_mb']:.1f} MB | {out} | {r['exit']} |", flush=True)
     return 0
 
 
