@@ -27,7 +27,7 @@ from .liering import (
     _hom_failure,
     _laz_rows,
     _lazard_degree,
-    canonical_group_filtration,
+    _lazard_filtration,
     laz,
     laz_inv,
     table_to_sc,
@@ -166,24 +166,16 @@ def _require_bijective(images: np.ndarray, what: str, name: str) -> None:
 
 
 def _lazard_post_filtration(P: PostLieRing, F: Filtration | None = None) -> Filtration:
-    """The canonical L-filtration (cached on P), or a caller's F validated:
-    a Lie filtration of the base with a > X_j inside X_(j+1) for all a
-    (ModArithError otherwise).  Either must be shorter than p."""
-    if F is None:
-        ser = l_series(P)
-        if not ser.is_nilpotent:
-            raise NotLazardError("post-Lie ring is not L-nilpotent")
-        F = ser.filtration
-    else:
-        _validate_post_filtration(P, F)
-    if F.length >= P.shape.p:
-        raise NotLazardError(f"not Lazard: L-class {F.length} >= p = {P.shape.p}")
-    return F
+    """The Lazard gate on P: its L-series (cached), or a caller's F, a Lie
+    filtration of the base with a > X_j inside X_(j+1) (ModArithError)."""
+    return _lazard_filtration(lambda: l_series(P), P.shape.order, "post-Lie ring", F,
+                              lambda F: _validate_post_filtration(P, F), l_series=True)
 
 
 def w_map(P: PostLieRing, F: Filtration | None = None) -> np.ndarray:
-    """W(a) = V(a, L_a) over the whole carrier, verified bijective.  A
-    caller's F is checked as adjoint_filtration checks it."""
+    """W(a) = V(a, L_a) over the whole carrier, verified bijective, at the
+    length of the filtration the Lazard gate passes (_lazard_post_filtration):
+    a caller's F is checked as adjoint_filtration checks it."""
     F = _lazard_post_filtration(P, F)
     s = P.shape
     coords = s.all_coords()
@@ -222,12 +214,11 @@ def post_lie_to_brace(P: PostLieRing, check: bool = True) -> FlowResult:
     rep = verify_post_lie(P)
     if not rep.ok:
         raise ModArithError(f"not a post-Lie ring: {rep.failures}")
-    F = _lazard_post_filtration(P)
+    k = _lazard_post_filtration(P).length
     s = P.shape
-    k = F.length
     n = s.order
-    dot = laz(P.base, F)
-    W = w_map(P)  # the canonical F again, cached: no validation
+    dot = laz(P.base)  # BCH terms above the base's class (at most k) vanish
+    W = w_map(P)
     Omega = np.empty(n, dtype=np.int64)
     Omega[W] = np.arange(n)
     exp_mats = endo_exp(Endo(s, P.l_mats(s.all_coords()[Omega])), max(k, 1)).mat
@@ -257,30 +248,19 @@ def post_lie_to_brace(P: PostLieRing, check: bool = True) -> FlowResult:
 
 
 def _lazard_brace_filtration(B: SkewBrace, F: Filtration | None = None) -> Filtration:
-    """The canonical L-filtration (cached on B), or a caller's F validated as
-    a group filtration of (A, .) (ModArithError otherwise).  Either must be
-    shorter than p."""
-    if F is None:
-        ser = l_series_brace(B)
-        if not ser.is_nilpotent:
-            raise NotLazardError(
-                f"skew brace is not L-nilpotent: the L-series stops at a term of order {len(ser.terms[-1])}")
-        F = ser.filtration
-    else:
-        validate_group_filtration(B.dot, F)
-    if F.length >= B.p:
-        raise NotLazardError(f"not Lazard: L-class {F.length} >= p = {B.p}")
-    return F
+    """The Lazard gate on B: its L-series (cached), or a caller's F, a
+    group filtration of (A, .) (ModArithError)."""
+    return _lazard_filtration(lambda: l_series_brace(B), B.order, "skew brace", F,
+                              lambda F: validate_group_filtration(B.dot, F), l_series=True)
 
 
 def _dot_log(dot: FinGroup) -> tuple[LieRingSC, AbelianBasis]:
     """Laz^-1 of the dot group in structure-constant form, with its carrier
-    bijection (table_to_sc of laz_inv under the lower central series)."""
-    ser = canonical_group_filtration(dot)
-    if not ser.is_nilpotent:
-        raise NotLazardError("dot group is not nilpotent: the lower central series stops"
-                             f" at a term of order {len(ser.terms[-1])}")
-    return table_to_sc(laz_inv(dot, ser.filtration))
+    bijection; laz_inv's refusal is named for the dot group."""
+    try:
+        return table_to_sc(laz_inv(dot))
+    except NotLazardError as exc:
+        raise NotLazardError(f"dot {exc}") from None
 
 
 def _stack_rows(alpha: np.ndarray):
@@ -330,7 +310,8 @@ def u_eval(B: SkewBrace, a, alpha: np.ndarray, F: Filtration | None = None):
     With T = Laz^-1(A, .), that is the carrier part of BCH((a, 0), (0, log
     alpha)) in T (+) End(T), exact at degree k = F.length since log alpha
     raises the filtration.  a may be an index array and alpha an (m, n)
-    stack, one map per entry, all in one fold.  A caller's F must be a
+    stack, one map per entry, all in one fold.  F is the filtration the
+    Lazard gate passes (_lazard_brace_filtration): a caller's F must be a
     group filtration of (A, .) shorter than p; each alpha must raise F,
     alpha(g) g^-1 in X_(level[g] + 1), and be additive over T
     (ModArithError naming the first (a, g) otherwise, a the entry of `a`

@@ -488,16 +488,38 @@ def _validate_lie_filtration(L: LieRingSC, F: Filtration) -> None:
                             L.bracket_batch(shape.coords_batch(x), shape.coords_batch(y))))
 
 
-def is_lazard(L: LieRingSC, F: Filtration | None = None) -> bool:
-    """True iff the filtration is finite of length < p (forces P_i-divisibility)."""
+def _lazard_filtration(series, n: int, what: str, F: Filtration | None = None, validate=None,
+                       l_series: bool = False) -> Filtration:
+    """The Lazard gate: the filtration of the structure `what` of order n
+    that a Lazard construction runs on.  With no F it is series(), the lower
+    central series (or the L-series), a filtration by construction and so
+    not validated again; a caller's F is checked by validate(F) (ModArithError).
+    NotLazardError refuses a series that stops, naming the order of its last
+    term, and then a length >= p, with p taken from n only now (S_3 is
+    refused as not nilpotent); a trivial structure is Lazard."""
+    prefix, name = ("L-", "L-series") if l_series else ("", "lower central series")
     if F is None:
-        series = lower_central_series(L)
-        if not series.is_nilpotent:
-            return False
-        F = series.filtration
+        ser = series()
+        if not ser.is_nilpotent:
+            raise NotLazardError(f"{what} is not {prefix}nilpotent: the {name} stops at a term"
+                                 f" of order {len(ser.terms[-1])}")
+        F, length = ser.filtration, f"{prefix}class"
     else:
-        _validate_lie_filtration(L, F)
-    return F.length < L.shape.p
+        validate(F)
+        length = "filtration length"
+    if n > 1 and F.length >= (p := prime_power(n)[0]):
+        raise NotLazardError(f"{what} is not Lazard: {length} {F.length} >= p = {p}")
+    return F
+
+
+def is_lazard(L: LieRingSC, F: Filtration | None = None) -> bool:
+    """True iff the Lazard gate passes F, by default the lower central series
+    (length < p forces P_i-divisibility); a caller's F is validated."""
+    try:
+        _lazard_degree(L, F)
+    except NotLazardError:
+        return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -512,11 +534,10 @@ def _bch_batch(L: LieRingSC, degree: int, A, B) -> np.ndarray:
                               np.zeros_like(np.asarray(A, dtype=np.int64)))
 
 
-def bch_eval(L: LieRingSC, F: Filtration, a: PVec, b: PVec) -> PVec:
-    """Exact truncated BCH product of two elements; requires a Lazard input."""
-    if not is_lazard(L, F):
-        raise NotLazardError("BCH product needs a Lazard Lie ring (class < p)")
-    out = _bch_batch(L, max(F.length, 1), a.np()[None, :], b.np()[None, :])
+def bch_eval(L: LieRingSC, F: Filtration | None, a: PVec, b: PVec) -> PVec:
+    """Exact truncated BCH product of two elements, at the degree of the
+    filtration the Lazard gate passes (F None: the lower central series)."""
+    out = _bch_batch(L, _lazard_degree(L, F), a.np()[None, :], b.np()[None, :])
     return L.shape.vec(out[0])
 
 
@@ -601,8 +622,8 @@ def verify_group_table(table) -> CheckReport:
     b a = e as well.  A group table is a Latin square, so the two n x n
     permutation scatters are skipped when all three checks pass; when one
     fails they run, and the failures are listed in their fixed order.  A
-    FinGroup may stand for its table; its cached generators and inverses
-    are used when its identity is the one found.
+    FinGroup may stand for its table: its cached generators and inverses
+    are used when its identity is the one found, else that is a failure.
     """
     group = table if isinstance(table, FinGroup) else None
     table = np.asarray(table if group is None else group.table)  # ranges checked before any cast
@@ -615,11 +636,12 @@ def verify_group_table(table) -> CheckReport:
     ident = _left_identities(table)
     two_sided = ident.size == 1 and bool((table[:, int(ident[0])] == idx).all())
     light = None
+    stated = None if group is None else group.identity
     if two_sided:
-        if group is None or group.identity != int(ident[0]):
+        if stated != int(ident[0]):
             group = FinGroup(table, int(ident[0]))
         light = _light_failure(table, group.gens)
-        if light is None and (table[idx, group.inv] == group.identity).all():
+        if light is None and stated in (None, group.identity) and (table[idx, group.inv] == group.identity).all():
             return CheckReport(True, ())
     failures = []
     # a row (column) of n entries in range is a permutation when it hits
@@ -634,7 +656,9 @@ def verify_group_table(table) -> CheckReport:
         failures.append("some column is not a permutation")
     if not two_sided:
         failures.append("no two-sided identity")
-    elif light is not None:
+    elif stated not in (None, group.identity):
+        failures.append(f"the identity is {group.identity}, not the stated {stated}")
+    if light is not None:
         failures.append(light)
     return CheckReport(not failures, tuple(failures))
 
@@ -675,17 +699,10 @@ def _hom_failure(maps, src_rows, dst_rows) -> tuple[int, int, int] | None:
 
 
 def _lazard_degree(L: LieRingSC, F: Filtration | None = None) -> int:
-    """The BCH degree of Laz(L): the length of F, by default the lower
-    central series, which must be below p (NotLazardError otherwise)."""
-    if F is None:
-        F = canonical_filtration(L)  # a lower central series is a filtration by construction
-    else:
-        _validate_lie_filtration(L, F)
-    if F.length >= L.shape.p:
-        raise NotLazardError(
-            f"class {F.length} >= p = {L.shape.p}: BCH denominators would divide p"
-        )
-    return max(F.length, 1)
+    """The BCH degree of Laz(L): the length of the filtration that the
+    Lazard gate passes, F or by default the lower central series."""
+    return max(_lazard_filtration(lambda: lower_central_series(L), L.order, "Lie ring", F,
+                                  lambda F: _validate_lie_filtration(L, F)).length, 1)
 
 
 def _laz_rows(L: LieRingSC, degree: int, basis: AbelianBasis, elems) -> np.ndarray:
@@ -712,7 +729,8 @@ def laz(L: LieRingSC, F: Filtration | None = None, force: bool = False) -> FinGr
     tree (the rows of its power generators are compositions of them):
     in a Lazard ring a set generates the group it generates as a Lie ring
     (Khukhro), and BCH is associative there.  An abelian L is its own
-    Lazard group: the table is the carrier's addition.
+    Lazard group: the table is the carrier's addition.  BCH is cut at the
+    length of the filtration the Lazard gate passes (_lazard_degree).
     """
     _check_order_cap(L.order, force)
     degree = _lazard_degree(L, F)
@@ -839,13 +857,6 @@ def validate_group_filtration(G: FinGroup, F: Filtration) -> None:
                         lambda term: _group_gens(G, term), G.comm_batch)
 
 
-def _p_of_group(G: FinGroup) -> int:
-    if G.order == 1:
-        raise ModArithError("trivial group has no prime")
-    p, _ = prime_power(G.order)
-    return p
-
-
 def _rational_power_batch(G: FinGroup, X, q) -> np.ndarray:
     """x^q elementwise in a p-group, q a rational with denominator prime to p."""
     q = Fraction(q)
@@ -897,23 +908,15 @@ def laz_inv(G: FinGroup, F: Filtration | None = None, force: bool = False) -> Li
     length 1 the group is abelian, P = a b and Q = 1: no tree is grown,
     and the zero bracket is a read-only broadcast of the identity (a
     zero-stride view, which _index_rows keeps), so no n x n array is
-    allocated for it.
+    allocated for it.  k is the length of the filtration the Lazard gate
+    passes (_lazard_filtration; default: the lower central series).
     """
     _check_order_cap(G.order, force)
-    if F is None:
-        series = canonical_group_filtration(G)
-        if not series.is_nilpotent:
-            raise NotLazardError("group is not nilpotent")
-        F = series.filtration
-    else:
-        validate_group_filtration(G, F)
+    k = _lazard_filtration(lambda: canonical_group_filtration(G), G.order, "group", F,
+                           lambda F: validate_group_filtration(G, F)).length
     if G.order == 1:
         z = np.zeros((1, 1), dtype=np.int64)
         return LieRingTable(z, z, 0)
-    p = _p_of_group(G)
-    k = F.length
-    if k >= p:
-        raise NotLazardError(f"not Lazard: filtration length {k} >= p = {p}")
     n = G.order
     if k == 1:  # abelian: P(a, b) = a b and Q(a, b) = 1, a constant bracket held as a view
         return LieRingTable(G.table, np.broadcast_to(np.asarray(G.identity, dtype=G.table.dtype), (n, n)), G.identity)
@@ -966,11 +969,10 @@ def table_to_sc(T: LieRingTable) -> tuple[LieRingSC, AbelianBasis]:
     return L, basis
 
 
-def _table_series(T: LieRingTable) -> SeriesResult:
-    """Lower central series of a table Lie ring: [T, X] is the additive
-    closure of the brackets of additive generators of T and X, as the
-    bracket is biadditive."""
-    G = T.add_group()
+def _table_series(T: LieRingTable, G: FinGroup) -> SeriesResult:
+    """Lower central series of a table Lie ring, G = T.add_group(): [T, X]
+    is the additive closure of the brackets of additive generators of T
+    and X, as the bracket is biadditive."""
     gens = G.gens
     return descending_series(T.order, lambda cur: _invariant_closure(
         G, T.bracket[np.ix_(gens, _group_gens(G, cur))].ravel()))
@@ -981,20 +983,15 @@ def laz_of_table(T: LieRingTable, force: bool = False) -> FinGroup:
 
     BCH is evaluated by table gathers only on the rows of a few
     generators, grown as in `laz_inv`, and the table is filled from them;
-    at class 1 the bracket is zero and the group is the addition.
+    at class 1 the bracket is zero and the group is the addition.  The
+    class is the one the Lazard gate passes (_lazard_filtration).
     """
     n = T.order
     _check_order_cap(n, force)
     if n == 1:
         return FinGroup(np.zeros((1, 1), dtype=np.int64), 0)
     G = T.add_group()
-    p = _p_of_group(G)
-    series = _table_series(T)
-    if not series.is_nilpotent:
-        raise NotLazardError("table Lie ring is not nilpotent")
-    k = series.nilpotency_class
-    if k >= p:
-        raise NotLazardError(f"not Lazard: class {k} >= p = {p}")
+    k = _lazard_filtration(lambda: _table_series(T, G), n, "table Lie ring").length
     if k == 1:  # abelian: BCH(a, b) = a + b
         return FinGroup(T.add, T.zero)
     idx = np.arange(n, dtype=np.int64)

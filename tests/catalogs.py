@@ -48,6 +48,12 @@ def class3_chain(p) -> LieRingSC:
     return LieRingSC.from_brackets(s, {(0, 1): (0, 0, 1, 0), (0, 2): (0, 0, 0, 1)})
 
 
+def filiform(p, e, top) -> LieRingSC:
+    # [g1, gi] = g(i+1) for 2 <= i <= top on (p; 1^e): class top
+    return LieRingSC.from_brackets(PShape(p, (1,) * e), {(0, i): tuple(int(j == i + 1) for j in range(e))
+                                                         for i in range(1, top)})
+
+
 def _graded_coords(shape: PShape, i, j, support, rng) -> tuple[int, ...]:
     # random element of <g_k : k in support>, killed by p^min(e_i, e_j)
     out = [0] * shape.rank

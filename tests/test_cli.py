@@ -76,6 +76,40 @@ def test_convert_refuses_non_lazard(capsys, tmp_path):
     assert "refused" in err
 
 
+def test_a_lie_file_of_class_p_is_not_lazard(capsys, tmp_path):
+    path = tmp_path / "filiform.lie"
+    path.write_text(formats.write_text(catalogs.filiform(5, 6, 5)))
+    code, out, _ = run(capsys, "check", str(path))
+    assert code == 0 and out.splitlines()[0] == "Lie ring, class 5, not Lazard (p=5)"
+
+
+def test_a_post_lie_file_of_l_class_p_is_refused_before_any_table(capsys, monkeypatch, tmp_path):
+    # the Lazard gate refuses before any n x n table is filled
+    def no_fill(*args):
+        raise AssertionError("a table was filled before the refusal")
+
+    for module in (modarith, liering):
+        monkeypatch.setattr(module, "_fill", no_fill)
+    path = tmp_path / "filiform.plie"
+    path.write_text(formats.write_text(catalogs.zero_triangle(catalogs.filiform(5, 6, 5))))
+    code, out, err = run(capsys, "convert", str(path), "--to", "brace")
+    assert (code, out, err) == (3, "", "refused: post-Lie ring is not Lazard: L-class 5 >= p = 5\n")
+
+
+@pytest.mark.parametrize("name, value, failure", [
+    # Z/9 with a stated identity 3
+    ("z9.grp", lambda: FinGroup(catalogs.shape_group(PShape(3, (2,))).table, 3), "the identity is 0, not the stated 3"),
+    # a circ table whose identity is 1: the parser states the dot identity 0 for it
+    ("circ1.skb", lambda: SkewBrace(catalogs.shape_group(PShape(3, (2,))),
+                                    FinGroup((np.arange(9)[:, None] + np.arange(9) - 1) % 9, 1)),
+     "circ: the identity is 1, not the stated 0"),
+])
+def test_a_wrong_stated_identity_fails_verification(capsys, tmp_path, name, value, failure):
+    path = tmp_path / name
+    path.write_text(formats.write_text(value()))
+    assert run(capsys, "check", str(path)) == (1, f"verify: FAIL\n  {failure}\n", "")
+
+
 def test_roundtrip_command(capsys, data_dir):
     code, out, _ = run(capsys, "roundtrip", str(data_dir / "radical_25.skb"))
     assert code == 0 and "exact" in out

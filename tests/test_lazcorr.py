@@ -11,8 +11,8 @@ import catalogs
 from catalogs import ad_endo, lam_table, trivial_brace
 from lazbrace import formats, freelie, lazcorr
 from lazbrace.common import FailedTheoremError, NotLazardError
-from lazbrace.liering import (Filtration, FinGroup, LieRingSC, add_closure, canonical_filtration, laz, laz_inv,
-                              laz_of_table)
+from lazbrace.liering import (Filtration, FinGroup, LieRingSC, LieRingTable, add_closure, bch_eval,
+                              canonical_filtration, is_lazard, laz, laz_inv, laz_of_table)
 from lazbrace.modarith import Endo, ModArithError, PShape, PVec, _raise_at, _walk, endo_exp, endo_log
 from lazbrace.postlie import PostLieRing, circ_ring, l_mul, l_series, verify_post_lie
 from lazbrace.skewbrace import (
@@ -201,6 +201,81 @@ def test_refusals_name_the_term_where_the_series_stops():
         u_eval(B, 0, lam_table(B)[0], F)
     assert str(info.value) == ("dot group is not nilpotent: the lower central series stops"
                                " at a term of order 3")
+
+
+def _s3():
+    return FinGroup(np.array([[0, 1, 2, 3, 4, 5], [1, 2, 0, 5, 3, 4], [2, 0, 1, 4, 5, 3],
+                              [3, 4, 5, 0, 1, 2], [4, 5, 3, 2, 0, 1], [5, 3, 4, 1, 2, 0]]), 0)
+
+
+def _d4():
+    # r^i s^j at index i + 4 j: (r^a s^b)(r^c s^d) = r^(a + (-1)^b c) s^(b + d); class 2 = p
+    a, b = np.arange(8) % 4, np.arange(8) // 4
+    return FinGroup((a[:, None] + (1 - 2 * b[:, None]) * a) % 4 + 4 * ((b[:, None] + b) % 2), 0)
+
+
+def _lie_table(L):
+    co = L.shape.all_coords()
+    return LieRingTable(L.shape.carrier.add, L.shape.index_batch(L.bracket_batch(co[:, None, :], co[None, :, :])), 0)
+
+
+_NONNIL = LieRingSC.from_brackets(PShape(5, (1, 1)), {(0, 1): (1, 0)})  # stops at <g1>, order 5
+_CLASS_P = catalogs.class3_chain(3)
+_STOPS = "is not {}nilpotent: the {} stops at a term of order {}"
+
+
+@pytest.mark.parametrize("name, call, message", [
+    ("laz", lambda: laz(_NONNIL), "Lie ring " + _STOPS.format("", "lower central series", 5)),
+    ("laz", lambda: laz(_CLASS_P), "Lie ring is not Lazard: class 3 >= p = 3"),
+    ("laz", lambda: laz(_CLASS_P, canonical_filtration(_CLASS_P)),
+     "Lie ring is not Lazard: filtration length 3 >= p = 3"),
+    ("laz_inv", lambda: laz_inv(_s3()), "group " + _STOPS.format("", "lower central series", 3)),
+    ("laz_inv", lambda: laz_inv(_d4()), "group is not Lazard: class 2 >= p = 2"),
+    ("laz_of_table", lambda: laz_of_table(_lie_table(_NONNIL)),
+     "table Lie ring " + _STOPS.format("", "lower central series", 5)),
+    ("laz_of_table", lambda: laz_of_table(_lie_table(_CLASS_P)), "table Lie ring is not Lazard: class 3 >= p = 3"),
+    ("bch_eval", lambda: bch_eval(_NONNIL, None, *_NONNIL.shape.units()),
+     "Lie ring " + _STOPS.format("", "lower central series", 5)),
+    ("bch_eval", lambda: bch_eval(_CLASS_P, None, *_CLASS_P.shape.units()[:2]),
+     "Lie ring is not Lazard: class 3 >= p = 3"),
+    ("w_map", lambda: w_map(catalogs.zero_triangle(_NONNIL)), "post-Lie ring " + _STOPS.format("L-", "L-series", 5)),
+    ("w_map", lambda: w_map(catalogs.prelie_radical(3, 3)), "post-Lie ring is not Lazard: L-class 3 >= p = 3"),
+    ("post_lie_to_brace", lambda: post_lie_to_brace(catalogs.zero_triangle(_NONNIL)),
+     "post-Lie ring " + _STOPS.format("L-", "L-series", 5)),
+    ("post_lie_to_brace", lambda: post_lie_to_brace(catalogs.prelie_radical(3, 3)),
+     "post-Lie ring is not Lazard: L-class 3 >= p = 3"),
+    ("u_eval", lambda: u_eval(trivial_brace(_s3()), 0, np.arange(6)),
+     "dot group " + _STOPS.format("", "lower central series", 3)),
+    ("u_eval", lambda: u_eval(trivial_brace(_d4()), 0, np.arange(8)), "dot group is not Lazard: class 2 >= p = 2"),
+    ("brace_to_post_lie", lambda: brace_to_post_lie(trivial_brace(_s3())),
+     "skew brace " + _STOPS.format("L-", "L-series", 3)),
+    ("brace_to_post_lie", lambda: brace_to_post_lie(trivial_brace(_d4())),
+     "skew brace is not Lazard: L-class 2 >= p = 2"),
+])
+def test_the_lazard_gate_refuses_in_one_of_two_forms(name, call, message):
+    # every construction refuses a structure whose series stops, or whose
+    # filtration is not shorter than p, through the one gate
+    with pytest.raises(NotLazardError) as info:
+        call()
+    assert str(info.value) == message, name
+
+
+def test_is_lazard_is_the_gate_as_a_verdict():
+    assert not is_lazard(_NONNIL) and not is_lazard(_CLASS_P)
+    assert not is_lazard(_CLASS_P, canonical_filtration(_CLASS_P))
+    L = LieRingSC.from_brackets(PShape(5, (1, 1, 1)), {(0, 1): (0, 0, 1)})
+    assert is_lazard(L)
+    with pytest.raises(ModArithError):  # a caller's chain is validated: (L, 0) is no filtration of this L
+        is_lazard(L, Filtration((frozenset(range(125)), frozenset({0}))))
+
+
+def test_bch_eval_defaults_to_the_lower_central_series():
+    L = catalogs.filiform(5, 5, 4)
+    F = canonical_filtration(L)
+    rng = np.random.default_rng(3)
+    for a, b in rng.integers(0, 5, size=(20, 2, 5)):
+        a, b = PVec(L.shape, tuple(a)), PVec(L.shape, tuple(b))
+        assert bch_eval(L, None, a, b) == bch_eval(L, F, a, b)
 
 
 def test_u_eval_identity_automorphism(radical_flow):

@@ -44,8 +44,13 @@ logged one.
 A step `kind:neg:p^e` (for flow, log, roundtrip, check and convert) runs
 the step `kind:p^e` on the negated-bracket triangle of the same Lie ring
 in place of the zero triangle, whose brace has circ == dot and lambda_a =
-id for every a; the step names without `neg` keep the zero triangle, so
-both series stay comparable.
+id for every a; the step names without `neg` or `fil` keep the zero
+triangle, so both series stay comparable.  A step `kind:fil:p^e` (for the
+same kinds) runs it on the filiform ring [g1, gi] = g(i+1), 2 <= i <=
+min(e - 1, p - 1), of Lie class min(e, p) - 1 on (p; 1, ..., 1) (class p
+- 1 = 4 at 5^5 and 5^6, the edge of the correspondence, where BCH, P and
+Q reach degree p - 1), with the negated-bracket triangle; it is built
+here from lazbrace alone, not by lazbench.
 
 The default steps are 3^6, 7^4, 5^5 and 5^6 (the soft cap), then the
 convert, roundtrip and check steps at 5^5 and 5^6; the flow, log and
@@ -64,6 +69,7 @@ from the checkout named by --root, this one by default):
     python3 tools/ladder.py --limit-kb 6000000 3^6 5^5 convert:5^5 roundtrip:5^5
     python3 tools/ladder.py flow:5^5 log:5^5 check:5^5 root-diff:5^5
     python3 tools/ladder.py flow:neg:5^5 log:neg:5^5 roundtrip:neg:5^5 check:neg:5^5
+    python3 tools/ladder.py flow:fil:5^5 log:fil:5^5 roundtrip:fil:5^5 check:fil:5^5 convert:fil:5^5
     python3 tools/ladder.py --root ../other-checkout
 
 It prints one Markdown table row per step.
@@ -95,15 +101,24 @@ def _use_checkout(root: Path) -> None:
 
 def _post_lie(p: int, e: int, triangle: str = "zero"):
     """A step's post-Lie ring with the triangle "zero" or "neg", built from
-    the checkout."""
+    the checkout, or the filiform ring of a "fil" step."""
+    if triangle == "fil":
+        from lazbrace.liering import LieRingSC
+        from lazbrace.modarith import PShape
+        from lazbrace.postlie import PostLieRing
+
+        units = [tuple(int(j == i) for j in range(e)) for i in range(e)]
+        L = LieRingSC.from_brackets(PShape(p, (1,) * e),
+                                    {(0, i - 1): units[i] for i in range(2, min(e - 1, p - 1) + 1)})
+        return PostLieRing(L, L.shape.reduce(-L.sc))
     import generate
 
     return generate.triangle_instance("x", 3, p, (1,) * e, triangle, 2).build()
 
 
 def _parse_step(step: str) -> tuple[str, str, int, int]:
-    """(kind, triangle, p, e) of a step `[kind:[neg:]]p^e`; the triangle is
-    "neg" when named, and for root-diff, and "zero" otherwise."""
+    """(kind, triangle, p, e) of a step `[kind:[neg:|fil:]]p^e`; the triangle
+    is "neg" or "fil" when named, "neg" for root-diff, and "zero" otherwise."""
     *head, size = step.split(":")
     kind = head[0] if head else ""
     triangle = head[1] if len(head) > 1 else "neg" if kind == "root-diff" else "zero"
@@ -218,7 +233,7 @@ def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("steps", nargs="*", default=list(STEPS),
                     help="p^e, convert:p^e, roundtrip:p^e, check:p^e, flow:p^e, log:p^e or root-diff:p^e steps,"
-                         " the CLI, flow and log steps also as kind:neg:p^e (default: %(default)s)")
+                         " the CLI, flow and log steps also as kind:neg:p^e or kind:fil:p^e (default: %(default)s)")
     ap.add_argument("--limit-kb", type=int, default=6_000_000, help="ulimit -v of each step, in KiB")
     ap.add_argument("--root", type=Path, default=ROOT, help="the checkout whose src/ is measured")
     ap.add_argument("--run", help=argparse.SUPPRESS)  # one step, in the measured process
