@@ -18,8 +18,8 @@ from .common import CapabilityError, CapExceededError, FailedTheoremError, NotLa
 from .liering import (
     FinGroup,
     _check_shape_cap,
+    _lazard_filtration,
     canonical_group_filtration,
-    is_lazard,
     laz_inv,
     lower_central_series,
     table_to_sc,
@@ -78,22 +78,30 @@ def _write_output(blocks, path: str | None) -> int:
     return EXIT_OK
 
 
+def _lazard(ser, n: int) -> str:
+    """The Lazard gate's verdict on a series of a structure of order n."""
+    try:
+        _lazard_filtration(lambda: ser, n, "")
+    except NotLazardError:
+        return "not Lazard"
+    return "Lazard"
+
+
 def _report_lie(L) -> list[str]:
     ser = lower_central_series(L)
     cls = ser.nilpotency_class
-    lazard = cls is not None and cls < L.shape.p
     head = f"Lie ring, class {cls if cls is not None else 'infinite (not nilpotent)'}"
-    head += f", {'Lazard' if lazard else 'not Lazard'} (p={L.shape.p})"
+    head += f", {_lazard(ser, L.order)} (p={L.shape.p})"
     return [head, f"shape: {L.shape}", "verify: pass",
             "series sizes: " + " ".join(str(len(t)) for t in ser.terms)]
 
 
 def _report_postlie(P) -> list[str]:
-    cls = l_series(P).nilpotency_class
-    lazard = cls is not None and cls < P.shape.p
+    ser = l_series(P)
+    cls = ser.nilpotency_class
     fix, soc, ann = substructures(P)
     return [f"post-Lie ring, L-class {cls if cls is not None else 'infinite'}"
-            f", {'Lazard' if lazard else 'not Lazard'} (p={P.shape.p})",
+            f", {_lazard(ser, P.shape.order)} (p={P.shape.p})",
             f"shape: {P.shape}", "verify: pass",
             f"fix: {_fmt_set(fix)}", f"soc: {_fmt_set(soc)}", f"ann: {_fmt_set(ann)}"]
 
@@ -104,12 +112,12 @@ def _report_group(G) -> list[str]:
 
 
 def _report_brace(B) -> list[str]:
-    cls = l_series_brace(B).nilpotency_class
+    ser = l_series_brace(B)
+    cls = ser.nilpotency_class
     kind = "brace" if B.is_brace else "skew brace"
-    lazard = cls is not None and cls < B.p
     fix, soc, ann = substructures_brace(B)
     return [f"skew brace ({kind}), L-class {cls if cls is not None else 'infinite'}"
-            f", {'Lazard' if lazard else 'not Lazard'} (p={B.p})",
+            f", {_lazard(ser, B.order)} (p={B.p})",
             "verify: pass",
             f"fix: {_fmt_set(fix)}", f"soc: {_fmt_set(soc)}", f"ann: {_fmt_set(ann)}"]
 

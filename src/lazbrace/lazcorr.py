@@ -440,18 +440,18 @@ def transfer_report(
     """Classify every additive subgroup on both sides of the correspondence
     and compare; also compares fix/socle/annihilator and right nilpotency.
 
-    The sweep builds each subgroup once (all_add_subgroups, as arrays of
-    members) and classifies the subgroups of each order in one batch per
-    side (_sweep): on additive generators on the post-Lie side, and on
-    pairs of members and generators of A on the brace side.
-    include_subgroups=False keeps only the set comparisons."""
+    The sweep builds each subgroup once with its generators (cached per
+    shape, _add_subgroup_runs) and classifies those of one order in one
+    batch per side (_sweep): on the generators on the post-Lie side, on
+    pairs of members and generators of A on the brace side; Fix, Soc and
+    Ann are one post-Lie batch.  include_subgroups=False skips the sweep."""
     flow = flow or post_lie_to_brace(P)
     B = flow.brace
     mismatches = []
     count = 0
     if include_subgroups:
         runs = _add_subgroup_runs(P.shape)
-        count = sum(len(run) for run in runs)
+        count = sum(len(members) for members, _ in runs)
         for members, lv_p, lv_b in _sweep(P, B, runs):
             mismatches += [(members[i].tolist(), IdealLevel(lv_p[i]).name, IdealLevel(lv_b[i]).name)
                            for i in np.flatnonzero(lv_p != lv_b)]
@@ -472,10 +472,10 @@ def transfer_report(
 
 def _sweep(P: PostLieRing, B: SkewBrace, runs):
     """(members, post-Lie levels, brace levels) for each run of equal-size
-    subsets, a (k, m) array of sorted members, each side classified in one
-    batch."""
-    for members in runs:
-        yield members, _classify_batch(P, members), _classify_batch_brace(B, members)
+    subgroups, a (k, m) array of sorted members with the (k, c) generators
+    that built them, each side classified in one batch."""
+    for members, gens in runs:
+        yield members, _classify_batch(P, members, gens), _classify_batch_brace(B, members)
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,14 @@ from collections.abc import Set
 from itertools import combinations
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
 from . import freelie
 from .common import CapExceededError, FailedTheoremError, NotLazardError
 from .modarith import (AbelianBasis, ModArithError, PShape, PVec, abelian_decompose, index_dtype, prime_power,
-                       _fill, _fill_group, _index_table, _left_identities, _mask, _raise_at, _schreier,
+                       _fill, _fill_group, _index_table, _left_identities, _mask, _raise_at, _read_only, _schreier,
                        _table_orders, _table_times, _walk)
 
 __all__ = [
@@ -299,14 +299,12 @@ def verify_lie(L: LieRingSC) -> CheckReport:
 # Additive subgroups of a shape module.
 
 
-def _extend(shape: PShape, members: np.ndarray, gens, q: int) -> np.ndarray:
-    """{h + t g : h in members, 0 <= t < q} by one broadcast add, as a row
-    for each g of `gens` (one g or an array).  A row has no repeats when q
-    is the order of g modulo the subgroup `members`: the cosets members + t g
-    are then disjoint."""
-    steps = np.arange(q, dtype=np.int64)[:, None, None] * shape.coords_batch(gens)[..., None, None, :]
-    sums = shape.index_batch(steps + shape.coords_batch(members))
-    return sums.reshape(sums.shape[:-2] + (-1,))
+def _extend(shape: PShape, members: np.ndarray, gens: np.ndarray, q: int) -> np.ndarray:
+    """The rows {h + t g : h in members[i], 0 <= t < q} for g = gens[i], by
+    one broadcast add.  A row has no repeats when q is the order of g modulo
+    the subgroup members[i]: the cosets members[i] + t g are then disjoint."""
+    steps = np.arange(q, dtype=np.int64)[:, None, None] * shape.coords_batch(gens)[:, None, None, :]
+    return shape.index_batch(steps + shape.coords_batch(members)[:, None]).reshape(len(gens), -1)
 
 
 def _span_fold(shape: PShape, order) -> tuple[np.ndarray, list[int]]:
@@ -382,40 +380,51 @@ def _levels(tests) -> np.ndarray:
 
 def all_add_subgroups(shape: PShape) -> list[frozenset]:
     """Every additive subgroup, each built once, sorted by (size, members)."""
-    return [frozenset(H.tolist()) for run in _add_subgroup_runs(shape) for H in run]
+    return [frozenset(H.tolist()) for run, _ in _add_subgroup_runs(shape) for H in run]
 
 
-def _add_subgroup_runs(shape: PShape) -> list[np.ndarray]:
-    """Every additive subgroup, each built once, as one (k, m) array of
-    sorted members per order m, rows in lexicographic order, by increasing m.
+@lru_cache(maxsize=8)
+def _add_subgroup_runs(shape: PShape) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """Every additive subgroup, each built once, as one (members, gens) pair
+    per order m, by increasing m: the (k, m) sorted members, rows in
+    lexicographic order, and the (k, c) generators of each row, 0-padded.
 
     Built one cyclic factor at a time: a subgroup H of A' (+) Z/p^e is
     K + <(y, p^c)> for exactly one triple of K = H meet A', 0 <= c <= e and
     y the least element of its coset y + K with p^(e-c) y in K (Goursat's
     lemma for a cyclic factor).  Factor i enters with stride |A'|, so A'
-    is the index range below that stride, and no closure is taken.
+    is the index range below that stride, and no closure is taken.  H's
+    generators, K's then (y, p^c), generate it.  Cached per shape, read-only.
     """
-    p = shape.p
-    subs = [np.zeros(1, dtype=np.int64)]
+    p, r = shape.p, shape.rank
+    subs = [(np.zeros((1, 1), dtype=np.int64), np.zeros((1, r), dtype=np.int64))]
     for e, stride in zip(shape.exps, shape.strides()):
         prefix = np.arange(stride, dtype=np.int64)
         pc = shape.coords_batch(prefix)
-        out = []
-        for K in subs:
-            in_k = np.zeros(stride, dtype=bool)
-            in_k[K] = True
-            least = shape.index_batch(pc[:, None, :] + shape.coords_batch(K)).min(axis=1) == prefix
-            out.append(K)  # c = e
-            for c in range(e):
-                q = p ** (e - c)
-                ys = prefix[least & in_k[shape.index_batch(q * pc)]]
-                out.extend(_extend(shape, K, ys + stride * p ** c, q))
-        subs = out
+        out = list(subs)  # c = e
+        for Ks, Gs in subs:
+            for blk in _walk(len(Ks), stride * Ks.shape[1] * r * p ** e):
+                K, G = Ks[blk], Gs[blk]
+                in_k = _row_masks(stride, K)
+                least = shape.index_batch(pc[:, None, :] + shape.coords_batch(K)[:, None]).min(axis=2) == prefix
+                for c in range(e):
+                    q = p ** (e - c)
+                    row, y = np.nonzero(least & in_k[:, shape.index_batch(q * pc)])
+                    y += stride * p ** c  # the new generator, in the slot after K's
+                    slot = np.arange(r) == np.count_nonzero(G[row], axis=1)[:, None]
+                    out.append((_extend(shape, K[row], y, q), np.where(slot, y[:, None], G[row])))
+        subs = _by_width(out)
     runs = []
-    for m in sorted({H.size for H in subs}):
-        run = np.sort([H for H in subs if H.size == m], axis=1)
-        runs.append(run[np.lexsort(run.T[::-1])])
-    return runs
+    for run, gens in subs:
+        order = np.lexsort((run := np.sort(run, axis=1)).T[::-1])
+        runs.append((_read_only(run[order]), _read_only(gens[order, :np.count_nonzero(gens, axis=1).max()])))
+    return tuple(runs)
+
+
+def _by_width(chunks) -> list[tuple[np.ndarray, np.ndarray]]:
+    """The (members, gens) chunks joined into one pair per width of members, by increasing width."""
+    return [tuple(map(np.concatenate, zip(*[c for c in chunks if c[0].shape[1] == m])))
+            for m in sorted({K.shape[1] for K, _ in chunks})]
 
 
 def _product_series(shape: PShape, consts: np.ndarray, right: bool = False) -> SeriesResult:

@@ -191,13 +191,15 @@ def substructures(P: PostLieRing) -> tuple[frozenset, frozenset, frozenset]:
     fix_mask = ~P.tri_batch(units[:, None, :], coords).any(axis=(0, -1))
     soc_mask = ~(P.l_mats(coords).any(axis=(-2, -1))
                  | left_mats(s, P.base.sc, coords).any(axis=(-2, -1)))
-    fix, soc = (frozenset(np.flatnonzero(mask).tolist()) for mask in (fix_mask, soc_mask))
-    ann = soc & fix
-    if classify_subset(P, fix) < IdealLevel.LEFT_IDEAL:
+    # one batch, each row padded to n with its own last member, which the fold ignores
+    rows = [np.flatnonzero(mask) for mask in (fix_mask, soc_mask, fix_mask & soc_mask)]
+    levels = _classify_batch(P, np.stack([np.pad(row, (0, s.order - len(row)), mode="edge") for row in rows]))
+    if levels[0] < IdealLevel.LEFT_IDEAL:
         raise FailedTheoremError("fix is not a left ideal")
-    for name, sub in (("socle", soc), ("annihilator", ann)):
-        if classify_subset(P, sub) < IdealLevel.IDEAL:
+    for name, level in zip(("socle", "annihilator"), levels[1:]):
+        if level < IdealLevel.IDEAL:
             raise FailedTheoremError(f"{name} is not an ideal")
+    fix, soc, ann = (frozenset(row.tolist()) for row in rows)
     return fix, soc, ann
 
 
@@ -207,23 +209,29 @@ def classify_subset(P: PostLieRing, members: frozenset) -> IdealLevel:
     return IdealLevel(int(_classify_batch(P, np.sort(_indices(members))[None, :])[0]))
 
 
-def _classify_batch(P: PostLieRing, members: np.ndarray) -> np.ndarray:
+def _classify_batch(P: PostLieRing, members: np.ndarray, gens: np.ndarray | None = None) -> np.ndarray:
     """IdealLevel values of k subsets of one size m, given as a (k, m) array
-    of sorted members.
+    of sorted members (a row may repeat its last member).
 
-    A row is an additive subgroup when the fold of its members stops at
-    exactly its mask (_span_rows).  Each level is then tested on the
-    generators g the fold kept, padded with 0, and the unit vectors u, which
-    is exact by biadditivity: [g, g'] and g > g' for closure, then u > g,
-    [u, g] and the circ bracket {u, g}.
+    With no gens, a row is an additive subgroup when the fold of its members
+    stops at exactly its mask (_span_rows), and g are the generators the
+    fold kept, padded with 0.  The sweep passes as gens the (k, c) padded
+    generators each row was built from (_add_subgroup_runs): a row K + <g>
+    is a subgroup by construction and they generate it, so no fold is run.
+    Each level is then tested on the g and the units u, exact by biadditivity:
+    [g, g'] and g > g' for closure, then u > g, [u, g] and circ's {u, g}.
     """
     s = P.shape
     levels = np.empty(len(members), dtype=np.int64)
     # a fold step moves up to n members of a row by up to max_modulus steps
     for blk in _walk(len(members), s.order * s.rank * s.max_modulus):
-        span, gens = _span_rows(s, members[blk])
         mask = _row_masks(s.order, members[blk])
-        G = s.coords_batch(gens)
+        if gens is None:
+            span, kept = _span_rows(s, members[blk])
+            closed = (span == mask).all(axis=1)
+        else:
+            kept, closed = gens[blk], True
+        G = s.coords_batch(kept)
         rows = np.arange(len(G))[:, None]
 
         def within(images):  # coordinates (kb, ..., r), each inside its row
@@ -234,7 +242,7 @@ def _classify_batch(P: PostLieRing, members: np.ndarray) -> np.ndarray:
         left = s.reduce(np.einsum("kai,oijl->okajl", G, np.stack([P.base.sc, P.tri])))
         pairs = np.einsum("kbj,okajl->okabl", G, left)
         units = np.einsum("kbj,oijl->okibl", G, np.stack([P.tri, P.base.sc, P.circ.sc]))
-        levels[blk] = _levels([(span == mask).all(axis=1) & within(pairs[0]) & within(pairs[1]),
+        levels[blk] = _levels([closed & within(pairs[0]) & within(pairs[1]),
                                within(units[0]), within(units[1]), within(units[2])])
     return levels
 

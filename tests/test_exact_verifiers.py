@@ -92,8 +92,8 @@ from lazbrace.modarith import (
     prime_power,
     root_of_unity,
 )
-from lazbrace.postlie import (PostLieRing, adjoint_filtration, circ_ring, classify_subset, l_series, left_series,
-                              right_series, verify_post_lie)
+from lazbrace.postlie import (PostLieRing, _classify_batch, adjoint_filtration, circ_ring, classify_subset, l_series,
+                              left_series, right_series, substructures, verify_post_lie)
 from lazbrace.skewbrace import (
     SkewBrace,
     _all_subgroups_group,
@@ -658,6 +658,63 @@ def test_single_subsets_match_the_oracles_off_subgroups(postlie_cat, z8z2_braces
             levels.add(level)
     # the braces on Z/8 x Z/2 have strong left ideals that are not ideals
     assert levels == set(IdealLevel)
+
+
+def test_enumeration_hands_over_generators_of_each_subgroup(lie_cat, postlie_cat):
+    # the generators each row was built from generate exactly that row, one
+    # at most per cyclic factor
+    shapes = {L.shape for _, L in lie_cat} | {P.shape for _, P in postlie_cat}
+    shapes |= {PShape(3, (1,) * 5), PShape(5, (1,) * 4), PShape(5, (2, 1, 1))}
+    for shape in shapes:
+        for members, gens in _add_subgroup_runs(shape):
+            assert len(gens) == len(members) and gens.shape[1] <= shape.rank, shape
+            for row, g in zip(members, gens):
+                assert add_closure(shape, g) == frozenset(row.tolist()), (shape, row.tolist(), g.tolist())
+
+
+def oracle_substructures(P: PostLieRing) -> tuple[frozenset, frozenset, frozenset]:
+    """Fix, Soc and Ann from all pairs of elements, each checked by its own
+    classify_subset call."""
+    s = P.shape
+    co = s.all_coords()
+    tri = s.index_batch(P.tri_batch(co[:, None, :], co[None, :, :]))
+    bracket = s.index_batch(P.base.bracket_batch(co[:, None, :], co[None, :, :]))
+    fix = frozenset(np.flatnonzero(~tri.any(axis=0)).tolist())
+    soc = frozenset(np.flatnonzero(~(tri.any(axis=1) | bracket.any(axis=1))).tolist())
+    ann = fix & soc
+    if classify_subset(P, fix) < IdealLevel.LEFT_IDEAL:
+        raise FailedTheoremError("fix is not a left ideal")
+    for name, sub in (("socle", soc), ("annihilator", ann)):
+        if classify_subset(P, sub) < IdealLevel.IDEAL:
+            raise FailedTheoremError(f"{name} is not an ideal")
+    return fix, soc, ann
+
+
+def test_both_classify_paths_agree_and_the_runs_are_cached(postlie_cat):
+    for name, P in postlie_cat:
+        for members, gens in _add_subgroup_runs(P.shape):
+            assert np.array_equal(_classify_batch(P, members, gens), _classify_batch(P, members)), name
+    # an equal shape built afresh hits the cache, whose arrays are read-only
+    first = _add_subgroup_runs(PShape(3, (2, 1)))
+    hits = _add_subgroup_runs.cache_info().hits
+    assert _add_subgroup_runs(PShape(3, (2, 1))) is first
+    assert _add_subgroup_runs.cache_info().hits == hits + 1
+    for members, gens in first:
+        for a in (members, gens):
+            with pytest.raises(ValueError):
+                a[0, 0] = 1
+    # the one batch of Fix, Soc and Ann against three one-subset calls, on
+    # the catalog and on perturbed triangles, which reach every failure
+    rng = np.random.default_rng(35)
+    rings = [P for _, P in postlie_cat if P.shape.order <= 125]
+    rings += [PostLieRing(P.base, _moved_constants(P.shape, P.tri, rng, False, True)) for P in rings for _ in range(3)]
+    outcomes = set()
+    for P in rings:
+        got = _outcome(lambda: substructures(P))
+        assert got == _outcome(lambda: oracle_substructures(P))
+        outcomes.add(got if isinstance(got, str) else "ok")
+    assert {"ok", "FailedTheoremError: fix is not a left ideal",
+            "FailedTheoremError: socle is not an ideal"} <= outcomes, outcomes
 
 
 # ---------------------------------------------------------------------------

@@ -41,7 +41,15 @@ check=True))`: the log, then the triangle recovered from lambda by
 averaging against a root of unity; it passes when that triangle is the
 logged one.
 
-A step `kind:neg:p^e` (for flow, log, roundtrip, check and convert) runs
+A step `transfer:p^e` builds that post-Lie ring and its flow (with
+check=False), then times `lazcorr.transfer_report(P, flow,
+include_subgroups=True)` in-library: the sweep of every additive subgroup
+on both sides, and Fix, Soc, Ann and right nilpotency.  The measured
+process is fresh, so the per-shape cache of the subgroup enumeration
+starts empty and the time includes building it.  It passes when the
+report is ok.
+
+A step `kind:neg:p^e` (for flow, log, transfer, roundtrip, check and convert) runs
 the step `kind:p^e` on the negated-bracket triangle of the same Lie ring
 in place of the zero triangle, whose brace has circ == dot and lambda_a =
 id for every a; the step names without `neg` or `fil` keep the zero
@@ -53,8 +61,8 @@ Q reach degree p - 1), with the negated-bracket triangle; it is built
 here from lazbrace alone, not by lazbench.
 
 The default steps are 3^6, 7^4, 5^5 and 5^6 (the soft cap), then the
-convert, roundtrip and check steps at 5^5 and 5^6; the flow, log and
-root-diff steps run when named.
+convert, roundtrip and check steps at 5^5 and 5^6; the flow, log,
+transfer and root-diff steps run when named.
 
 Every step runs in a fresh process under its own `ulimit -v`, so the limit
 binds that process only.  A measuring process starts the step as its one
@@ -70,6 +78,7 @@ from the checkout named by --root, this one by default):
     python3 tools/ladder.py flow:5^5 log:5^5 check:5^5 root-diff:5^5
     python3 tools/ladder.py flow:neg:5^5 log:neg:5^5 roundtrip:neg:5^5 check:neg:5^5
     python3 tools/ladder.py flow:fil:5^5 log:fil:5^5 roundtrip:fil:5^5 check:fil:5^5 convert:fil:5^5
+    python3 tools/ladder.py transfer:3^4 transfer:neg:3^5 transfer:neg:5^4
     python3 tools/ladder.py --root ../other-checkout
 
 It prints one Markdown table row per step.
@@ -138,6 +147,8 @@ def _run(step: str, tables: Path | None) -> dict:
         P = _post_lie(p, e, triangle)
     else:
         L = generate.lie_instance("x", 3, p, (1,) * e, "graded", 2).build()
+    if kind == "transfer":
+        flow = lazcorr.post_lie_to_brace(P, check=False)
     if kind in ("log", "root-diff"):
         with np.load(tables) as npz:
             B = SkewBrace(*(liering.FinGroup(npz[part], int(npz["identity"])) for part in ("dot", "circ")))
@@ -146,6 +157,8 @@ def _run(step: str, tables: Path | None) -> dict:
         ok = lazcorr.post_lie_to_brace(P, check=True) is not None  # a failed check raises
     elif kind == "log":
         ok = formats.write_text(lazcorr.brace_to_post_lie(B, check=True).post_lie) == formats.write_text(P)
+    elif kind == "transfer":
+        ok = lazcorr.transfer_report(P, flow, include_subgroups=True).ok
     elif kind == "root-diff":
         log = lazcorr.brace_to_post_lie(B, check=True)
         ok = np.array_equal(lazcorr.lambda_derivative(B, log), log.tri_table)
@@ -232,8 +245,9 @@ def _measure(root: Path, step: str, limit_kb: int) -> dict:
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     ap.add_argument("steps", nargs="*", default=list(STEPS),
-                    help="p^e, convert:p^e, roundtrip:p^e, check:p^e, flow:p^e, log:p^e or root-diff:p^e steps,"
-                         " the CLI, flow and log steps also as kind:neg:p^e or kind:fil:p^e (default: %(default)s)")
+                    help="p^e, convert:p^e, roundtrip:p^e, check:p^e, flow:p^e, log:p^e, transfer:p^e or"
+                         " root-diff:p^e steps, the CLI, flow, log and transfer steps also as kind:neg:p^e or"
+                         " kind:fil:p^e (default: %(default)s)")
     ap.add_argument("--limit-kb", type=int, default=6_000_000, help="ulimit -v of each step, in KiB")
     ap.add_argument("--root", type=Path, default=ROOT, help="the checkout whose src/ is measured")
     ap.add_argument("--run", help=argparse.SUPPRESS)  # one step, in the measured process
