@@ -46,7 +46,7 @@ from .postlie import (
 )
 from .skewbrace import (
     SkewBrace,
-    _classify_batch_brace,
+    _classify_bits_brace,
     l_series_brace,
     right_series_brace,
     strong_series_brace,
@@ -441,10 +441,10 @@ def transfer_report(
     and compare; also compares fix/socle/annihilator and right nilpotency.
 
     The sweep builds each subgroup once with its generators (cached per
-    shape, _add_subgroup_runs) and classifies those of one order in one
-    batch per side (_sweep): on the generators on the post-Lie side, on
-    pairs of members and generators of A on the brace side; Fix, Soc and
-    Ann are one post-Lie batch.  include_subgroups=False skips the sweep."""
+    shape, _add_subgroup_runs) and classifies all of them, every order at
+    once, in one call per side (_sweep): on the generators on the post-Lie
+    side, as bit rows over the carrier on the brace side; Fix, Soc and Ann
+    are one batch per side.  include_subgroups=False skips the sweep."""
     flow = flow or post_lie_to_brace(P)
     B = flow.brace
     mismatches = []
@@ -472,10 +472,19 @@ def transfer_report(
 
 def _sweep(P: PostLieRing, B: SkewBrace, runs):
     """(members, post-Lie levels, brace levels) for each run of equal-size
-    subgroups, a (k, m) array of sorted members with the (k, c) generators
-    that built them, each side classified in one batch."""
-    for members, gens in runs:
-        yield members, _classify_batch(P, members, gens), _classify_batch_brace(B, members)
+    subgroups, a (k, m) array of sorted members, with all runs classified in
+    one call per side: their masks, with the generators that built them
+    0-padded to one width on the post-Lie side, and as bit rows on the
+    brace side."""
+    cuts = np.cumsum([0] + [len(members) for members, _ in runs])
+    masks = np.zeros((cuts[-1], P.shape.order), dtype=bool)
+    gens = np.zeros((cuts[-1], max(g.shape[1] for _, g in runs)), dtype=np.int64)
+    for (members, g), start, stop in zip(runs, cuts, cuts[1:]):
+        masks[np.arange(start, stop)[:, None], members] = True
+        gens[start:stop, :g.shape[1]] = g
+    lv_p, lv_b = _classify_batch(P, masks, gens), _classify_bits_brace(B, masks)
+    for (members, _), start, stop in zip(runs, cuts, cuts[1:]):
+        yield members, lv_p[start:stop], lv_b[start:stop]
 
 
 # ---------------------------------------------------------------------------

@@ -383,8 +383,14 @@ def all_add_subgroups(shape: PShape) -> list[frozenset]:
     return [frozenset(H.tolist()) for run, _ in _add_subgroup_runs(shape) for H in run]
 
 
-@lru_cache(maxsize=8)
 def _add_subgroup_runs(shape: PShape) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
+    """_subgroup_runs of the shape, cached on (p, exps) so that the cache
+    holds the runs and no PShape with what is cached on it."""
+    return _subgroup_runs(shape.p, shape.exps)
+
+
+@lru_cache(maxsize=8)
+def _subgroup_runs(p: int, exps: tuple[int, ...]) -> tuple[tuple[np.ndarray, np.ndarray], ...]:
     """Every additive subgroup, each built once, as one (members, gens) pair
     per order m, by increasing m: the (k, m) sorted members, rows in
     lexicographic order, and the (k, c) generators of each row, 0-padded.
@@ -394,9 +400,10 @@ def _add_subgroup_runs(shape: PShape) -> tuple[tuple[np.ndarray, np.ndarray], ..
     y the least element of its coset y + K with p^(e-c) y in K (Goursat's
     lemma for a cyclic factor).  Factor i enters with stride |A'|, so A'
     is the index range below that stride, and no closure is taken.  H's
-    generators, K's then (y, p^c), generate it.  Cached per shape, read-only.
+    generators, K's then (y, p^c), generate it.  Read-only.
     """
-    p, r = shape.p, shape.rank
+    shape = PShape(p, exps)
+    r = shape.rank
     subs = [(np.zeros((1, 1), dtype=np.int64), np.zeros((1, r), dtype=np.int64))]
     for e, stride in zip(shape.exps, shape.strides()):
         prefix = np.arange(stride, dtype=np.int64)
@@ -453,10 +460,9 @@ def lower_central_series(L: LieRingSC) -> SeriesResult:
 
 
 def canonical_filtration(L: LieRingSC) -> Filtration:
-    series = lower_central_series(L)
-    if not series.is_nilpotent:
-        raise NotLazardError("Lie ring is not nilpotent; no canonical Lazard filtration")
-    return series.filtration
+    """The lower central series as a filtration, refused in the Lazard
+    gate's words when L is not nilpotent (_nilpotent)."""
+    return _nilpotent(lower_central_series(L), "Lie ring").filtration
 
 
 def validate_filtration(F: Filtration, n: int, identity: int, closure, gens, op) -> None:
@@ -506,19 +512,24 @@ def _lazard_filtration(series, n: int, what: str, F: Filtration | None = None, v
     NotLazardError refuses a series that stops, naming the order of its last
     term, and then a length >= p, with p taken from n only now (S_3 is
     refused as not nilpotent); a trivial structure is Lazard."""
-    prefix, name = ("L-", "L-series") if l_series else ("", "lower central series")
     if F is None:
-        ser = series()
-        if not ser.is_nilpotent:
-            raise NotLazardError(f"{what} is not {prefix}nilpotent: the {name} stops at a term"
-                                 f" of order {len(ser.terms[-1])}")
-        F, length = ser.filtration, f"{prefix}class"
+        F, length = _nilpotent(series(), what, l_series).filtration, "L-class" if l_series else "class"
     else:
         validate(F)
         length = "filtration length"
     if n > 1 and F.length >= (p := prime_power(n)[0]):
         raise NotLazardError(f"{what} is not Lazard: {length} {F.length} >= p = {p}")
     return F
+
+
+def _nilpotent(ser: SeriesResult, what: str, l_series: bool = False) -> SeriesResult:
+    """The series ser of the structure `what`, or NotLazardError naming the
+    order of the term where it stops when it is not nilpotent."""
+    if not ser.is_nilpotent:
+        prefix, name = ("L-", "L-series") if l_series else ("", "lower central series")
+        raise NotLazardError(f"{what} is not {prefix}nilpotent: the {name} stops at a term"
+                             f" of order {len(ser.terms[-1])}")
+    return ser
 
 
 def is_lazard(L: LieRingSC, F: Filtration | None = None) -> bool:

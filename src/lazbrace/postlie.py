@@ -191,59 +191,67 @@ def substructures(P: PostLieRing) -> tuple[frozenset, frozenset, frozenset]:
     fix_mask = ~P.tri_batch(units[:, None, :], coords).any(axis=(0, -1))
     soc_mask = ~(P.l_mats(coords).any(axis=(-2, -1))
                  | left_mats(s, P.base.sc, coords).any(axis=(-2, -1)))
-    # one batch, each row padded to n with its own last member, which the fold ignores
-    rows = [np.flatnonzero(mask) for mask in (fix_mask, soc_mask, fix_mask & soc_mask)]
-    levels = _classify_batch(P, np.stack([np.pad(row, (0, s.order - len(row)), mode="edge") for row in rows]))
+    masks = np.stack([fix_mask, soc_mask, fix_mask & soc_mask])
+    levels = _classify_batch(P, masks)
     if levels[0] < IdealLevel.LEFT_IDEAL:
         raise FailedTheoremError("fix is not a left ideal")
     for name, level in zip(("socle", "annihilator"), levels[1:]):
         if level < IdealLevel.IDEAL:
             raise FailedTheoremError(f"{name} is not an ideal")
-    fix, soc, ann = (frozenset(row.tolist()) for row in rows)
+    fix, soc, ann = (frozenset(np.flatnonzero(mask).tolist()) for mask in masks)
     return fix, soc, ann
 
 
 def classify_subset(P: PostLieRing, members: frozenset) -> IdealLevel:
     """Strongest substructure level of an explicit subset (no closure taken):
     the one-row case of _classify_batch."""
-    return IdealLevel(int(_classify_batch(P, np.sort(_indices(members))[None, :])[0]))
+    return IdealLevel(int(_classify_batch(P, _row_masks(P.shape.order, _indices(members)[None, :]))[0]))
 
 
-def _classify_batch(P: PostLieRing, members: np.ndarray, gens: np.ndarray | None = None) -> np.ndarray:
-    """IdealLevel values of k subsets of one size m, given as a (k, m) array
-    of sorted members (a row may repeat its last member).
+def _classify_batch(P: PostLieRing, masks: np.ndarray, gens: np.ndarray | None = None) -> np.ndarray:
+    """IdealLevel values of k subsets of any sizes, given as (k, n) masks.
 
     With no gens, a row is an additive subgroup when the fold of its members
-    stops at exactly its mask (_span_rows), and g are the generators the
-    fold kept, padded with 0.  The sweep passes as gens the (k, c) padded
-    generators each row was built from (_add_subgroup_runs): a row K + <g>
+    in order stops at exactly its mask (_span_rows, with 0 in place of each
+    non-member, which the fold ignores), and g are the generators the fold
+    kept, padded with 0.  The sweep passes as gens the (k, c) generators
+    each row was built from (_add_subgroup_runs), 0-padded: a row K + <g>
     is a subgroup by construction and they generate it, so no fold is run.
     Each level is then tested on the g and the units u, exact by biadditivity:
     [g, g'] and g > g' for closure, then u > g, [u, g] and circ's {u, g}.
     """
     s = P.shape
-    levels = np.empty(len(members), dtype=np.int64)
+    consts = np.stack([P.tri, P.base.sc, P.circ.sc])
+    levels = np.empty(len(masks), dtype=np.int64)
     # a fold step moves up to n members of a row by up to max_modulus steps
-    for blk in _walk(len(members), s.order * s.rank * s.max_modulus):
-        mask = _row_masks(s.order, members[blk])
+    for blk in _walk(len(masks), s.order * s.rank * s.max_modulus):
+        mask = masks[blk]
         if gens is None:
-            span, kept = _span_rows(s, members[blk])
+            span, kept = _span_rows(s, np.where(mask, np.arange(s.order), 0))
             closed = (span == mask).all(axis=1)
         else:
             kept, closed = gens[blk], True
-        G = s.coords_batch(kept)
-        rows = np.arange(len(G))[:, None]
-
-        def within(images):  # coordinates (kb, ..., r), each inside its row
-            return mask[rows, s.index_batch(images).reshape(len(G), -1)].all(axis=1)
-
-        # u.v = sum over j of v_j (sum over i of u_i consts[i, j]), reduced in
-        # between as in bilinear_batch; a unit u_i picks out consts[i]
-        left = s.reduce(np.einsum("kai,oijl->okajl", G, np.stack([P.base.sc, P.tri])))
-        pairs = np.einsum("kbj,okajl->okabl", G, left)
-        units = np.einsum("kbj,oijl->okibl", G, np.stack([P.tri, P.base.sc, P.circ.sc]))
-        levels[blk] = _levels([closed & within(pairs[0]) & within(pairs[1]),
-                               within(units[0]), within(units[1]), within(units[2])])
+        kept = kept[:, kept.any(axis=0)]  # a column of zeros tests nothing
+        at = np.zeros(s.order, dtype=np.intp)
+        at[kept] = 1
+        g = np.flatnonzero(at)  # the distinct g, and where each kept one is among them
+        at[g] = np.arange(len(g))
+        at = at[kept]
+        # u_i > g, [u_i, g] and {u_i, g} for each distinct g, the sums over j
+        # of g_j consts[i, j]; then g' > g and [g', g] for each pair, the sums
+        # over i of g'_i (u_i > g) and g'_i [u_i, g], in _walk blocks of g' of
+        # at most 64 KiB: a row holds G r coordinates of 8 bytes, and
+        # index_batch a copy of them and their product with the strides
+        coords = s.coords_batch(g)
+        units = s.reduce(np.einsum("gj,oijl->oigl", coords, consts))
+        pairs = np.empty((2, len(g), len(g)), dtype=np.int64)
+        for o in (0, 1):
+            for cut in _walk(len(g), 96 * len(g) * s.rank):
+                pairs[o, cut] = s.index_batch((coords[cut] @ units[o].reshape(s.rank, -1)).reshape(-1, len(g), s.rank))
+        rows = np.arange(len(kept))[None, :, None]  # each image is read in its own row's mask
+        closed &= mask[rows, pairs[:, at[:, :, None], at[:, None, :]].reshape(2, len(kept), -1)].all(axis=2).all(axis=0)
+        units = s.index_batch(units).swapaxes(1, 2)[:, at].reshape(3, len(kept), -1)
+        levels[blk] = _levels([closed, *mask[rows, units].all(axis=2)])
     return levels
 
 

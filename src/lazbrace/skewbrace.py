@@ -36,7 +36,7 @@ from .liering import (
     _row_masks,
     _schreier,
 )
-from .modarith import ModArithError, _mask, _walk, prime_power
+from .modarith import _CHUNK, ModArithError, _mask, _walk, prime_power
 
 __all__ = [
     "SkewBrace",
@@ -101,6 +101,15 @@ class SkewBrace:
     def _circ_lam(self) -> np.ndarray:
         """The rows lambda_g for the circ generators g (circ.gens)."""
         return self._lam_rows(list(self.circ.gens))
+
+    @cached_property
+    def _invariance_maps(self) -> tuple[np.ndarray, np.ndarray]:
+        """The rows of the maps a substructure level asks a subset to be
+        invariant under, stacked level by level, and where each level's
+        rows start and end: lambda_g for the circ generators g, and
+        conjugation by the dot and by the circ generators."""
+        maps = (self._circ_lam, _conjugations(self.dot, self.dot.gens), _conjugations(self.circ, self.circ.gens))
+        return np.concatenate(maps), np.cumsum([0] + [len(f) for f in maps])
 
     @cached_property
     def verdict(self) -> CheckReport:
@@ -272,8 +281,9 @@ def circ_nilpotency_bound(B: SkewBrace) -> tuple[int, int]:
 
 
 def substructures_brace(B: SkewBrace) -> tuple[frozenset, frozenset, frozenset]:
-    """(Fix, Soc, Ann); verifies Fix is a left ideal and Soc, Ann are ideals.
-    Each mask is reduced a _walk block, or mirrored pair, at a time."""
+    """(Fix, Soc, Ann); verifies Fix is a left ideal and Soc, Ann are ideals,
+    in one batch of three rows (_classify_bits_brace).  Each mask is reduced
+    a _walk block, or mirrored pair, at a time."""
     dot, circ, n = B.dot.table, B.circ.table, B.order
     fix_mask, soc_mask, ann_mask = np.ones(n, dtype=bool), np.empty(n, dtype=bool), np.ones(n, dtype=bool)
     for blk in _walk(n, n):
@@ -289,48 +299,89 @@ def substructures_brace(B: SkewBrace) -> tuple[frozenset, frozenset, frozenset]:
 
     _walk(n, n, symmetric_rows, mirror=True)
     ann_mask &= soc_mask & fix_mask
-    fix, soc, ann = (frozenset(np.flatnonzero(mask).tolist()) for mask in (fix_mask, soc_mask, ann_mask))
-    if classify_subset_brace(B, fix) < IdealLevel.LEFT_IDEAL:
+    masks = np.stack([fix_mask, soc_mask, ann_mask])
+    levels = _classify_bits_brace(B, masks)
+    if levels[0] < IdealLevel.LEFT_IDEAL:
         raise FailedTheoremError("fix is not a left ideal")
-    for name, sub in (("socle", soc), ("annihilator", ann)):
-        if classify_subset_brace(B, sub) < IdealLevel.IDEAL:
+    for name, level in zip(("socle", "annihilator"), levels[1:]):
+        if level < IdealLevel.IDEAL:
             raise FailedTheoremError(f"{name} is not an ideal")
+    fix, soc, ann = (frozenset(np.flatnonzero(mask).tolist()) for mask in masks)
     return fix, soc, ann
 
 
 def classify_subset_brace(B: SkewBrace, members: frozenset) -> IdealLevel:
     """Strongest substructure level of an explicit subset (no closure taken):
-    the one-row case of _classify_batch_brace."""
-    return IdealLevel(int(_classify_batch_brace(B, np.sort(_indices(members))[None, :])[0]))
+    the one-row case of _classify_bits_brace."""
+    return IdealLevel(int(_classify_bits_brace(B, _row_masks(B.order, _indices(members)[None, :]))[0]))
 
 
-def _classify_batch_brace(B: SkewBrace, members: np.ndarray) -> np.ndarray:
-    """IdealLevel values of k subsets of one size m, given as a (k, m) array
-    of sorted members.
+def _bit_rows(masks: np.ndarray) -> np.ndarray:
+    """The (n, w) bit rows of k subsets given as (k, n) masks, w = ceil(k / 64)
+    uint64 words: bit j % 8 of byte j // 8 of row x is set when x is in
+    subset j.  Only bitwise operations read the words, so the machine's
+    byte order does not matter."""
+    packed = np.zeros((masks.shape[1], -(-len(masks) // 64) * 8), dtype=np.uint8)
+    packed[:, :-(-len(masks) // 8)] = np.packbits(masks, axis=0, bitorder="little").T
+    return packed.view(np.uint64)
 
-    Closure under dot and circ is checked on all pairs of members.  The
-    other levels are checked on all members h against generators of A, which
-    is exact because each test asks that a subgroup of A fix H: lambda is a
+
+def _all_rows(x: np.ndarray) -> np.ndarray:
+    """The AND of the rows x[j] of a word array with at least one row, folded
+    in place by halves, which are disjoint ranges: a few passes over x,
+    where a ufunc reduce with a short inner axis is much slower."""
+    m = len(x)
+    while m > 1:
+        h = m // 2
+        x[:h] &= x[m - h:m]
+        m -= h
+    return x[0]
+
+
+def _classify_bits_brace(B: SkewBrace, masks: np.ndarray) -> np.ndarray:
+    """IdealLevel values of k subsets of any sizes, given as (k, n) masks.
+
+    The subsets are bit rows (_bit_rows), so each test is one AND over the
+    members x of the union U of the subsets, for all k at once (bits(x) = 0
+    off U).  A subset is closed under a product when ~bits(a) | AND_b
+    (bits(a b) | ~bits(b)) is set over the pairs a, b of U, read a _walk
+    block of rows a at a time with one gather of all words, and invariant
+    under a map f when AND_x bits(f(x)) | ~bits(x) is: the complements of
+    bits(a) & OR_b bits(b) & ~bits(a b) and OR_x bits(x) & ~bits(f(x)).
+
+    Closure under dot and circ is so checked on all pairs of members.  The
+    other levels are invariance under lambda_g and under conjugation by the
+    dot and by the circ generators g (SkewBrace._invariance_maps), which is
+    exact because each test asks that a subgroup of A fix H: lambda is a
     homomorphism (A, o) -> Aut(A, .), so the a with lambda_a(H) = H form a
     subgroup of (A, o), and circ generators suffice; the normaliser of H in
     (A, .) or in (A, o) is a subgroup, so dot or circ generators suffice.
     """
-    dot, circ = B.dot, B.circ
-    maps = [B._circ_lam, _conjugations(dot, dot.gens), _conjugations(circ, circ.gens)]
-    k, m = members.shape
-    levels = np.empty(k, dtype=np.int64)
-    for blk in _walk(k, m * max(m, *(len(f) for f in maps))):
-        M = members[blk]
-        mask = _row_masks(B.order, M)
-        rows = np.arange(len(M))[:, None]
+    k = len(masks)
+    bits = _bit_rows(masks)
+    U = np.flatnonzero(masks.any(axis=0))
+    if not len(U):  # only empty subsets, which miss the identity
+        return np.zeros(k, dtype=np.int64)
+    outside, w = ~bits[U], bits.shape[1]
 
-        def within(images):  # element indices (kb, ...), each inside its row
-            return mask[rows, images.reshape(len(M), -1)].all(axis=1)
+    def into(images):  # AND over x in U of bits(images[:, x]) | ~bits(x): the S with images[i](S) in S
+        found = np.take(bits, images.T, axis=0)  # (|U|, len(images), w)
+        found |= outside[:, None]
+        return _all_rows(found)
 
-        pairs = M[:, :, None], M[:, None, :]
-        levels[blk] = _levels([mask[:, dot.identity] & within(dot.table[pairs]) & within(circ.table[pairs])]
-                              + [within(f[:, M].swapaxes(0, 1)) for f in maps])
-    return levels
+    # a block holds at most 64 KiB of words, and so reuses the heap rather
+    # than raising the peak RSS, or 8 rows where a row holds more
+    width = min(32 * len(U) * w, _CHUNK // 8)
+    closed = bits[B.dot.identity].copy()
+    for blk in _walk(len(U), width):
+        for table in (B.dot.table, B.circ.table):
+            closed &= np.bitwise_and.reduce(into(table[U[blk]][:, U]) | outside[blk], axis=0)
+    maps, cuts = B._invariance_maps
+    fixed = np.empty((len(maps), w), dtype=bits.dtype)  # the subsets each map keeps
+    for blk in _walk(len(maps), width):
+        fixed[blk] = into(maps[blk][:, U])
+    tests = [closed] + [np.bitwise_and.reduce(fixed[a:b], axis=0) for a, b in zip(cuts, cuts[1:])]
+    return _levels(np.unpackbits(np.stack(tests).view(np.uint8), axis=1, bitorder="little")[:, :k].astype(bool))
 
 
 def ideal_type_brace(B: SkewBrace, gens) -> IdealLevel:
@@ -352,12 +403,11 @@ def power_set_ideals(B: SkewBrace, n: int) -> dict:
         raise FailedTheoremError(f"power images differ for n={n}")
     if not np.array_equal(*torsion):
         raise FailedTheoremError(f"torsion sets differ for n={n}")
-    out = {name: frozenset(np.flatnonzero(mask[0]).tolist())
-           for name, mask in (("powers", powers), ("torsion", torsion))}
-    for name, sub in out.items():
-        if classify_subset_brace(B, sub) < IdealLevel.IDEAL:
+    masks = np.stack([powers[0], torsion[0]])
+    for name, level in zip(("powers", "torsion"), _classify_bits_brace(B, masks)):
+        if level < IdealLevel.IDEAL:
             raise FailedTheoremError(f"{name} set is not an ideal for n={n}")
-    return out
+    return {name: frozenset(np.flatnonzero(mask).tolist()) for name, mask in zip(("powers", "torsion"), masks)}
 
 
 def strong_series_brace(B: SkewBrace, cap: int | None = None) -> SeriesResult:

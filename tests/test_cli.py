@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 import catalogs
 from lazbrace import cli, formats, lazcorr, liering, modarith, skewbrace
 from lazbrace.cli import main
-from lazbrace.common import ParseError
+from lazbrace.common import IdealLevel, ParseError
 from lazbrace.liering import FinGroup
 from lazbrace.modarith import ModArithError, PShape
 from lazbrace.skewbrace import SkewBrace, l_series_brace
@@ -259,6 +259,45 @@ def test_shapes_and_coordinates_beyond_int64(capsys, tmp_path, text, code):
         assert err.startswith("refused: line 2: order ") and err.count("\n") == 1
     else:
         assert out.startswith("Lie ring, class 2, Lazard (p=5)")
+
+
+_REFUSED_FILES = {
+    "reversed.lie": (b"format 1\nlie 5 1 1\nbracket 2 1 : 0 0\n", "line 3: bracket lines need i < j"),
+    "triangle.lie": (b"format 1\nlie 5 1 1\ntriangle 1 1 : 0 1\n", "triangle lines in a lie file"),
+    "header.grp": (b"format 1\ngroup 2 id 0\n0 1\n1 0\n", "line 2: need 'group <n> identity <idx>'"),
+    "header.skb": (b"format 1\nskewbrace 2 3\ndot:\n0 1\n1 0\ncirc:\n0 1\n1 0\n", "line 2: need 'skewbrace <n>'"),
+    "noidentity.skb": (b"format 1\nskewbrace 2\ndot:\n0 0\n0 0\ncirc:\n0 1\n1 0\n",
+                       "dot table has no unique identity"),
+}
+
+
+@pytest.mark.parametrize("name", list(_REFUSED_FILES))
+def test_each_file_refusal_is_one_parse_error_line(capsys, tmp_path, name):
+    text, message = _REFUSED_FILES[name]
+    path = tmp_path / name
+    path.write_bytes(text)
+    assert run(capsys, "check", str(path)) == (2, "", f"parse error: {message}\n")
+
+
+@pytest.mark.parametrize("argv, message", [
+    (("convert", "heisenberg_p5.lie", "--to", "brace"), "convert --to brace needs a postlie file, got lie"),
+    (("convert", "prelie25_selfsquare.plie", "--to", "postlie"),
+     "convert --to postlie needs a skewbrace file, got postlie"),
+    (("root-diff", "heisenberg_p5.lie"), "root-diff needs a skewbrace file, got lie"),
+    (("enumerate", "5-1"), "bad shape spec '5-1'; use 'p:e1,e2,...'"),
+])
+def test_each_command_refusal_is_one_parse_error_line(capsys, data_dir, argv, message):
+    argv = [str(data_dir / a) if "." in a else a for a in argv]
+    assert run(capsys, *argv) == (2, "", f"parse error: {message}\n")
+
+
+def test_a_failed_self_check_exits_1_with_one_line(capsys, monkeypatch, data_dir):
+    # a classifier that ranks Fix (the first row) below a left ideal: the
+    # self-check in substructures_brace fails, and check reports it
+    monkeypatch.setattr(skewbrace, "_classify_bits_brace", lambda B, masks: np.array(
+        [IdealLevel.SUB] + [IdealLevel.IDEAL] * (len(masks) - 1)))
+    assert run(capsys, "check", str(data_dir / "radical_25.skb")) == (
+        1, "", "internal consistency failure: fix is not a left ideal\n")
 
 
 def test_non_post_lie_input_exits_1(capsys, tmp_path):

@@ -11,12 +11,12 @@ a Schreier tree, one step per (level, generator) run, and every series of
 rings, groups and braces takes each term as one closure of products of
 generators.  Omega and U come from one stacked BCH in the semidirect sum
 T (+) End(T), and the root-of-unity triangle from stacked gathers.
-transfer_report classifies the subgroups of one order in one batch per
-side, and classify_subset and classify_subset_brace are the one-subset
-case of those batches.  verify_group_table runs its Latin-square
-scatters only when the identity, Light's test or a right inverse fails,
-and verify_lie and verify_post_lie contract the constant tensors over
-all generator triples at once.  The oracles below sweep every triple or pair,
+transfer_report classifies every swept subgroup in one call per side, the
+brace side on bit rows over the carrier, and classify_subset and
+classify_subset_brace are the one-subset case of those calls.
+verify_group_table runs its Latin-square scatters only when the identity,
+Light's test or a right inverse fails, and verify_lie and verify_post_lie
+contract the constant tensors over all generator triples at once.  The oracles below sweep every triple or pair,
 search by closure, close whole product sets, classify one subset at a
 time, evaluate one element at a time in the holomorph, or fill each tree
 level in one gather, as the library once did, and must give the same
@@ -24,8 +24,10 @@ verdict, list, table or map on every table, chain, subset, ring and brace
 of the corpus, valid or not.
 """
 
+import gc
 import math
 import re
+import weakref
 from fractions import Fraction
 from itertools import combinations, product
 
@@ -46,15 +48,19 @@ from lazbrace.liering import (
     SeriesResult,
     _add_subgroup_runs,
     _bch_batch,
+    _conjugations,
     _eval_word_batch,
     _group_gens,
     _ill_defined_pairs,
     _laz_rows,
     _lazard_degree,
+    _levels,
     _rational_power_batch,
+    _row_masks,
     _schreier,
     _span_fold,
     _subgroup_gens,
+    _subgroup_runs,
     _table_series,
     add_closure,
     all_add_subgroups,
@@ -660,6 +666,65 @@ def test_single_subsets_match_the_oracles_off_subgroups(postlie_cat, z8z2_braces
     assert levels == set(IdealLevel)
 
 
+def oracle_classify_batch_brace(B: SkewBrace, members: np.ndarray) -> np.ndarray:
+    """The per-order brace classifier that the bit rows replaced: IdealLevel
+    values of k subsets of one size m, a (k, m) array of members, with dot
+    and circ gathered on all pairs of members of each row, and lambda_g and
+    both conjugations by generators read on the members."""
+    dot, circ = B.dot, B.circ
+    maps = [B._circ_lam, _conjugations(dot, dot.gens), _conjugations(circ, circ.gens)]
+    k, m = members.shape
+    levels = np.empty(k, dtype=np.int64)
+    for blk in _walk(k, m * max(m, *(len(f) for f in maps))):
+        M = members[blk]
+        inside = _row_masks(B.order, M)
+        rows = np.arange(len(M))[:, None]
+
+        def within(images):  # element indices (kb, ...), each inside its row
+            return inside[rows, images.reshape(len(M), -1)].all(axis=1)
+
+        pairs = M[:, :, None], M[:, None, :]
+        levels[blk] = _levels([inside[:, dot.identity] & within(dot.table[pairs]) & within(circ.table[pairs])]
+                              + [within(f[:, M].swapaxes(0, 1)) for f in maps])
+    return levels
+
+
+def _subset_pool(B: SkewBrace, rng, size: int) -> np.ndarray:
+    """(k, n) masks, k >= size: the subgroups of dot and of circ, some of
+    them without the identity, and random subsets holding it."""
+    n = B.order
+    subs = np.concatenate([_all_subgroups_group(B.dot), _all_subgroups_group(B.circ)])
+    no_identity = subs[1::3].copy()
+    no_identity[:, B.dot.identity] = False
+    drawn = rng.random((max(size - len(subs) - len(no_identity), 8), n)) < rng.random((1, 1))
+    drawn[:, B.dot.identity] = True
+    pool = np.concatenate([subs, no_identity, drawn])
+    return pool[rng.permutation(len(pool))]
+
+
+def test_bit_rows_match_the_per_order_oracle_at_word_edges(postlie_cat, z8z2_braces, rng):
+    # k = 1, 63, 64, 65 and 150 subsets (one, two and three words), the last
+    # of them A itself, an ideal, so that the last word always holds a level
+    braces = [(name, post_lie_to_brace(P, check=False).brace) for name, P in postlie_cat if P.shape.order <= 81]
+    braces += [(f"d4_{i}", B) for i, B in enumerate(enumerate_braces(_D4))][::4]
+    braces += [(f"z8z2_{i}", B) for i, B in enumerate(z8z2_braces)][::4]
+    levels, circ_only = set(), 0
+    for name, B in braces:
+        pool = _subset_pool(B, rng, 150)
+        want = np.array([oracle_classify_batch_brace(B, np.flatnonzero(row)[None])[0] for row in pool])
+        circ_only += int(np.sum((want == IdealLevel.NOT_CLOSED)
+                                & np.array([group_closure(B.dot, np.flatnonzero(row)) == frozenset(
+                                    np.flatnonzero(row).tolist()) for row in pool])))
+        for k in (1, 63, 64, 65, 150):
+            at = (int(rng.integers(len(pool))) + np.arange(k - 1)) % len(pool)
+            masks = np.concatenate([pool[at], np.ones((1, B.order), dtype=bool)])
+            got = skewbrace._classify_bits_brace(B, masks)
+            assert got.tolist() == want[at].tolist() + [IdealLevel.IDEAL], (name, k)
+        levels |= set(want.tolist())
+    # every level is reached, and some dot subgroups fail only circ's closure
+    assert levels == set(IdealLevel) and circ_only, (levels, circ_only)
+
+
 def test_enumeration_hands_over_generators_of_each_subgroup(lie_cat, postlie_cat):
     # the generators each row was built from generate exactly that row, one
     # at most per cyclic factor
@@ -670,6 +735,19 @@ def test_enumeration_hands_over_generators_of_each_subgroup(lie_cat, postlie_cat
             assert len(gens) == len(members) and gens.shape[1] <= shape.rank, shape
             for row, g in zip(members, gens):
                 assert add_closure(shape, g) == frozenset(row.tolist()), (shape, row.tolist(), g.tolist())
+
+
+def test_the_subgroup_cache_keeps_no_shape_alive():
+    # the runs are cached on (p, exps): after a sweep that fills the cache,
+    # no PShape, nor what is cached on it, stays alive
+    P = PostLieRing.from_products(catalogs.abelian(7, (1, 1)), {})
+    shape = weakref.ref(P.shape)
+    _subgroup_runs.cache_clear()
+    assert transfer_report(P).ok
+    assert _subgroup_runs.cache_info().currsize == 1
+    del P
+    gc.collect()
+    assert shape() is None
 
 
 def oracle_substructures(P: PostLieRing) -> tuple[frozenset, frozenset, frozenset]:
@@ -693,12 +771,14 @@ def oracle_substructures(P: PostLieRing) -> tuple[frozenset, frozenset, frozense
 def test_both_classify_paths_agree_and_the_runs_are_cached(postlie_cat):
     for name, P in postlie_cat:
         for members, gens in _add_subgroup_runs(P.shape):
-            assert np.array_equal(_classify_batch(P, members, gens), _classify_batch(P, members)), name
-    # an equal shape built afresh hits the cache, whose arrays are read-only
+            masks = _row_masks(P.shape.order, members)
+            assert np.array_equal(_classify_batch(P, masks, gens), _classify_batch(P, masks)), name
+    # an equal shape built afresh hits the cache, keyed on (p, exps), whose
+    # arrays are read-only
     first = _add_subgroup_runs(PShape(3, (2, 1)))
-    hits = _add_subgroup_runs.cache_info().hits
+    hits = _subgroup_runs.cache_info().hits
     assert _add_subgroup_runs(PShape(3, (2, 1))) is first
-    assert _add_subgroup_runs.cache_info().hits == hits + 1
+    assert _subgroup_runs.cache_info().hits == hits + 1
     for members, gens in first:
         for a in (members, gens):
             with pytest.raises(ValueError):
@@ -2364,7 +2444,7 @@ def test_block_reads_match_the_whole_table_forms(series_braces, brace_logs, monk
         assert B.is_brace == np.array_equal(dot, dot.T)
         got = oracle_substructure_masks(B)
         with monkeypatch.context() as m:
-            m.setattr(skewbrace, "classify_subset_brace", lambda B, sub: IdealLevel.IDEAL)
+            m.setattr(skewbrace, "_classify_bits_brace", lambda B, masks: np.full(len(masks), IdealLevel.IDEAL))
             assert substructures_brace(B) == got
         kinds.add((B.is_brace, got[1] == frozenset(range(B.order))))
         other = FinGroup(circ, B.circ.identity)

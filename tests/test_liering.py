@@ -85,6 +85,10 @@ def test_solvable_but_not_nilpotent_ring():
     # the series stabilizes at <g1>
     assert ser.terms[-1] == add_closure(s, [s.unit(0).index])
     assert not is_lazard(L)
+    # refused in the Lazard gate's words, with the order of the last term
+    with pytest.raises(NotLazardError) as info:
+        canonical_filtration(L)
+    assert str(info.value) == "Lie ring is not nilpotent: the lower central series stops at a term of order 5"
 
 
 def test_lower_central_series_goldens(heis5):
