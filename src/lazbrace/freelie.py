@@ -134,12 +134,14 @@ class LyndonBasis:
         return len(self.by_degree.get(degree, ()))
 
     def _bracketing(self, w: tuple[int, ...]):
+        """The standard bracketing [u, v] of a Lyndon word w = uv, v its
+        longest proper Lyndon suffix: every Lyndon word up to the class
+        bound is in word_set, and the last letter of w is a Lyndon word, so
+        the search finds v by i = len(w) - 1."""
         if len(w) == 1:
             return w[0]
-        for i in range(1, len(w)):
-            if w[i:] in self.word_set:  # every Lyndon word up to the class bound is there
-                return (self._bracketing(w[:i]), self._bracketing(w[i:]))
-        raise AssertionError("Lyndon word without standard factorization")
+        i = next(i for i in range(1, len(w)) if w[i:] in self.word_set)
+        return (self._bracketing(w[:i]), self._bracketing(w[i:]))
 
     def expansion(self, tree) -> dict[tuple[int, ...], int]:
         """Expand a bracket tree into the free associative algebra (integer coeffs)."""

@@ -18,7 +18,7 @@ from functools import cached_property, lru_cache
 import numpy as np
 
 from . import freelie
-from .common import CapExceededError, FailedTheoremError, NotLazardError
+from .common import CapExceededError, FailedTheoremError, IdealLevel, NotLazardError
 from .modarith import (AbelianBasis, ModArithError, PShape, PVec, abelian_decompose, index_dtype, prime_power,
                        _fill, _fill_group, _index_table, _left_identities, _mask, _raise_at, _read_only, _schreier,
                        _table_orders, _table_times, _walk)
@@ -376,6 +376,19 @@ def _levels(tests) -> np.ndarray:
     the levels (closure, then the three ideal tests): the number of leading
     tests a row passes."""
     return np.logical_and.accumulate(np.stack(tests), axis=0).sum(axis=0)
+
+
+def _substructure_sets(masks: np.ndarray, levels) -> tuple[frozenset, frozenset, frozenset]:
+    """(Fix, Soc, Ann) as index sets from their (3, n) masks, once their
+    IdealLevel values show Fix a left ideal and Soc and Ann ideals
+    (FailedTheoremError otherwise)."""
+    if levels[0] < IdealLevel.LEFT_IDEAL:
+        raise FailedTheoremError("fix is not a left ideal")
+    for name, level in zip(("socle", "annihilator"), levels[1:]):
+        if level < IdealLevel.IDEAL:
+            raise FailedTheoremError(f"{name} is not an ideal")
+    fix, soc, ann = (frozenset(np.flatnonzero(mask).tolist()) for mask in masks)
+    return fix, soc, ann
 
 
 def all_add_subgroups(shape: PShape) -> list[frozenset]:

@@ -826,7 +826,9 @@ def root_of_unity(p: int, e: int) -> int:
     """Smallest primitive (p-1)-th root of unity modulo p^e, p an odd prime.
 
     The result x satisfies x^(p-1) = 1 mod p^e while x^k - 1 stays a unit
-    for 1 <= k < p-1.
+    for 1 <= k < p-1.  One exists in range(2, p^e): (Z/p^e)^x is cyclic for
+    odd p, so a primitive root mod p has a lift of order p - 1, which is
+    neither 0 nor 1.
     """
     if not is_prime(p):
         raise ModArithError(f"p = {p} is not prime")
@@ -835,9 +837,5 @@ def root_of_unity(p: int, e: int) -> int:
     if e < 1:
         raise ModArithError("exponent must be >= 1")
     mod = p ** e
-    for xi in range(2, mod):
-        if pow(xi, p - 1, mod) != 1:
-            continue
-        if all(pow(xi, k, p) != 1 for k in range(1, p - 1)):
-            return xi
-    raise ModArithError("no primitive root found")  # unreachable for odd primes
+    return next(xi for xi in range(2, mod)
+                if pow(xi, p - 1, mod) == 1 and all(pow(xi, k, p) != 1 for k in range(1, p - 1)))

@@ -28,10 +28,12 @@ from .liering import (
     _indices,
     _levels,
     _nested_products,
+    _nilpotent,
     _product_series,
     _row_masks,
     _span_rows,
     _subgroup_gens,
+    _substructure_sets,
     _validate_lie_filtration,
     left_mats,
     lower_central_series,
@@ -192,14 +194,7 @@ def substructures(P: PostLieRing) -> tuple[frozenset, frozenset, frozenset]:
     soc_mask = ~(P.l_mats(coords).any(axis=(-2, -1))
                  | left_mats(s, P.base.sc, coords).any(axis=(-2, -1)))
     masks = np.stack([fix_mask, soc_mask, fix_mask & soc_mask])
-    levels = _classify_batch(P, masks)
-    if levels[0] < IdealLevel.LEFT_IDEAL:
-        raise FailedTheoremError("fix is not a left ideal")
-    for name, level in zip(("socle", "annihilator"), levels[1:]):
-        if level < IdealLevel.IDEAL:
-            raise FailedTheoremError(f"{name} is not an ideal")
-    fix, soc, ann = (frozenset(np.flatnonzero(mask).tolist()) for mask in masks)
-    return fix, soc, ann
+    return _substructure_sets(masks, _classify_batch(P, masks))
 
 
 def classify_subset(P: PostLieRing, members: frozenset) -> IdealLevel:
@@ -293,10 +288,7 @@ def adjoint_filtration(P: PostLieRing, F: Filtration | None = None) -> AdjointFi
     """
     s = P.shape
     if F is None:
-        ser = l_series(P)
-        if not ser.is_nilpotent:
-            raise ModArithError("no canonical filtration: not L-nilpotent")
-        F = ser.filtration
+        F = _nilpotent(l_series(P), "post-Lie ring", l_series=True).filtration
     else:
         _validate_post_filtration(P, F)
     coords = s.all_coords()

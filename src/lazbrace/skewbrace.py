@@ -2,9 +2,10 @@
 
 Two compatible Cayley tables on one carrier, the lambda and star maps,
 L-series and nilpotency predicates, fix/socle/annihilator, ideal
-classification, power-set ideals, the filtered holomorph, and the two
-independent enumeration oracles (lambda backtracking and regular-subgroup
-search in Hol^+).
+classification, power-set ideals, the filtered holomorph, and brace
+enumeration: one lambda backtrack (a lambda map is a regular subgroup of
+the holomorph) over two sets of automorphisms, all of Aut(A), and Aut(A)_1
+for each descending chain (the regular subgroups of Hol^+).
 """
 
 from __future__ import annotations
@@ -32,9 +33,12 @@ from .liering import (
     _hom_failure,
     _indices,
     _invariant_closure,
+    _lazard_filtration,
     _levels,
+    _nilpotent,
     _row_masks,
     _schreier,
+    _substructure_sets,
 )
 from .modarith import _CHUNK, ModArithError, _mask, _walk, prime_power
 
@@ -67,8 +71,8 @@ __all__ = [
 _SOFT_CAP = 125  # |A| cap for enumeration, per the desk-scale contract
 
 
-def _check_soft_cap(order: int, force: bool = False) -> None:
-    if order > _SOFT_CAP and not force:
+def _check_soft_cap(order: int) -> None:
+    if order > _SOFT_CAP:
         raise CapExceededError(f"|A| = {order} exceeds the soft cap {_SOFT_CAP}")
 
 
@@ -266,10 +270,7 @@ def nilpotency_decomposition_brace(B: SkewBrace) -> tuple[bool, bool, bool]:
 def circ_nilpotency_bound(B: SkewBrace) -> tuple[int, int]:
     """Returns (L-class k, class of (A, o)); asserts class <= k and
     gamma^k(A, o) contained in Ann(A)."""
-    ser = l_series_brace(B)
-    if not ser.is_nilpotent:
-        raise ModArithError("brace is not L-nilpotent")
-    k = ser.nilpotency_class
+    k = _nilpotent(l_series_brace(B), "skew brace", l_series=True).nilpotency_class
     circ_ser = canonical_group_filtration(B.circ)
     if not circ_ser.is_nilpotent or circ_ser.nilpotency_class > k:
         raise FailedTheoremError("circ group class exceeds the L-class bound")
@@ -300,14 +301,7 @@ def substructures_brace(B: SkewBrace) -> tuple[frozenset, frozenset, frozenset]:
     _walk(n, n, symmetric_rows, mirror=True)
     ann_mask &= soc_mask & fix_mask
     masks = np.stack([fix_mask, soc_mask, ann_mask])
-    levels = _classify_bits_brace(B, masks)
-    if levels[0] < IdealLevel.LEFT_IDEAL:
-        raise FailedTheoremError("fix is not a left ideal")
-    for name, level in zip(("socle", "annihilator"), levels[1:]):
-        if level < IdealLevel.IDEAL:
-            raise FailedTheoremError(f"{name} is not an ideal")
-    fix, soc, ann = (frozenset(np.flatnonzero(mask).tolist()) for mask in masks)
-    return fix, soc, ann
+    return _substructure_sets(masks, _classify_bits_brace(B, masks))
 
 
 def classify_subset_brace(B: SkewBrace, members: frozenset) -> IdealLevel:
@@ -391,9 +385,7 @@ def ideal_type_brace(B: SkewBrace, gens) -> IdealLevel:
 def power_set_ideals(B: SkewBrace, n: int) -> dict:
     """Power images {a^n}, {a^(o n)} and torsion sets; asserts the theorem-level
     equalities and that each is an ideal.  Requires a Lazard brace."""
-    ser = l_series_brace(B)
-    if not ser.is_nilpotent or ser.nilpotency_class >= B.p:
-        raise ModArithError("power-set identities need a Lazard brace")
+    _lazard_filtration(lambda: l_series_brace(B), B.order, "skew brace", l_series=True)
     allidx = np.arange(B.order, dtype=np.int64)
     # rows: the dot and the circ side
     pows = np.stack([B.dot.power_batch(allidx, n), B.circ.power_batch(allidx, n)])
@@ -511,7 +503,7 @@ def _composition_table(auts: list[np.ndarray]) -> tuple[np.ndarray, int]:
     return comp, key_of[np.arange(auts[0].size, dtype=np.int64).tobytes()]
 
 
-def holomorph_plus(A: FinGroup, F: Filtration, force: bool = False) -> tuple[FinGroup, list]:
+def holomorph_plus(A: FinGroup, F: Filtration) -> tuple[FinGroup, list]:
     """Materialize Hol(A)^+ = A x| Aut(A)_1 as a Cayley table.
 
     Elements are (carrier, automorphism) pairs listed in index order
@@ -520,7 +512,7 @@ def holomorph_plus(A: FinGroup, F: Filtration, force: bool = False) -> tuple[Fin
     auts = aut_plus(A, F)
     m = len(auts)
     n = A.order
-    if n * m > 20_000 and not force:
+    if n * m > 20_000:
         raise CapExceededError(f"|Hol^+| = {n * m} too large to materialize")
     comp, id_idx = _composition_table(auts)
     # (a, i)(b, j) = (a . auts[i](b), comp[i, j]), as the [a, i, b, j] entry
@@ -538,10 +530,7 @@ def adjoint_group_filtration(B: SkewBrace, F: Filtration | None = None) -> Filtr
     a _walk block of rows a at a time.  The result is validated as a group
     filtration of (A, o)."""
     if F is None:
-        ser = l_series_brace(B)
-        if not ser.is_nilpotent:
-            raise ModArithError("no canonical filtration: brace is not L-nilpotent")
-        F = ser.filtration
+        F = _nilpotent(l_series_brace(B), "skew brace", l_series=True).filtration
     else:
         validate_group_filtration(B.dot, F)
     # a is in (A, o)_i when a*g = lambda_a(g) g^-1 lies in X_(level[g] + i)
@@ -561,29 +550,31 @@ def _brace_from_lambda(A: FinGroup, lam_rows: np.ndarray) -> SkewBrace:
 
 def _lambda_backtrack(A: FinGroup, auts: list[np.ndarray]) -> list[np.ndarray]:
     """All maps lambda: A -> auts with lambda_(a o b) = lambda_a lambda_b,
-    where a o b = a . lambda_a(b).  Returns completed lambda row tables."""
+    where a o b = a . lambda_a(b), as completed lambda row tables.
+
+    Such a map is a regular subgroup {(a, lambda_a)} of A x| auts under
+    (a, f)(b, g) = (a . f(b), f g) (Guarnieri & Vendramin, 2017): each
+    partial map is closed under that product, and a leaf is a closed map
+    defined on all of A.  No leaf repeats when auts has no repeated map, as
+    automorphisms and aut_plus return: two leaves differ at the element
+    where their paths branch, which the search assigns two different maps.
+    """
     n = A.order
     m = len(auts)
     comp, id_idx = _composition_table(auts)
     results: list[np.ndarray] = []
 
     def propagate(assign: dict[int, int]) -> dict[int, int] | None:
+        """The closure of assign under the product, or None on a conflict."""
         work = dict(assign)
-        changed = True
-        while changed:
-            changed = False
+        while True:
             items = list(work.items())
-            for a, ia in items:
-                for b, ib in items:
-                    c = int(A.table[a, auts[ia][b]])
-                    ic = int(comp[ia, ib])
-                    if c in work:
-                        if work[c] != ic:
-                            return None
-                    else:
-                        work[c] = ic
-                        changed = True
-        return work
+            for (a, ia), (b, ib) in product(items, items):
+                ic = int(comp[ia, ib])
+                if work.setdefault(int(A.table[a, auts[ia][b]]), ic) != ic:
+                    return None
+            if len(work) == len(items):
+                return work
 
     # depth first with an explicit stack, children pushed in reverse so the
     # first choice is explored first
@@ -600,55 +591,12 @@ def _lambda_backtrack(A: FinGroup, auts: list[np.ndarray]) -> list[np.ndarray]:
     return results
 
 
-def regular_subgroups(A: FinGroup, F: Filtration, force: bool = False) -> list[SkewBrace]:
-    """Regular subgroups of Hol(A)^+ = A x| Aut(A)_1, as skew braces.
-
-    Subgroup backtracking with closure: elements are (carrier, aut) pairs;
-    a regular subgroup meets each carrier element exactly once and converts
-    through a o b = a . lambda_a(b).
-    """
-    _check_soft_cap(A.order, force)
-    auts = aut_plus(A, F)
-    m = len(auts)
-    comp, id_idx = _composition_table(auts)
-    n = A.order
-    results: dict[bytes, SkewBrace] = {}
-
-    def close(members: dict[int, int]) -> dict[int, int] | None:
-        """Close {carrier: aut} under the Hol product; None when not regular."""
-        work = dict(members)
-        frontier = list(members.items())
-        while frontier:
-            new = []
-            items = list(work.items())
-            for a, ia in frontier:
-                for b, ib in items:
-                    for (x, ix), (y, iy) in (((a, ia), (b, ib)), ((b, ib), (a, ia))):
-                        c = int(A.table[x, auts[ix][y]])
-                        ic = int(comp[ix, iy])
-                        if c in work:
-                            if work[c] != ic:
-                                return None
-                        else:
-                            work[c] = ic
-                            new.append((c, ic))
-            frontier = new
-        return work
-
-    stack = [close({A.identity: id_idx})]  # depth first, first choice on top
-    while stack:
-        members = stack.pop()
-        if members is None or len(members) > n:
-            continue
-        if len(members) == n:
-            rows = np.stack([auts[members[a]] for a in range(n)])
-            key = rows.tobytes()
-            if key not in results:
-                results[key] = _brace_from_lambda(A, rows)
-            continue
-        a0 = min(x for x in range(n) if x not in members)
-        stack.extend(close({**members, a0: i}) for i in reversed(range(m)))
-    out = list(results.values())
+def regular_subgroups(A: FinGroup, F: Filtration) -> list[SkewBrace]:
+    """Regular subgroups of Hol(A)^+ = A x| Aut(A)_1, as skew braces: the
+    lambda maps into Aut(A)_1 (_lambda_backtrack), each converted through
+    a o b = a . lambda_a(b) and verified."""
+    _check_soft_cap(A.order)
+    out = [_brace_from_lambda(A, rows) for rows in _lambda_backtrack(A, aut_plus(A, F))]
     for B in out:
         rep = verify_skew_brace(B)
         if not rep.ok:
@@ -700,24 +648,19 @@ def all_group_chains(A: FinGroup, max_len: int) -> list[Filtration]:
 
 def enumerate_braces(A: FinGroup) -> list[SkewBrace]:
     """All skew braces with dot group A, by lambda backtracking over the
-    full automorphism group."""
-    auts = automorphisms(A)
-    out = []
-    seen = set()
-    for rows in _lambda_backtrack(A, auts):
-        key = rows.tobytes()
-        if key not in seen:
-            seen.add(key)
-            out.append(_brace_from_lambda(A, rows))
-    return out
+    full automorphism group (_lambda_backtrack, which repeats no brace)."""
+    return [_brace_from_lambda(A, rows) for rows in _lambda_backtrack(A, automorphisms(A))]
 
 
 def enumerate_braces_via_chains(A: FinGroup) -> list[SkewBrace]:
     """All skew braces with dot group A, as the union over descending
-    chains of the regular subgroups of the corresponding Hol^+.
+    chains of the regular subgroups of the corresponding Hol^+, in order of
+    first appearance.
 
-    Independent of enumerate_braces; every brace of L-class < p is filtered
-    by its own L-series chain, so the union is complete.
+    The same lambda search as enumerate_braces, over Aut(A)_1 of each chain
+    instead of Aut(A): every brace of L-class < p is filtered by its own
+    L-series chain, so the union is complete, and a brace filtered by
+    several chains is kept once.
     """
     p = prime_power(A.order)[0]
     seen: dict[bytes, SkewBrace] = {}

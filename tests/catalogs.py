@@ -17,7 +17,7 @@ from lazbrace.liering import (CheckReport, Filtration, FinGroup, LieRingSC, LieR
                               table_to_sc, verify_group_table, verify_lie)
 from lazbrace.modarith import Endo, ModArithError, PShape, PVec
 from lazbrace.postlie import PostLieRing, verify_post_lie
-from lazbrace.skewbrace import SkewBrace, _brace_from_lambda, _lambda_backtrack, aut_plus, enumerate_braces
+from lazbrace.skewbrace import SkewBrace, _brace_from_lambda, _composition_table, aut_plus, enumerate_braces
 
 
 def shape_group(shape: PShape) -> FinGroup:
@@ -274,17 +274,52 @@ def holomorph_plus_order(A: FinGroup, F: Filtration) -> int:
     return A.order * len(aut_plus(A, F))
 
 
-def regular_lambda_search(A: FinGroup, F: Filtration) -> list[SkewBrace]:
-    """Braces filtered by F, by direct search over lambda: A -> Aut(A)_1."""
+def oracle_regular_subgroups(A: FinGroup, F: Filtration) -> list[SkewBrace]:
+    """Regular subgroups of Hol(A)^+ = A x| Aut(A)_1, as skew braces, by
+    subgroup backtracking with a frontier closure, independent of the
+    library's lambda backtrack: elements are (carrier, aut) pairs, a
+    regular subgroup meets each carrier element exactly once, and it
+    converts through a o b = a . lambda_a(b).  Repeats are dropped by their
+    lambda rows, in order of first appearance."""
     auts = aut_plus(A, F)
-    out = []
-    seen = set()
-    for rows in _lambda_backtrack(A, auts):
-        key = rows.tobytes()
-        if key not in seen:
-            seen.add(key)
-            out.append(_brace_from_lambda(A, rows))
-    return out
+    m = len(auts)
+    comp, id_idx = _composition_table(auts)
+    n = A.order
+    results: dict[bytes, SkewBrace] = {}
+
+    def close(members: dict[int, int]) -> dict[int, int] | None:
+        """Close {carrier: aut} under the Hol product; None when not regular."""
+        work = dict(members)
+        frontier = list(members.items())
+        while frontier:
+            new = []
+            items = list(work.items())
+            for a, ia in frontier:
+                for b, ib in items:
+                    for (x, ix), (y, iy) in (((a, ia), (b, ib)), ((b, ib), (a, ia))):
+                        c = int(A.table[x, auts[ix][y]])
+                        ic = int(comp[ix, iy])
+                        if c in work:
+                            if work[c] != ic:
+                                return None
+                        else:
+                            work[c] = ic
+                            new.append((c, ic))
+            frontier = new
+        return work
+
+    stack = [close({A.identity: id_idx})]  # depth first, first choice on top
+    while stack:
+        members = stack.pop()
+        if members is None:
+            continue
+        if len(members) == n:
+            rows = np.stack([auts[members[a]] for a in range(n)])
+            results.setdefault(rows.tobytes(), _brace_from_lambda(A, rows))
+            continue
+        a0 = min(x for x in range(n) if x not in members)
+        stack.extend(close({**members, a0: i}) for i in reversed(range(m)))
+    return list(results.values())
 
 
 # ---------------------------------------------------------------------------

@@ -2224,7 +2224,8 @@ def oracle_adjoint_group_filtration(B: SkewBrace, F: Filtration | None = None) -
     if F is None:
         ser = l_series_brace(B)
         if not ser.is_nilpotent:
-            raise ModArithError("no canonical filtration: brace is not L-nilpotent")
+            raise NotLazardError("skew brace is not L-nilpotent: the L-series stops at a term"
+                                 f" of order {len(ser.terms[-1])}")
         F = ser.filtration
     else:
         validate_group_filtration(B.dot, F)

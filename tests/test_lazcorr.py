@@ -14,12 +14,15 @@ from lazbrace.common import FailedTheoremError, NotLazardError
 from lazbrace.liering import (Filtration, FinGroup, LieRingSC, LieRingTable, add_closure, bch_eval,
                               canonical_filtration, is_lazard, laz, laz_inv, laz_of_table)
 from lazbrace.modarith import Endo, ModArithError, PShape, PVec, _raise_at, _walk, endo_exp, endo_log
-from lazbrace.postlie import PostLieRing, circ_ring, l_mul, l_series, verify_post_lie
+from lazbrace.postlie import PostLieRing, adjoint_filtration, circ_ring, l_mul, l_series, verify_post_lie
 from lazbrace.skewbrace import (
     SkewBrace,
+    adjoint_group_filtration,
     all_group_chains,
+    circ_nilpotency_bound,
     enumerate_braces,
     l_series_brace,
+    power_set_ideals,
     regular_subgroups,
     verify_skew_brace,
 )
@@ -251,6 +254,14 @@ _STOPS = "is not {}nilpotent: the {} stops at a term of order {}"
      "skew brace " + _STOPS.format("L-", "L-series", 3)),
     ("brace_to_post_lie", lambda: brace_to_post_lie(trivial_brace(_d4())),
      "skew brace is not Lazard: L-class 2 >= p = 2"),
+    ("adjoint_filtration", lambda: adjoint_filtration(catalogs.zero_triangle(_NONNIL)),
+     "post-Lie ring " + _STOPS.format("L-", "L-series", 5)),
+    ("circ_nilpotency_bound", lambda: circ_nilpotency_bound(trivial_brace(_s3())),
+     "skew brace " + _STOPS.format("L-", "L-series", 3)),
+    ("power_set_ideals", lambda: power_set_ideals(trivial_brace(_d4()), 2),
+     "skew brace is not Lazard: L-class 2 >= p = 2"),
+    ("adjoint_group_filtration", lambda: adjoint_group_filtration(trivial_brace(_s3())),
+     "skew brace " + _STOPS.format("L-", "L-series", 3)),
 ])
 def test_the_lazard_gate_refuses_in_one_of_two_forms(name, call, message):
     # every construction refuses a structure whose series stops, or whose

@@ -2,12 +2,13 @@ import numpy as np
 import pytest
 
 import catalogs
-from catalogs import _comm_set, holomorph_plus_order, regular_lambda_search, trivial_brace
+from catalogs import _comm_set, holomorph_plus_order, oracle_regular_subgroups, trivial_brace
 from lazbrace.common import FailedTheoremError, IdealLevel
 from lazbrace.liering import FinGroup, Filtration, canonical_group_filtration, group_closure, laz
 from lazbrace.modarith import ModArithError, PShape
 from lazbrace.skewbrace import (
     adjoint_group_filtration,
+    all_group_chains,
     holomorph_plus,
     SkewBrace,
     aut_plus,
@@ -225,14 +226,22 @@ def test_two_oracles_agree_on_order_nine():
         lines = sorted({S for S in subs if len(S) == 3}, key=sorted)
         for V in lines:
             chains.append(Filtration((full, V, frozenset({0}))))
-        total_a, total_b = set(), set()
         for F in chains:
-            for B in regular_subgroups(A, F):
-                total_a.add(B.circ.table.tobytes())
-            for B in regular_lambda_search(A, F):
-                total_b.add(B.circ.table.tobytes())
-        assert total_a == total_b
+            assert _circ_keys(regular_subgroups(A, F)) == _circ_keys(oracle_regular_subgroups(A, F))
         assert len(enumerate_braces(A)) == len(enumerate_braces_via_chains(A))
+
+
+def _circ_keys(braces) -> list[bytes]:
+    return [B.circ.table.tobytes() for B in braces]
+
+
+def test_regular_subgroups_match_the_closure_oracle_in_order_on_every_chain():
+    A = catalogs.shape_group(PShape(3, (2, 1)))
+    chains = all_group_chains(A, 2)
+    assert len(chains) == 9
+    found = [_circ_keys(regular_subgroups(A, F)) for F in chains]
+    assert found == [_circ_keys(oracle_regular_subgroups(A, F)) for F in chains]
+    assert [len(keys) for keys in found] == [1, 9, 81, 3, 9, 9, 3, 3, 27]
 
 
 def test_every_enumerated_brace_verifies_and_has_small_class():
